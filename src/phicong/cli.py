@@ -35,6 +35,8 @@ def _poly_json(poly) -> List[str]:
 
 def _cmd_qexp(args) -> int:
     terms_wanted = args.terms
+    if terms_wanted < 1:
+        raise DomainError(f"--terms must be at least 1, got {terms_wanted}")
     need = max(terms_wanted, 30 if args.denominators else 0)
     prec = max(17, 6 * need - 7)
     xt = xtilde(args.level, prec)
@@ -123,20 +125,19 @@ def _cmd_member(args) -> int:
 
 def _cmd_grassmannian(args) -> int:
     params = SpParams(args.p, args.x)
-    if args.surjectivity:
-        v = surjectivity_verdict(params)
+    if args.surjectivity or args.epsilons:
         S4, T4 = rho_matrices(params)
-        eps2 = fixed_and_orders(permutation(S4, args.p))[0]
-        eps3 = fixed_and_orders(permutation(S4 * T4, args.p))[0]
+        perm_s, perm_t = permutation(S4, args.p), permutation(T4, args.p)
+        # rho(ST) acts as rho(S) after rho(T)
+        eps = {"epsilon2": fixed_and_orders(perm_s)[0],
+               "epsilon3": fixed_and_orders(perm_s[perm_t])[0]}
+    if args.surjectivity:
+        v = surjectivity_verdict(params, perm_s, perm_t)
         _emit({"p": v.p, "x": v.x, "orderT": v.order_T,
                "permGroupOrder": str(v.perm_group_order),
-               "surjectivePSp4": v.surjective_psp4,
-               "epsilon2": eps2, "epsilon3": eps3})
+               "surjectivePSp4": v.surjective_psp4, **eps})
     elif args.epsilons:
-        S4, T4 = rho_matrices(params)
-        eps2 = fixed_and_orders(permutation(S4, args.p))[0]
-        eps3 = fixed_and_orders(permutation(S4 * T4, args.p))[0]
-        _emit({"p": args.p, "x": args.x, "epsilon2": eps2, "epsilon3": eps3})
+        _emit({"p": args.p, "x": args.x, **eps})
     elif args.cycles:
         _, T4 = rho_matrices(params)
         data = cusp_data_cycles(permutation(T4, args.p))

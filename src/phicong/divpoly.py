@@ -13,9 +13,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
-from .errors import DomainError, InternalConsistencyError, UnsupportedPrimeError
+from .errors import DomainError, InternalConsistencyError
 from .polynomials import UniPoly
-from .rationals import padic_val
+from .rationals import padic_val, require_prime, split_power
 
 B = -1728
 CURVE = UniPoly([B, 0, 0, 1])          # x^3 - 1728  (= y^2)
@@ -180,9 +180,8 @@ class ReductionProfile:
 
 
 def reduction_profile(N: int, p: int) -> ReductionProfile:
-    if p <= 3:
-        raise UnsupportedPrimeError(
-            f"p = {p}: the recurrences do not give division polynomials mod 2 or 3")
+    # the recurrences do not give division polynomials mod 2 or 3
+    require_prime(p, 3)
     if N < 1:
         raise DomainError(f"N must be a positive integer, got {N}")
     triple = division_polynomials(N)
@@ -191,11 +190,7 @@ def reduction_profile(N: int, p: int) -> ReductionProfile:
     psi_poly = psi_part.g if N % 2 == 0 else psi_part.f
     sq_vals = [padic_val(b[i], p) for i in range(b.degree + 1)]
     psi_vals = [padic_val(psi_poly[i], p) for i in range(psi_poly.degree + 1)]
-    r = 0
-    m = N
-    while m % p == 0:
-        m //= p
-        r += 1
+    r = split_power(N, p)[0]
     supersingular = p % 3 == 2
     ss_const = ord_tail = None
     if N == p:

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import prod
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from .errors import DomainError, InternalConsistencyError, UnsupportedPrimeError
+from .rationals import factorize, is_prime, require_prime
+from .symplectic import cycle_type
 
 
 def legendre(a: int, p: int) -> int:
@@ -38,18 +39,8 @@ def _divisors(n: int):
 
 
 def _moebius(n: int) -> int:
-    mu = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            mu = -mu
-        d += 1
-    if n > 1:
-        mu = -mu
-    return mu
+    exps = factorize(n).values()
+    return 0 if any(e > 1 for e in exps) else (-1) ** len(exps)
 
 
 def chi_power(p: int, d: int) -> int:
@@ -59,8 +50,7 @@ def chi_power(p: int, d: int) -> int:
     of T^d: 3 for 1 <= d < (p-1)/2 prime to p; 2p+1 at d = (p-1)/2 and
     d = p-1; p+3 for p | d below p(p-1)/2; |X(F_p)| at the identity.
     """
-    if p <= 7:
-        raise UnsupportedPrimeError(f"p must be a prime > 7, got {p}")
+    require_prime(p, 7)
     n = p * (p - 1)
     if d < 1 or n % d != 0:
         raise DomainError(f"d = {d} does not divide p(p-1) = {n}")
@@ -86,6 +76,7 @@ class CuspData:
 def cusp_data_character(p: int) -> CuspData:
     """Cusp widths of the point stabilizer via Moebius inversion of chi:
     c_n = (1/n) sum_{d | n} mu(n/d) chi(T^d)."""
+    require_prime(p, 7)
     n0 = p * (p - 1)
     widths: Dict[int, int] = {}
     total = 0
@@ -108,26 +99,13 @@ def cusp_data_character(p: int) -> CuspData:
 
 def cusp_data_cycles(perm_t: np.ndarray) -> CuspData:
     """Cycle-type histogram of the T-action: the independent cusp oracle."""
-    n = len(perm_t)
-    seen = np.zeros(n, dtype=bool)
-    widths: Dict[int, int] = {}
-    for i in range(n):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = int(perm_t[j])
-            length += 1
-        widths[length] = widths.get(length, 0) + 1
+    widths = cycle_type(perm_t)
     return CuspData(sum(widths.values()), widths)
 
 
 def elliptic_counts(p: int) -> Tuple[int, int]:
     """(epsilon_2, epsilon_3) = (p+2+(-1/p), p+1+(p+1)(-3/p))."""
-    if p <= 7:
-        raise UnsupportedPrimeError(f"p must be a prime > 7, got {p}")
+    require_prime(p, 7)
     return p + 2 + legendre(-1, p), p + 1 + (p + 1) * legendre(-3, p)
 
 
@@ -138,8 +116,7 @@ def genus_pointstab(p: int) -> int:
     index = (p^2+1)(p+1) and c = 2p+12.  Route 2: the closed forms by
     p mod 12.  The routes must agree.
     """
-    if p <= 7:
-        raise UnsupportedPrimeError(f"p must be a prime > 7, got {p}")
+    require_prime(p, 7)
     eps2, eps3 = elliptic_counts(p)
     index = (p * p + 1) * (p + 1)
     c = 2 * p + 12
@@ -204,8 +181,8 @@ class DimsGp:
 
 
 def dims_Gp(k: int, p: int) -> DimsGp:
-    if p % 12 != 5:
-        raise UnsupportedPrimeError(f"p = {p} is not 5 mod 12")
+    if p % 12 != 5 or not is_prime(p):
+        raise UnsupportedPrimeError(f"p = {p} is not a prime = 5 (mod 12)")
     if k < 1:
         raise DomainError("k must be positive")
     dim = Fraction(k * p, 2) + 1 - (Fraction(3, 2) if k % 2 else 0)
@@ -227,22 +204,10 @@ class NoncongruenceReport:
 def noncongruence_report(p: int) -> NoncongruenceReport:
     """|SL_2(Z/p(p-1))| vs |PSp_4(F_p)|: the image is too large to factor
     through any congruence quotient of the candidate level."""
-    if p <= 7:
-        raise UnsupportedPrimeError(f"p must be a prime > 7, got {p}")
+    require_prime(p, 7)
     n = p * (p - 1)
-    primes = []
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            primes.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        primes.append(m)
     sl2 = n ** 3
-    for ell in primes:
+    for ell in factorize(n):
         sl2 = sl2 // (ell * ell) * (ell * ell - 1)
     sp4 = p ** 4 * (p ** 4 - 1) * (p ** 2 - 1)
     return NoncongruenceReport(p, n, sl2, sp4, sp4 // 2, sp4 // 2 > sl2)

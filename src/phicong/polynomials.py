@@ -6,9 +6,7 @@ ModInt, Laurent series, ...).  The trailing coefficient is kept nonzero.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
-from typing import List, Sequence
+from typing import Sequence
 
 
 class UniPoly:
@@ -89,53 +87,8 @@ class UniPoly:
             acc = acc * x + c
         return acc
 
-    def compose(self, other: "UniPoly") -> "UniPoly":
-        acc = UniPoly()
-        for c in reversed(self.coeffs):
-            acc = acc * other + UniPoly([c])
-        return acc
-
     def map_coeffs(self, f) -> "UniPoly":
         return UniPoly([f(c) for c in self.coeffs])
 
-    def content(self) -> int:
-        """gcd of integer coefficients (0 for the zero polynomial)."""
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, int(c))
-        return g
-
     def __repr__(self):
         return f"UniPoly({self.coeffs})"
-
-
-def poly_divmod(a: UniPoly, b: UniPoly):
-    """Quotient and remainder over the rationals."""
-    r = [Fraction(c) for c in a.coeffs]
-    q: List[Fraction] = [Fraction(0)] * max(0, len(r) - len(b.coeffs) + 1)
-    lead = Fraction(b.coeffs[-1])
-    db = b.degree
-    while len(r) - 1 >= db and any(r):
-        while r and not r[-1]:
-            r.pop()
-        if len(r) - 1 < db:
-            break
-        f = r[-1] / lead
-        shift = len(r) - 1 - db
-        q[shift] = f
-        for i, c in enumerate(b.coeffs):
-            r[shift + i] -= f * Fraction(c)
-        r.pop()
-    return UniPoly(q), UniPoly(r)
-
-
-def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd over the rationals."""
-    a = a.map_coeffs(Fraction)
-    b = b.map_coeffs(Fraction)
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    if a:
-        lead = a.coeffs[-1]
-        a = a.map_coeffs(lambda c: c / lead)
-    return a

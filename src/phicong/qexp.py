@@ -16,7 +16,7 @@ from typing import Dict, List, Tuple
 
 from .divpoly import division_polynomials, _psi
 from .errors import DomainError, InternalConsistencyError
-from .rationals import INF, padic_val
+from .rationals import padic_val, split_power
 from .series import LaurentSeries, hensel_root, series_sqrt
 
 PRIMES_37 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -180,11 +180,7 @@ def denominator_report(N: int, prec: int,
             f"only {len(terms)} terms available, need {cutoffs[-1]}; raise prec")
     reports = []
     for p in PRIMES_37:
-        r = 0
-        m = N
-        while m % p == 0:
-            m //= p
-            r += 1
+        r = split_power(N, p)[0]
         vals = [padic_val(c, p) for _, c in terms]
         mins = tuple(min(vals[:c]) for c in cutoffs)
         integral = all(v >= 0 for v in vals)

@@ -1,4 +1,4 @@
-"""Exact rational helpers: p-adic valuations and fraction formatting.
+"""Exact rational helpers: valuations, factorization and fraction formatting.
 
 Rationals themselves are ``fractions.Fraction`` (always normalized, positive
 denominator), which matches the storage invariants needed for exact golden
@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
-Rational = Fraction
+from .errors import UnsupportedPrimeError
 
 #: Sentinel returned by :func:`padic_val` for zero (v_p(0) = +infinity).
 INF = math.inf
@@ -25,16 +25,40 @@ def padic_val(r, p: int):
     r = Fraction(r)
     if r == 0:
         return INF
+    return split_power(r.numerator, p)[0] - split_power(r.denominator, p)[0]
+
+
+def split_power(m: int, p: int) -> Tuple[int, int]:
+    """(v, m / p^v) for a nonzero integer m, with p^v the largest power of
+    p dividing m."""
     v = 0
-    n = r.numerator
-    while n % p == 0:
-        n //= p
+    while m % p == 0:
+        m //= p
         v += 1
-    d = r.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    return v, m
+
+
+def factorize(n: int) -> Dict[int, int]:
+    """{prime: exponent} of a positive integer, by trial division."""
+    out = {}
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out[d], n = split_power(n, d)
+        d += 1
+    if n > 1:
+        out[n] = 1
+    return out
+
+
+def is_prime(n: int) -> bool:
+    return n > 1 and factorize(n) == {n: 1}
+
+
+def require_prime(p: int, above: int) -> None:
+    """Reject anything but a prime p > above."""
+    if p <= above or not is_prime(p):
+        raise UnsupportedPrimeError(f"p must be a prime > {above}, got {p}")
 
 
 def format_fraction(r) -> str:
@@ -43,10 +67,6 @@ def format_fraction(r) -> str:
     if r.denominator == 1:
         return str(r.numerator)
     return f"{r.numerator}/{r.denominator}"
-
-
-def parse_fraction(s: str) -> Fraction:
-    return Fraction(s)
 
 
 def rational_sqrt(r) -> Optional[Fraction]:

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .cyclotomic import ModInt
 from .errors import DomainError, InternalConsistencyError, UnsupportedPrimeError
 from .matrices import Matrix
+from .rationals import require_prime
 from .words import Word, eval_word
 
 
@@ -30,8 +31,7 @@ class SpParams:
     y: Optional[int] = None
 
     def __post_init__(self):
-        if self.p <= 7:
-            raise UnsupportedPrimeError(f"p must be a prime > 7, got {self.p}")
+        require_prime(self.p, 7)
         if self.x % self.p == 0:
             raise DomainError("x must be invertible mod p")
         if self.y is not None and self.y % self.p == 0:
@@ -73,6 +73,30 @@ def rho_matrices(params: SpParams) -> Tuple[Matrix, Matrix]:
     return S4, T4
 
 
+def rref_mod_p(rows: List[List[int]], p: int) -> List[int]:
+    """Reduce rows to reduced row echelon form over F_p in place; returns
+    the pivot columns.  Every row that holds a pivot ends up in range(p)."""
+    m = len(rows)
+    pivots = []
+    r = 0
+    for c in range(len(rows[0])):
+        piv = next((i for i in range(r, m) if rows[i][c] % p), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c] % p:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return pivots
+
+
 def invariant_forms(S4: Matrix, T4: Matrix) -> List[Matrix]:
     """Basis of the antisymmetric G with S4^T G S4 = G and T4^T G T4 = G.
 
@@ -105,26 +129,10 @@ def invariant_forms(S4: Matrix, T4: Matrix) -> List[Matrix]:
     # coefficients lambda_k, equations run over (matrix, entry position)
     A = [[rows[blk * 6 + k][pos] % p for k in range(6)]
          for blk in range(2) for pos in range(6)]
-    m, n = len(A), 6
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if A[i][c] % p), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        inv = pow(A[r][c], -1, p)
-        A[r] = [v * inv % p for v in A[r]]
-        for i in range(m):
-            if i != r and A[i][c] % p:
-                f = A[i][c]
-                A[i] = [(v - f * w) % p for v, w in zip(A[i], A[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
+    pivots = rref_mod_p(A, p)
     basis = []
-    for fcol in free:
-        vec = [0] * n
+    for fcol in (c for c in range(6) if c not in pivots):
+        vec = [0] * 6
         vec[fcol] = 1
         for i, c in enumerate(pivots):
             vec[c] = (-A[i][fcol]) % p
@@ -134,27 +142,12 @@ def invariant_forms(S4: Matrix, T4: Matrix) -> List[Matrix]:
 
 def in_span(G: Matrix, basis: List[Matrix]) -> bool:
     """Whether antisymmetric G is an F_p-combination of the basis forms."""
-    if not basis:
-        return all(e.v == 0 for row in G.rows for e in row)
     p = G.rows[0][0].m
     positions = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     A = [[b.rows[i][j].v for b in basis] + [G.rows[i][j].v]
          for (i, j) in positions]
-    m, n = len(A), len(basis)
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if A[i][c] % p), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        inv = pow(A[r][c], -1, p)
-        A[r] = [v * inv % p for v in A[r]]
-        for i in range(m):
-            if i != r and A[i][c] % p:
-                f = A[i][c]
-                A[i] = [(v - f * w) % p for v, w in zip(A[i], A[r])]
-        r += 1
-    return all(A[i][n] % p == 0 for i in range(r, m))
+    # G is in the span iff the appended column carries no pivot
+    return len(basis) not in rref_mod_p(A, p)
 
 
 @dataclass(frozen=True)
@@ -236,31 +229,13 @@ def _matrix_rows(M: Matrix) -> List[List[int]]:
     return [[e.v for e in row] for row in M.rows]
 
 
-def _rref2x4(v: List[int], w: List[int], p: int) -> Tuple[List[int], List[int], Tuple[int, int]]:
-    rows = [v[:], w[:]]
-    pivots = []
-    r = 0
-    for c in range(4):
-        piv = next((i for i in range(r, 2) if rows[i][c] % p), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(2):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == 2:
-            break
+def _classify(plane: List[List[int]], pivots: List[int], p: int) -> Lagrangian:
+    """The Lagrangian spanned by the two rows of plane, which rref_mod_p
+    has reduced with the given pivot columns."""
     if len(pivots) != 2:
         raise InternalConsistencyError("image of a plane is not 2-dimensional")
-    return rows[0], rows[1], (pivots[0], pivots[1])
-
-
-def _classify(r0: List[int], r1: List[int], piv: Tuple[int, int], p: int) -> Lagrangian:
+    r0, r1 = plane
+    piv = tuple(pivots)
     if piv == (0, 1):
         a, b, c = r0[2], r0[3], r1[2]
         if r1[3] % p != (-3 * a) % p:
@@ -287,8 +262,8 @@ def act_subspace(M: Matrix, L: Lagrangian) -> Lagrangian:
     v, w = L.spanning()
     mv = [sum(rows[i][k] * v[k] for k in range(4)) % p for i in range(4)]
     mw = [sum(rows[i][k] * w[k] for k in range(4)) % p for i in range(4)]
-    r0, r1, piv = _rref2x4(mv, mw, p)
-    return _classify(r0, r1, piv, p)
+    plane = [mv, mw]
+    return _classify(plane, rref_mod_p(plane, p), p)
 
 
 def permutation(M: Matrix, p: int) -> np.ndarray:
@@ -299,23 +274,22 @@ def permutation(M: Matrix, p: int) -> np.ndarray:
     rows = _matrix_rows(M)
     n = (p * p + 1) * (p + 1)
     out = np.empty(n, dtype=np.int64)
-    for L in lagrangians(p):
+    for idx, L in enumerate(lagrangians(p)):       # idx == L.index(p)
         v, w = L.spanning()
         mv = [sum(rows[i][k] * v[k] for k in range(4)) % p for i in range(4)]
         mw = [sum(rows[i][k] * w[k] for k in range(4)) % p for i in range(4)]
-        r0, r1, piv = _rref2x4(mv, mw, p)
-        out[L.index(p)] = _classify(r0, r1, piv, p).index(p)
+        plane = [mv, mw]
+        out[idx] = _classify(plane, rref_mod_p(plane, p), p).index(p)
     if len(np.unique(out)) != n:
         raise InternalConsistencyError("action is not a bijection")
     return out
 
 
-def fixed_and_orders(perm: np.ndarray) -> Tuple[int, int]:
-    """(number of fixed points, multiplicative order of the permutation)."""
+def cycle_type(perm: np.ndarray) -> Dict[int, int]:
+    """{cycle length: number of cycles} of a permutation."""
     n = len(perm)
-    fixed = int(np.count_nonzero(perm == np.arange(n)))
     seen = np.zeros(n, dtype=bool)
-    order = 1
+    counts: Dict[int, int] = {}
     for i in range(n):
         if seen[i]:
             continue
@@ -325,8 +299,14 @@ def fixed_and_orders(perm: np.ndarray) -> Tuple[int, int]:
             seen[j] = True
             j = int(perm[j])
             length += 1
-        order = lcm(order, length)
-    return fixed, order
+        counts[length] = counts.get(length, 0) + 1
+    return counts
+
+
+def fixed_and_orders(perm: np.ndarray) -> Tuple[int, int]:
+    """(number of fixed points, multiplicative order of the permutation)."""
+    counts = cycle_type(perm)
+    return counts.get(1, 0), lcm(*counts)
 
 
 # -- deterministic Schreier-Sims --------------------------------------------
@@ -458,12 +438,12 @@ def matrix_order(M: Matrix, cap: int) -> int:
     raise DomainError(f"matrix order exceeds cap {cap}")
 
 
-def surjectivity_verdict(params: SpParams) -> SurjectivityVerdict:
+def surjectivity_verdict(params: SpParams, perm_s: np.ndarray,
+                         perm_t: np.ndarray) -> SurjectivityVerdict:
+    """perm_s, perm_t are the permutations of X(F_p) under rho(S), rho(T)."""
     p = params.p
-    S4, T4 = rho_matrices(params)
+    _, T4 = rho_matrices(params)
     order_T = matrix_order(T4, p * (p - 1))
-    perm_s = permutation(S4, p)
-    perm_t = permutation(T4, p)
     order = group_order([perm_s, perm_t])
     return SurjectivityVerdict(p, params.x % p, order_T, order,
                                order == sp4_order(p) // 2)

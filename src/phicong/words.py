@@ -4,7 +4,7 @@ SL2(Z) is generated by S = (0 -1; 1 0) and T = (1 1; 0 1).  The
 representation phi sends T to diag(zeta, 1/zeta) and S to
 (-zeta^3, 1; 0, zeta^3); its image consists of the upper-triangular
 matrices (u, u*v; 0, 1/u) with u a twelfth root of unity and
-v in Z*zeta + Z*zeta^3.
+v in Z*zeta + Z*zeta^3, which PhiImage stores as integer coordinates.
 """
 
 from __future__ import annotations
@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .cyclotomic import Cyc12, reduce_cyc
-from .errors import DomainError, InternalConsistencyError, UnsupportedPrimeError
+from .errors import DomainError, UnsupportedPrimeError
 from .matrices import Matrix
+from .rationals import is_prime
 
 
 class Word:
@@ -127,43 +127,30 @@ class PhiImage:
     def compose(self, other: "PhiImage") -> "PhiImage":
         """Image of the concatenated word self * other."""
         # (u1, u1 v1; 0, 1/u1)(u2, u2 v2; 0, 1/u2) has unit u1 u2 and
-        # v = v2 + zeta^(-2 u2_exp) v1
-        tw = Cyc12.zeta_pow(-2 * other.u_exp)
-        v1 = Cyc12(0, self.v[0], 0, self.v[1])
-        v = Cyc12(0, other.v[0], 0, other.v[1]) + tw * v1
-        return PhiImage((self.u_exp + other.u_exp) % 12, _v_coords(v))
-
-    def matrix(self) -> Matrix:
-        u = Cyc12.zeta_pow(self.u_exp)
-        v = Cyc12(0, self.v[0], 0, self.v[1])
-        zero, one = Cyc12(0), Cyc12(1)
-        return Matrix([[u, u * v], [zero, one / u]])
+        # v = v2 + zeta^(-2 u2_exp) v1.  On the basis (zeta, zeta^3),
+        # multiplication by zeta^-2 (of order 6) is R = [[1, 1], [-1, 0]].
+        a, b = self.v
+        for _ in range(other.u_exp % 6):
+            a, b = a + b, -a
+        return PhiImage((self.u_exp + other.u_exp) % 12,
+                        (other.v[0] + a, other.v[1] + b))
 
 
-PHI_S = Matrix([[Cyc12(0, 0, 0, -1), Cyc12(1)],
-                [Cyc12(0), Cyc12(0, 0, 0, 1)]])
-PHI_T = Matrix([[Cyc12(0, 1), Cyc12(0)],
-                [Cyc12(0), Cyc12(0, 1).inverse()]])
-
-
-def _v_coords(v: Cyc12) -> Tuple[int, int]:
-    a, b, c, d = v.c
-    if a != 0 or c != 0 or b.denominator != 1 or d.denominator != 1:
-        raise InternalConsistencyError(f"v = {v!r} is not in Z*zeta + Z*zeta^3")
-    return int(b), int(d)
+_IDENTITY = PhiImage(0, (0, 0))
+# phi(S) = (-zeta^3, 1; 0, zeta^3) = (zeta^9, zeta^9 * zeta^3; 0, zeta^-9)
+_S_POWERS = [_IDENTITY]
+for _ in range(3):
+    _S_POWERS.append(_S_POWERS[-1].compose(PhiImage(9, (0, 1))))
 
 
 def phi(w: Word) -> PhiImage:
-    """Evaluate phi and decompose the result as (u, u*v; 0, 1/u)."""
-    m = eval_word(w, PHI_S, PHI_T)
-    a, b = m.rows[0]
-    c, d = m.rows[1]
-    if c != 0:
-        raise InternalConsistencyError("phi image is not upper triangular")
-    u_exp = next((k for k in range(12) if Cyc12.zeta_pow(k) == a), None)
-    if u_exp is None or a * d != 1:
-        raise InternalConsistencyError("phi image unit is not a 12th root of unity")
-    return PhiImage(u_exp, _v_coords(d * b))
+    """Fold compose over the syllables: phi(T^e) = (e mod 12, (0, 0)) and
+    phi(S^e) = phi(S)^(e mod 4)."""
+    img = _IDENTITY
+    for gen, exp in w.syllables:
+        img = img.compose(_S_POWERS[exp % 4] if gen == "S"
+                          else PhiImage(exp % 12, (0, 0)))
+    return img
 
 
 @dataclass(frozen=True)
@@ -185,36 +172,41 @@ class SubgroupSpec:
             if not isinstance(self.n, int) or self.n < 1:
                 raise DomainError(f"{self.kind} needs a positive integer level")
         elif self.kind == "Gp":
-            if not isinstance(self.n, int) or self.n % 12 != 5:
+            if not isinstance(self.n, int) or self.n % 12 != 5 or not is_prime(self.n):
                 raise UnsupportedPrimeError(f"Gp needs a prime p = 5 (mod 12), got {self.n}")
         else:
             raise DomainError(f"unknown subgroup kind {self.kind!r}")
 
 
 def subgroup_member(w: Word, spec: SubgroupSpec) -> bool:
+    """Membership of w, read off the single image phi(w) = (u, u*v; 0, 1/u).
+
+    Gp(p) asks that u^4 = 1 and v lie in F_p after reducing Z[zeta] modulo
+    a prime above p.  As p = 5 (mod 12) is prime, x^12 - 1 is separable
+    mod p, so reduction is injective on the twelfth roots of unity and
+    u^4 = 1 holds iff 3 | u_exp.  zeta^3 = i reduces into F_p because
+    p = 1 (mod 4), while zeta does not because 12 does not divide p - 1;
+    so v[0]*zeta + v[1]*zeta^3 reduces into F_p iff p | v[0].
+    """
     img = phi(w)
     kind = spec.kind
+    a, b = img.v
     if kind == "GammaPrime":
         return img.u_exp in (0, 6)
     if kind == "GammaDoublePrime":
         return img.u_exp in (0, 6) and img.v == (0, 0)
     if kind == "GammaPrimeN":
         n = spec.n
-        return img.u_exp in (0, 6) and img.v[0] % n == 0 and img.v[1] % n == 0
+        return img.u_exp in (0, 6) and a % n == 0 and b % n == 0
     if kind == "Gp":
-        p = spec.n
-        m = eval_word(w, PHI_S, PHI_T)
-        u = reduce_cyc(m.rows[0][0], p)
-        if u ** 4 != 1:
-            return False
-        v = reduce_cyc(m.rows[0][0].inverse() * m.rows[0][1], p)
-        return v.in_prime_field()
+        return img.u_exp % 3 == 0 and a % spec.n == 0
     if kind == "PhiCong":
+        # phi(w) = I mod n: n | v and n | zeta^k - 1 in Z[zeta].  On the
+        # basis (1, zeta, zeta^2, zeta^3) the coordinates of zeta^k - 1
+        # have gcd 1 except at k = 0 (all zero) and k = 6 (gcd 2).
         n = spec.n
-        if img.v[0] % n or img.v[1] % n:
-            return False
-        diff = Cyc12.zeta_pow(img.u_exp) - Cyc12(1)
-        return all(c.numerator % n == 0 for c in diff.c)
+        unit_ok = img.u_exp == 0 or n == 1 or (img.u_exp == 6 and n == 2)
+        return unit_ok and a % n == 0 and b % n == 0
     raise DomainError(f"unknown subgroup kind {kind!r}")
 
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -171,3 +172,33 @@ class TestParser:
         code = main([])
         capsys.readouterr()
         assert code == 2
+
+
+class TestInvalidInput:
+    @pytest.mark.parametrize("argv", [
+        "genus --p 15", "genus --p 9", "cusps --p 21",
+        "grassmannian --p 15 --x 2 --epsilons",
+        "dims --family gp --k 2 --p 65", "member --spec gp --p 65 --word T",
+        "qexp --level 5 --terms -1", "qexp --level 5 --terms 0",
+        "divpoly --level 3 --profile 15",
+    ])
+    def test_exit_2_with_message(self, capsys, argv):
+        code = main(argv.split())
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+
+# stdout of each invocation, captured before phi moved to (u, v)
+# coordinates and the eliminations mod p were merged
+GOLDEN = json.loads((Path(__file__).parent / "golden_stdout.json").read_text())
+
+
+class TestGoldenStdout:
+    @pytest.mark.parametrize("entry", GOLDEN, ids=lambda e: " ".join(e["argv"]))
+    def test_bytes_unchanged(self, capsys, entry):
+        code = main(entry["argv"])
+        assert code == 0
+        assert capsys.readouterr().out == entry["stdout"]

@@ -143,6 +143,11 @@ class TestReductionProfile:
             with pytest.raises(UnsupportedPrimeError):
                 reduction_profile(5, p)
 
+    def test_composite_p_rejected(self):
+        for p in (9, 15, 25):
+            with pytest.raises(UnsupportedPrimeError):
+                reduction_profile(5, p)
+
     def test_supersingular_N5(self):
         prof = reduction_profile(5, 5)
         assert prof.supersingular and prof.supersingular_const

@@ -39,6 +39,14 @@ class TestChi:
         with pytest.raises(UnsupportedPrimeError):
             chi_power(7, 1)
 
+    def test_composites_rejected(self):
+        for fn in (elliptic_counts, genus_pointstab, cusp_data_character,
+                   noncongruence_report, lambda p: chi_power(p, 1),
+                   lambda p: dims_Gp(2, p)):
+            for composite in (9, 15, 21, 65, 121):
+                with pytest.raises(UnsupportedPrimeError):
+                    fn(composite)
+
     def test_chi_matches_fixed_points(self):
         # independent verification against actual permutation powers
         p = 11

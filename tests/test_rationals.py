@@ -1,0 +1,43 @@
+from fractions import Fraction
+
+import pytest
+
+from phicong.errors import UnsupportedPrimeError
+from phicong.rationals import (INF, factorize, is_prime, padic_val,
+                               require_prime, split_power)
+
+
+def test_split_power():
+    assert split_power(96, 2) == (5, 3)
+    assert split_power(-45, 3) == (2, -5)
+    assert split_power(7, 5) == (0, 7)
+
+
+def test_factorize():
+    assert factorize(1) == {}
+    assert factorize(360) == {2: 3, 3: 2, 5: 1}
+    assert factorize(97) == {97: 1}
+    for n in range(1, 500):
+        prod = 1
+        for q, e in factorize(n).items():
+            assert q > 1 and all(q % d for d in range(2, q))
+            prod *= q ** e
+        assert prod == n
+
+
+def test_is_prime():
+    assert [n for n in range(-3, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13,
+                                                         17, 19, 23, 29]
+
+
+def test_require_prime():
+    require_prime(11, 7)
+    for bad in (7, 9, 15, 121, 0, -11):
+        with pytest.raises(UnsupportedPrimeError):
+            require_prime(bad, 7)
+
+
+def test_padic_val():
+    assert padic_val(Fraction(40, 9), 2) == 3
+    assert padic_val(Fraction(40, 9), 3) == -2
+    assert padic_val(0, 5) == INF

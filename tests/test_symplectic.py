@@ -11,9 +11,9 @@ from phicong.symplectic import (Lagrangian, SpParams, act_subspace,
                                 fixed_and_orders, form_J, group_order,
                                 in_span, invariant_forms, kernel_test,
                                 lagrangian_from_index, lagrangians,
-                                lift_witness_mod_p2, matrix_order,
-                                permutation, rho_matrices, sp4_order,
-                                surjectivity_verdict)
+                                cycle_type, lift_witness_mod_p2,
+                                matrix_order, permutation, rho_matrices,
+                                rref_mod_p, sp4_order, surjectivity_verdict)
 from phicong.words import parse_word
 
 from closed_forms import r_action, s_action
@@ -32,6 +32,9 @@ class TestRho:
             SpParams(11, 11)
         with pytest.raises(DomainError):
             SpParams(11, 2, 22)
+        for composite in (9, 15, 25, 121):
+            with pytest.raises(UnsupportedPrimeError):
+                SpParams(composite, 2)
 
     def test_st_order_six(self):
         S4, T4 = rho_matrices(SpParams(11, 2))
@@ -53,6 +56,12 @@ class TestRho:
         basis = invariant_forms(S4, T4)
         assert len(basis) == 1
         assert in_span(form_J(p), basis)
+        # G with only the (1,2)/(2,1) entries set is not a multiple of J
+        G = Matrix([[ModInt(v, p) for v in row] for row in
+                    [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]])
+        assert not in_span(G, basis)
+        assert in_span(Matrix([[ModInt(0, p)] * 4] * 4), [])
+        assert not in_span(G, [])
 
     def test_invariant_forms_trivial_pair(self):
         p = 11
@@ -121,7 +130,32 @@ class TestGrassmannian:
             permutation(M, p)
 
 
+class TestRref:
+    def test_reduces_in_place(self):
+        rows = [[2, 4, 1], [1, 2, 3], [3, 6, 4]]
+        assert rref_mod_p(rows, 7) == [0, 2]
+        assert rows == [[1, 2, 0], [0, 0, 1], [0, 0, 0]]
+
+    def test_rank_deficient_plane(self):
+        rows = [[1, 2, 3, 4], [2, 4, 6, 8]]
+        assert rref_mod_p(rows, 11) == [0]
+        assert rows[1] == [0, 0, 0, 0]
+
+
 class TestPermutations:
+    def test_product_by_indexing(self):
+        # rho(S) rho(T) acts as rho(S) after rho(T)
+        for p in (11, 13):
+            S4, T4 = rho_matrices(SpParams(p, 2))
+            perm_s, perm_t = permutation(S4, p), permutation(T4, p)
+            assert (perm_s[perm_t] == permutation(S4 * T4, p)).all()
+
+    def test_cycle_type(self):
+        perm = np.array([1, 2, 0, 4, 3, 5])
+        assert cycle_type(perm) == {3: 1, 2: 1, 1: 1}
+        assert fixed_and_orders(perm) == (1, 6)
+        assert cycle_type(np.arange(0)) == {}
+
     def test_fixed_points_S(self):
         # epsilon_2 = p + 2 + legendre(-1, p)
         S4, _ = rho_matrices(SpParams(13, 2))
@@ -161,7 +195,9 @@ class TestGroupOrder:
 
 class TestSurjectivity:
     def test_p11(self):
-        v = surjectivity_verdict(SpParams(11, 2))
+        params = SpParams(11, 2)
+        S4, T4 = rho_matrices(params)
+        v = surjectivity_verdict(params, permutation(S4, 11), permutation(T4, 11))
         assert v.order_T == 110
         assert v.perm_group_order == 12860654400
         assert v.perm_group_order == sp4_order(11) // 2

@@ -6,9 +6,12 @@ import pytest
 from phicong.cyclotomic import Cyc12
 from phicong.errors import DomainError, UnsupportedPrimeError
 from phicong.matrices import Matrix
-from phicong.words import (PHI_S, PHI_T, PhiImage, SubgroupSpec, Word,
-                           eval_word, format_word, index_of, parse_word, phi,
+from phicong.words import (PhiImage, SubgroupSpec, Word, eval_word,
+                           format_word, index_of, parse_word, phi,
                            relations_check, subgroup_member)
+
+from cyc12_oracle import (PHI_S, PHI_T, image_matrix, member_by_matrices,
+                          phi_by_matrices, phi_matrix)
 
 
 def rand_word(rng, maxlen=6, maxexp=5):
@@ -78,16 +81,25 @@ class TestPhi:
         assert phi(Word()) == PhiImage(0, (0, 0))
 
     def test_homomorphism_random(self):
+        # phi is a fold of compose, so the first assertion checks only
+        # associativity; the matrix oracle checks the values
         rng = random.Random(42)
         for _ in range(400):
             w1, w2 = rand_word(rng), rand_word(rng)
             assert phi(w1 * w2) == phi(w1).compose(phi(w2))
+            for w in (w1, w2, w1 * w2):
+                assert phi(w) == phi_by_matrices(w)
 
     def test_matrix_reconstruction(self):
         rng = random.Random(9)
         for _ in range(50):
             w = rand_word(rng)
-            assert phi(w).matrix() == eval_word(w, PHI_S, PHI_T)
+            assert image_matrix(phi(w)) == eval_word(w, PHI_S, PHI_T)
+
+    def test_long_word_matches_matrix_oracle(self):
+        rng = random.Random(11)
+        w = rand_word(rng, 60, 7)
+        assert phi(w) == phi_by_matrices(w)
 
 
 class TestMembership:
@@ -114,8 +126,45 @@ class TestMembership:
         assert subgroup_member(A, SubgroupSpec("GammaPrime"))
 
     def test_gp_prime_constraint(self):
-        with pytest.raises(UnsupportedPrimeError):
-            SubgroupSpec("Gp", 7)
+        for bad in (7, 65, 77, 1, -7):          # not 5 mod 12, or not prime
+            with pytest.raises(UnsupportedPrimeError):
+                SubgroupSpec("Gp", bad)
+
+    def test_all_specs_match_matrix_oracle(self):
+        rng = random.Random(31)
+        specs = ([SubgroupSpec("GammaPrime"), SubgroupSpec("GammaDoublePrime")]
+                 + [SubgroupSpec("GammaPrimeN", n) for n in (1, 2, 3, 6)]
+                 + [SubgroupSpec("PhiCong", n) for n in (1, 2, 3, 4, 6, 12)]
+                 + [SubgroupSpec("Gp", p) for p in (5, 17, 29, 41)])
+        for _ in range(150):
+            w = rand_word(rng)
+            m = phi_matrix(w)
+            for spec in specs:
+                assert subgroup_member(w, spec) == member_by_matrices(m, spec), \
+                    (w, spec)
+
+    def test_gp_matches_fp2_reduction(self):
+        # the rule 3 | u_exp and p | v[0] against reduction of the matrix
+        # entries into F_p^2, on random words and on [a,b]^p, whose v is
+        # p times that of [a,b]
+        rng = random.Random(37)
+        nonzero_v = 0
+        for p in (5, 17, 29, 41):
+            spec = SubgroupSpec("Gp", p)
+            for _ in range(40):
+                w = rand_word(rng, 8, 7)
+                assert subgroup_member(w, spec) == member_by_matrices(phi_matrix(w), spec)
+            for _ in range(10):
+                a, b = rand_word(rng, 3, 4), rand_word(rng, 3, 4)
+                c = a * b * a.inverse() * b.inverse()
+                w = c ** p
+                nonzero_v += phi(w).v != (0, 0)
+                assert subgroup_member(w, spec)
+                assert member_by_matrices(phi_matrix(c) ** p, spec)
+                w = w * Word([("T", 1)])
+                assert subgroup_member(w, spec) == member_by_matrices(
+                    phi_matrix(c) ** p * PHI_T, spec)
+        assert nonzero_v > 0
 
     def test_index(self):
         assert index_of(SubgroupSpec("GammaPrimeN", 2)) == 24
