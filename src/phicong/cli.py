@@ -19,8 +19,9 @@ from .invariants import (cusp_data_character, cusp_data_cycles,
                          genus_pointstab)
 from .qexp import denominator_report, xtilde
 from .rationals import format_fraction
-from .symplectic import (SpParams, lift_witness_mod_p2, permutation,
-                         fixed_and_orders, rho_matrices, surjectivity_verdict)
+from .symplectic import (SpParams, fixed_and_orders, grassmannian_size,
+                         lift_witness_mod_p2, permutation, require_memory,
+                         rho_matrices, surjectivity_verdict)
 from .words import SubgroupSpec, parse_word, subgroup_member
 
 
@@ -125,6 +126,9 @@ def _cmd_member(args) -> int:
 
 def _cmd_grassmannian(args) -> int:
     params = SpParams(args.p, args.x)
+    if args.surjectivity:
+        # before the permutations: they fit where Schreier-Sims may not
+        require_memory(grassmannian_size(args.p), schreier_sims=True)
     if args.surjectivity or args.epsilons:
         S4, T4 = rho_matrices(params)
         perm_s, perm_t = permutation(S4, args.p), permutation(T4, args.p)

@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from .divpoly import division_polynomials, _psi
 from .errors import DomainError, InternalConsistencyError
 from .rationals import padic_val, split_power
-from .series import LaurentSeries, hensel_root, series_sqrt
+from .series import LaurentSeries, hensel_root, mul_trunc, series_sqrt
 
 PRIMES_37 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -32,31 +32,35 @@ class BasisSeries:
     prec: int
 
 
-def _euler_product(prec: int) -> LaurentSeries:
-    """prod_{n>=1} (1 - q^(6n)) via the pentagonal number theorem."""
-    coeffs: Dict[int, Fraction] = {}
+def _euler_q(n: int) -> List[int]:
+    """prod_{m>=1} (1 - Q^m) below Q^n, by the pentagonal number theorem."""
+    out = [0] * n
+    out[0] = 1
     k = 1
-    coeffs[0] = Fraction(1)
-    while True:
+    while k * (3 * k - 1) // 2 < n:
         for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
-            e = 6 * g
-            if e < prec:
-                coeffs[e] = Fraction(-1 if k % 2 else 1)
-        if 6 * k * (3 * k - 1) // 2 >= prec:
-            break
+            if g < n:
+                out[g] = -1 if k % 2 else 1
         k += 1
-    return LaurentSeries(coeffs, prec)
+    return out
 
 
-def _sigma_series(power: int, constant: int, prec: int) -> LaurentSeries:
-    """1 + constant * sum_n sigma_power(n) q^(6n)."""
-    coeffs: Dict[int, Fraction] = {0: Fraction(1)}
-    n = 1
-    while 6 * n < prec:
-        sigma = sum(d ** power for d in range(1, n + 1) if n % d == 0)
-        coeffs[6 * n] = Fraction(constant * sigma)
-        n += 1
-    return LaurentSeries(coeffs, prec)
+def _sigma_q(power: int, constant: int, n: int) -> List[int]:
+    """1 + constant * sum_m sigma_power(m) Q^m below Q^n."""
+    return [1] + [constant * sum(d ** power for d in range(1, m + 1) if m % d == 0)
+                  for m in range(1, n)]
+
+
+def _eta_q(n: int) -> List[int]:
+    """eta^4 / q below Q^n: the fourth power of the Euler product."""
+    f = _euler_q(n)
+    f2 = mul_trunc(f, f, n)
+    return mul_trunc(f2, f2, n)
+
+
+def _on_lattice(coeffs: List[int], shift: int, prec: int) -> LaurentSeries:
+    """sum_j coeffs[j] q^(6j + shift), known to O(q^prec)."""
+    return LaurentSeries({6 * j + shift: c for j, c in enumerate(coeffs)}, prec)
 
 
 @lru_cache(maxsize=8)
@@ -64,11 +68,10 @@ def basis_series(prec: int) -> BasisSeries:
     if prec < 1:
         raise DomainError(f"prec must be >= 1, got {prec}")
     pad = prec + 10
-    f = _euler_product(pad)
-    f2 = f * f
-    eta4 = (f2 * f2).shift(1).truncate(pad)
-    e4 = _sigma_series(3, 240, pad)
-    e6 = _sigma_series(5, -504, pad)
+    n = (pad + 5) // 6
+    eta4 = _on_lattice(_eta_q(n), 1, pad)
+    e4 = _on_lattice(_sigma_q(3, 240, n), 0, pad)
+    e6 = _on_lattice(_sigma_q(5, -504, n), 0, pad)
     eta8 = eta4 * eta4
     eta12 = eta8 * eta4
     x = (e4 * eta8.inverse()).truncate(prec)
@@ -89,6 +92,15 @@ def xtilde(N: int, prec: int) -> XtildeSeries:
     """The Hensel root of psi_N^2(X) E4 - phi_N(X) eta^8, shifted to q^-2.
 
     Returns xtilde with coefficients known for exponents < prec.
+
+    The lift runs over Z[[Q]], Q = q^6.  xhat = q^2 xtilde = sum_k a_k Q^k
+    is a root of Mhat(X) = q^(2N^2-2) M(X/q^2), whose coefficient of X^i,
+    (psiSq_i E4 - phiPol_i eta^8) q^(2N^2-2-2i), is a power series in Q.
+    Substituting Q -> N^12 Q makes the root integral: X_k = a_k N^(12k),
+    since v_l(a_k) >= -2 v_l(N) (6k - 1) by the bound that
+    ``denominator_report`` checks as ``bound_ok``.  The lift checks this
+    rather than assuming it: a non-integral Newton correction fails, and
+    so does any coefficient off the lattice.
     """
     if N < 2:
         raise DomainError(f"xtilde needs N >= 2, got {N}")
@@ -96,26 +108,31 @@ def xtilde(N: int, prec: int) -> XtildeSeries:
         raise DomainError("prec too small to contain three nonzero terms")
     triple = division_polynomials(N)
     n2 = N * N
-    target = prec + 2                      # precision of xhat = q^2 * xtilde
-    basis = basis_series(target + 4)
-    e4 = basis.E4
-    eta8 = (basis.eta4 * basis.eta4).truncate(target + 4)
-    # Mhat(X) = q^(2N^2-2) M(X/q^2): coefficient of X^i is
-    # (psiSq_i E4 - phiPol_i eta^8) q^(2N^2-2-2i), valuation >= 0
-    coeffs: List[LaurentSeries] = []
+    n = (prec + 7) // 6                    # xhat is wanted below q^(prec+2)
+    e4 = _sigma_q(3, 240, n)
+    eta4 = _eta_q(n)
+    eta8 = mul_trunc(eta4, eta4, n)        # eta^8 / q^2
+    scale = [N ** (12 * j) for j in range(n)]
+    coeffs: List[List[int]] = []
     for i in range(n2 + 1):
-        a, b = triple.psiSq[i], triple.phiPol[i]
-        ci = LaurentSeries.zero(target + 4)
-        if a:
-            ci = ci + e4 * Fraction(a)
-        if b:
-            ci = ci - eta8 * Fraction(b)
-        coeffs.append(ci.shift(2 * n2 - 2 - 2 * i).truncate(target))
+        c = [0] * n
+        for m, series, q_exp in ((triple.psiSq[i], e4, 2 * n2 - 2 - 2 * i),
+                                 (-triple.phiPol[i], eta8, 2 * n2 - 2 * i)):
+            if m:
+                shift, off = divmod(q_exp, 6)
+                if off:
+                    raise InternalConsistencyError(
+                        f"coefficient of X^{i} is off the q^6 lattice for N={N}")
+                for j in range(shift, n):
+                    c[j] += m * series[j - shift]
+        coeffs.append([v * w for v, w in zip(c, scale)])
     try:
-        xhat = hensel_root(coeffs, n2, target)
+        xhat = hensel_root(coeffs, n2, n)
     except Exception as exc:               # cannot happen for valid N
         raise InternalConsistencyError(f"Hensel lifting failed for N={N}") from exc
-    return XtildeSeries(N, xhat.shift(-2), prec)
+    return XtildeSeries(N, LaurentSeries(
+        {6 * k - 2: Fraction(v, w) for k, (v, w) in enumerate(zip(xhat, scale))},
+        prec), prec)
 
 
 def ytilde(N: int, prec: int) -> LaurentSeries:

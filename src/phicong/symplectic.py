@@ -43,6 +43,33 @@ class SpParams:
         return pow(self.x, -1, self.p)
 
 
+#: Estimated memory, in bytes, above which the Grassmannian work refuses to
+#: start (DomainError, exit 2 on the command line).
+MEMORY_LIMIT = 1 << 30
+# Peak RSS measured on the command line: 230-270 bytes per point to
+# enumerate and permute X(F_p) (p = 31, 47), and 12-18 bytes per pair of
+# points for Schreier-Sims, whose first transversal alone holds n
+# permutations of n int64 entries (p = 11, 13, 17).
+_BYTES_PER_POINT = 300
+_BYTES_PER_PAIR = 20
+
+
+def grassmannian_size(p: int) -> int:
+    """|X(F_p)| = (p^2+1)(p+1)."""
+    return (p * p + 1) * (p + 1)
+
+
+def require_memory(n: int, schreier_sims: bool = False) -> None:
+    """Refuse to permute n points, or with ``schreier_sims`` to run
+    group_order on them, when the estimate exceeds MEMORY_LIMIT."""
+    need = _BYTES_PER_POINT * n + (_BYTES_PER_PAIR * n * n if schreier_sims else 0)
+    if need > MEMORY_LIMIT:
+        what = "Schreier-Sims on" if schreier_sims else "permuting"
+        raise DomainError(
+            f"{what} {n} points needs about {need / 2 ** 30:.1f} GiB, "
+            f"above the {MEMORY_LIMIT / 2 ** 30:.1f} GiB limit")
+
+
 def form_J(p: int) -> Matrix:
     rows = [[0, 0, 0, 1], [0, 0, -3, 0], [0, 3, 0, 0], [-1, 0, 0, 0]]
     return Matrix([[ModInt(v, p) for v in r] for r in rows])
@@ -209,6 +236,7 @@ def lagrangians(p: int) -> List[Lagrangian]:
     """All (p^2+1)(p+1) points of X(F_p) in canonical enumeration order."""
     if p <= 3:
         raise UnsupportedPrimeError(f"p must be > 3, got {p}")
+    require_memory(grassmannian_size(p))
     out = []
     for a in range(p):
         for b in range(p):
@@ -220,7 +248,7 @@ def lagrangians(p: int) -> List[Lagrangian]:
     for a in range(p):
         out.append(Lagrangian("C", (a,)))
     out.append(Lagrangian("D", ()))
-    if len(out) != (p * p + 1) * (p + 1):
+    if len(out) != grassmannian_size(p):
         raise InternalConsistencyError("Grassmannian point count mismatch")
     return out
 
@@ -272,9 +300,10 @@ def permutation(M: Matrix, p: int) -> np.ndarray:
     if M.transpose() * J * M != J:
         raise DomainError("matrix is not symplectic for J")
     rows = _matrix_rows(M)
-    n = (p * p + 1) * (p + 1)
+    points = lagrangians(p)
+    n = len(points)
     out = np.empty(n, dtype=np.int64)
-    for idx, L in enumerate(lagrangians(p)):       # idx == L.index(p)
+    for idx, L in enumerate(points):               # idx == L.index(p)
         v, w = L.spanning()
         mv = [sum(rows[i][k] * v[k] for k in range(4)) % p for i in range(4)]
         mw = [sum(rows[i][k] * w[k] for k in range(4)) % p for i in range(4)]
@@ -334,6 +363,7 @@ def group_order(generators: List[np.ndarray]) -> int:
     if not generators:
         return 1
     n = len(generators[0])
+    require_memory(n, schreier_sims=True)
     ident = np.arange(n)
     bases: List[int] = []
     transversals: List[dict] = []

@@ -1,9 +1,13 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
 
+import phicong.series
 from phicong.cli import main
+from phicong.errors import DomainError
+from phicong.qexp import xtilde
 
 
 def run(capsys, *argv):
@@ -52,6 +56,17 @@ class TestQexp:
         _, out1 = run(capsys, "qexp", "--level", "5", "--terms", "4")
         _, out2 = run(capsys, "qexp", "--level", "5", "--terms", "4")
         assert out1 == out2
+
+    def test_non_integral_correction_exits_3(self, capsys, monkeypatch):
+        def not_integral(num, den, n):
+            raise DomainError("quotient is not integral at Q^0")
+        monkeypatch.setattr(phicong.series, "div_exact", not_integral)
+        xtilde.cache_clear()            # other tests may have cached N = 3
+        code = main(["qexp", "--level", "3", "--terms", "6"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("internal consistency failure: ")
+        assert captured.out == ""
 
 
 class TestDivpoly:
@@ -189,6 +204,26 @@ class TestInvalidInput:
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+
+class TestResourceGuard:
+    @pytest.mark.parametrize("argv", [
+        "grassmannian --p 101 --x 2 --surjectivity",
+        "grassmannian --p 23 --x 5 --surjectivity",
+        "grassmannian --p 157 --x 2 --epsilons",
+        "grassmannian --p 157 --x 2 --cycles",
+        "cusps --p 157 --oracle cycles --x 2",
+    ])
+    def test_refused_before_allocating(self, capsys, argv):
+        start = time.perf_counter()
+        code = main(argv.split())
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert "GiB limit" in captured.err
+        assert captured.out == ""
+        assert elapsed < 1.0
 
 
 # stdout of each invocation, captured before phi moved to (u, v)

@@ -5,6 +5,20 @@ import pytest
 from phicong.divpoly import division_polynomials
 from phicong.errors import DomainError
 from phicong.qexp import basis_series, denominator_report, xtilde, ytilde
+from phicong.series import LaurentSeries
+
+from hensel_oracle import euler_product, sigma_series, xtilde_by_fractions
+
+
+def homogenized_at(poly, powers):
+    """q^(2 n2 - 2) poly(X / q^2) at X = xhat, from powers[i] = xhat^i,
+    where n2 = len(powers) - 1."""
+    n2 = len(powers) - 1
+    out = LaurentSeries.zero()
+    for i, c in enumerate(poly.coeffs):
+        if c:
+            out = out + (powers[i] * c).shift(2 * (n2 - 1 - i))
+    return out
 
 
 class TestBasis:
@@ -36,6 +50,14 @@ class TestBasis:
         assert b.x.coeff(-2) == 1
         assert b.x.coeff(4) == 248
 
+    def test_matches_fraction_builders(self):
+        b = basis_series(100)
+        f = euler_product(110)
+        f2 = f * f
+        assert b.eta4 == (f2 * f2).shift(1).truncate(100)
+        assert b.E4 == sigma_series(3, 240, 100)
+        assert b.E6 == sigma_series(5, -504, 100)
+
 
 class TestXtilde:
     def test_N2_golden(self):
@@ -65,6 +87,24 @@ class TestXtilde:
             lhs = t.psiSq.map_coeffs(Fraction).evaluate(s) * b.E4
             rhs = t.phiPol.map_coeffs(Fraction).evaluate(s) * eta8
             assert (lhs - rhs).is_zero()
+        # 60 terms for N = 2..5, 7, 10, multiplied through by q^(2N^2-2)
+        # so that xhat = q^2 xtilde keeps its full precision
+        b = basis_series(360)
+        eta8 = b.eta4 * b.eta4
+        for n in (2, 3, 4, 5, 7, 10):
+            xhat = xtilde(n, 358).series.shift(2)
+            powers = [LaurentSeries.one()]
+            for _ in range(n * n):
+                powers.append(powers[-1] * xhat)
+            t = division_polynomials(n)
+            diff = (homogenized_at(t.psiSq, powers) * b.E4
+                    - homogenized_at(t.phiPol, powers) * eta8)
+            assert diff.is_zero()
+            assert diff.prec > 6 * 59            # q^0, q^6, ..., q^354
+
+    def test_matches_fraction_lift(self):
+        for n in (2, 3, 4, 5, 6, 7, 10):
+            assert xtilde(n, 173).series == xtilde_by_fractions(n, 173)
 
     def test_support_lattice(self):
         for n in range(2, 7):

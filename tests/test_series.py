@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from phicong.errors import DomainError, HenselError, PrecisionError
-from phicong.series import LaurentSeries, hensel_root, series_sqrt
+import phicong.series as series_module
+from phicong.errors import (DomainError, HenselError, InternalConsistencyError,
+                            PrecisionError)
+from phicong.series import (LaurentSeries, div_exact, hensel_root, mul_trunc,
+                            series_sqrt)
 
 
 def geometric(prec):
@@ -103,39 +106,98 @@ class TestSqrt:
         assert diff.is_zero()
 
 
+def series(*coeffs, n):
+    """An integer power series given by its first coefficients, known
+    below Q^n."""
+    return list(coeffs) + [0] * (n - len(coeffs))
+
+
+def as_laurent(coeffs):
+    return LaurentSeries(dict(enumerate(coeffs)), len(coeffs))
+
+
+class TestKernel:
+    def test_mul_trunc_matches_laurent_product(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            a = [rng.randint(-10 ** 30, 10 ** 30) * rng.randint(0, 1)
+                 for _ in range(rng.randint(1, 12))]
+            b = [rng.randint(-10 ** 30, 10 ** 30) for _ in range(rng.randint(1, 12))]
+            n = rng.randint(1, 20)
+            # exact polynomials, so every coefficient below Q^n is known
+            ref = (LaurentSeries(dict(enumerate(a)))
+                   * LaurentSeries(dict(enumerate(b))))
+            assert mul_trunc(a, b, n) == [ref.coeff(j) for j in range(n)]
+
+    def test_div_exact_inverts_mul(self):
+        rng = random.Random(6)
+        for _ in range(40):
+            n = rng.randint(1, 15)
+            q = [rng.randint(-10 ** 20, 10 ** 20) for _ in range(n)]
+            den = [rng.choice((-1, 1)) * rng.randint(1, 10 ** 6)] + \
+                [rng.randint(-10 ** 20, 10 ** 20) for _ in range(rng.randint(0, n))]
+            assert div_exact(mul_trunc(q, den, n), den, n) == q
+
+    def test_div_exact_rejects_non_integral_quotient(self):
+        assert div_exact([1, 0, 0], [1, 2], 3) == [1, -2, 4]
+        with pytest.raises(DomainError, match="Q\\^1"):
+            div_exact([2, 1], [2, 0], 2)            # (2 + Q)/2 = 1 + Q/2
+
+    def test_div_exact_needs_unit_constant_term(self):
+        with pytest.raises(DomainError):
+            div_exact([0, 1], [0, 1], 2)
+
+
 class TestHensel:
     def test_square_root_polynomial(self):
-        target = LaurentSeries({0: 1, 1: 1}, 24)
-        root = hensel_root([-target, LaurentSeries.zero(24),
-                            LaurentSeries.one(24)], 1, 24)
-        ref = series_sqrt(target)
-        assert all(root.coeff(i) == ref.coeff(i) for i in range(24))
+        # X^2 = 1 + 4Q: root sqrt(1 + 4Q) = 1 + 2Q - 2Q^2 + ..., integral
+        target = series(1, 4, n=24)
+        root = hensel_root([[-c for c in target], series(n=24),
+                            series(1, n=24)], 1, 24)
+        ref = series_sqrt(as_laurent(target))
+        assert all(root[i] == ref.coeff(i) for i in range(24))
 
     def test_bad_seed(self):
-        target = LaurentSeries({0: 2, 1: 1}, 8)
+        target = series(2, 1, n=8)
         with pytest.raises(DomainError):
-            hensel_root([-target, LaurentSeries.zero(8),
-                         LaurentSeries.one(8)], 1, 8)
+            hensel_root([[-c for c in target], series(n=8),
+                         series(1, n=8)], 1, 8)
 
     def test_non_simple_root(self):
-        # X^2 - 2X + 1 has the double root 1 mod q
-        coeffs = [LaurentSeries({0: 1}, 8), LaurentSeries({0: -2}, 8),
-                  LaurentSeries.one(8)]
+        # X^2 - 2X + 1 has the double root 1 mod Q
+        coeffs = [series(1, n=8), series(-2, n=8), series(1, n=8)]
         with pytest.raises(HenselError):
             hensel_root(coeffs, 1, 8)
 
     def test_insufficient_precision(self):
-        coeffs = [LaurentSeries({0: -1, 1: -1}, 4), LaurentSeries.zero(4),
-                  LaurentSeries.one(4)]
+        coeffs = [series(-1, -1, n=4), series(n=4), series(1, n=4)]
         with pytest.raises(PrecisionError):
             hensel_root(coeffs, 1, 10)
 
     def test_cubic(self):
-        # X^3 = 8(1+q): root 2(1+q)^(1/3)
-        target = LaurentSeries({0: 8, 1: 8}, 16)
-        root = hensel_root([-target, LaurentSeries.zero(16),
-                            LaurentSeries.zero(16), LaurentSeries.one(16)],
-                           2, 16)
-        cube = root * root * root
-        assert cube.coeff(0) == 8 and cube.coeff(1) == 8
+        # X^3 = 8(1 + 9Q): root 2(1 + 9Q)^(1/3), integral
+        target = series(8, 72, n=16)
+        root = hensel_root([[-c for c in target], series(n=16),
+                            series(n=16), series(1, n=16)], 2, 16)
+        r = as_laurent(root)
+        cube = r * r * r
+        assert cube.coeff(0) == 8 and cube.coeff(1) == 72
         assert all(cube.coeff(i) == 0 for i in range(2, cube.prec))
+
+    def test_non_integral_correction(self):
+        # X^2 = 1 + Q: the root 1 + Q/2 - ... is not in Z[[Q]]
+        with pytest.raises(HenselError, match="not integral"):
+            hensel_root([series(-1, -1, n=8), series(n=8), series(1, n=8)],
+                        1, 8)
+
+    def test_wrong_correction_caught_by_residual(self, monkeypatch):
+        monkeypatch.setattr(series_module, "div_exact",
+                            lambda num, den, n: [0] * n)
+        target = series(1, 4, n=8)
+        with pytest.raises(InternalConsistencyError, match="residual"):
+            hensel_root([[-c for c in target], series(n=8),
+                         series(1, n=8)], 1, 8)
+
+    def test_constant_polynomial_rejected(self):
+        with pytest.raises(DomainError):
+            hensel_root([series(n=4)], 0, 4)

@@ -8,12 +8,13 @@ from phicong.errors import (DomainError, InternalConsistencyError,
                             UnsupportedPrimeError)
 from phicong.matrices import Matrix
 from phicong.symplectic import (Lagrangian, SpParams, act_subspace,
-                                fixed_and_orders, form_J, group_order,
-                                in_span, invariant_forms, kernel_test,
-                                lagrangian_from_index, lagrangians,
-                                cycle_type, lift_witness_mod_p2,
-                                matrix_order, permutation, rho_matrices,
-                                rref_mod_p, sp4_order, surjectivity_verdict)
+                                fixed_and_orders, form_J, grassmannian_size,
+                                group_order, in_span, invariant_forms,
+                                kernel_test, lagrangian_from_index,
+                                lagrangians, cycle_type, lift_witness_mod_p2,
+                                matrix_order, permutation, require_memory,
+                                rho_matrices, rref_mod_p, sp4_order,
+                                surjectivity_verdict)
 from phicong.words import parse_word
 
 from closed_forms import r_action, s_action
@@ -191,6 +192,27 @@ class TestGroupOrder:
         S4, T4 = rho_matrices(SpParams(11, 2))
         ps, pt = permutation(S4, 11), permutation(T4, 11)
         assert group_order([ps, pt]) == group_order([pt, ps])
+
+
+class TestMemoryGuard:
+    def test_sizes_in_use_admitted(self):
+        for p in (11, 13, 17, 19, 23, 29, 31, 47, 151):
+            require_memory(grassmannian_size(p))
+        for p in (11, 13, 17, 19):
+            require_memory(grassmannian_size(p), schreier_sims=True)
+
+    def test_limits(self):
+        assert grassmannian_size(101) == 1040604
+        with pytest.raises(DomainError):
+            require_memory(grassmannian_size(157))
+        with pytest.raises(DomainError):
+            require_memory(grassmannian_size(23), schreier_sims=True)
+        with pytest.raises(DomainError):
+            lagrangians(157)
+
+    def test_group_order_refuses_before_allocating(self):
+        with pytest.raises(DomainError):
+            group_order([np.arange(8000)])
 
 
 class TestSurjectivity:
