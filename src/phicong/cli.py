@@ -19,9 +19,6 @@ from .invariants import (cusp_data_character, cusp_data_cycles,
                          genus_pointstab)
 from .qexp import denominator_report, xtilde
 from .rationals import format_fraction
-from .symplectic import (SpParams, fixed_and_orders, grassmannian_size,
-                         lift_witness_mod_p2, permutation, require_memory,
-                         rho_matrices, surjectivity_verdict)
 from .words import SubgroupSpec, parse_word, subgroup_member
 
 
@@ -125,6 +122,11 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_grassmannian(args) -> int:
+    # imported here, and in _cmd_cusps, so that the verbs that permute
+    # nothing do not load numpy
+    from .symplectic import (SpParams, fixed_and_orders, grassmannian_size,
+                             lift_witness_mod_p2, permutation, require_memory,
+                             rho_matrices, surjectivity_verdict)
     params = SpParams(args.p, args.x)
     if args.surjectivity:
         # before the permutations: they fit where Schreier-Sims may not
@@ -169,6 +171,7 @@ def _cmd_cusps(args) -> int:
     if args.oracle == "cycles":
         if args.x is None:
             raise DomainError("--oracle cycles requires --x")
+        from .symplectic import SpParams, permutation, rho_matrices
         _, T4 = rho_matrices(SpParams(args.p, args.x))
         data = cusp_data_cycles(permutation(T4, args.p))
     else:

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Tuple
 
 from .errors import DomainError, InternalConsistencyError, UnsupportedPrimeError
 from .rationals import factorize, is_prime, require_prime
-from .symplectic import cycle_type
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def legendre(a: int, p: int) -> int:
@@ -99,6 +99,7 @@ def cusp_data_character(p: int) -> CuspData:
 
 def cusp_data_cycles(perm_t: np.ndarray) -> CuspData:
     """Cycle-type histogram of the T-action: the independent cusp oracle."""
+    from .symplectic import cycle_type      # loads numpy: only here
     widths = cycle_type(perm_t)
     return CuspData(sum(widths.values()), widths)
 

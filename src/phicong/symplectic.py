@@ -3,10 +3,12 @@ Grassmannian X(F_p) it acts on.
 
 rho(T) and rho(S) preserve the symplectic form J with (1,4)-entry 1 and
 (2,3)-entry -3.  X(F_p) splits into four families of Lagrangian planes
-A(a,b,c), B(a,b), C(a), D with |X(F_p)| = (p^2+1)(p+1); the permutation
-action is materialized on a canonical index set and the subgroup
-generated by rho(S), rho(T) is measured with a deterministic
-Schreier-Sims stabilizer chain.
+A(a,b,c), B(a,b), C(a), D with |X(F_p)| = (p^2+1)(p+1).  A point is its
+index in the canonical order (A by (a,b,c), then B, C, D).  A matrix M
+permutes the indices in one numpy pass: the exterior square of M acts on
+the Plucker coordinates of all points, and each image is decoded back to
+an index.  The subgroup generated by rho(S), rho(T) is measured with a
+deterministic Schreier-Sims stabilizer chain.
 """
 
 from __future__ import annotations
@@ -46,8 +48,10 @@ class SpParams:
 #: Estimated memory, in bytes, above which the Grassmannian work refuses to
 #: start (DomainError, exit 2 on the command line).
 MEMORY_LIMIT = 1 << 30
-# Peak RSS measured on the command line: 230-270 bytes per point to
-# enumerate and permute X(F_p) (p = 31, 47), and 12-18 bytes per pair of
+# Peak RSS measured on the command line, above that of the interpreter with
+# numpy loaded: 72-87 bytes per point to permute X(F_p) twice or to walk
+# the cycles of one permutation (p = 47, 97), kept at 300 as a margin; and
+# 12-18 bytes per pair of
 # points for Schreier-Sims, whose first transversal alone holds n
 # permutations of n int64 entries (p = 11, 13, 17).
 _BYTES_PER_POINT = 300
@@ -70,9 +74,15 @@ def require_memory(n: int, schreier_sims: bool = False) -> None:
             f"above the {MEMORY_LIMIT / 2 ** 30:.1f} GiB limit")
 
 
+#: The symplectic form preserved by rho.
+_J_ROWS = ((0, 0, 0, 1), (0, 0, -3, 0), (0, 3, 0, 0), (-1, 0, 0, 0))
+#: Coordinates of antisymmetric forms and of Plucker vectors: the entries
+#: (i, j), i < j, in this order.
+_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
 def form_J(p: int) -> Matrix:
-    rows = [[0, 0, 0, 1], [0, 0, -3, 0], [0, 3, 0, 0], [-1, 0, 0, 0]]
-    return Matrix([[ModInt(v, p) for v in r] for r in rows])
+    return Matrix([[ModInt(v, p) for v in r] for r in _J_ROWS])
 
 
 def rho_matrices(params: SpParams) -> Tuple[Matrix, Matrix]:
@@ -132,11 +142,10 @@ def invariant_forms(S4: Matrix, T4: Matrix) -> List[Matrix]:
     is in reduced echelon form of the nullspace.
     """
     p = S4.rows[0][0].m
-    positions = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
     def antisym(vec):
         g = [[0] * 4 for _ in range(4)]
-        for (i, j), v in zip(positions, vec):
+        for (i, j), v in zip(_PAIRS, vec):
             g[i][j] = v % p
             g[j][i] = (-v) % p
         return Matrix([[ModInt(v, p) for v in r] for r in g])
@@ -149,7 +158,7 @@ def invariant_forms(S4: Matrix, T4: Matrix) -> List[Matrix]:
             G = antisym(e)
             R = M.transpose() * G * M
             col = []
-            for (i, j) in positions:
+            for (i, j) in _PAIRS:
                 col.append((R.rows[i][j] - G.rows[i][j]).v)
             rows.append(col)
     # nullspace of the stacked 12x6 system over F_p: unknowns are the six
@@ -170,146 +179,82 @@ def invariant_forms(S4: Matrix, T4: Matrix) -> List[Matrix]:
 def in_span(G: Matrix, basis: List[Matrix]) -> bool:
     """Whether antisymmetric G is an F_p-combination of the basis forms."""
     p = G.rows[0][0].m
-    positions = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     A = [[b.rows[i][j].v for b in basis] + [G.rows[i][j].v]
-         for (i, j) in positions]
+         for (i, j) in _PAIRS]
     # G is in the span iff the appended column carries no pivot
     return len(basis) not in rref_mod_p(A, p)
-
-
-@dataclass(frozen=True)
-class Lagrangian:
-    """Tagged Lagrangian plane: kind 'A' (a,b,c), 'B' (a,b), 'C' (a,), 'D' ()."""
-
-    kind: str
-    coords: Tuple[int, ...]
-
-    def spanning(self) -> Tuple[Tuple[int, int, int, int], Tuple[int, int, int, int]]:
-        if self.kind == "A":
-            a, b, c = self.coords
-            return (1, 0, a, b), (0, 1, c, -3 * a)
-        if self.kind == "B":
-            a, b = self.coords
-            return (1, a, 0, b), (0, 0, 1, 3 * a)
-        if self.kind == "C":
-            (a,) = self.coords
-            return (0, 1, a, 0), (0, 0, 0, 1)
-        if self.kind == "D":
-            return (0, 0, 1, 0), (0, 0, 0, 1)
-        raise DomainError(f"unknown Lagrangian kind {self.kind!r}")
-
-    def index(self, p: int) -> int:
-        if self.kind == "A":
-            a, b, c = self.coords
-            return (a * p + b) * p + c
-        if self.kind == "B":
-            a, b = self.coords
-            return p ** 3 + a * p + b
-        if self.kind == "C":
-            return p ** 3 + p ** 2 + self.coords[0]
-        return p ** 3 + p ** 2 + p
-
-
-def lagrangian_from_index(idx: int, p: int) -> Lagrangian:
-    if idx < p ** 3:
-        c = idx % p
-        a, b = divmod(idx // p, p)
-        return Lagrangian("A", (a, b, c))
-    idx -= p ** 3
-    if idx < p ** 2:
-        return Lagrangian("B", divmod(idx, p))
-    idx -= p ** 2
-    if idx < p:
-        return Lagrangian("C", (idx,))
-    if idx == p:
-        return Lagrangian("D", ())
-    raise DomainError("index out of range")
-
-
-def _is_isotropic(v: Tuple[int, ...], w: Tuple[int, ...], p: int) -> bool:
-    # <v,w> for J: v1w4 - v4w1 - 3(v2w3 - v3w2)
-    s = v[0] * w[3] - v[3] * w[0] - 3 * (v[1] * w[2] - v[2] * w[1])
-    return s % p == 0
-
-
-def lagrangians(p: int) -> List[Lagrangian]:
-    """All (p^2+1)(p+1) points of X(F_p) in canonical enumeration order."""
-    if p <= 3:
-        raise UnsupportedPrimeError(f"p must be > 3, got {p}")
-    require_memory(grassmannian_size(p))
-    out = []
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                out.append(Lagrangian("A", (a, b, c)))
-    for a in range(p):
-        for b in range(p):
-            out.append(Lagrangian("B", (a, b)))
-    for a in range(p):
-        out.append(Lagrangian("C", (a,)))
-    out.append(Lagrangian("D", ()))
-    if len(out) != grassmannian_size(p):
-        raise InternalConsistencyError("Grassmannian point count mismatch")
-    return out
 
 
 def _matrix_rows(M: Matrix) -> List[List[int]]:
     return [[e.v for e in row] for row in M.rows]
 
 
-def _classify(plane: List[List[int]], pivots: List[int], p: int) -> Lagrangian:
-    """The Lagrangian spanned by the two rows of plane, which rref_mod_p
-    has reduced with the given pivot columns."""
-    if len(pivots) != 2:
+def _plucker(p: int) -> np.ndarray:
+    """Plucker coordinates, on _PAIRS, of every point of X(F_p): column i
+    holds the point with index i, reduced mod p."""
+    n, p2, p3 = grassmannian_size(p), p * p, p ** 3
+    # entries stay below 6p^2 through the action, and the memory guard
+    # keeps p below 160, so int32 holds every intermediate value
+    P = np.zeros((6, n), dtype=np.int32)
+    i = np.arange(p3, dtype=np.int32)
+    a, b, c = i // p2, i // p % p, i % p
+    A = P[:, :p3]                               # A(a,b,c), index (ap+b)p+c
+    A[0], A[1], A[2], A[3], A[4], A[5] = 1, c, -3 * a, -a, -b, -3 * a * a - b * c
+    i = np.arange(p2, dtype=np.int32)
+    a, b = i // p, i % p
+    B = P[:, p3:p3 + p2]                        # B(a,b), index p^3+ap+b
+    B[1], B[2], B[3], B[4], B[5] = 1, 3 * a, a, 3 * a * a, -b
+    P[4, p3 + p2:n - 1] = 1                     # C(a), index p^3+p^2+a
+    P[5, p3 + p2:n - 1] = np.arange(p)
+    P[5, n - 1] = 1                             # D, index p^3+p^2+p
+    P %= p
+    return P
+
+
+def _decode(Q: np.ndarray, p: int) -> np.ndarray:
+    """Index of the Lagrangian plane with Plucker coordinates Q (6 x n,
+    reduced mod p), column by column."""
+    q01, q02, q03, q12, q13, q23 = Q
+    # <v, w> = p03 - 3 p12 for J
+    if ((q03 - 3 * q12) % p).any():
+        raise InternalConsistencyError("image of a plane is not Lagrangian")
+    inv = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=Q.dtype)
+    p2, p3 = p * p, p ** 3
+    out = np.full(Q.shape[1], p3 + p2 + p, dtype=np.int64)
+    fam_a = q01 != 0
+    d = inv[q01[fam_a]]
+    out[fam_a] = (((-q12[fam_a] * d % p) * p + (-q13[fam_a] * d % p)) * p
+                  + q02[fam_a] * d % p)
+    fam_b = ~fam_a & (q02 != 0)
+    d = inv[q02[fam_b]]
+    out[fam_b] = p3 + (q12[fam_b] * d % p) * p + (-q23[fam_b] * d % p)
+    fam_c = ~(fam_a | fam_b) & (q13 != 0)
+    out[fam_c] = p3 + p2 + q23[fam_c] * inv[q13[fam_c]] % p
+    fam_d = ~(fam_a | fam_b | fam_c)
+    if not q23[fam_d].all():
         raise InternalConsistencyError("image of a plane is not 2-dimensional")
-    r0, r1 = plane
-    piv = tuple(pivots)
-    if piv == (0, 1):
-        a, b, c = r0[2], r0[3], r1[2]
-        if r1[3] % p != (-3 * a) % p:
-            raise InternalConsistencyError("non-Lagrangian image in family A")
-        return Lagrangian("A", (a, b, c))
-    if piv == (0, 2):
-        a, b = r0[1], r0[3]
-        if r1[3] % p != (3 * a) % p:
-            raise InternalConsistencyError("non-Lagrangian image in family B")
-        return Lagrangian("B", (a, b))
-    if piv == (1, 3):
-        if r0[3] % p:
-            raise InternalConsistencyError("non-Lagrangian image in family C")
-        return Lagrangian("C", (r0[2],))
-    if piv == (2, 3):
-        return Lagrangian("D", ())
-    raise InternalConsistencyError(f"unclassifiable pivot pattern {piv}")
-
-
-def act_subspace(M: Matrix, L: Lagrangian) -> Lagrangian:
-    """Image of a Lagrangian plane under a symplectic matrix."""
-    p = M.rows[0][0].m
-    rows = _matrix_rows(M)
-    v, w = L.spanning()
-    mv = [sum(rows[i][k] * v[k] for k in range(4)) % p for i in range(4)]
-    mw = [sum(rows[i][k] * w[k] for k in range(4)) % p for i in range(4)]
-    plane = [mv, mw]
-    return _classify(plane, rref_mod_p(plane, p), p)
+    return out
 
 
 def permutation(M: Matrix, p: int) -> np.ndarray:
-    """The permutation induced by M on the canonical index set of X(F_p)."""
-    J = form_J(p)
-    if M.transpose() * J * M != J:
+    """The permutation induced by M on the canonical index set of X(F_p):
+    the exterior square of M acts on the Plucker coordinates of every
+    point at once, and _decode names the images."""
+    if p <= 3:
+        raise UnsupportedPrimeError(f"p must be > 3, got {p}")
+    require_memory(grassmannian_size(p))
+    m = np.array(_matrix_rows(M), dtype=np.int64)
+    J = np.array(_J_ROWS, dtype=np.int64)
+    if ((m.T @ J @ m - J) % p).any():
         raise DomainError("matrix is not symplectic for J")
-    rows = _matrix_rows(M)
-    points = lagrangians(p)
-    n = len(points)
-    out = np.empty(n, dtype=np.int64)
-    for idx, L in enumerate(points):               # idx == L.index(p)
-        v, w = L.spanning()
-        mv = [sum(rows[i][k] * v[k] for k in range(4)) % p for i in range(4)]
-        mw = [sum(rows[i][k] * w[k] for k in range(4)) % p for i in range(4)]
-        plane = [mv, mw]
-        out[idx] = _classify(plane, rref_mod_p(plane, p), p).index(p)
-    if len(np.unique(out)) != n:
+    wedge = np.array([[m[i, k] * m[j, l] - m[i, l] * m[j, k] for k, l in _PAIRS]
+                      for i, j in _PAIRS]) % p
+    Q = wedge.astype(np.int32) @ _plucker(p)
+    Q %= p
+    out = _decode(Q, p)
+    # every index is the image of exactly one point (np.unique, which
+    # hashes in numpy 2.4, took 0.7 s of 0.8 s here at p = 97)
+    if not (np.bincount(out, minlength=len(out)) == 1).all():
         raise InternalConsistencyError("action is not a bijection")
     return out
 

@@ -1,8 +1,49 @@
 """Independent closed-form oracles for the S- and R-actions on the
-Lagrangian Grassmannian, transcribed case by case.  Used to cross-check
-act_subspace, which works by row reduction instead."""
+Lagrangian Grassmannian, transcribed case by case, with the oracle's own
+names for the points of X(F_p).  Used to check symplectic.permutation,
+which acts on Plucker coordinates instead, at every point."""
 
-from phicong.symplectic import Lagrangian
+from dataclasses import dataclass
+from typing import Tuple
+
+from phicong.errors import DomainError
+from phicong.symplectic import (SpParams, grassmannian_size, permutation,
+                                rho_matrices)
+
+
+@dataclass(frozen=True)
+class Lagrangian:
+    """Tagged Lagrangian plane: kind 'A' (a,b,c), 'B' (a,b), 'C' (a,), 'D' ()."""
+
+    kind: str
+    coords: Tuple[int, ...]
+
+    def index(self, p: int) -> int:
+        if self.kind == "A":
+            a, b, c = self.coords
+            return (a * p + b) * p + c
+        if self.kind == "B":
+            a, b = self.coords
+            return p ** 3 + a * p + b
+        if self.kind == "C":
+            return p ** 3 + p ** 2 + self.coords[0]
+        return p ** 3 + p ** 2 + p
+
+
+def lagrangian_from_index(idx: int, p: int) -> Lagrangian:
+    if idx < p ** 3:
+        c = idx % p
+        a, b = divmod(idx // p, p)
+        return Lagrangian("A", (a, b, c))
+    idx -= p ** 3
+    if idx < p ** 2:
+        return Lagrangian("B", divmod(idx, p))
+    idx -= p ** 2
+    if idx < p:
+        return Lagrangian("C", (idx,))
+    if idx == p:
+        return Lagrangian("D", ())
+    raise DomainError("index out of range")
 
 
 def s_action(L: Lagrangian, p: int, x: int, y: int) -> Lagrangian:
@@ -89,3 +130,18 @@ def r_action(L: Lagrangian, p: int, x: int, y: int) -> Lagrangian:
                                     (-y * y * (y * y + 2 * a) * d) % p))
         return Lagrangian("B", ((-x * inv(y)) % p, (2 * x * x) % p))
     return Lagrangian("A", ((-x * y) % p, (2 * x * x) % p, (-2 * y * y) % p))
+
+
+def assert_matches_closed_forms(p: int, x: int) -> None:
+    """permutation(rho(S)) and permutation(rho(S) rho(T)) agree with
+    s_action and r_action at every point of X(F_p)."""
+    params = SpParams(p, x)
+    y = params.resolved_y()
+    S4, T4 = rho_matrices(params)
+    perm_s, perm_r = permutation(S4, p), permutation(S4 * T4, p)
+    n = grassmannian_size(p)
+    assert len(perm_s) == len(perm_r) == n
+    for i in range(n):
+        L = lagrangian_from_index(i, p)
+        assert perm_s[i] == s_action(L, p, x, y).index(p), (p, x, L)
+        assert perm_r[i] == r_action(L, p, x, y).index(p), (p, x, L)

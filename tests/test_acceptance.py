@@ -12,13 +12,12 @@ from phicong.divpoly import rescaled
 from phicong.invariants import (cusp_data_character, cusp_data_cycles,
                                 elliptic_counts, genus_pointstab, legendre)
 from phicong.qexp import denominator_report, xtilde
-from phicong.symplectic import (SpParams, act_subspace, fixed_and_orders,
-                                group_order, kernel_test, lagrangians,
-                                lift_witness_mod_p2, permutation,
-                                rho_matrices, sp4_order)
+from phicong.symplectic import (SpParams, fixed_and_orders, group_order,
+                                kernel_test, lift_witness_mod_p2,
+                                permutation, rho_matrices, sp4_order)
 from phicong.words import SubgroupSpec, Word, parse_word, phi, subgroup_member
 
-from closed_forms import r_action, s_action
+from closed_forms import assert_matches_closed_forms
 from cyc12_oracle import phi_by_matrices
 
 
@@ -193,7 +192,7 @@ def _rand_word(rng, maxlen=6, maxexp=5):
 
 @criterion(10, "property suites: phi homomorphism (1000 word pairs), "
                "subgroup lattice laws, and closed-form S/R actions on "
-               "1000 random Lagrangians per prime")
+               "every Lagrangian for p = 11, 13, 17")
 def test_criterion_10_properties():
     rng = random.Random(2026)
     for _ in range(1000):
@@ -216,12 +215,4 @@ def test_criterion_10_properties():
             assert subgroup_member(g * w * g.inverse(),
                                    SubgroupSpec("PhiCong", n1))
     for p in (11, 13, 17):
-        params = SpParams(p, 2)
-        x, y = 2, params.resolved_y()
-        S4, T4 = rho_matrices(params)
-        R = S4 * T4
-        pts = lagrangians(p)
-        for _ in range(1000):
-            L = pts[rng.randrange(len(pts))]
-            assert act_subspace(S4, L) == s_action(L, p, x, y)
-            assert act_subspace(R, L) == r_action(L, p, x, y)
+        assert_matches_closed_forms(p, 2)

@@ -1,9 +1,14 @@
 import json
+import os
+import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import phicong
 import phicong.series
 from phicong.cli import main
 from phicong.errors import DomainError
@@ -237,3 +242,96 @@ class TestGoldenStdout:
         code = main(entry["argv"])
         assert code == 0
         assert capsys.readouterr().out == entry["stdout"]
+
+
+class TestImports:
+    @pytest.mark.parametrize("argv", [
+        ["qexp", "--level", "3", "--terms", "4"],
+        ["member", "--spec", "gp", "--p", "17", "--word", "T^4 S^-1"],
+        ["divpoly", "--level", "3", "--profile", "5"],
+        ["dims", "--family", "gp", "--k", "2", "--p", "5"],
+        ["genus", "--p", "11"],
+    ], ids=lambda argv: argv[0])
+    def test_verb_does_not_load_numpy(self, argv):
+        src = str(Path(phicong.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = ("import sys\n"
+                  "from phicong.cli import main\n"
+                  f"assert main({argv!r}) == 0\n"
+                  "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
+
+_VALID_TOKENS = ("S", "T", "S^-1", "S-1", "T^5", "T^-12", "S^3", "T^0")
+_MALFORMED_TOKENS = ("Q^2", "S^", "T^x", "^3", "s", "T^^2", "S^1.5", "TT",
+                     "S^-")
+
+
+def _grammar_argv(rng: random.Random, verb: str):
+    """One generated command line for verb: p and x in -3..40, levels in
+    -2..6, --terms in -2..8, words mixing valid and malformed tokens; an
+    optional argument is left out now and then, and an integer is
+    sometimes not one."""
+    def num(lo, hi):
+        return "x1" if rng.random() < 0.03 else str(rng.randint(lo, hi))
+
+    def opt(*args):
+        return list(args) if rng.random() < 0.85 else []
+
+    def flag(name):
+        return [name] if rng.random() < 0.5 else []
+
+    p, x, level = num(-3, 40), num(-3, 40), num(-2, 6)
+    if verb == "qexp":
+        return (["qexp", "--level", level] + opt("--terms", num(-2, 8))
+                + flag("--denominators") + opt("--format", rng.choice(["json", "csv"])))
+    if verb == "divpoly":
+        return (["divpoly", "--level", level] + flag("--rescaled")
+                + opt("--profile", p))
+    if verb == "member":
+        tokens = rng.choice([_VALID_TOKENS, _VALID_TOKENS + _MALFORMED_TOKENS])
+        word = " ".join(rng.choice(tokens) for _ in range(rng.randint(0, 6)))
+        spec = rng.choice(["gamma-prime", "gamma-double-prime",
+                           "gamma-prime-n", "gp", "phicong"])
+        return (["member", "--spec", spec] + opt("--n", level) + opt("--p", p)
+                + ["--word", word])
+    if verb == "grassmannian":
+        mode = rng.choice(["--epsilons", "--cycles", "--lift-check",
+                           "--surjectivity"])
+        if mode == "--surjectivity":
+            p = num(-3, 11)
+        return ["grassmannian", "--p", p, "--x", x] + opt(mode)
+    if verb == "genus":
+        return ["genus", "--p", p]
+    if verb == "cusps":
+        return (["cusps", "--p", p] + opt("--oracle", rng.choice(["cycles", "character"]))
+                + opt("--x", x))
+    return (["dims", "--family", rng.choice(["unipotent", "gp"]),
+             "--k", level] + opt("--index", level) + opt("--p", p)
+            + flag("--nontrivial-character"))
+
+
+class TestArgumentGrammar:
+    VERBS = ("qexp", "divpoly", "member", "grassmannian", "genus", "cusps",
+             "dims")
+
+    def test_exit_codes(self, capsys):
+        rng = random.Random(2026)
+        start = time.perf_counter()
+        seen = set()
+        for verb in self.VERBS:
+            for _ in range(50):
+                argv = _grammar_argv(rng, verb)
+                code = main(argv)          # an exception fails the test
+                out = capsys.readouterr().out
+                assert code in (0, 2), argv
+                if code == 2:
+                    assert out == "", argv
+                else:
+                    assert out, argv
+                seen.add((verb, code))
+        assert seen == {(v, c) for v in self.VERBS for c in (0, 2)}
+        assert time.perf_counter() - start < 15

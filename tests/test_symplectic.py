@@ -1,5 +1,3 @@
-import random
-
 import numpy as np
 import pytest
 
@@ -7,17 +5,17 @@ from phicong.cyclotomic import ModInt
 from phicong.errors import (DomainError, InternalConsistencyError,
                             UnsupportedPrimeError)
 from phicong.matrices import Matrix
-from phicong.symplectic import (Lagrangian, SpParams, act_subspace,
-                                fixed_and_orders, form_J, grassmannian_size,
-                                group_order, in_span, invariant_forms,
-                                kernel_test, lagrangian_from_index,
-                                lagrangians, cycle_type, lift_witness_mod_p2,
-                                matrix_order, permutation, require_memory,
-                                rho_matrices, rref_mod_p, sp4_order,
-                                surjectivity_verdict)
+import phicong.symplectic
+from phicong.symplectic import (SpParams, fixed_and_orders, form_J,
+                                grassmannian_size, group_order, in_span,
+                                invariant_forms, kernel_test, cycle_type,
+                                lift_witness_mod_p2, matrix_order,
+                                permutation, require_memory, rho_matrices,
+                                rref_mod_p, sp4_order, surjectivity_verdict)
 from phicong.words import parse_word
 
-from closed_forms import r_action, s_action
+from closed_forms import (Lagrangian, assert_matches_closed_forms,
+                          lagrangian_from_index)
 
 
 def identity4(p):
@@ -72,22 +70,25 @@ class TestRho:
 
 class TestGrassmannian:
     def test_counts(self):
-        assert len(lagrangians(11)) == 1464
-        assert len(lagrangians(13)) == 2380
-        assert lagrangians(11)[0] == Lagrangian("A", (0, 0, 0))
+        assert len(permutation(identity4(11), 11)) == 1464
+        assert len(permutation(identity4(13), 13)) == 2380
+        assert lagrangian_from_index(0, 11) == Lagrangian("A", (0, 0, 0))
+        assert lagrangian_from_index(1463, 11) == Lagrangian("D", ())
 
     def test_isotropy(self):
-        from phicong.symplectic import _is_isotropic
+        # every point's Plucker vector is isotropic for J: p03 = 3 p12
         for p in (11, 13):
-            for L in lagrangians(p):
-                v, w = L.spanning()
-                assert _is_isotropic(v, w, p)
+            P = phicong.symplectic._plucker(p)
+            assert not ((P[2] - 3 * P[3]) % p).any()
 
     def test_index_round_trip(self):
         for p in (11, 13):
-            for i, L in enumerate(lagrangians(p)):
+            kinds = {}
+            for i in range(grassmannian_size(p)):
+                L = lagrangian_from_index(i, p)
                 assert L.index(p) == i
-                assert lagrangian_from_index(i, p) == L
+                kinds[L.kind] = kinds.get(L.kind, 0) + 1
+            assert kinds == {"A": p ** 3, "B": p ** 2, "C": p, "D": 1}
         with pytest.raises(DomainError):
             lagrangian_from_index(1464, 11)
 
@@ -95,25 +96,33 @@ class TestGrassmannian:
         params = SpParams(11, 2)
         x, y = 2, params.resolved_y()
         S4, T4 = rho_matrices(params)
-        D = Lagrangian("D", ())
-        assert act_subspace(S4, D) == Lagrangian("A", (0, 0, 0))
-        R = S4 * T4
-        assert act_subspace(R, D) == Lagrangian(
-            "A", ((-x * y) % 11, (2 * x * x) % 11, (-2 * y * y) % 11))
-        for L in lagrangians(11)[:50]:
-            assert act_subspace(identity4(11), L) == L
+        D = Lagrangian("D", ()).index(11)
+        assert permutation(S4, 11)[D] == Lagrangian("A", (0, 0, 0)).index(11)
+        assert permutation(S4 * T4, 11)[D] == Lagrangian(
+            "A", ((-x * y) % 11, (2 * x * x) % 11, (-2 * y * y) % 11)).index(11)
+        assert (permutation(identity4(11), 11) == np.arange(1464)).all()
 
     def test_act_matches_closed_forms(self):
-        rng = random.Random(101)
-        params = SpParams(13, 3)
-        x, y = 3, params.resolved_y()
-        S4, T4 = rho_matrices(params)
-        R = S4 * T4
-        pts = lagrangians(13)
-        for _ in range(300):
-            L = pts[rng.randrange(len(pts))]
-            assert act_subspace(S4, L) == s_action(L, 13, x, y)
-            assert act_subspace(R, L) == r_action(L, 13, x, y)
+        assert_matches_closed_forms(13, 3)
+
+    @pytest.mark.parametrize("broken, message", [
+        # a plane that is not Lagrangian
+        (lambda p: np.array([[1], [0], [1], [0], [0], [0]], dtype=np.int32),
+         "not Lagrangian"),
+        # the zero vector
+        (lambda p: np.zeros((6, 3), dtype=np.int32), "not 2-dimensional"),
+        # a Lagrangian vector that is not a plane: only p03 = 3 p12 nonzero
+        (lambda p: np.array([[0], [0], [3], [1], [0], [0]], dtype=np.int32),
+         "not 2-dimensional"),
+        # every column is the point D
+        (lambda p: np.tile(np.array([[0], [0], [0], [0], [0], [1]],
+                                    dtype=np.int32), 5), "not a bijection"),
+    ])
+    def test_broken_images_rejected(self, monkeypatch, broken, message):
+        S4, _ = rho_matrices(SpParams(11, 2))
+        monkeypatch.setattr(phicong.symplectic, "_plucker", broken)
+        with pytest.raises(InternalConsistencyError, match=message):
+            permutation(S4, 11)
 
     def test_negation_acts_trivially(self):
         p = 11
@@ -207,8 +216,15 @@ class TestMemoryGuard:
             require_memory(grassmannian_size(157))
         with pytest.raises(DomainError):
             require_memory(grassmannian_size(23), schreier_sims=True)
-        with pytest.raises(DomainError):
-            lagrangians(157)
+
+    def test_permutation_refuses_before_allocating(self, monkeypatch):
+        S4, _ = rho_matrices(SpParams(157, 2))
+
+        def no_points(p):
+            raise AssertionError("points built before the size check")
+        monkeypatch.setattr(phicong.symplectic, "_plucker", no_points)
+        with pytest.raises(DomainError, match="GiB limit"):
+            permutation(S4, 157)
 
     def test_group_order_refuses_before_allocating(self):
         with pytest.raises(DomainError):
