@@ -124,19 +124,15 @@ def _cmd_member(args) -> int:
 def _cmd_grassmannian(args) -> int:
     # imported here, and in _cmd_cusps, so that the verbs that permute
     # nothing do not load numpy
-    from .symplectic import (SpParams, fixed_and_orders, grassmannian_size,
-                             lift_witness_mod_p2, permutation, require_memory,
-                             rho_matrices, surjectivity_verdict)
+    from .symplectic import (SpParams, fixed_points, lift_witness_mod_p2,
+                             permutation, rho_matrices, surjectivity_verdict)
     params = SpParams(args.p, args.x)
-    if args.surjectivity:
-        # before the permutations: they fit where Schreier-Sims may not
-        require_memory(grassmannian_size(args.p), schreier_sims=True)
     if args.surjectivity or args.epsilons:
         S4, T4 = rho_matrices(params)
         perm_s, perm_t = permutation(S4, args.p), permutation(T4, args.p)
         # rho(ST) acts as rho(S) after rho(T)
-        eps = {"epsilon2": fixed_and_orders(perm_s)[0],
-               "epsilon3": fixed_and_orders(perm_s[perm_t])[0]}
+        eps = {"epsilon2": fixed_points(perm_s),
+               "epsilon3": fixed_points(perm_s[perm_t])}
     if args.surjectivity:
         v = surjectivity_verdict(params, perm_s, perm_t)
         _emit({"p": v.p, "x": v.x, "orderT": v.order_T,

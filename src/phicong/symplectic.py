@@ -7,14 +7,23 @@ A(a,b,c), B(a,b), C(a), D with |X(F_p)| = (p^2+1)(p+1).  A point is its
 index in the canonical order (A by (a,b,c), then B, C, D).  A matrix M
 permutes the indices in one numpy pass: the exterior square of M acts on
 the Plucker coordinates of all points, and each image is decoded back to
-an index.  The subgroup generated by rho(S), rho(T) is measured with a
-deterministic Schreier-Sims stabilizer chain.
+an index.
+
+The subgroup generated by rho(S), rho(T) is measured with a Schreier-Sims
+stabilizer chain whose levels keep Schreier vectors, O(n) memory each, in
+place of n coset representatives.  surjectivity_verdict passes the upper
+bound |Sp4(F_p)|/2 on the order (the group lies in the image of Sp4(F_p),
+in which -I acts trivially): random elements from a fixed seed build the
+chain until the product of its orbit lengths, a lower bound on the order,
+equals the bound, which proves that the group is PSp4(F_p).  Without a
+bound, or when the random elements stop adding to the chain first, every
+Schreier generator is sifted and the order is exact.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from math import lcm
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -48,14 +57,10 @@ class SpParams:
 #: Estimated memory, in bytes, above which the Grassmannian work refuses to
 #: start (DomainError, exit 2 on the command line).
 MEMORY_LIMIT = 1 << 30
-# Peak RSS measured on the command line, above that of the interpreter with
-# numpy loaded: 72-87 bytes per point to permute X(F_p) twice or to walk
-# the cycles of one permutation (p = 47, 97), kept at 300 as a margin; and
-# 12-18 bytes per pair of
-# points for Schreier-Sims, whose first transversal alone holds n
-# permutations of n int64 entries (p = 11, 13, 17).
-_BYTES_PER_POINT = 300
-_BYTES_PER_PAIR = 20
+# Peak RSS of `grassmannian --surjectivity`, the verb that needs the most,
+# above that of the interpreter with numpy loaded: 641, 477 and 367 bytes
+# per point at p = 23, 29 and 47, and 320-333 at p = 71 and 97; rounded up.
+_BYTES_PER_POINT = 700
 
 
 def grassmannian_size(p: int) -> int:
@@ -63,14 +68,12 @@ def grassmannian_size(p: int) -> int:
     return (p * p + 1) * (p + 1)
 
 
-def require_memory(n: int, schreier_sims: bool = False) -> None:
-    """Refuse to permute n points, or with ``schreier_sims`` to run
-    group_order on them, when the estimate exceeds MEMORY_LIMIT."""
-    need = _BYTES_PER_POINT * n + (_BYTES_PER_PAIR * n * n if schreier_sims else 0)
+def require_memory(n: int) -> None:
+    """Refuse to work on n points when the estimate exceeds MEMORY_LIMIT."""
+    need = _BYTES_PER_POINT * n
     if need > MEMORY_LIMIT:
-        what = "Schreier-Sims on" if schreier_sims else "permuting"
         raise DomainError(
-            f"{what} {n} points needs about {need / 2 ** 30:.1f} GiB, "
+            f"working on {n} points needs about {need / 2 ** 30:.1f} GiB, "
             f"above the {MEMORY_LIMIT / 2 ** 30:.1f} GiB limit")
 
 
@@ -277,117 +280,220 @@ def cycle_type(perm: np.ndarray) -> Dict[int, int]:
     return counts
 
 
-def fixed_and_orders(perm: np.ndarray) -> Tuple[int, int]:
-    """(number of fixed points, multiplicative order of the permutation)."""
-    counts = cycle_type(perm)
-    return counts.get(1, 0), lcm(*counts)
+def fixed_points(perm: np.ndarray) -> int:
+    """Number of points a permutation fixes."""
+    return int(np.count_nonzero(perm == np.arange(len(perm))))
 
 
-# -- deterministic Schreier-Sims --------------------------------------------
+# -- Schreier-Sims on Schreier vectors ----------------------------------------
 
-def _sift(g: np.ndarray, bases: List[int], transversals: List[dict]):
-    """Sift g through the chain; returns (residue, level reached)."""
-    for lvl, (b, tr) in enumerate(zip(bases, transversals)):
-        img = int(g[b])
-        if img not in tr:
+#: Schreier-vector labels of a point off the orbit and of the base point.
+_OUTSIDE, _ROOT = -1, -2
+#: Seed of the product-replacement random elements, and how many of them in
+#: a row must sift to the identity before the known-order search gives up
+#: and verifies every Schreier generator instead.
+_SEED = 2026
+_TRIVIAL_SIFTS = 40
+
+
+class _Level:
+    """One level of a stabilizer chain: a base point, the strong generators
+    that fix every earlier base point (with their inverses), and the
+    Schreier vector of the base point's orbit under them.  labels[y] is the
+    index k of a generator that maps the point invs[k][y], nearer the base,
+    to y; _ROOT at the base and _OUTSIDE off the orbit."""
+
+    def __init__(self, base: int, n: int):
+        self.base = base
+        self.gens: List[np.ndarray] = []
+        self.invs: List[np.ndarray] = []
+        self.labels = np.full(n, _OUTSIDE, dtype=np.int32)
+        self.labels[base] = _ROOT
+        self.size = 1
+
+    def add(self, g: np.ndarray, g_inv: np.ndarray) -> None:
+        """Take g as a generator and close the orbit under it, breadth
+        first from the current orbit."""
+        self.gens.append(g)
+        self.invs.append(g_inv)
+        labels = self.labels
+        frontier = np.flatnonzero(labels != _OUTSIDE)
+        while frontier.size:
+            reached = []
+            for k, h in enumerate(self.gens):
+                img = h[frontier]
+                new = img[labels[img] == _OUTSIDE]
+                labels[new] = k
+                reached.append(new)
+            frontier = np.unique(np.concatenate(reached))
+            self.size += frontier.size
+
+    def coset_rep(self, x: int, ident: np.ndarray) -> np.ndarray:
+        """The element that the labels map the base point to x with."""
+        path = []
+        k = int(self.labels[x])
+        while k != _ROOT:
+            path.append(k)
+            x = int(self.invs[k][x])
+            k = int(self.labels[x])
+        u = ident
+        for k in reversed(path):
+            u = self.gens[k][u]
+        return u
+
+
+def _sift(g: np.ndarray, chain: List[_Level], start: int = 0):
+    """Strip g through chain[start:], which g's first base points must fix;
+    returns (residue, level it left the chain at, or len(chain))."""
+    for lvl in range(start, len(chain)):
+        level = chain[lvl]
+        y = int(g[level.base])
+        k = int(level.labels[y])
+        if k == _OUTSIDE:
             return g, lvl
-        u = tr[img]
-        # replace g by u^-1 g : (u^-1 g)[i] = index of g[i] in u
-        uinv = np.empty_like(u)
-        uinv[u] = np.arange(len(u))
-        g = uinv[g]
-    return g, len(bases)
+        # g <- u_y^-1 g, one generator of the path to the base at a time
+        while k != _ROOT:
+            inv = level.invs[k]
+            g = inv[g]
+            y = int(inv[y])
+            k = int(level.labels[y])
+    return g, len(chain)
 
 
-def group_order(generators: List[np.ndarray]) -> int:
-    """Order of the permutation group via a Schreier-Sims stabilizer chain.
+def _add_strong(chain: List[_Level], g: np.ndarray, lvl: int,
+                ident: np.ndarray) -> None:
+    """Add a sift residue g that left the chain at lvl: it fixes the base
+    points of chain[:lvl], so it generates on those levels and on lvl,
+    which is new when g got through the whole chain."""
+    if lvl == len(chain):
+        chain.append(_Level(int(np.flatnonzero(g != ident)[0]), len(g)))
+    g_inv = np.empty_like(g)
+    g_inv[g] = ident
+    for level in chain[:lvl + 1]:
+        level.add(g, g_inv)
 
-    Deterministic: base points are chosen as the smallest moved point in
-    enumeration order; verification recomputes every Schreier generator.
+
+def _chain_order(chain: List[_Level]) -> int:
+    order = 1
+    for level in chain:
+        order *= level.size
+    return order
+
+
+def _reached(chain: List[_Level], bound: int) -> bool:
+    """Whether the chain's order, a lower bound on the group's, equals
+    bound.  Exceeding it contradicts the caller's upper bound."""
+    lower = _chain_order(chain)
+    if lower == bound:
+        return True
+    if lower > bound:
+        raise InternalConsistencyError(
+            f"group order is at least {lower}, above the bound {bound}")
+    return False
+
+
+def _random_elements(generators: List[np.ndarray], rng: random.Random):
+    """Product replacement with an accumulator: ten slots filled with the
+    generators, each step multiplies one slot by another, and the
+    accumulator by the new slot; the accumulators are the elements."""
+    slots = [generators[i % len(generators)] for i in range(10)]
+    acc = slots[0]
+    step = 0
+    while True:
+        i, j = rng.sample(range(len(slots)), 2)
+        slots[i] = slots[i][slots[j]] if rng.random() < 0.5 else slots[j][slots[i]]
+        acc = acc[slots[i]]
+        step += 1
+        if step > 50:                   # past the warm-up
+            yield acc
+
+
+def _first_failure(chain: List[_Level], lvl: int, gens: List[np.ndarray],
+                   ident: np.ndarray) -> Optional[int]:
+    """Sift the Schreier generators of chain[lvl] made from gens, which
+    generate the group of the level; the first nontrivial residue joins the
+    chain, and the level it left the chain at is returned."""
+    level = chain[lvl]
+    for x in np.flatnonzero(level.labels != _OUTSIDE):
+        u = level.coset_rep(int(x), ident)
+        for g in gens:
+            k = int(level.labels[g[x]])
+            if k >= 0 and level.gens[k] is g:   # a tree edge: u_{g(x)} = g u_x
+                continue
+            res, out = _sift(g[u], chain, lvl)
+            if not np.array_equal(res, ident):
+                _add_strong(chain, res, out, ident)
+                return out
+    return None
+
+
+def _verify(chain: List[_Level], gens: List[np.ndarray],
+            ident: np.ndarray) -> None:
+    """Verify the chain deepest level first, by Schreier's lemma: the
+    stabilizer of the base point in the group a level's generators
+    generate is generated by the Schreier generators, so they all sift
+    through the levels below it.  The top level's group is the whole
+    group, which gens generate with fewer Schreier generators.  A new
+    strong generator fixes the base points above the level it joined at,
+    so the levels below that one stay verified, and verification resumes
+    there."""
+    lvl = len(chain) - 1
+    while lvl >= 0:
+        failed = _first_failure(chain, lvl, gens if lvl == 0 else chain[lvl].gens,
+                                ident)
+        lvl = lvl - 1 if failed is None else failed
+
+
+def _stabilizer_chain(generators: List[np.ndarray],
+                      bound: Optional[int] = None) -> List[_Level]:
+    """The stabilizer chain behind group_order."""
+    n = len(generators[0])
+    require_memory(n)
+    ident = np.arange(n)
+    gens = [g for g in generators if not np.array_equal(g, ident)]
+    chain: List[_Level] = []
+    for g in gens:
+        res, lvl = _sift(g, chain)
+        if not np.array_equal(res, ident):
+            _add_strong(chain, res, lvl, ident)
+    if bound is not None and gens:
+        if _reached(chain, bound):
+            return chain
+        trivial = 0
+        for g in _random_elements(gens, random.Random(_SEED)):
+            res, lvl = _sift(g, chain)
+            if np.array_equal(res, ident):
+                trivial += 1
+                if trivial == _TRIVIAL_SIFTS:
+                    break
+                continue
+            trivial = 0
+            _add_strong(chain, res, lvl, ident)
+            if _reached(chain, bound):
+                return chain
+    _verify(chain, gens, ident)
+    if bound is not None:
+        _reached(chain, bound)
+    return chain
+
+
+def group_order(generators: List[np.ndarray],
+                bound: Optional[int] = None) -> int:
+    """Order of the permutation group the generators generate, from a
+    Schreier-Sims stabilizer chain with Schreier vectors.
+
+    Base points are the smallest point the new strong generator moves.
+    Without ``bound`` every Schreier generator is sifted, and the order is
+    exact.  ``bound`` must be an upper bound on the order: random elements
+    from a fixed seed are sifted first, and the search stops once the
+    product of the orbit lengths, a lower bound on the order, reaches it.
+    If _TRIVIAL_SIFTS elements in a row sift to the identity first, every
+    Schreier generator is sifted after all.  A lower bound above ``bound``
+    raises InternalConsistencyError.
     """
     if not generators:
         return 1
-    n = len(generators[0])
-    require_memory(n, schreier_sims=True)
-    ident = np.arange(n)
-    bases: List[int] = []
-    transversals: List[dict] = []
-    strong: List[List[np.ndarray]] = []      # generators attached per level
-
-    def add_generator(g: np.ndarray, level: int):
-        g, lvl = _sift(g, bases, transversals)
-        if np.array_equal(g, ident):
-            return None
-        if lvl == len(bases):
-            moved = int(np.nonzero(g != ident)[0][0])
-            bases.append(moved)
-            transversals.append({moved: ident.copy()})
-            strong.append([])
-        strong[lvl].append(g)
-        return lvl
-
-    def rebuild_orbit(level: int):
-        b = bases[level]
-        gens = [g for l in range(level, len(bases)) for g in strong[l]]
-        tr = {b: ident.copy()}
-        frontier = [b]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                u = tr[x]
-                for g in gens:
-                    y = int(g[x])
-                    if y not in tr:
-                        tr[y] = g[u]
-                        nxt.append(y)
-            frontier = nxt
-        transversals[level] = tr
-
-    for g in generators:
-        if not np.array_equal(g, ident):
-            lvl = add_generator(g.copy(), 0)
-            if lvl is not None:
-                rebuild_orbit(lvl)
-
-    if not bases:
-        return 1
-
-    level = len(bases) - 1
-    while level >= 0:
-        rebuild_orbit(level)
-        b = bases[level]
-        tr = transversals[level]
-        gens = [g for l in range(level, len(bases)) for g in strong[l]]
-        failed = None
-        for x, u in list(tr.items()):
-            for g in gens:
-                y = int(g[x])
-                gu = g[u]
-                uinv = np.empty_like(gu)
-                uy = tr[y]
-                uinv[uy] = ident
-                schreier = uinv[gu]
-                if np.array_equal(schreier, ident):
-                    continue
-                res, lvl = _sift(schreier, bases, transversals)
-                if not np.array_equal(res, ident):
-                    failed = add_generator(schreier, 0)
-                    break
-            if failed is not None:
-                break
-        if failed is not None:
-            # a new strong generator landed at level `failed`; deeper levels
-            # are unaffected, so resume verification there
-            for l in range(failed, len(bases)):
-                rebuild_orbit(l)
-            level = max(failed, level)
-        else:
-            level -= 1
-
-    order = 1
-    for tr in transversals:
-        order *= len(tr)
-    return order
+    return _chain_order(_stabilizer_chain(generators, bound))
 
 
 def sp4_order(p: int) -> int:
@@ -419,7 +525,7 @@ def surjectivity_verdict(params: SpParams, perm_s: np.ndarray,
     p = params.p
     _, T4 = rho_matrices(params)
     order_T = matrix_order(T4, p * (p - 1))
-    order = group_order([perm_s, perm_t])
+    order = group_order([perm_s, perm_t], bound=sp4_order(p) // 2)
     return SurjectivityVerdict(p, params.x % p, order_T, order,
                                order == sp4_order(p) // 2)
 

@@ -12,7 +12,7 @@ from phicong.divpoly import rescaled
 from phicong.invariants import (cusp_data_character, cusp_data_cycles,
                                 elliptic_counts, genus_pointstab, legendre)
 from phicong.qexp import denominator_report, xtilde
-from phicong.symplectic import (SpParams, fixed_and_orders, group_order,
+from phicong.symplectic import (SpParams, fixed_points, group_order,
                                 kernel_test, lift_witness_mod_p2,
                                 permutation, rho_matrices, sp4_order)
 from phicong.words import SubgroupSpec, Word, parse_word, phi, subgroup_member
@@ -133,8 +133,8 @@ def test_criterion_3_denominators():
 def test_criterion_4_fixed_points():
     for p in (11, 13, 17, 19, 23):
         S4, T4 = rho_matrices(SpParams(p, 2))
-        eps2 = fixed_and_orders(permutation(S4, p))[0]
-        eps3 = fixed_and_orders(permutation(S4 * T4, p))[0]
+        eps2 = fixed_points(permutation(S4, p))
+        eps3 = fixed_points(permutation(S4 * T4, p))
         assert eps2 == p + 2 + legendre(-1, p), p
         assert eps3 == p + 1 + (p + 1) * legendre(-3, p), p
         assert (eps2, eps3) == elliptic_counts(p)

@@ -213,8 +213,8 @@ class TestInvalidInput:
 
 class TestResourceGuard:
     @pytest.mark.parametrize("argv", [
-        "grassmannian --p 101 --x 2 --surjectivity",
-        "grassmannian --p 23 --x 5 --surjectivity",
+        "grassmannian --p 127 --x 3 --surjectivity",
+        "grassmannian --p 157 --x 5 --surjectivity",
         "grassmannian --p 157 --x 2 --epsilons",
         "grassmannian --p 157 --x 2 --cycles",
         "cusps --p 157 --oracle cycles --x 2",
@@ -244,6 +244,13 @@ class TestGoldenStdout:
         assert capsys.readouterr().out == entry["stdout"]
 
 
+def _child_env():
+    """The environment for a fresh interpreter that imports this phicong."""
+    src = str(Path(phicong.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 class TestImports:
     @pytest.mark.parametrize("argv", [
         ["qexp", "--level", "3", "--terms", "4"],
@@ -253,16 +260,33 @@ class TestImports:
         ["genus", "--p", "11"],
     ], ids=lambda argv: argv[0])
     def test_verb_does_not_load_numpy(self, argv):
-        src = str(Path(phicong.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         script = ("import sys\n"
                   "from phicong.cli import main\n"
                   f"assert main({argv!r}) == 0\n"
                   "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
-        done = subprocess.run([sys.executable, "-c", script], env=env,
+        done = subprocess.run([sys.executable, "-c", script], env=_child_env(),
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
+
+
+class TestSurjectivityAtScale:
+    def test_p23_under_5_s_and_200_mb(self):
+        argv = ["grassmannian", "--p", "23", "--x", "5", "--surjectivity"]
+        script = f"import sys\nfrom phicong.cli import main\nsys.exit(main({argv!r}))\n"
+        start = time.perf_counter()
+        child = subprocess.Popen([sys.executable, "-c", script], env=_child_env(),
+                                 stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+        out = child.stdout.read()
+        child.stdout.close()
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+        elapsed = time.perf_counter() - start
+        assert child.returncode == 0, out
+        doc = json.loads(out)
+        assert doc["permGroupOrder"] == str(23 ** 4 * (23 ** 4 - 1) * (23 ** 2 - 1) // 2)
+        assert doc["surjectivePSp4"] is True
+        assert elapsed < 5.0
+        assert usage.ru_maxrss < 200 * 1024          # KiB on Linux
 
 
 _VALID_TOKENS = ("S", "T", "S^-1", "S-1", "T^5", "T^-12", "S^3", "T^0")

@@ -1,3 +1,5 @@
+from math import lcm
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,9 @@ from phicong.errors import (DomainError, InternalConsistencyError,
                             UnsupportedPrimeError)
 from phicong.matrices import Matrix
 import phicong.symplectic
-from phicong.symplectic import (SpParams, fixed_and_orders, form_J,
+from phicong.symplectic import (SpParams, cycle_type, fixed_points, form_J,
                                 grassmannian_size, group_order, in_span,
-                                invariant_forms, kernel_test, cycle_type,
+                                invariant_forms, kernel_test,
                                 lift_witness_mod_p2, matrix_order,
                                 permutation, require_memory, rho_matrices,
                                 rref_mod_p, sp4_order, surjectivity_verdict)
@@ -163,24 +165,42 @@ class TestPermutations:
     def test_cycle_type(self):
         perm = np.array([1, 2, 0, 4, 3, 5])
         assert cycle_type(perm) == {3: 1, 2: 1, 1: 1}
-        assert fixed_and_orders(perm) == (1, 6)
+        assert fixed_points(perm) == 1
+        assert lcm(*cycle_type(perm)) == 6
         assert cycle_type(np.arange(0)) == {}
 
     def test_fixed_points_S(self):
         # epsilon_2 = p + 2 + legendre(-1, p)
         S4, _ = rho_matrices(SpParams(13, 2))
-        fixed, _ = fixed_and_orders(permutation(S4, 13))
-        assert fixed == 16
+        assert fixed_points(permutation(S4, 13)) == 16
 
     def test_fixed_points_R(self):
         S4, T4 = rho_matrices(SpParams(11, 2))
-        fixed, _ = fixed_and_orders(permutation(S4 * T4, 11))
-        assert fixed == 0
+        assert fixed_points(permutation(S4 * T4, 11)) == 0
+
+    def test_fixed_points_match_cycle_type(self):
+        for p, x in ((11, 2), (13, 2), (29, 2)):
+            S4, T4 = rho_matrices(SpParams(p, x))
+            perm_s, perm_t = permutation(S4, p), permutation(T4, p)
+            for perm in (perm_s, perm_t, perm_s[perm_t]):
+                assert fixed_points(perm) == cycle_type(perm).get(1, 0)
+        assert fixed_points(np.arange(0)) == 0
 
     def test_T_order(self):
         _, T4 = rho_matrices(SpParams(11, 2))
-        _, order = fixed_and_orders(permutation(T4, 11))
-        assert order == 55          # p(p-1)/2
+        assert lcm(*cycle_type(permutation(T4, 11))) == 55    # p(p-1)/2
+
+
+def _symmetric_7():
+    cycle = np.roll(np.arange(7), -1)
+    swap = np.arange(7)
+    swap[0], swap[1] = 1, 0
+    return [cycle, swap]
+
+
+def _rho_perms(p, x):
+    S4, T4 = rho_matrices(SpParams(p, x))
+    return [permutation(S4, p), permutation(T4, p)]
 
 
 class TestGroupOrder:
@@ -192,30 +212,71 @@ class TestGroupOrder:
         assert group_order([permutation(T4, 11)]) == 55
 
     def test_symmetric_group(self):
-        cycle = np.roll(np.arange(7), -1)
-        swap = np.arange(7)
-        swap[0], swap[1] = 1, 0
-        assert group_order([cycle, swap]) == 5040
+        assert group_order(_symmetric_7()) == 5040
 
     def test_generator_order_invariance(self):
-        S4, T4 = rho_matrices(SpParams(11, 2))
-        ps, pt = permutation(S4, 11), permutation(T4, 11)
+        ps, pt = _rho_perms(11, 2)
         assert group_order([ps, pt]) == group_order([pt, ps])
+
+    def test_schreier_vectors_are_arrays_of_labels(self):
+        # O(n) per level: no level keeps a permutation per orbit point
+        n = grassmannian_size(11)
+        chain = phicong.symplectic._stabilizer_chain(_rho_perms(11, 2))
+        for level in chain:
+            assert level.labels.shape == (n,)
+            assert len(level.gens) == len(level.invs)
+            orbit = np.flatnonzero(level.labels != -1)
+            assert level.size == len(orbit)
+            for x in orbit[::97]:
+                assert level.coset_rep(int(x), np.arange(n))[level.base] == x
+
+
+class TestKnownOrder:
+    BOUND = sp4_order(11) // 2
+
+    @pytest.mark.parametrize("x", [2, 7])
+    def test_certificate_equals_exact_order(self, x):
+        perms = _rho_perms(11, x)
+        assert group_order(perms, bound=self.BOUND) == group_order(perms)
+
+    def test_bound_not_reached_gives_exact_order(self):
+        _, pt = _rho_perms(11, 2)
+        assert group_order([pt], bound=self.BOUND) == 55
+        assert group_order(_symmetric_7(), bound=10080) == 5040
+
+    # a bound that a partial product of orbit lengths equals is taken as
+    # reached: it has to be an upper bound, so these sit just below the order
+    @pytest.mark.parametrize("perms, bound", [
+        (_symmetric_7(), 5039),
+        (_rho_perms(11, 2), sp4_order(11) // 2 - 1),
+    ], ids=["S7", "PSp4"])
+    def test_bound_below_order_raises(self, perms, bound):
+        with pytest.raises(InternalConsistencyError, match="above the bound"):
+            group_order(perms, bound=bound)
+
+    def test_chain_is_deterministic(self):
+        perms = _rho_perms(11, 2)
+        first, second = [phicong.symplectic._stabilizer_chain(perms, self.BOUND)
+                         for _ in range(2)]
+        assert len(first) == len(second)
+        for a, b in zip(first, second):
+            assert a.base == b.base and a.size == b.size
+            assert np.array_equal(a.labels, b.labels)
+            assert len(a.gens) == len(b.gens)
+            for g, h in zip(a.gens, b.gens):
+                assert np.array_equal(g, h)
 
 
 class TestMemoryGuard:
     def test_sizes_in_use_admitted(self):
-        for p in (11, 13, 17, 19, 23, 29, 31, 47, 151):
+        for p in (11, 13, 17, 19, 23, 29, 31, 47, 97, 113):
             require_memory(grassmannian_size(p))
-        for p in (11, 13, 17, 19):
-            require_memory(grassmannian_size(p), schreier_sims=True)
 
     def test_limits(self):
         assert grassmannian_size(101) == 1040604
-        with pytest.raises(DomainError):
-            require_memory(grassmannian_size(157))
-        with pytest.raises(DomainError):
-            require_memory(grassmannian_size(23), schreier_sims=True)
+        for p in (127, 157):
+            with pytest.raises(DomainError):
+                require_memory(grassmannian_size(p))
 
     def test_permutation_refuses_before_allocating(self, monkeypatch):
         S4, _ = rho_matrices(SpParams(157, 2))
@@ -228,7 +289,7 @@ class TestMemoryGuard:
 
     def test_group_order_refuses_before_allocating(self):
         with pytest.raises(DomainError):
-            group_order([np.arange(8000)])
+            group_order([np.arange(grassmannian_size(127))])
 
 
 class TestSurjectivity:
@@ -240,6 +301,17 @@ class TestSurjectivity:
         assert v.perm_group_order == 12860654400
         assert v.perm_group_order == sp4_order(11) // 2
         assert v.surjective_psp4
+
+    @pytest.mark.parametrize("p, x", [
+        (11, 2), (13, 2), (17, 3), (19, 2), (23, 5), (29, 2), (31, 3)])
+    def test_certified_for_every_prime_to_31(self, p, x):
+        # x is a primitive root mod p
+        assert all(pow(x, (p - 1) // q, p) != 1 for q in (2, 3, 5, 7, 11)
+                   if (p - 1) % q == 0)
+        v = surjectivity_verdict(SpParams(p, x), *_rho_perms(p, x))
+        assert v.perm_group_order == sp4_order(p) // 2
+        assert v.surjective_psp4
+        assert v.order_T == p * (p - 1)
 
     def test_kernel_word(self):
         w = parse_word("S T^20 S^-1 T^33 S^-1 T^20 S^-1 T^33")
