@@ -4,14 +4,13 @@ polynomials, noncongruence q-expansions, denominator analysis) and the
 rank-4 symplectic family (Grassmannian actions, surjectivity, cusp and
 genus invariants)."""
 
-from .errors import (DomainError, HenselError, InternalConsistencyError,
-                     PhicongError, PrecisionError, UnsupportedPrimeError)
+from .errors import (DomainError, InternalConsistencyError, PhicongError,
+                     PrecisionError, UnsupportedPrimeError)
 
 __version__ = "1.0.0"
 
 __all__ = [
     "DomainError",
-    "HenselError",
     "InternalConsistencyError",
     "PhicongError",
     "PrecisionError",

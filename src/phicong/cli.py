@@ -2,7 +2,8 @@
 
 Thin adapters over the library modules; all output is machine readable
 (JSON by default, CSV for series).  Exit codes: 0 success, 2 validation
-error, 3 internal consistency failure.
+error, 3 internal consistency failure.  Each verb imports the modules it
+uses, so a verb loads nothing that only another verb needs (numpy, say).
 """
 
 from __future__ import annotations
@@ -12,14 +13,10 @@ import json
 import sys
 from typing import List, Optional
 
-from .divpoly import division_polynomials, reduction_profile, rescaled
 from .errors import DomainError, InternalConsistencyError, PhicongError
-from .invariants import (cusp_data_character, cusp_data_cycles,
-                         dims_Gp, dims_unipotent, elliptic_counts,
-                         genus_pointstab)
-from .qexp import denominator_report, xtilde
-from .rationals import format_fraction
-from .words import SubgroupSpec, parse_word, subgroup_member
+
+#: Largest ``qexp --terms``: about 10 s for --level 10 on a 2-vCPU host.
+MAX_TERMS = 450
 
 
 def _emit(doc) -> None:
@@ -32,9 +29,25 @@ def _poly_json(poly) -> List[str]:
 
 
 def _cmd_qexp(args) -> int:
+    if not 1 <= args.terms <= MAX_TERMS:
+        raise DomainError(
+            f"--terms must be between 1 and {MAX_TERMS}, got {args.terms}")
+    # an exact coefficient at a large level has more digits than the 4300
+    # that CPython (3.10.7 and later) converts to str by default
+    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if saved is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _write_qexp(args)
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
+
+
+def _write_qexp(args) -> int:
     terms_wanted = args.terms
-    if terms_wanted < 1:
-        raise DomainError(f"--terms must be at least 1, got {terms_wanted}")
+    from .qexp import denominator_report, xtilde
+    from .rationals import format_fraction
     need = max(terms_wanted, 30 if args.denominators else 0)
     prec = max(17, 6 * need - 7)
     xt = xtilde(args.level, prec)
@@ -67,6 +80,7 @@ def _cmd_qexp(args) -> int:
 
 
 def _cmd_divpoly(args) -> int:
+    from .divpoly import division_polynomials, reduction_profile, rescaled
     doc = {"N": args.level}
     if args.rescaled:
         psi_hat, phi_hat = rescaled(args.level)
@@ -104,6 +118,7 @@ _SPEC_NAMES = {
 
 
 def _cmd_member(args) -> int:
+    from .words import SubgroupSpec, parse_word, subgroup_member
     kind = _SPEC_NAMES[args.spec]
     if kind in ("GammaPrimeN", "PhiCong"):
         if args.n is None:
@@ -122,8 +137,7 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_grassmannian(args) -> int:
-    # imported here, and in _cmd_cusps, so that the verbs that permute
-    # nothing do not load numpy
+    from .invariants import cusp_data_cycles
     from .symplectic import (SpParams, fixed_points, lift_witness_mod_p2,
                              permutation, rho_matrices, surjectivity_verdict)
     params = SpParams(args.p, args.x)
@@ -154,6 +168,7 @@ def _cmd_grassmannian(args) -> int:
 
 
 def _cmd_genus(args) -> int:
+    from .invariants import cusp_data_character, elliptic_counts, genus_pointstab
     eps2, eps3 = elliptic_counts(args.p)
     cd = cusp_data_character(args.p)
     _emit({"p": args.p, "epsilon2": eps2, "epsilon3": eps3,
@@ -164,6 +179,7 @@ def _cmd_genus(args) -> int:
 
 
 def _cmd_cusps(args) -> int:
+    from .invariants import cusp_data_character, cusp_data_cycles
     if args.oracle == "cycles":
         if args.x is None:
             raise DomainError("--oracle cycles requires --x")
@@ -178,6 +194,7 @@ def _cmd_cusps(args) -> int:
 
 
 def _cmd_dims(args) -> int:
+    from .invariants import dims_Gp, dims_unipotent
     if args.family == "unipotent":
         if args.index is None:
             raise DomainError("--family unipotent requires --index")

@@ -13,10 +13,6 @@ class UnsupportedPrimeError(DomainError):
     """Prime does not satisfy the congruence condition required here."""
 
 
-class HenselError(PhicongError):
-    """Newton/Hensel iteration cannot start (non-simple root mod q)."""
-
-
 class PrecisionError(PhicongError):
     """Inputs do not carry enough series precision for the request."""
 

@@ -3,8 +3,13 @@ and the noncongruence functions xtilde, ytilde on X(Gamma'(N)).
 
 The graded ring of forms is C[eta^4, E4, E6]; the hauptmodul-like
 coordinates are x = E4/eta^8 (valuation -2) and y = E6/eta^12
-(valuation -3), with y^2 = x^3 - 1728.  xtilde is the Hensel root of
-the rescaled polynomial relation psi_N(x)^2 E4 = phi_N(x) eta^8.
+(valuation -3), with y^2 = x^3 - 1728.  (xtilde, ytilde) is the point
+whose image under [N] is (x, y), the root near N^2 q^-2 of
+psi_N(x)^2 E4 = phi_N(x) eta^8.  It is not found from that degree-N^2
+relation: [N] scales the invariant differential dx/2y by N, so
+D xtilde = -2 ytilde eta^4 / N with D = q d/dq, and that relation with
+ytilde^2 = xtilde^3 - 1728 determines both series term by term
+(``_tower``).  Everything lives on the lattice Q = q^6 as dense lists.
 """
 
 from __future__ import annotations
@@ -12,12 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import List, Tuple
 
-from .divpoly import division_polynomials, _psi
 from .errors import DomainError, InternalConsistencyError
 from .rationals import padic_val, split_power
-from .series import LaurentSeries, hensel_root, mul_trunc, series_sqrt
+from .series import LaurentSeries, div_exact, mul_trunc
 
 PRIMES_37 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -58,7 +63,7 @@ def _eta_q(n: int) -> List[int]:
     return mul_trunc(f2, f2, n)
 
 
-def _on_lattice(coeffs: List[int], shift: int, prec: int) -> LaurentSeries:
+def _on_lattice(coeffs: List, shift: int, prec: int) -> LaurentSeries:
     """sum_j coeffs[j] q^(6j + shift), known to O(q^prec)."""
     return LaurentSeries({6 * j + shift: c for j, c in enumerate(coeffs)}, prec)
 
@@ -67,17 +72,70 @@ def _on_lattice(coeffs: List[int], shift: int, prec: int) -> LaurentSeries:
 def basis_series(prec: int) -> BasisSeries:
     if prec < 1:
         raise DomainError(f"prec must be >= 1, got {prec}")
-    pad = prec + 10
-    n = (pad + 5) // 6
-    eta4 = _on_lattice(_eta_q(n), 1, pad)
-    e4 = _on_lattice(_sigma_q(3, 240, n), 0, pad)
-    e6 = _on_lattice(_sigma_q(5, -504, n), 0, pad)
-    eta8 = eta4 * eta4
-    eta12 = eta8 * eta4
-    x = (e4 * eta8.inverse()).truncate(prec)
-    y = (e6 * eta12.inverse()).truncate(prec)
-    return BasisSeries(eta4.truncate(prec), e4.truncate(prec),
-                       e6.truncate(prec), x, y, prec)
+    n = prec // 6 + 2
+    eta4 = _eta_q(n)
+    eta8 = mul_trunc(eta4, eta4, n)        # eta^8 / q^2 and eta^12 / q^3
+    eta12 = mul_trunc(eta8, eta4, n)       # have constant term 1
+    e4 = _sigma_q(3, 240, n)
+    e6 = _sigma_q(5, -504, n)
+    return BasisSeries(_on_lattice(eta4, 1, prec), _on_lattice(e4, 0, prec),
+                       _on_lattice(e6, 0, prec),
+                       _on_lattice(div_exact(e4, eta8, n), -2, prec),
+                       _on_lattice(div_exact(e6, eta12, n), -3, prec), prec)
+
+
+def _inner_square(c: List[int], m: int) -> int:
+    """sum_{0<i<m} c_i c_(m-i): the coefficient of Q^m in c^2 without
+    2 c_0 c_m, from the products with i < m - i, each counted twice."""
+    t = 2 * sum(map(mul, c[1:(m + 1) // 2], c[m - 1:m // 2:-1]))
+    return t + c[m // 2] ** 2 if m % 2 == 0 else t
+
+
+def _tower(N: int, n: int) -> Tuple[List[int], List[int]]:
+    """A_k = a_k N^(12k) and B_k = b_k N^(12k) for k < n, where
+    xtilde = sum_k a_k q^(6k-2) and ytilde = sum_k b_k q^(6k-3).
+
+    A_0 = N^2 and B_0 = N^3.  With E_j = e_j N^(12j), eta^4 = q sum e_j Q^j,
+    step m >= 1 takes the coefficient of q^(6m-2) in D xtilde =
+    -2 ytilde eta^4 / N and that of q^(6m-6) in ytilde^2 = xtilde^3 - 1728;
+    after Q -> N^12 Q they read
+
+        N (3m - 1) A_m + B_m = -S_m,      S_m = sum_{k<m} B_k E_{m-k},
+        3 N^4 A_m - 2 N^3 B_m = -R_m,
+
+    where R_m is the part of that coefficient of xtilde^3 - ytilde^2 - 1728
+    that does not involve A_m or B_m.  So N^4 (6m + 1) A_m = -(R_m + 2 N^3 S_m):
+    one exact integer division per step, O(m) products per step and
+    nothing that grows with N^2.  The rescaling makes every A_m and B_m
+    an integer (the bound ``denominator_report`` checks as ``bound_ok``);
+    a remainder raises InternalConsistencyError rather than being assumed
+    away.
+    """
+    n2, n3 = N * N, N ** 3
+    e = [c * N ** (12 * j) for j, c in enumerate(_eta_q(n))]
+    a, b = [n2], [n3]
+    sq = [n2 * n2]                         # xtilde^2, rescaled the same way
+    for m in range(1, n):
+        s = sum(map(mul, b, e[m:0:-1]))
+        sq_known = _inner_square(a, m)
+        r = (sum(map(mul, sq[1:], a[m - 1:0:-1])) + sq_known * n2
+             - _inner_square(b, m))
+        if m == 1:
+            r -= 1728 * N ** 12
+        am, rem = divmod(-(r + 2 * n3 * s), n2 * n2 * (6 * m + 1))
+        if rem:
+            raise InternalConsistencyError(
+                f"xtilde for N={N} is not integral at Q^{m} after rescaling")
+        a.append(am)
+        b.append(-s - N * (3 * m - 1) * am)
+        sq.append(sq_known + 2 * n2 * am)
+    return a, b
+
+
+def _from_tower(coeffs: List[int], N: int, shift: int, prec: int) -> LaurentSeries:
+    """Undo the rescaling: coefficient k is coeffs[k] / N^(12k)."""
+    return _on_lattice([Fraction(c, N ** (12 * k)) for k, c in enumerate(coeffs)],
+                       shift, prec)
 
 
 @dataclass(frozen=True)
@@ -89,85 +147,24 @@ class XtildeSeries:
 
 @lru_cache(maxsize=64)
 def xtilde(N: int, prec: int) -> XtildeSeries:
-    """The Hensel root of psi_N^2(X) E4 - phi_N(X) eta^8, shifted to q^-2.
-
-    Returns xtilde with coefficients known for exponents < prec.
-
-    The lift runs over Z[[Q]], Q = q^6.  xhat = q^2 xtilde = sum_k a_k Q^k
-    is a root of Mhat(X) = q^(2N^2-2) M(X/q^2), whose coefficient of X^i,
-    (psiSq_i E4 - phiPol_i eta^8) q^(2N^2-2-2i), is a power series in Q.
-    Substituting Q -> N^12 Q makes the root integral: X_k = a_k N^(12k),
-    since v_l(a_k) >= -2 v_l(N) (6k - 1) by the bound that
-    ``denominator_report`` checks as ``bound_ok``.  The lift checks this
-    rather than assuming it: a non-integral Newton correction fails, and
-    so does any coefficient off the lattice.
-    """
+    """xtilde = N^2 q^-2 + ..., with coefficients known for exponents < prec."""
     if N < 2:
         raise DomainError(f"xtilde needs N >= 2, got {N}")
     if prec < 17:
         raise DomainError("prec too small to contain three nonzero terms")
-    triple = division_polynomials(N)
-    n2 = N * N
-    n = (prec + 7) // 6                    # xhat is wanted below q^(prec+2)
-    e4 = _sigma_q(3, 240, n)
-    eta4 = _eta_q(n)
-    eta8 = mul_trunc(eta4, eta4, n)        # eta^8 / q^2
-    scale = [N ** (12 * j) for j in range(n)]
-    coeffs: List[List[int]] = []
-    for i in range(n2 + 1):
-        c = [0] * n
-        for m, series, q_exp in ((triple.psiSq[i], e4, 2 * n2 - 2 - 2 * i),
-                                 (-triple.phiPol[i], eta8, 2 * n2 - 2 * i)):
-            if m:
-                shift, off = divmod(q_exp, 6)
-                if off:
-                    raise InternalConsistencyError(
-                        f"coefficient of X^{i} is off the q^6 lattice for N={N}")
-                for j in range(shift, n):
-                    c[j] += m * series[j - shift]
-        coeffs.append([v * w for v, w in zip(c, scale)])
-    try:
-        xhat = hensel_root(coeffs, n2, n)
-    except Exception as exc:               # cannot happen for valid N
-        raise InternalConsistencyError(f"Hensel lifting failed for N={N}") from exc
-    return XtildeSeries(N, LaurentSeries(
-        {6 * k - 2: Fraction(v, w) for k, (v, w) in enumerate(zip(xhat, scale))},
-        prec), prec)
+    a, _ = _tower(N, (prec + 7) // 6)      # exponents 6k - 2 < prec
+    return XtildeSeries(N, _from_tower(a, N, -2, prec), prec)
 
 
 def ytilde(N: int, prec: int) -> LaurentSeries:
-    """ytilde = sqrt(xtilde^3 - 1728), branch fixed by the omega relation
-    psi_N(xt,yt)^3 E6 = omega_N(xt,yt) eta^12."""
-    basis = basis_series(prec)
-    if N == 1:
-        return basis.y
-    xt = xtilde(N, prec).series
-    cube = (xt * xt * xt - 1728)
-    triple = division_polynomials(N)
-    psi_part = _psi(N)
-    psi_poly = psi_part.g if N % 2 == 0 else psi_part.f
-    psi_parity = (N + 1) % 2
-    omega_poly, omega_parity = triple.omega
-    psi_sq_at = triple.psiSq.map_coeffs(Fraction).evaluate(xt)
-    psi_at = psi_poly.map_coeffs(Fraction).evaluate(xt)
-    om_at = omega_poly.map_coeffs(Fraction).evaluate(xt)
-    eta8 = basis.eta4 * basis.eta4
-    eta12 = eta8 * basis.eta4
-    matches = []
-    for sign in (1, -1):
-        yt = series_sqrt(cube, sign)
-        lhs = psi_sq_at * psi_at * basis.E6
-        rhs = om_at * eta12
-        if psi_parity:
-            lhs = lhs * yt
-        if omega_parity:
-            rhs = rhs * yt
-        if (lhs - rhs).is_zero():
-            matches.append(yt)
-    if len(matches) != 1:
-        raise InternalConsistencyError(
-            f"omega relation matched {len(matches)} branches for N={N}")
-    return matches[0]
+    """ytilde = N^3 q^-3 + ..., the square root of xtilde^3 - 1728 with
+    D xtilde = -2 ytilde eta^4 / N, known to O(q^prec).  At N = 1 it is y."""
+    if N < 1:
+        raise DomainError(f"ytilde needs N >= 1, got {N}")
+    if prec < 1:
+        raise DomainError(f"prec must be >= 1, got {prec}")
+    _, b = _tower(N, (prec + 8) // 6)      # exponents 6k - 3 < prec
+    return _from_tower(b, N, -3, prec)
 
 
 @dataclass(frozen=True)

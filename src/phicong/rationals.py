@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .errors import UnsupportedPrimeError
 
@@ -67,15 +67,3 @@ def format_fraction(r) -> str:
     if r.denominator == 1:
         return str(r.numerator)
     return f"{r.numerator}/{r.denominator}"
-
-
-def rational_sqrt(r) -> Optional[Fraction]:
-    """Exact square root of a rational, or None if it is not a square."""
-    r = Fraction(r)
-    if r < 0:
-        return None
-    n = math.isqrt(r.numerator)
-    d = math.isqrt(r.denominator)
-    if n * n != r.numerator or d * d != r.denominator:
-        return None
-    return Fraction(n, d)

@@ -1,18 +1,16 @@
-"""Power series in one variable: exact Laurent series, and the integer
-kernel of the Hensel lift.
+"""Power series in one variable: exact Laurent series, and integer
+power series on the q^6 lattice.
 
 ``LaurentSeries`` is a Laurent series in q with ``Fraction`` coefficients,
 stored sparsely (exponent -> coefficient) with a precision bound:
 coefficients at exponents < prec are known, the rest are O(q^prec), and
-``prec=None`` means an exact Laurent polynomial.  ``qexp`` builds the basis
-series and ytilde with it.
+``prec=None`` means an exact Laurent polynomial.  ``qexp`` returns its
+series in it.
 
-The lift works on dense integer lists instead: ``a[j]`` is the coefficient
-of Q^j, and a list of length n is a power series known below Q^n.
-``mul_trunc`` multiplies, ``div_exact`` divides when the quotient is
-integral, and ``hensel_root`` lifts a simple root over Z[[Q]].  ``qexp``
-feeds it xtilde's equation on the lattice Q = q^6, rescaled so that the
-root has integer coefficients.
+The computations work on dense integer lists instead: ``a[j]`` is the
+coefficient of Q^j, and a list of length n is a power series known below
+Q^n.  ``mul_trunc`` multiplies, and ``div_exact`` divides when the
+quotient is integral.
 """
 
 from __future__ import annotations
@@ -21,9 +19,7 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from .errors import (DomainError, HenselError, InternalConsistencyError,
-                     PrecisionError)
-from .rationals import rational_sqrt
+from .errors import DomainError, PrecisionError
 
 _INF = math.inf
 
@@ -223,55 +219,10 @@ class LaurentSeries:
         return f"LaurentSeries({terms}{tail}; O(q^{self.prec}))"
 
 
-def series_sqrt(s: LaurentSeries, branch_sign: int = 1) -> LaurentSeries:
-    """Square root of a Laurent series with rational coefficients.
-
-    Requires even valuation and a leading coefficient that is a rational
-    square; ``branch_sign`` (+1 or -1) picks the sign of the leading term.
-    """
-    if branch_sign not in (1, -1):
-        raise DomainError("branch_sign must be +1 or -1")
-    if not s.coeffs:
-        raise DomainError("square root of a series with no known terms")
-    v = s.valuation
-    if v % 2 != 0:
-        raise DomainError(f"square root needs even valuation, got {v}")
-    lead = rational_sqrt(s.coeffs[v])
-    if lead is None:
-        raise DomainError(f"leading coefficient {s.coeffs[v]} is not a rational square")
-    lead = branch_sign * lead
-    if s.prec is None:
-        raise PrecisionError("square root needs a finite precision bound")
-    nterms = s.prec - v
-    a = {e - v: c for e, c in s.coeffs.items()}
-    akeys = sorted(a)
-    r: Dict[int, Fraction] = {0: lead}
-    rkeys = [0]
-    two_lead = 2 * lead
-    for k in range(1, nterms):
-        s_k = a.get(k, Fraction(0))
-        conv = Fraction(0)
-        for j in rkeys:
-            if j == 0 or 2 * j > k:
-                continue
-            rc = r.get(k - j)
-            if rc:
-                conv += r[j] * rc * (2 if 2 * j < k else 1)
-        c = (s_k - conv) / two_lead
-        if c:
-            r[k] = c
-            rkeys.append(k)
-    out = {k + v // 2: c for k, c in r.items() if c}
-    return LaurentSeries(out, s.prec - v // 2)
-
-
 def mul_trunc(a: Sequence[int], b: Sequence[int], n: int) -> List[int]:
     """Coefficients of a*b below Q^n, for integer power series a, b in Q.
 
-    Schoolbook over the coefficients, skipping zero ones.  Along the lift
-    the coefficient at Q^j has about j times as many bits as the one at
-    Q^0; a Kronecker product packs every slot to the size of the largest,
-    and made ``xtilde`` 4-7x slower than this loop at the sizes it reaches.
+    Schoolbook over the coefficients, skipping zero ones.
     """
     out = [0] * n
     for i, x in enumerate(a[:n]):
@@ -299,55 +250,3 @@ def div_exact(num: Sequence[int], den: Sequence[int], n: int) -> List[int]:
             raise DomainError(f"quotient is not integral at Q^{j}")
         out.append(q)
     return out
-
-
-def _horner(poly: Sequence[Sequence[int]], x: List[int], k: int) -> List[int]:
-    """sum_i poly[i] x^i below Q^k."""
-    val = list(poly[-1][:k])
-    for c in reversed(poly[:-1]):
-        val = [u + v for u, v in zip(mul_trunc(val, x, k), c)]
-    return val
-
-
-def hensel_root(poly_coeffs: Sequence[Sequence[int]], x0: int,
-                prec: int) -> List[int]:
-    """Newton/Hensel lift of a simple root of P(X) = sum_i poly_coeffs[i] X^i
-    over Z[[Q]].
-
-    ``poly_coeffs[i]`` lists the coefficients of a power series in Q, known
-    below Q^len; ``x0`` is an integer with P(x0) = 0 (mod Q) and P'(x0) not
-    0 (mod Q).  Returns the coefficients below Q^prec of the unique root
-    congruent to x0 mod Q.  That root must have integer coefficients: each
-    step that doubles the precision from h to k solves
-    P'(x) d = -P(x)/Q^h (mod Q^(k-h)) by exact division, with P'(x) needed
-    only below Q^(k-h), and a remainder raises HenselError.  A residual
-    P(x) that is not 0 below Q^h, which exact arithmetic rules out, raises
-    InternalConsistencyError.
-    """
-    cs = list(poly_coeffs)
-    if len(cs) < 2:
-        raise DomainError("polynomial must have degree at least 1")
-    for c in cs:
-        if len(c) < prec:
-            raise PrecisionError(
-                f"polynomial coefficient known only to O(Q^{len(c)}), need {prec}")
-    dcs = [[i * v for v in c] for i, c in enumerate(cs)][1:]
-    x = [x0]
-    if _horner(cs, x, 1)[0]:
-        raise DomainError(f"seed {x0} is not a root mod Q")
-    if not _horner(dcs, x, 1)[0]:
-        raise HenselError(f"seed {x0} is not a simple root mod Q")
-    h = 1
-    while h < prec:
-        k = min(2 * h, prec)
-        val = _horner(cs, x, k)
-        if any(val[:h]):
-            raise InternalConsistencyError(
-                f"Newton residual is not 0 below Q^{h}")
-        try:
-            x += div_exact([-v for v in val[h:]], _horner(dcs, x, k - h), k - h)
-        except DomainError as exc:
-            raise HenselError(
-                f"Newton correction to O(Q^{k}) is not integral") from exc
-        h = k
-    return x

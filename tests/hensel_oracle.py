@@ -1,12 +1,16 @@
-"""Test oracle: xtilde by the Hensel lift over Fraction-valued Laurent
-series that the library used before its integer lift.
+"""Test oracles: xtilde as the Newton/Hensel root of its degree-N^2
+relation over Fraction-valued Laurent series, and the square root of a
+Laurent series.
 
-The library lifts xtilde over Z[[Q]], Q = q^6, with the rescaling
-Q -> N^12 Q, integer products and exact division.  This module computes
-the same series with none of that: sparse Fraction series in q, Horner
-evaluation of P and P' at full precision, and Newton steps through
-``LaurentSeries.inverse``.  Its E4 and eta^8 are built here too, from
-the Euler product and divisor sums, not taken from ``phicong.qexp``.
+The library computes xtilde and ytilde from the invariant differential:
+one integer recurrence on Q = q^6, rescaled by N^12.  This module
+computes xtilde with none of that, from the relation
+psi_N(X)^2 E4 = phi_N(X) eta^8 that defines it: sparse Fraction series in
+q, Horner evaluation of P and P' at full precision, and Newton steps
+through ``LaurentSeries.inverse``.  Its E4 and eta^8 are built here too,
+from the Euler product and divisor sums, not taken from ``phicong.qexp``.
+``series_sqrt`` gives ytilde as the square root of xtilde^3 - 1728 by
+term-by-term long recursion.
 """
 
 import math
@@ -14,9 +18,13 @@ from fractions import Fraction
 from typing import Dict, List
 
 from phicong.divpoly import division_polynomials
-from phicong.errors import (DomainError, HenselError,
-                            InternalConsistencyError, PrecisionError)
+from phicong.errors import (DomainError, InternalConsistencyError,
+                            PhicongError, PrecisionError)
 from phicong.series import LaurentSeries
+
+
+class HenselError(PhicongError):
+    """Newton/Hensel iteration cannot start (non-simple root mod q)."""
 
 
 def _cap(prec):
@@ -58,6 +66,8 @@ def hensel_root(poly_coeffs, x0, prec: int) -> LaurentSeries:
     Returns the unique root congruent to x0 mod q, to O(q^prec).
     """
     cs = list(poly_coeffs)
+    if len(cs) < 2:
+        raise DomainError("polynomial must have degree at least 1")
     for c in cs:
         if _cap(c.prec) < prec:
             raise PrecisionError(
@@ -123,3 +133,54 @@ def xtilde_by_fractions(N: int, prec: int) -> LaurentSeries:
     except Exception as exc:               # cannot happen for valid N
         raise InternalConsistencyError(f"Hensel lifting failed for N={N}") from exc
     return xhat.shift(-2)
+
+
+def _rational_sqrt(r: Fraction):
+    """Exact square root of a rational, or None if it is not a square."""
+    if r < 0:
+        return None
+    n, d = math.isqrt(r.numerator), math.isqrt(r.denominator)
+    if n * n != r.numerator or d * d != r.denominator:
+        return None
+    return Fraction(n, d)
+
+
+def series_sqrt(s: LaurentSeries, branch_sign: int = 1) -> LaurentSeries:
+    """Square root of a Laurent series with rational coefficients.
+
+    Requires even valuation and a leading coefficient that is a rational
+    square; ``branch_sign`` (+1 or -1) picks the sign of the leading term.
+    """
+    if branch_sign not in (1, -1):
+        raise DomainError("branch_sign must be +1 or -1")
+    if not s.coeffs:
+        raise DomainError("square root of a series with no known terms")
+    v = s.valuation
+    if v % 2 != 0:
+        raise DomainError(f"square root needs even valuation, got {v}")
+    lead = _rational_sqrt(s.coeffs[v])
+    if lead is None:
+        raise DomainError(f"leading coefficient {s.coeffs[v]} is not a rational square")
+    lead = branch_sign * lead
+    if s.prec is None:
+        raise PrecisionError("square root needs a finite precision bound")
+    nterms = s.prec - v
+    a = {e - v: c for e, c in s.coeffs.items()}
+    r: Dict[int, Fraction] = {0: lead}
+    rkeys = [0]
+    two_lead = 2 * lead
+    for k in range(1, nterms):
+        s_k = a.get(k, Fraction(0))
+        conv = Fraction(0)
+        for j in rkeys:
+            if j == 0 or 2 * j > k:
+                continue
+            rc = r.get(k - j)
+            if rc:
+                conv += r[j] * rc * (2 if 2 * j < k else 1)
+        c = (s_k - conv) / two_lead
+        if c:
+            r[k] = c
+            rkeys.append(k)
+    out = {k + v // 2: c for k, c in r.items() if c}
+    return LaurentSeries(out, s.prec - v // 2)

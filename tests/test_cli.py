@@ -9,9 +9,8 @@ from pathlib import Path
 import pytest
 
 import phicong
-import phicong.series
-from phicong.cli import main
-from phicong.errors import DomainError
+import phicong.qexp
+from phicong.cli import MAX_TERMS, main
 from phicong.qexp import xtilde
 
 
@@ -57,20 +56,34 @@ class TestQexp:
         assert by_p[2]["unboundedTrend"]
         assert by_p[3]["integral"]
 
+    def test_coefficients_beyond_str_digit_limit(self, capsys):
+        # at N = 10^30 the 40th coefficient has over 4300 digits, the
+        # default limit of CPython's int-to-str conversion
+        limit = sys.get_int_max_str_digits()
+        for fmt in ("json", "csv"):
+            code, out = run(capsys, "qexp", "--level", str(10 ** 30),
+                            "--terms", "40", "--format", fmt)
+            assert code == 0
+            assert max(map(len, out.splitlines())) > 4300
+        assert sys.get_int_max_str_digits() == limit
+
     def test_determinism(self, capsys):
         _, out1 = run(capsys, "qexp", "--level", "5", "--terms", "4")
         _, out2 = run(capsys, "qexp", "--level", "5", "--terms", "4")
         assert out1 == out2
 
     def test_non_integral_correction_exits_3(self, capsys, monkeypatch):
-        def not_integral(num, den, n):
-            raise DomainError("quotient is not integral at Q^0")
-        monkeypatch.setattr(phicong.series, "div_exact", not_integral)
+        # a wrong coefficient of eta^4 leaves a remainder in the
+        # recurrence's exact division at its first step
+        eta_q = phicong.qexp._eta_q
+        monkeypatch.setattr(phicong.qexp, "_eta_q",
+                            lambda n: [c + (j == 1) for j, c in enumerate(eta_q(n))])
         xtilde.cache_clear()            # other tests may have cached N = 3
         code = main(["qexp", "--level", "3", "--terms", "6"])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.err.startswith("internal consistency failure: ")
+        assert "not integral at Q^1" in captured.err
         assert captured.out == ""
 
 
@@ -200,6 +213,8 @@ class TestInvalidInput:
         "grassmannian --p 15 --x 2 --epsilons",
         "dims --family gp --k 2 --p 65", "member --spec gp --p 65 --word T",
         "qexp --level 5 --terms -1", "qexp --level 5 --terms 0",
+        f"qexp --level 5 --terms {MAX_TERMS + 1}",
+        "qexp --level 10 --terms 1000000 --denominators",
         "divpoly --level 3 --profile 15",
     ])
     def test_exit_2_with_message(self, capsys, argv):
@@ -252,6 +267,13 @@ def _child_env():
 
 
 class TestImports:
+    # phicong modules that only other verbs use
+    UNUSED = {"qexp": ("divpoly", "invariants", "words", "symplectic"),
+              "member": ("qexp", "series", "divpoly", "invariants"),
+              "divpoly": ("qexp", "series", "words", "invariants"),
+              "dims": ("qexp", "series", "divpoly", "words"),
+              "genus": ("qexp", "series", "divpoly", "words")}
+
     @pytest.mark.parametrize("argv", [
         ["qexp", "--level", "3", "--terms", "4"],
         ["member", "--spec", "gp", "--p", "17", "--word", "T^4 S^-1"],
@@ -260,13 +282,24 @@ class TestImports:
         ["genus", "--p", "11"],
     ], ids=lambda argv: argv[0])
     def test_verb_does_not_load_numpy(self, argv):
+        unused = ["numpy"] + [f"phicong.{m}" for m in self.UNUSED[argv[0]]]
         script = ("import sys\n"
                   "from phicong.cli import main\n"
                   f"assert main({argv!r}) == 0\n"
-                  "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+                  f"loaded = [m for m in {unused!r} if m in sys.modules]\n"
+                  "assert not loaded, f'{loaded} imported'\n")
         done = subprocess.run([sys.executable, "-c", script], env=_child_env(),
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
+
+    def test_cli_import_loads_no_library_module(self):
+        script = ("import sys\n"
+                  "import phicong.cli\n"
+                  "print(sorted(m for m in sys.modules if m.startswith('phicong')))\n")
+        done = subprocess.run([sys.executable, "-c", script], env=_child_env(),
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "['phicong', 'phicong.cli', 'phicong.errors']"
 
 
 class TestSurjectivityAtScale:
@@ -296,9 +329,9 @@ _MALFORMED_TOKENS = ("Q^2", "S^", "T^x", "^3", "s", "T^^2", "S^1.5", "TT",
 
 def _grammar_argv(rng: random.Random, verb: str):
     """One generated command line for verb: p and x in -3..40, levels in
-    -2..6, --terms in -2..8, words mixing valid and malformed tokens; an
-    optional argument is left out now and then, and an integer is
-    sometimes not one."""
+    -2..6, --terms in -2..8 or above the ceiling up to 10^6, words mixing
+    valid and malformed tokens; an optional argument is left out now and
+    then, and an integer is sometimes not one."""
     def num(lo, hi):
         return "x1" if rng.random() < 0.03 else str(rng.randint(lo, hi))
 
@@ -310,7 +343,8 @@ def _grammar_argv(rng: random.Random, verb: str):
 
     p, x, level = num(-3, 40), num(-3, 40), num(-2, 6)
     if verb == "qexp":
-        return (["qexp", "--level", level] + opt("--terms", num(-2, 8))
+        terms = num(-2, 8) if rng.random() < 0.8 else num(MAX_TERMS + 1, 10 ** 6)
+        return (["qexp", "--level", level] + opt("--terms", terms)
                 + flag("--denominators") + opt("--format", rng.choice(["json", "csv"])))
     if verb == "divpoly":
         return (["divpoly", "--level", level] + flag("--rescaled")

@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from phicong.divpoly import division_polynomials
+from phicong.divpoly import _psi, division_polynomials
 from phicong.errors import DomainError
 from phicong.qexp import basis_series, denominator_report, xtilde, ytilde
 from phicong.series import LaurentSeries
 
-from hensel_oracle import euler_product, sigma_series, xtilde_by_fractions
+from hensel_oracle import (euler_product, series_sqrt, sigma_series,
+                           xtilde_by_fractions)
 
 
 def homogenized_at(poly, powers):
@@ -19,6 +20,16 @@ def homogenized_at(poly, powers):
         if c:
             out = out + (powers[i] * c).shift(2 * (n2 - 1 - i))
     return out
+
+
+def weighted_at(poly, y_power, weight, xhat_powers, yhat):
+    """q^weight poly(x) y^y_power at x = xhat q^-2, y = yhat q^-3, from
+    xhat_powers[i] = xhat^i; weight is at least that of every term."""
+    out = LaurentSeries.zero()
+    for i, c in enumerate(poly.coeffs):
+        if c:
+            out = out + (xhat_powers[i] * c).shift(weight - 2 * i - 3 * y_power)
+    return out * yhat if y_power else out
 
 
 class TestBasis:
@@ -135,6 +146,42 @@ class TestYtilde:
     def test_leading_coefficient(self):
         for n in (2, 3, 4, 5):
             assert ytilde(n, 17).coeff(-3) == n ** 3
+
+    def test_relations_pick_the_branch(self):
+        # ytilde^2 = xtilde^3 - 1728 and psi_N(xt, yt)^3 E6 = omega_N(xt, yt)
+        # eta^12, both multiplied through by a power of q so that
+        # xhat = q^2 xtilde and yhat = q^3 ytilde keep their precision;
+        # the omega relation fails for -ytilde
+        prec = 6 * 32
+        b = basis_series(prec)
+        eta12 = (b.eta4 * b.eta4 * b.eta4).shift(-3)
+        for n in (2, 3, 4, 5, 7):
+            xhat = xtilde(n, prec).series.shift(2)
+            yhat = ytilde(n, prec).shift(3)
+            square = yhat * yhat - (xhat * xhat * xhat - LaurentSeries({6: 1728}))
+            assert square.is_zero() and square.prec >= 6 * 31
+            psi = _psi(n)
+            psi_poly, psi_y = (psi.g, 1) if n % 2 == 0 else (psi.f, 0)
+            omega_poly, omega_y = division_polynomials(n).omega
+            powers = [LaurentSeries.one()]
+            for _ in range(omega_poly.degree):
+                powers.append(powers[-1] * xhat)
+            for sign in (1, -1):
+                psi_hat = weighted_at(psi_poly, psi_y, n * n - 1, powers, sign * yhat)
+                omega_hat = weighted_at(omega_poly, omega_y, 3 * n * n, powers,
+                                        sign * yhat)
+                diff = psi_hat * psi_hat * psi_hat * b.E6 - omega_hat * eta12
+                assert diff.is_zero() == (sign == 1)
+                assert diff.prec >= 6 * 31
+
+    def test_matches_square_root_of_fraction_lift(self):
+        # ytilde from the recurrence against sqrt(xtilde^3 - 1728) with
+        # xtilde from the oracle's Newton lift, 30 terms each
+        for n in (2, 3, 4, 5, 7):
+            xt = xtilde_by_fractions(n, 181)
+            root = series_sqrt(xt * xt * xt - 1728)
+            assert root.prec >= 6 * 30 - 3
+            assert ytilde(n, root.prec) == root
 
 
 class TestDenominators:
