@@ -1,8 +1,9 @@
-"""Residues mod m and the field Q(zeta_12).
+"""The field Q(zeta_12), used by the tests' phi oracle.
 
 zeta is a primitive twelfth root of unity with minimal polynomial
 x^4 - x^2 + 1, so every element of Q(zeta_12) is stored on the basis
-(1, zeta, zeta^2, zeta^3) with rational coordinates.
+(1, zeta, zeta^2, zeta^3) with rational coordinates.  The library reads
+phi off integer coordinates (words.PhiImage) and never calls this module.
 """
 
 from __future__ import annotations
@@ -10,82 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError
-
-
-class ModInt:
-    """Residue class modulo a fixed integer m (m prime, or p^2 for lifting)."""
-
-    __slots__ = ("v", "m")
-
-    def __init__(self, v: int, m: int):
-        self.v = v % m
-        self.m = m
-
-    def _coerce(self, other) -> "ModInt":
-        if isinstance(other, ModInt):
-            if other.m != self.m:
-                raise DomainError("mixed moduli")
-            return other
-        if isinstance(other, int):
-            return ModInt(other, self.m)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return ModInt(self.v + o.v, self.m)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return ModInt(self.v - o.v, self.m)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return ModInt(self.v * o.v, self.m)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ModInt(-self.v, self.m)
-
-    def inverse(self) -> "ModInt":
-        return ModInt(pow(self.v, -1, self.m), self.m)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return ModInt(pow(pow(self.v, -1, self.m), -e, self.m), self.m)
-        return ModInt(pow(self.v, e, self.m), self.m)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.v == other % self.m
-        return isinstance(other, ModInt) and self.m == other.m and self.v == other.v
-
-    def __hash__(self):
-        return hash((self.v, self.m))
-
-    def __repr__(self):
-        return f"ModInt({self.v}, {self.m})"
 
 
 class Cyc12:
@@ -151,24 +76,16 @@ class Cyc12:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyc12":
-        """Multiplicative inverse, by solving the 4x4 system z*w = 1."""
+        """Multiplicative inverse: the product of the other three Galois
+        conjugates (zeta -> zeta^5, zeta^7, zeta^11) over the norm."""
         if self == 0:
             raise DomainError("zero is not invertible in Q(zeta_12)")
-        cols = [(self * Cyc12.zeta_pow(j)).c for j in range(4)]
-        # rows of the multiplication-by-z matrix; solve M x = e0
-        aug = [[cols[j][i] for j in range(4)] + [Fraction(1 if i == 0 else 0)]
-               for i in range(4)]
-        n = 4
-        for col in range(n):
-            piv = next(r for r in range(col, n) if aug[r][col] != 0)
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = 1 / aug[col][col]
-            aug[col] = [x * inv for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        return Cyc12(*(aug[i][4] for i in range(4)))
+        rest = Cyc12(1)
+        for k in (5, 7, 11):
+            rest = rest * sum((x * Cyc12.zeta_pow(k * i) for i, x in enumerate(self.c)),
+                              Cyc12(0))
+        norm = (self * rest).c[0]
+        return Cyc12(*(x / norm for x in rest.c))
 
     def __truediv__(self, other):
         o = self._coerce(other)

@@ -1,53 +1,44 @@
-"""Small dense matrices over an arbitrary exact ring (n = 2 or 4 here)."""
+"""4x4 integer matrices mod m, the one form of rho.
+
+rho maps into Sp4 reduced modulo an integer m: m = p for the group
+itself and m = p^2 for the lifting witness.  A Matrix holds four rows
+of Python ints in range(m) together with m, so products cannot overflow
+at any p.
+"""
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Iterable
 
 from .errors import DomainError
 
 
 class Matrix:
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "m")
 
-    def __init__(self, rows: Sequence[Sequence]):
-        self.rows = tuple(tuple(r) for r in rows)
-        n = len(self.rows)
-        if any(len(r) != n for r in self.rows):
-            raise DomainError("matrix must be square")
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    def _one_zero(self) -> Tuple:
-        e = self.rows[0][0]
-        return e ** 0, e - e
+    def __init__(self, rows: Iterable[Iterable[int]], m: int):
+        self.rows = tuple(tuple(v % m for v in r) for r in rows)
+        self.m = m
+        if len(self.rows) != 4 or any(len(r) != 4 for r in self.rows):
+            raise DomainError("matrix must be 4x4")
 
     @staticmethod
-    def identity(n: int, one=1, zero=0) -> "Matrix":
-        return Matrix([[one if i == j else zero for j in range(n)] for i in range(n)])
+    def identity(m: int) -> "Matrix":
+        return Matrix([[int(i == j) for j in range(4)] for i in range(4)], m)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
-        n = self.n
-        return Matrix(
-            [
-                [
-                    sum((self.rows[i][k] * other.rows[k][j] for k in range(1, n)),
-                        start=self.rows[i][0] * other.rows[0][j])
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-        )
+        if other.m != self.m:
+            raise DomainError(f"mixed moduli {self.m} and {other.m}")
+        cols = tuple(zip(*other.rows))
+        return Matrix([[sum(a * b for a, b in zip(r, c)) for c in cols]
+                       for r in self.rows], self.m)
 
     def __pow__(self, e: int) -> "Matrix":
-        base = self.inverse() if e < 0 else self
-        e = abs(e)
-        one, zero = self._one_zero()
-        acc = Matrix.identity(self.n, one, zero)
+        if e < 0:
+            raise DomainError("negative matrix power")
+        acc, base = Matrix.identity(self.m), self
         while e:
             if e & 1:
                 acc = acc * base
@@ -56,42 +47,17 @@ class Matrix:
         return acc
 
     def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.rows)))
-
-    def inverse(self) -> "Matrix":
-        """Gauss-Jordan inverse; entries must support exact division."""
-        n = self.n
-        one, zero = self._one_zero()
-        aug = [list(self.rows[i]) + [one if i == j else zero for j in range(n)]
-               for i in range(n)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if aug[r][col] != zero), None)
-            if piv is None:
-                raise DomainError("matrix is not invertible")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = one / aug[col][col]
-            aug[col] = [x * inv for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != zero:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        return Matrix([row[n:] for row in aug])
-
-    def __eq__(self, other):
-        return isinstance(other, Matrix) and all(
-            a == b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)
-        )
-
-    def __hash__(self):
-        return hash(self.rows)
+        return Matrix(zip(*self.rows), self.m)
 
     def is_identity(self) -> bool:
-        one, zero = self._one_zero()
-        return all(
-            self.rows[i][j] == (one if i == j else zero)
-            for i in range(self.n)
-            for j in range(self.n)
-        )
+        return self == Matrix.identity(self.m)
+
+    def __eq__(self, other):
+        return (isinstance(other, Matrix) and self.m == other.m
+                and self.rows == other.rows)
+
+    def __hash__(self):
+        return hash((self.rows, self.m))
 
     def __repr__(self):
-        return f"Matrix({[list(r) for r in self.rows]})"
+        return f"Matrix({[list(r) for r in self.rows]}, {self.m})"

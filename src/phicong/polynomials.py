@@ -1,7 +1,7 @@
 """Dense univariate polynomials, coefficients lowest degree first.
 
 Coefficients can be any ring elements supporting +, -, * (ints, Fractions,
-ModInt, Laurent series, ...).  The trailing coefficient is kept nonzero.
+Laurent series, ...).  The trailing coefficient is kept nonzero.
 """
 
 from __future__ import annotations

@@ -28,11 +28,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .cyclotomic import ModInt
 from .errors import DomainError, InternalConsistencyError, UnsupportedPrimeError
 from .matrices import Matrix
 from .rationals import require_prime
-from .words import Word, eval_word
+from .words import Word
 
 
 @dataclass(frozen=True)
@@ -85,7 +84,16 @@ _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 def form_J(p: int) -> Matrix:
-    return Matrix([[ModInt(v, p) for v in r] for r in _J_ROWS])
+    return Matrix(_J_ROWS, p)
+
+
+def _t_rows(x: int, y: int, m: int) -> List[List[int]]:
+    """Rows of rho(T) over Z/m for x and y invertible mod m."""
+    xi, yi = pow(x, -1, m), pow(y, -1, m)
+    return [[x, 3 * y, 3 * yi, xi],
+            [0, y, 2 * yi, xi],
+            [0, 0, yi, xi],
+            [0, 0, 0, xi]]
 
 
 def rho_matrices(params: SpParams) -> Tuple[Matrix, Matrix]:
@@ -94,102 +102,17 @@ def rho_matrices(params: SpParams) -> Tuple[Matrix, Matrix]:
     x = params.x % p
     y = params.resolved_y()
     xi, yi = pow(x, -1, p), pow(y, -1, p)
-    t_rows = [[x, 3 * y, 3 * yi, xi],
-              [0, y, 2 * yi, xi],
-              [0, 0, yi, xi],
-              [0, 0, 0, xi]]
-    s_rows = [[0, 0, 0, -xi],
-              [0, 0, yi, 0],
-              [0, -y, 0, 0],
-              [x, 0, 0, 0]]
-    S4 = Matrix([[ModInt(v, p) for v in r] for r in s_rows])
-    T4 = Matrix([[ModInt(v, p) for v in r] for r in t_rows])
+    S4 = Matrix([[0, 0, 0, -xi],
+                 [0, 0, yi, 0],
+                 [0, -y, 0, 0],
+                 [x, 0, 0, 0]], p)
+    T4 = Matrix(_t_rows(x, y, p), p)
     J = form_J(p)
     if S4.transpose() * J * S4 != J or T4.transpose() * J * T4 != J:
         raise InternalConsistencyError("rho matrices do not preserve J")
-    if (S4 * S4) != Matrix([[ModInt(-1 if i == j else 0, p) for j in range(4)]
-                            for i in range(4)]):
+    if S4 * S4 != Matrix([[-int(i == j) for j in range(4)] for i in range(4)], p):
         raise InternalConsistencyError("rho(S)^2 != -I")
     return S4, T4
-
-
-def rref_mod_p(rows: List[List[int]], p: int) -> List[int]:
-    """Reduce rows to reduced row echelon form over F_p in place; returns
-    the pivot columns.  Every row that holds a pivot ends up in range(p)."""
-    m = len(rows)
-    pivots = []
-    r = 0
-    for c in range(len(rows[0])):
-        piv = next((i for i in range(r, m) if rows[i][c] % p), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return pivots
-
-
-def invariant_forms(S4: Matrix, T4: Matrix) -> List[Matrix]:
-    """Basis of the antisymmetric G with S4^T G S4 = G and T4^T G T4 = G.
-
-    The 6-dimensional space of antisymmetric 4x4 matrices is coordinatized
-    by the entries (1,2),(1,3),(1,4),(2,3),(2,4),(3,4); the returned basis
-    is in reduced echelon form of the nullspace.
-    """
-    p = S4.rows[0][0].m
-
-    def antisym(vec):
-        g = [[0] * 4 for _ in range(4)]
-        for (i, j), v in zip(_PAIRS, vec):
-            g[i][j] = v % p
-            g[j][i] = (-v) % p
-        return Matrix([[ModInt(v, p) for v in r] for r in g])
-
-    rows = []
-    for M in (S4, T4):
-        for k in range(6):
-            e = [0] * 6
-            e[k] = 1
-            G = antisym(e)
-            R = M.transpose() * G * M
-            col = []
-            for (i, j) in _PAIRS:
-                col.append((R.rows[i][j] - G.rows[i][j]).v)
-            rows.append(col)
-    # nullspace of the stacked 12x6 system over F_p: unknowns are the six
-    # coefficients lambda_k, equations run over (matrix, entry position)
-    A = [[rows[blk * 6 + k][pos] % p for k in range(6)]
-         for blk in range(2) for pos in range(6)]
-    pivots = rref_mod_p(A, p)
-    basis = []
-    for fcol in (c for c in range(6) if c not in pivots):
-        vec = [0] * 6
-        vec[fcol] = 1
-        for i, c in enumerate(pivots):
-            vec[c] = (-A[i][fcol]) % p
-        basis.append(antisym(vec))
-    return basis
-
-
-def in_span(G: Matrix, basis: List[Matrix]) -> bool:
-    """Whether antisymmetric G is an F_p-combination of the basis forms."""
-    p = G.rows[0][0].m
-    A = [[b.rows[i][j].v for b in basis] + [G.rows[i][j].v]
-         for (i, j) in _PAIRS]
-    # G is in the span iff the appended column carries no pivot
-    return len(basis) not in rref_mod_p(A, p)
-
-
-def _matrix_rows(M: Matrix) -> List[List[int]]:
-    return [[e.v for e in row] for row in M.rows]
 
 
 def _plucker(p: int) -> np.ndarray:
@@ -246,7 +169,7 @@ def permutation(M: Matrix, p: int) -> np.ndarray:
     if p <= 3:
         raise UnsupportedPrimeError(f"p must be > 3, got {p}")
     require_memory(grassmannian_size(p))
-    m = np.array(_matrix_rows(M), dtype=np.int64)
+    m = np.array(M.rows, dtype=np.int64)
     J = np.array(_J_ROWS, dtype=np.int64)
     if ((m.T @ J @ m - J) % p).any():
         raise DomainError("matrix is not symplectic for J")
@@ -530,10 +453,22 @@ def surjectivity_verdict(params: SpParams, perm_s: np.ndarray,
                                order == sp4_order(p) // 2)
 
 
+def rho_word(w: Word, params: SpParams) -> Matrix:
+    """rho(w) in Sp4(F_p), with no inverse: rho(S) has order 4, as
+    rho_matrices checks S^2 = -I, and rho(T) has order dividing p(p-1),
+    because rho(T)^(p-1) is unipotent (its diagonal is x, y, 1/y, 1/x)
+    and a unipotent 4x4 matrix has order dividing p once p > 3."""
+    S4, T4 = rho_matrices(params)
+    p = params.p
+    acc = Matrix.identity(p)
+    for gen, exp in w.syllables:
+        acc = acc * (S4 ** (exp % 4) if gen == "S" else T4 ** (exp % (p * (p - 1))))
+    return acc
+
+
 def kernel_test(w: Word, params: SpParams) -> bool:
     """True iff the word maps to the identity in Sp4(F_p)."""
-    S4, T4 = rho_matrices(params)
-    return eval_word(w, S4, T4).is_identity()
+    return rho_word(w, params).is_identity()
 
 
 def lift_witness_mod_p2(params: SpParams) -> bool:
@@ -541,17 +476,6 @@ def lift_witness_mod_p2(params: SpParams) -> bool:
     p = params.p
     m2 = p * p
     x = params.x % m2
-    if x % p == 0:
-        raise DomainError("x must be invertible mod p^2")
     y = params.y % m2 if params.y is not None else pow(x, -1, m2)
-    xi, yi = pow(x, -1, m2), pow(y, -1, m2)
-    t_rows = [[x, 3 * y, 3 * yi, xi],
-              [0, y, 2 * yi, xi],
-              [0, 0, yi, xi],
-              [0, 0, 0, xi]]
-    T4 = Matrix([[ModInt(v, m2) for v in r] for r in t_rows])
-    Mpow = T4 ** (p * (p - 1))
-    rows = _matrix_rows(Mpow)
-    trivial_mod_p = all(rows[i][j] % p == (1 if i == j else 0)
-                        for i in range(4) for j in range(4))
-    return trivial_mod_p and not Mpow.is_identity()
+    Mpow = Matrix(_t_rows(x, y, m2), m2) ** (p * (p - 1))
+    return Matrix(Mpow.rows, p).is_identity() and not Mpow.is_identity()

@@ -5,6 +5,8 @@ representation phi sends T to diag(zeta, 1/zeta) and S to
 (-zeta^3, 1; 0, zeta^3); its image consists of the upper-triangular
 matrices (u, u*v; 0, 1/u) with u a twelfth root of unity and
 v in Z*zeta + Z*zeta^3, which PhiImage stores as integer coordinates.
+Words are composed and membership is decided in those coordinates; no
+matrix over Q(zeta_12) is formed (the tests' oracle multiplies them out).
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DomainError, UnsupportedPrimeError
-from .matrices import Matrix
 from .rationals import is_prime
 
 
@@ -96,24 +97,6 @@ def format_word(w: Word) -> str:
     for gen, exp in w.syllables:
         parts.append(gen if exp == 1 else f"{gen}^{exp}")
     return " ".join(parts)
-
-
-def eval_word(w: Word, imgS: Matrix, imgT: Matrix) -> Matrix:
-    """Evaluate the homomorphism S -> imgS, T -> imgT on a word."""
-    if imgS.n != imgT.n:
-        raise DomainError("generator images must have equal size")
-    acc = Matrix.identity(imgS.n, *imgS._one_zero())
-    for gen, exp in w.syllables:
-        acc = acc * (imgS if gen == "S" else imgT) ** exp
-    return acc
-
-
-def relations_check(imgS: Matrix, imgT: Matrix) -> bool:
-    """True iff the assignments satisfy S^4 = I and S^2 = (S T)^3."""
-    if imgS.n != imgT.n:
-        raise DomainError("generator images must have equal size")
-    s2 = imgS * imgS
-    return (s2 * s2).is_identity() and s2 == (imgS * imgT) ** 3
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,17 @@
 """Independent closed-form oracles for the S- and R-actions on the
 Lagrangian Grassmannian, transcribed case by case, with the oracle's own
 names for the points of X(F_p).  Used to check symplectic.permutation,
-which acts on Plucker coordinates instead, at every point."""
+which acts on Plucker coordinates instead, at every point.  Also the
+antisymmetric forms that rho(S) and rho(T) preserve, by elimination over
+F_p: J spans them, so X(F_p) is the Lagrangian Grassmannian for J."""
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Tuple
 
 from phicong.errors import DomainError
-from phicong.symplectic import (SpParams, grassmannian_size, permutation,
-                                rho_matrices)
+from phicong.matrices import Matrix
+from phicong.symplectic import (_PAIRS, SpParams, grassmannian_size,
+                                permutation, rho_matrices)
 
 
 @dataclass(frozen=True)
@@ -145,3 +148,65 @@ def assert_matches_closed_forms(p: int, x: int) -> None:
         L = lagrangian_from_index(i, p)
         assert perm_s[i] == s_action(L, p, x, y).index(p), (p, x, L)
         assert perm_r[i] == r_action(L, p, x, y).index(p), (p, x, L)
+
+
+def rref_mod_p(rows: List[List[int]], p: int) -> List[int]:
+    """Reduce rows to reduced row echelon form over F_p in place; returns
+    the pivot columns.  Every row that holds a pivot ends up in range(p)."""
+    m = len(rows)
+    pivots = []
+    r = 0
+    for c in range(len(rows[0])):
+        piv = next((i for i in range(r, m) if rows[i][c] % p), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c] % p:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return pivots
+
+
+def invariant_forms(S4: Matrix, T4: Matrix) -> List[Matrix]:
+    """Basis of the antisymmetric G with S4^T G S4 = G and T4^T G T4 = G.
+
+    The 6-dimensional space of antisymmetric 4x4 matrices is coordinatized
+    by the entries (1,2),(1,3),(1,4),(2,3),(2,4),(3,4); the returned basis
+    is in reduced echelon form of the nullspace.
+    """
+    p = S4.m
+
+    def antisym(vec):
+        g = [[0] * 4 for _ in range(4)]
+        for (i, j), v in zip(_PAIRS, vec):
+            g[i][j], g[j][i] = v, -v
+        return Matrix(g, p)
+
+    # nullspace of the stacked 12x6 system over F_p: unknowns are the six
+    # coefficients lambda_k, equations run over (matrix, entry position)
+    units = [antisym([int(k == c) for c in range(6)]) for k in range(6)]
+    A = [[(M.transpose() * G * M).rows[i][j] - G.rows[i][j] for G in units]
+         for M in (S4, T4) for (i, j) in _PAIRS]
+    pivots = rref_mod_p(A, p)
+    basis = []
+    for fcol in (c for c in range(6) if c not in pivots):
+        vec = [0] * 6
+        vec[fcol] = 1
+        for i, c in enumerate(pivots):
+            vec[c] = -A[i][fcol]
+        basis.append(antisym(vec))
+    return basis
+
+
+def in_span(G: Matrix, basis: List[Matrix]) -> bool:
+    """Whether antisymmetric G is an F_p-combination of the basis forms."""
+    A = [[b.rows[i][j] for b in basis] + [G.rows[i][j]] for (i, j) in _PAIRS]
+    # G is in the span iff the appended column carries no pivot
+    return len(basis) not in rref_mod_p(A, G.m)

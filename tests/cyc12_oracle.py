@@ -13,8 +13,8 @@ from typing import Tuple
 
 from phicong.cyclotomic import Cyc12
 from phicong.errors import DomainError, UnsupportedPrimeError
-from phicong.matrices import Matrix
-from phicong.words import PhiImage, SubgroupSpec, Word, eval_word
+from phicong.words import PhiImage, SubgroupSpec, Word
+from ring_matrix import Matrix, eval_word
 
 PHI_S = Matrix([[Cyc12(0, 0, 0, -1), Cyc12(1)],
                 [Cyc12(0), Cyc12(0, 0, 0, 1)]])
@@ -78,7 +78,6 @@ def quadratic_factor(p: int) -> Tuple[int, int]:
     """
     if p % 12 != 5:
         raise UnsupportedPrimeError(f"p = {p} is not 5 mod 12")
-    found = []
     for g0 in range(p):
         for g1 in range(p):
             # remainder of x^4 - x^2 + 1 modulo x^2 + g1 x + g0,
@@ -91,12 +90,8 @@ def quadratic_factor(p: int) -> Tuple[int, int]:
                     c[i + 2] = (c[i + 2] - lead * g0) % p
                 c[i] = 0
             if c[3] % p == 0 and c[4] % p == 0:
-                found.append((g0, g1))
-        if found:
-            break
-    if not found:
-        raise UnsupportedPrimeError(f"x^4 - x^2 + 1 has no quadratic factor mod {p}")
-    return min(found)
+                return g0, g1
+    raise UnsupportedPrimeError(f"x^4 - x^2 + 1 has no quadratic factor mod {p}")
 
 
 class Fp2Elem:
@@ -127,19 +122,11 @@ class Fp2Elem:
             return o
         return self._like(self.a + o.a, self.b + o.b)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
         return self._like(self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __neg__(self):
-        return self._like(-self.a, -self.b)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -152,28 +139,10 @@ class Fp2Elem:
             self.a * o.b + self.b * o.a - bb * self.g1,
         )
 
-    __rmul__ = __mul__
-
     def inverse(self) -> "Fp2Elem":
         if self.a == 0 and self.b == 0:
             raise DomainError("zero is not invertible")
-        # solve (a + b u)(c + d u) = 1 as a 2x2 linear system over F_p
-        p = self.p
-        m00, m10 = self.a, self.b                      # column for c
-        m01 = (-self.b * self.g0) % p                  # column for d
-        m11 = (self.a - self.b * self.g1) % p
-        det = (m00 * m11 - m01 * m10) % p
-        inv = pow(det, -1, p)
-        return self._like(m11 * inv, (-m10) * inv)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        return self ** (self.p ** 2 - 2)            # the field has p^2 elements
 
     def __pow__(self, e: int):
         base = self.inverse() if e < 0 else self
@@ -198,9 +167,6 @@ class Fp2Elem:
             and self.a == other.a
             and self.b == other.b
         )
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.p))
 
     def __repr__(self):
         return f"Fp2Elem({self.a} + {self.b}u mod {self.p})"

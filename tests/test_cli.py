@@ -247,7 +247,8 @@ class TestResourceGuard:
 
 
 # stdout of each invocation, captured before phi moved to (u, v)
-# coordinates and the eliminations mod p were merged
+# coordinates and the eliminations mod p were merged; the --lift-check
+# entries before rho moved from residue objects to integer matrices mod m
 GOLDEN = json.loads((Path(__file__).parent / "golden_stdout.json").read_text())
 
 
@@ -269,7 +270,8 @@ def _child_env():
 class TestImports:
     # phicong modules that only other verbs use
     UNUSED = {"qexp": ("divpoly", "invariants", "words", "symplectic"),
-              "member": ("qexp", "series", "divpoly", "invariants"),
+              "member": ("qexp", "series", "divpoly", "invariants",
+                         "matrices", "cyclotomic"),
               "divpoly": ("qexp", "series", "words", "invariants"),
               "dims": ("qexp", "series", "divpoly", "words"),
               "genus": ("qexp", "series", "divpoly", "words")}

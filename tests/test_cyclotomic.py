@@ -3,28 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from phicong.cyclotomic import Cyc12, ModInt
+from phicong.cyclotomic import Cyc12
 from phicong.errors import DomainError, UnsupportedPrimeError
 
 # F_p^2 and the reduction Z[zeta] -> F_p^2 live in the test oracle for
 # G_p membership; the classes below check that oracle
 from cyc12_oracle import Fp2Elem, quadratic_factor, reduce_cyc
-
-
-class TestModInt:
-    def test_arithmetic(self):
-        a = ModInt(7, 11)
-        b = ModInt(5, 11)
-        assert a + b == 1
-        assert a - b == 2
-        assert a * b == 2
-        assert (a / b) * b == a
-        assert a ** -1 * a == 1
-        assert -a == ModInt(4, 11)
-
-    def test_mixed_moduli_rejected(self):
-        with pytest.raises(DomainError):
-            ModInt(1, 5) + ModInt(1, 7)
 
 
 class TestCyc12:

@@ -1,28 +1,24 @@
+import random
+from fractions import Fraction
 from math import lcm
 
 import numpy as np
 import pytest
 
-from phicong.cyclotomic import ModInt
 from phicong.errors import (DomainError, InternalConsistencyError,
                             UnsupportedPrimeError)
 from phicong.matrices import Matrix
 import phicong.symplectic
 from phicong.symplectic import (SpParams, cycle_type, fixed_points, form_J,
-                                grassmannian_size, group_order, in_span,
-                                invariant_forms, kernel_test,
+                                grassmannian_size, group_order, kernel_test,
                                 lift_witness_mod_p2, matrix_order,
                                 permutation, require_memory, rho_matrices,
-                                rref_mod_p, sp4_order, surjectivity_verdict)
-from phicong.words import parse_word
+                                rho_word, sp4_order, surjectivity_verdict)
+from phicong.words import Word, parse_word
 
-from closed_forms import (Lagrangian, assert_matches_closed_forms,
-                          lagrangian_from_index)
-
-
-def identity4(p):
-    return Matrix([[ModInt(1 if i == j else 0, p) for j in range(4)]
-                   for i in range(4)])
+from closed_forms import (Lagrangian, assert_matches_closed_forms, in_span,
+                          invariant_forms, lagrangian_from_index, rref_mod_p)
+from ring_matrix import Matrix as RingMatrix, eval_word
 
 
 class TestRho:
@@ -58,22 +54,21 @@ class TestRho:
         assert len(basis) == 1
         assert in_span(form_J(p), basis)
         # G with only the (1,2)/(2,1) entries set is not a multiple of J
-        G = Matrix([[ModInt(v, p) for v in row] for row in
-                    [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]])
+        G = Matrix([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], p)
         assert not in_span(G, basis)
-        assert in_span(Matrix([[ModInt(0, p)] * 4] * 4), [])
+        assert in_span(Matrix([[0] * 4] * 4, p), [])
         assert not in_span(G, [])
 
     def test_invariant_forms_trivial_pair(self):
         p = 11
-        basis = invariant_forms(identity4(p), identity4(p))
+        basis = invariant_forms(Matrix.identity(p), Matrix.identity(p))
         assert len(basis) == 6
 
 
 class TestGrassmannian:
     def test_counts(self):
-        assert len(permutation(identity4(11), 11)) == 1464
-        assert len(permutation(identity4(13), 13)) == 2380
+        assert len(permutation(Matrix.identity(11), 11)) == 1464
+        assert len(permutation(Matrix.identity(13), 13)) == 2380
         assert lagrangian_from_index(0, 11) == Lagrangian("A", (0, 0, 0))
         assert lagrangian_from_index(1463, 11) == Lagrangian("D", ())
 
@@ -102,7 +97,7 @@ class TestGrassmannian:
         assert permutation(S4, 11)[D] == Lagrangian("A", (0, 0, 0)).index(11)
         assert permutation(S4 * T4, 11)[D] == Lagrangian(
             "A", ((-x * y) % 11, (2 * x * x) % 11, (-2 * y * y) % 11)).index(11)
-        assert (permutation(identity4(11), 11) == np.arange(1464)).all()
+        assert (permutation(Matrix.identity(11), 11) == np.arange(1464)).all()
 
     def test_act_matches_closed_forms(self):
         assert_matches_closed_forms(13, 3)
@@ -129,15 +124,13 @@ class TestGrassmannian:
     def test_negation_acts_trivially(self):
         p = 11
         S4, _ = rho_matrices(SpParams(p, 2))
-        neg = Matrix([[ModInt(-1, p) * e for e in row] for row in S4.rows])
+        neg = Matrix([[-e for e in row] for row in S4.rows], p)
         assert (permutation(S4, p) == permutation(neg, p)).all()
 
     def test_non_symplectic_rejected(self):
         p = 11
-        M = Matrix([[ModInt(1 if i == j else 0, p) for j in range(4)]
-                    for i in range(4)])
-        M = Matrix([[M.rows[i][j] + (ModInt(1, p) if (i, j) == (0, 1) else ModInt(0, p))
-                     for j in range(4)] for i in range(4)])
+        M = Matrix([[int(i == j or (i, j) == (0, 1)) for j in range(4)]
+                    for i in range(4)], p)
         with pytest.raises(DomainError):
             permutation(M, p)
 
@@ -196,6 +189,10 @@ def _symmetric_7():
     swap = np.arange(7)
     swap[0], swap[1] = 1, 0
     return [cycle, swap]
+
+
+def _primitive_roots(p):
+    return [x for x in range(2, p) if len({pow(x, k, p) for k in range(p - 1)}) == p - 1]
 
 
 def _rho_perms(p, x):
@@ -305,9 +302,7 @@ class TestSurjectivity:
     @pytest.mark.parametrize("p, x", [
         (11, 2), (13, 2), (17, 3), (19, 2), (23, 5), (29, 2), (31, 3)])
     def test_certified_for_every_prime_to_31(self, p, x):
-        # x is a primitive root mod p
-        assert all(pow(x, (p - 1) // q, p) != 1 for q in (2, 3, 5, 7, 11)
-                   if (p - 1) % q == 0)
+        assert x in _primitive_roots(p)
         v = surjectivity_verdict(SpParams(p, x), *_rho_perms(p, x))
         assert v.perm_group_order == sp4_order(p) // 2
         assert v.surjective_psp4
@@ -321,3 +316,43 @@ class TestSurjectivity:
     def test_lift_witness(self):
         assert lift_witness_mod_p2(SpParams(11, 2))
         assert lift_witness_mod_p2(SpParams(13, 2))
+
+
+class TestRhoOracle:
+    """rho against products of its integer lifts over Q and over Z, with
+    the tests' any-ring matrices and their Gauss-Jordan inverse."""
+
+    @pytest.mark.parametrize("p", [11, 13])
+    def test_words_match_rational_products(self, p):
+        rng = random.Random(p)
+        words = [Word([(rng.choice("ST"), rng.randint(-40, 40))
+                       for _ in range(rng.randint(1, 4))]) for _ in range(200)]
+        # conjugates of (S T)^3 S^-2, which SL2(Z) sends to the identity
+        relation = parse_word("S T S T S T S^-2")
+        words += [g * relation * g.inverse() for g in words[:10]]
+        for x in _primitive_roots(p):
+            params = SpParams(p, x)
+            S, T = (RingMatrix([[Fraction(v) for v in row] for row in M.rows])
+                    for M in rho_matrices(params))
+            for w in words:
+                expected = Matrix([[v.numerator * pow(v.denominator, -1, p) for v in row]
+                                   for row in eval_word(w, S, T).rows], p)
+                assert rho_word(w, params) == expected, (x, w)
+                assert kernel_test(w, params) == expected.is_identity(), (x, w)
+
+    @pytest.mark.parametrize("p", [11, 13])
+    def test_lift_witness_matches_integer_power(self, p):
+        m2, roots, seen = p * p, _primitive_roots(p), set()
+        for x, y in [(x, y) for x in range(1, p) for y in (None, 3)]:
+            yy = pow(x, -1, m2) if y is None else y
+            xi, yi = pow(x, -1, m2), pow(yy, -1, m2)
+            T = RingMatrix([[x, 3 * yy, 3 * yi, xi], [0, yy, 2 * yi, xi],
+                            [0, 0, yi, xi], [0, 0, 0, xi]])
+            N = T ** (p * (p - 1))              # exact over Z
+            mod_p, mod_p2 = (Matrix(N.rows, m).is_identity() for m in (p, m2))
+            assert lift_witness_mod_p2(SpParams(p, x, y)) == (mod_p and not mod_p2)
+            assert mod_p
+            if y is None and x in roots:
+                assert not mod_p2, x        # a witness at every primitive root
+            seen.add(mod_p2)
+        assert seen == {True, False}

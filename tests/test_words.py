@@ -5,13 +5,12 @@ import pytest
 
 from phicong.cyclotomic import Cyc12
 from phicong.errors import DomainError, UnsupportedPrimeError
-from phicong.matrices import Matrix
-from phicong.words import (PhiImage, SubgroupSpec, Word, eval_word,
-                           format_word, index_of, parse_word, phi,
-                           relations_check, subgroup_member)
+from phicong.words import (PhiImage, SubgroupSpec, Word, format_word,
+                           index_of, parse_word, phi, subgroup_member)
 
 from cyc12_oracle import (PHI_S, PHI_T, image_matrix, member_by_matrices,
                           phi_by_matrices, phi_matrix)
+from ring_matrix import Matrix, eval_word, relations_check
 
 
 def rand_word(rng, maxlen=6, maxexp=5):
