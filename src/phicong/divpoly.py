@@ -1,15 +1,16 @@
-"""Division polynomials for the curve y^2 = x^3 - 1728.
+"""Division polynomials for the curve y^2 = x^3 - 1728, in Z[x].
 
 psi_N, phi_N, omega_N give the multiplication-by-N map
-[N](x, y) = (phi_N / psi_N^2, omega_N / psi_N^3).  Elements of the
-coordinate ring are stored as pairs f(x) + g(x)*y with y^2 eliminated
-via y^2 = x^3 - 1728.  Everything is exact integer arithmetic.
+[N](x, y) = (phi_N / psi_N^2, omega_N / psi_N^3) (Washington, *Elliptic
+Curves*, section 3.2).  psi_n is a polynomial in x for odd n and 2y times
+one for even n, so one integer sequence f_n (psi_n, or psi_n / 2y) carries
+them all.  The 2y factors pair up into F = (2y)^2 = 4(x^3 - 1728), so the
+recursion never divides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
@@ -18,30 +19,11 @@ from .polynomials import UniPoly
 from .rationals import padic_val, require_prime, split_power
 
 B = -1728
-CURVE = UniPoly([B, 0, 0, 1])          # x^3 - 1728  (= y^2)
-
-
-def _div_exact(f: UniPoly, g: UniPoly) -> UniPoly:
-    """Exact division of integer polynomials; errors if not exact."""
-    q = f.map_coeffs(Fraction)
-    out: List[Fraction] = [Fraction(0)] * max(0, q.degree - g.degree + 1)
-    r = list(q.coeffs)
-    lead = Fraction(g.coeffs[-1])
-    dg = g.degree
-    while len(r) - 1 >= dg:
-        while r and not r[-1]:
-            r.pop()
-        if len(r) - 1 < dg:
-            break
-        c = r[-1] / lead
-        shift = len(r) - 1 - dg
-        out[shift] = c
-        for i, gc in enumerate(g.coeffs):
-            r[shift + i] -= c * gc
-        r.pop()
-    if any(r) or any(c.denominator != 1 for c in out):
-        raise InternalConsistencyError("polynomial division expected to be exact")
-    return UniPoly([int(c) for c in out])
+_F = UniPoly([4 * B, 0, 0, 4])         # (2y)^2 = 4(x^3 - 1728)
+_F2 = _F * _F
+_BASE = (UniPoly(), UniPoly([1]), UniPoly([1]),                   # f_0 .. f_4
+         UniPoly([0, 12 * B, 0, 0, 3]),                   # 3x^4 + 12Bx
+         UniPoly([-16 * B * B, 0, 0, 40 * B, 0, 0, 2]))   # 2(x^6 + 20Bx^3 - 8B^2)
 
 
 def _scalar_div(f: UniPoly, d: int) -> UniPoly:
@@ -50,71 +32,25 @@ def _scalar_div(f: UniPoly, d: int) -> UniPoly:
     return UniPoly([c // d for c in f.coeffs])
 
 
-class CurveElem:
-    """f(x) + g(x)*y in Z[x,y]/(y^2 - x^3 + 1728)."""
-
-    __slots__ = ("f", "g")
-
-    def __init__(self, f: UniPoly = UniPoly(), g: UniPoly = UniPoly()):
-        self.f = f
-        self.g = g
-
-    def __add__(self, o: "CurveElem") -> "CurveElem":
-        return CurveElem(self.f + o.f, self.g + o.g)
-
-    def __sub__(self, o: "CurveElem") -> "CurveElem":
-        return CurveElem(self.f - o.f, self.g - o.g)
-
-    def __mul__(self, o: "CurveElem") -> "CurveElem":
-        return CurveElem(self.f * o.f + self.g * o.g * CURVE,
-                         self.f * o.g + self.g * o.f)
-
-    def square(self) -> "CurveElem":
-        return self * self
-
-    def div_y(self) -> "CurveElem":
-        """Exact division by y: (f + g y)/y = g + (f/(x^3-1728)) y."""
-        return CurveElem(self.g, _div_exact(self.f, CURVE))
-
-    def div_int(self, d: int) -> "CurveElem":
-        return CurveElem(_scalar_div(self.f, d), _scalar_div(self.g, d))
-
-    def pure_x(self) -> UniPoly:
-        if self.g:
-            raise InternalConsistencyError("expected a pure x-polynomial")
-        return self.f
-
-    def __repr__(self):
-        return f"CurveElem({self.f!r} + ({self.g!r})*y)"
-
-
-_X = UniPoly([0, 1])
-_Y = CurveElem(UniPoly(), UniPoly([1]))
-
-
 @lru_cache(maxsize=None)
-def _psi(n: int) -> CurveElem:
-    """The n-th division polynomial as a curve element (n may be negative)."""
+def _f(n: int) -> UniPoly:
+    """psi_n for odd n and psi_n / 2y for even n (n may be negative).
+
+    The elliptic divisibility recursion, with each psi of even index
+    written 2y f: the odd step carries F^2 on its even-index product, and
+    in the even step the (2y)^2 cancels.
+    """
     if n < 0:
-        p = _psi(-n)
-        return CurveElem(-p.f, -p.g)
-    if n == 0:
-        return CurveElem()
-    if n == 1:
-        return CurveElem(UniPoly([1]))
-    if n == 2:
-        return CurveElem(UniPoly(), UniPoly([2]))                  # 2y
-    if n == 3:
-        return CurveElem(UniPoly([0, 12 * B, 0, 0, 3]))            # 3x^4 + 12bx
-    if n == 4:
-        # 4y(x^6 + 20bx^3 - 8b^2)
-        return CurveElem(UniPoly(), UniPoly([-32 * B * B, 0, 0, 80 * B, 0, 0, 4]))
-    m, rem = divmod(n, 2)
-    if rem:
-        return _psi(m + 2) * _psi(m).square() * _psi(m) \
-            - _psi(m - 1) * _psi(m + 1).square() * _psi(m + 1)
-    inner = _psi(m + 2) * _psi(m - 1).square() - _psi(m - 2) * _psi(m + 1).square()
-    return (_psi(m) * inner).div_y().div_int(2)
+        return -_f(-n)
+    if n < len(_BASE):
+        return _BASE[n]
+    m, odd = divmod(n, 2)
+    if odd:
+        a = _f(m + 2) * _f(m) * _f(m) * _f(m)
+        b = _f(m - 1) * _f(m + 1) * _f(m + 1) * _f(m + 1)
+        return a * _F2 - b if m % 2 == 0 else a - b * _F2
+    return _f(m) * (_f(m + 2) * _f(m - 1) * _f(m - 1)
+                    - _f(m - 2) * _f(m + 1) * _f(m + 1))
 
 
 @dataclass(frozen=True)
@@ -130,19 +66,25 @@ class DivisionTriple:
 def division_polynomials(N: int) -> DivisionTriple:
     if N < 1:
         raise DomainError(f"N must be a positive integer, got {N}")
-    psi_sq = _psi(N).square().pure_x()
-    phi_pol = (_X * psi_sq) - (_psi(N + 1) * _psi(N - 1)).pure_x()
-    om = (_psi(N + 2) * _psi(N - 1).square()
-          - _psi(N - 2) * _psi(N + 1).square()).div_y().div_int(4)
-    parity = N % 2
-    omega_poly = om.g.map_coeffs(int) if parity else om.f
-    if (om.f if parity else om.g):
-        raise InternalConsistencyError("omega has unexpected y-structure")
+    even = N % 2 == 0
+    psi_sq = _f(N) * _f(N)
+    cross = _f(N + 1) * _f(N - 1)               # psi_{N+1} psi_{N-1}, up to F
+    if even:
+        psi_sq = psi_sq * _F
+    else:
+        cross = cross * _F
+    phi_pol = UniPoly([0] + psi_sq.coeffs) - cross
+    # (psi_{N+2} psi_{N-1}^2 - psi_{N-2} psi_{N+1}^2) / 4y is y times this
+    # for odd N and half of it for even N
+    omega = (_f(N + 2) * _f(N - 1) * _f(N - 1)
+             - _f(N - 2) * _f(N + 1) * _f(N + 1))
+    if even:
+        omega = _scalar_div(omega, 2)
     if psi_sq.degree != N * N - 1 or psi_sq.coeffs[-1] != N * N:
         raise InternalConsistencyError("psi_N^2 degree/leading-term check failed")
     if phi_pol.degree != N * N or phi_pol.coeffs[-1] != 1:
         raise InternalConsistencyError("phi_N degree/leading-term check failed")
-    return DivisionTriple(N, psi_sq, phi_pol, (omega_poly, parity))
+    return DivisionTriple(N, psi_sq, phi_pol, (omega, N % 2))
 
 
 def rescaled(N: int) -> Tuple[UniPoly, UniPoly]:
@@ -154,14 +96,8 @@ def rescaled(N: int) -> Tuple[UniPoly, UniPoly]:
         raise DomainError(f"rescaled needs N >= 2, got {N}")
     triple = division_polynomials(N)
     n2 = N * N
-    psi_hat = triple.psiSq.map_coeffs(Fraction).scale_arg(Fraction(12)) \
-        * Fraction(1, 12 ** (n2 - 1))
-    phi_hat = triple.phiPol.map_coeffs(Fraction).scale_arg(Fraction(12)) \
-        * Fraction(1, 12 ** n2)
-    for poly in (psi_hat, phi_hat):
-        if any(c.denominator != 1 for c in poly.coeffs):
-            raise InternalConsistencyError("rescaled polynomial is not integral")
-    return psi_hat.map_coeffs(int), phi_hat.map_coeffs(int)
+    return (_scalar_div(triple.psiSq.scale_arg(12), 12 ** (n2 - 1)),
+            _scalar_div(triple.phiPol.scale_arg(12), 12 ** n2))
 
 
 @dataclass(frozen=True)
@@ -186,8 +122,7 @@ def reduction_profile(N: int, p: int) -> ReductionProfile:
         raise DomainError(f"N must be a positive integer, got {N}")
     triple = division_polynomials(N)
     b = triple.psiSq
-    psi_part = _psi(N)
-    psi_poly = psi_part.g if N % 2 == 0 else psi_part.f
+    psi_poly = _f(N) * 2 if N % 2 == 0 else _f(N)      # psi_N = 2y f_N, N even
     sq_vals = [padic_val(b[i], p) for i in range(b.degree + 1)]
     psi_vals = [padic_val(psi_poly[i], p) for i in range(psi_poly.degree + 1)]
     r = split_power(N, p)[0]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from .errors import DomainError, InternalConsistencyError, UnsupportedPrimeError
 from .rationals import factorize, is_prime, require_prime
@@ -26,21 +26,13 @@ def legendre(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
-def _divisors(n: int):
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
-
-
-def _moebius(n: int) -> int:
-    exps = factorize(n).values()
-    return 0 if any(e > 1 for e in exps) else (-1) ** len(exps)
+def _divisors_moebius(factors: Dict[int, int]) -> List[Tuple[int, int]]:
+    """(d, mu(d)) for every divisor d of the n factorized as {prime: exponent}."""
+    pairs = [(1, 1)]
+    for q, e in factors.items():
+        pairs = [(d * q ** k, mu * (1, -1, 0)[min(k, 2)])
+                 for d, mu in pairs for k in range(e + 1)]
+    return pairs
 
 
 def chi_power(p: int, d: int) -> int:
@@ -75,13 +67,15 @@ class CuspData:
 
 def cusp_data_character(p: int) -> CuspData:
     """Cusp widths of the point stabilizer via Moebius inversion of chi:
-    c_n = (1/n) sum_{d | n} mu(n/d) chi(T^d)."""
+    c_n = (1/n) sum_{d | n} mu(d) chi(T^(n/d)), over n | p(p-1)."""
     require_prime(p, 7)
     n0 = p * (p - 1)
+    pairs = _divisors_moebius({p: 1, **factorize(p - 1)})
+    squarefree = [(d, mu) for d, mu in pairs if mu]
     widths: Dict[int, int] = {}
     total = 0
-    for n in _divisors(n0):
-        s = sum(_moebius(n // d) * chi_power(p, d) for d in _divisors(n))
+    for n, _ in sorted(pairs):
+        s = sum(mu * chi_power(p, n // d) for d, mu in squarefree if n % d == 0)
         if s % n != 0 or s < 0:
             raise InternalConsistencyError(f"c_{n} is not a non-negative integer")
         c = s // n

@@ -42,7 +42,7 @@ class Matrix:
         while e:
             if e & 1:
                 acc = acc * base
-            base = base * base
+            base = base * base if e > 1 else base
             e >>= 1
         return acc
 

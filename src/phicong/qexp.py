@@ -198,12 +198,7 @@ def denominator_report(N: int, prec: int,
         vals = [padic_val(c, p) for _, c in terms]
         mins = tuple(min(vals[:c]) for c in cutoffs)
         integral = all(v >= 0 for v in vals)
-        if p > 3:
-            expected_integral = r == 0
-        elif p == 3:
-            expected_integral = r == 0
-        else:
-            expected_integral = N % 4 != 0
+        expected_integral = N % 4 != 0 if p == 2 else r == 0
         trend = mins[0] > mins[1] > mins[2]
         bound_ok = all(v >= -2 * r * (e + 1) for (e, _), v in zip(terms, vals))
         reports.append(PrimeReport(p, mins, integral, expected_integral,

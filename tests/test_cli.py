@@ -248,7 +248,10 @@ class TestResourceGuard:
 
 # stdout of each invocation, captured before phi moved to (u, v)
 # coordinates and the eliminations mod p were merged; the --lift-check
-# entries before rho moved from residue objects to integer matrices mod m
+# entries before rho moved from residue objects to integer matrices mod m;
+# divpoly at levels 4, 6 and 7 and genus at p = 1000003 before the
+# division polynomials moved into Z[x] and the divisors of p(p - 1) came
+# from one factorization
 GOLDEN = json.loads((Path(__file__).parent / "golden_stdout.json").read_text())
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from phicong.divpoly import division_polynomials, reduction_profile, rescaled
+from phicong.divpoly import _f, division_polynomials, reduction_profile, rescaled
 from phicong.errors import DomainError, UnsupportedPrimeError
 from phicong.polynomials import UniPoly
 
@@ -34,7 +34,34 @@ def gcd_degree_mod_p(a: UniPoly, b: UniPoly, p: int) -> int:
     return len(A) - 1
 
 
+F = UniPoly([4 * B, 0, 0, 4])            # (2y)^2
+
+
+def psi_product(*ks):
+    """The product of psi_k over ks as a polynomial in x.
+
+    psi_k is f_k (2y)^e with e = 1 for even k and 0 for odd k, and the
+    total power of 2y is even here, so it becomes a power of F = (2y)^2.
+    """
+    out, e = UniPoly([1]), 0
+    for k in ks:
+        out, e = out * _f(k), e + (k % 2 == 0)
+    assert e % 2 == 0
+    return out * F ** (e // 2)
+
+
 class TestDivisionPolynomials:
+    def test_elliptic_divisibility(self):
+        # psi_{m+n} psi_{m-n} = psi_{m+1} psi_{m-1} psi_n^2
+        #                       - psi_{n+1} psi_{n-1} psi_m^2
+        # for every pair, not only the ones the recursion is built from
+        for m in range(2, 13):
+            for n in range(1, m):
+                assert psi_product(m + n, m - n) == (
+                    psi_product(m + 1, m - 1, n, n)
+                    - psi_product(n + 1, n - 1, m, m)), (m, n)
+
+
     def test_N1_identity(self):
         t = division_polynomials(1)
         assert t.psiSq.coeffs == [1]

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from phicong.divpoly import _psi, division_polynomials
+from phicong.divpoly import _f, division_polynomials
 from phicong.errors import DomainError
 from phicong.qexp import basis_series, denominator_report, xtilde, ytilde
 from phicong.series import LaurentSeries
@@ -160,8 +160,8 @@ class TestYtilde:
             yhat = ytilde(n, prec).shift(3)
             square = yhat * yhat - (xhat * xhat * xhat - LaurentSeries({6: 1728}))
             assert square.is_zero() and square.prec >= 6 * 31
-            psi = _psi(n)
-            psi_poly, psi_y = (psi.g, 1) if n % 2 == 0 else (psi.f, 0)
+            # psi_n = 2y f_n for even n, f_n for odd n
+            psi_poly, psi_y = (_f(n) * 2, 1) if n % 2 == 0 else (_f(n), 0)
             omega_poly, omega_y = division_polynomials(n).omega
             powers = [LaurentSeries.one()]
             for _ in range(omega_poly.degree):
@@ -204,6 +204,19 @@ class TestDenominators:
         assert by_p[5].bound_ok
         for p in (2, 3, 7, 11):
             assert by_p[p].integral and by_p[p].expected_integral
+
+    def test_unbounded_to_300_terms(self):
+        # criterion 3 beyond 30 terms: the minima keep falling at 100 and
+        # 300 terms where the dichotomy predicts denominators, and N = 10
+        # stays 2-integral since 4 does not divide it
+        cutoffs = (30, 100, 300)
+        for n, p, mins in ((5, 5, (-178, -614, -1864)), (4, 2, (-167, -588, -1788))):
+            pr = {pr.p: pr for pr in denominator_report(n, 1793, cutoffs).primes}[p]
+            assert not pr.expected_integral and not pr.integral
+            assert pr.unbounded_trend and pr.min_vals == mins
+            assert pr.bound_ok
+        pr = {pr.p: pr for pr in denominator_report(10, 1793, cutoffs).primes}[2]
+        assert pr.expected_integral and pr.integral and pr.bound_ok
 
     def test_too_few_terms(self):
         with pytest.raises(DomainError):
