@@ -51,7 +51,7 @@ def _write_qexp(args) -> int:
     need = max(terms_wanted, 30 if args.denominators else 0)
     prec = max(17, 6 * need - 7)
     xt = xtilde(args.level, prec)
-    terms = xt.series.items()[:terms_wanted]
+    terms = xt.items()[:terms_wanted]
     if args.format == "csv":
         sys.stdout.write("exp,numerator,denominator\n")
         for e, c in terms:

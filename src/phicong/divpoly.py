@@ -63,22 +63,25 @@ class DivisionTriple:
     omega: Tuple[UniPoly, int]
 
 
+def _psi_sq(N: int) -> UniPoly:
+    """psi_N^2 = f_N^2, times F = (2y)^2 for even N."""
+    sq = _f(N) * _f(N)
+    return sq * _F if N % 2 == 0 else sq
+
+
 def division_polynomials(N: int) -> DivisionTriple:
     if N < 1:
         raise DomainError(f"N must be a positive integer, got {N}")
-    even = N % 2 == 0
-    psi_sq = _f(N) * _f(N)
+    psi_sq = _psi_sq(N)
     cross = _f(N + 1) * _f(N - 1)               # psi_{N+1} psi_{N-1}, up to F
-    if even:
-        psi_sq = psi_sq * _F
-    else:
+    if N % 2:
         cross = cross * _F
     phi_pol = UniPoly([0] + psi_sq.coeffs) - cross
     # (psi_{N+2} psi_{N-1}^2 - psi_{N-2} psi_{N+1}^2) / 4y is y times this
     # for odd N and half of it for even N
     omega = (_f(N + 2) * _f(N - 1) * _f(N - 1)
              - _f(N - 2) * _f(N + 1) * _f(N + 1))
-    if even:
+    if N % 2 == 0:
         omega = _scalar_div(omega, 2)
     if psi_sq.degree != N * N - 1 or psi_sq.coeffs[-1] != N * N:
         raise InternalConsistencyError("psi_N^2 degree/leading-term check failed")
@@ -120,8 +123,7 @@ def reduction_profile(N: int, p: int) -> ReductionProfile:
     require_prime(p, 3)
     if N < 1:
         raise DomainError(f"N must be a positive integer, got {N}")
-    triple = division_polynomials(N)
-    b = triple.psiSq
+    b = _psi_sq(N)
     psi_poly = _f(N) * 2 if N % 2 == 0 else _f(N)      # psi_N = 2y f_N, N even
     sq_vals = [padic_val(b[i], p) for i in range(b.degree + 1)]
     psi_vals = [padic_val(psi_poly[i], p) for i in range(psi_poly.degree + 1)]

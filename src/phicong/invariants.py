@@ -46,10 +46,15 @@ def chi_power(p: int, d: int) -> int:
     n = p * (p - 1)
     if d < 1 or n % d != 0:
         raise DomainError(f"d = {d} does not divide p(p-1) = {n}")
-    half = (p - 1) // 2
+    return _chi(p, d)
+
+
+def _chi(p: int, d: int) -> int:
+    """The closed form of chi_power, without its checks of p and d."""
+    n = p * (p - 1)
     if d in (n, n // 2):
         return p ** 3 + p ** 2 + p + 1
-    if d in (half, p - 1):
+    if d in ((p - 1) // 2, p - 1):
         return 2 * p + 1
     if d % p == 0:
         return p + 3
@@ -75,7 +80,7 @@ def cusp_data_character(p: int) -> CuspData:
     widths: Dict[int, int] = {}
     total = 0
     for n, _ in sorted(pairs):
-        s = sum(mu * chi_power(p, n // d) for d, mu in squarefree if n % d == 0)
+        s = sum(mu * _chi(p, n // d) for d, mu in squarefree if n % d == 0)
         if s % n != 0 or s < 0:
             raise InternalConsistencyError(f"c_{n} is not a non-negative integer")
         c = s // n

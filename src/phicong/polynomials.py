@@ -53,9 +53,10 @@ class UniPoly:
             if not self or not other:
                 return UniPoly()
             out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+            terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
             for i, a in enumerate(self.coeffs):
                 if a:
-                    for j, b in enumerate(other.coeffs):
+                    for j, b in terms:
                         out[i + j] = out[i + j] + a * b
             return UniPoly(out)
         return UniPoly([c * other for c in self.coeffs])

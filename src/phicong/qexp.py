@@ -9,7 +9,8 @@ psi_N(x)^2 E4 = phi_N(x) eta^8.  It is not found from that degree-N^2
 relation: [N] scales the invariant differential dx/2y by N, so
 D xtilde = -2 ytilde eta^4 / N with D = q d/dq, and that relation with
 ytilde^2 = xtilde^3 - 1728 determines both series term by term
-(``_tower``).  Everything lives on the lattice Q = q^6 as dense lists.
+(``_tower``); at N = 1 it gives x and y.  Everything lives on the
+lattice Q = q^6 as dense lists and is returned as a ``LaurentSeries``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import List, Tuple
 
 from .errors import DomainError, InternalConsistencyError
 from .rationals import padic_val, split_power
-from .series import LaurentSeries, div_exact, mul_trunc
+from .series import LaurentSeries, mul_trunc
 
 PRIMES_37 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -63,9 +64,11 @@ def _eta_q(n: int) -> List[int]:
     return mul_trunc(f2, f2, n)
 
 
-def _on_lattice(coeffs: List, shift: int, prec: int) -> LaurentSeries:
-    """sum_j coeffs[j] q^(6j + shift), known to O(q^prec)."""
-    return LaurentSeries({6 * j + shift: c for j, c in enumerate(coeffs)}, prec)
+def _on_lattice(coeffs: List[int], N: int, shift: int, prec: int) -> LaurentSeries:
+    """sum_k coeffs[k] / N^(12k) q^(6k + shift), known to O(q^prec): the
+    rescaling of ``_tower`` undone, with N = 1 for a series not rescaled."""
+    return LaurentSeries({6 * k + shift: Fraction(c, N ** (12 * k))
+                          for k, c in enumerate(coeffs)}, prec)
 
 
 @lru_cache(maxsize=8)
@@ -73,15 +76,11 @@ def basis_series(prec: int) -> BasisSeries:
     if prec < 1:
         raise DomainError(f"prec must be >= 1, got {prec}")
     n = prec // 6 + 2
-    eta4 = _eta_q(n)
-    eta8 = mul_trunc(eta4, eta4, n)        # eta^8 / q^2 and eta^12 / q^3
-    eta12 = mul_trunc(eta8, eta4, n)       # have constant term 1
-    e4 = _sigma_q(3, 240, n)
-    e6 = _sigma_q(5, -504, n)
-    return BasisSeries(_on_lattice(eta4, 1, prec), _on_lattice(e4, 0, prec),
-                       _on_lattice(e6, 0, prec),
-                       _on_lattice(div_exact(e4, eta8, n), -2, prec),
-                       _on_lattice(div_exact(e6, eta12, n), -3, prec), prec)
+    x, y = _tower(1, n)
+    return BasisSeries(_on_lattice(_eta_q(n), 1, 1, prec),
+                       _on_lattice(_sigma_q(3, 240, n), 1, 0, prec),
+                       _on_lattice(_sigma_q(5, -504, n), 1, 0, prec),
+                       _on_lattice(x, 1, -2, prec), _on_lattice(y, 1, -3, prec), prec)
 
 
 def _inner_square(c: List[int], m: int) -> int:
@@ -132,28 +131,15 @@ def _tower(N: int, n: int) -> Tuple[List[int], List[int]]:
     return a, b
 
 
-def _from_tower(coeffs: List[int], N: int, shift: int, prec: int) -> LaurentSeries:
-    """Undo the rescaling: coefficient k is coeffs[k] / N^(12k)."""
-    return _on_lattice([Fraction(c, N ** (12 * k)) for k, c in enumerate(coeffs)],
-                       shift, prec)
-
-
-@dataclass(frozen=True)
-class XtildeSeries:
-    N: int
-    series: LaurentSeries
-    prec: int
-
-
 @lru_cache(maxsize=64)
-def xtilde(N: int, prec: int) -> XtildeSeries:
+def xtilde(N: int, prec: int) -> LaurentSeries:
     """xtilde = N^2 q^-2 + ..., with coefficients known for exponents < prec."""
     if N < 2:
         raise DomainError(f"xtilde needs N >= 2, got {N}")
     if prec < 17:
         raise DomainError("prec too small to contain three nonzero terms")
     a, _ = _tower(N, (prec + 7) // 6)      # exponents 6k - 2 < prec
-    return XtildeSeries(N, _from_tower(a, N, -2, prec), prec)
+    return _on_lattice(a, N, -2, prec)
 
 
 def ytilde(N: int, prec: int) -> LaurentSeries:
@@ -164,7 +150,7 @@ def ytilde(N: int, prec: int) -> LaurentSeries:
     if prec < 1:
         raise DomainError(f"prec must be >= 1, got {prec}")
     _, b = _tower(N, (prec + 8) // 6)      # exponents 6k - 3 < prec
-    return _from_tower(b, N, -3, prec)
+    return _on_lattice(b, N, -3, prec)
 
 
 @dataclass(frozen=True)
@@ -187,7 +173,7 @@ class DenominatorReport:
 
 def denominator_report(N: int, prec: int,
                        cutoffs: Tuple[int, int, int] = (10, 20, 30)) -> DenominatorReport:
-    xt = xtilde(N, prec).series
+    xt = xtilde(N, prec)
     terms = xt.items()
     if len(terms) < cutoffs[-1]:
         raise DomainError(

@@ -9,8 +9,7 @@ series in it.
 
 The computations work on dense integer lists instead: ``a[j]`` is the
 coefficient of Q^j, and a list of length n is a power series known below
-Q^n.  ``mul_trunc`` multiplies, and ``div_exact`` divides when the
-quotient is integral.
+Q^n.  ``mul_trunc`` multiplies them.
 """
 
 from __future__ import annotations
@@ -231,22 +230,3 @@ def mul_trunc(a: Sequence[int], b: Sequence[int], n: int) -> List[int]:
                 out[j] += x * y
     return out
 
-
-def div_exact(num: Sequence[int], den: Sequence[int], n: int) -> List[int]:
-    """The quotient num/den below Q^n, which must lie in Z[[Q]].
-
-    Long division: each coefficient is one exact integer division by den[0];
-    a nonzero remainder means the quotient is not integral (DomainError).
-    """
-    d0 = den[0]
-    if not d0:
-        raise DomainError("divisor must have a nonzero constant term")
-    out: List[int] = []
-    for j in range(n):
-        s = num[j] - sum(den[j - i] * out[i]
-                         for i in range(max(0, j + 1 - len(den)), j))
-        q, r = divmod(s, d0)
-        if r:
-            raise DomainError(f"quotient is not integral at Q^{j}")
-        out.append(q)
-    return out

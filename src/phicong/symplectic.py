@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DomainError, InternalConsistencyError, UnsupportedPrimeError
 from .matrices import Matrix
-from .rationals import require_prime
+from .rationals import factorize, require_prime
 from .words import Word
 
 
@@ -186,21 +186,16 @@ def permutation(M: Matrix, p: int) -> np.ndarray:
 
 
 def cycle_type(perm: np.ndarray) -> Dict[int, int]:
-    """{cycle length: number of cycles} of a permutation."""
-    n = len(perm)
-    seen = np.zeros(n, dtype=bool)
-    counts: Dict[int, int] = {}
-    for i in range(n):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = int(perm[j])
-            length += 1
-        counts[length] = counts.get(length, 0) + 1
-    return counts
+    """{cycle length: number of cycles} of a permutation, by pointer
+    doubling: least[i] is the least of the 2^k points from i on, and jump
+    is perm^(2^k).  While a cycle is longer than 2^k, least still changes
+    2^k steps before its minimum, so the first round that changes nothing
+    has found every cycle's minimum, where the cycle is counted."""
+    least, jump = np.minimum(np.arange(len(perm)), perm), perm[perm]
+    while ((step := np.minimum(least, least[jump])) != least).any():
+        least, jump = step, jump[jump]
+    cycles = np.bincount(np.bincount(least))      # cycles[L]: cycles of length L
+    return {int(k): int(cycles[k]) for k in np.flatnonzero(cycles[1:]) + 1}
 
 
 def fixed_points(perm: np.ndarray) -> int:
@@ -432,14 +427,16 @@ class SurjectivityVerdict:
     surjective_psp4: bool        # perm_group_order == |Sp4(F_p)| / 2
 
 
-def matrix_order(M: Matrix, cap: int) -> int:
-    """Multiplicative order of M by iteration, at most cap."""
-    acc = M
-    for k in range(1, cap + 1):
-        if acc.is_identity():
-            return k
-        acc = acc * M
-    raise DomainError(f"matrix order exceeds cap {cap}")
+def matrix_order(M: Matrix, exponent: int) -> int:
+    """Multiplicative order of M, given an exponent with M^exponent = I:
+    each prime q of the exponent is divided out while M^(order/q) = I."""
+    if not (M ** exponent).is_identity():
+        raise InternalConsistencyError(f"matrix power {exponent} is not the identity")
+    order = exponent
+    for q in factorize(exponent):
+        while order % q == 0 and (M ** (order // q)).is_identity():
+            order //= q
+    return order
 
 
 def surjectivity_verdict(params: SpParams, perm_s: np.ndarray,

@@ -327,6 +327,20 @@ class TestSurjectivityAtScale:
         assert usage.ru_maxrss < 200 * 1024          # KiB on Linux
 
 
+class TestGenusAtScale:
+    def test_p_near_10_to_12_under_10_s(self):
+        # the Moebius sum does not test p for primality per (n, d) pair
+        p = 10 ** 12 + 39
+        argv = ["genus", "--p", str(p)]
+        script = f"import sys\nfrom phicong.cli import main\nsys.exit(main({argv!r}))\n"
+        done = subprocess.run([sys.executable, "-c", script], env=_child_env(),
+                              capture_output=True, text=True, timeout=10)
+        assert done.returncode == 0, done.stderr
+        doc = json.loads(done.stdout)
+        assert doc["cusps"]["total"] == 2 * p + 12
+        assert doc["cusps"]["widths"][str(p)] == 1
+
+
 _VALID_TOKENS = ("S", "T", "S^-1", "S-1", "T^5", "T^-12", "S^3", "T^0")
 _MALFORMED_TOKENS = ("Q^2", "S^", "T^x", "^3", "s", "T^^2", "S^1.5", "TT",
                      "S^-")

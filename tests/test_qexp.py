@@ -61,6 +61,16 @@ class TestBasis:
         assert b.x.coeff(-2) == 1
         assert b.x.coeff(4) == 248
 
+    def test_x_and_y_are_quotients(self):
+        # x and y come from the recurrence at N = 1; check them against
+        # E4/eta^8 and E6/eta^12 by LaurentSeries division
+        for prec in (20, 100):
+            b = basis_series(prec)
+            q = b.E4 / b.eta4 ** 2
+            assert b.x.truncate(q.prec) == q
+            q = b.E6 / b.eta4 ** 3
+            assert b.y.truncate(q.prec) == q
+
     def test_matches_fraction_builders(self):
         b = basis_series(100)
         f = euler_product(110)
@@ -72,26 +82,26 @@ class TestBasis:
 
 class TestXtilde:
     def test_N2_golden(self):
-        s = xtilde(2, 17).series
+        s = xtilde(2, 17)
         assert s.coeff(-2) == 4
         assert s.coeff(4) == 20
         assert s.coeff(10) == -28
 
     def test_N3_golden(self):
-        s = xtilde(3, 17).series
+        s = xtilde(3, 17)
         assert s.coeff(-2) == 9
         assert s.coeff(4) == Fraction(40, 3)
         assert s.coeff(10) == Fraction(-68, 81)
 
     def test_N5_golden(self):
-        s = xtilde(5, 17).series
+        s = xtilde(5, 17)
         assert s.coeff(-2) == 25
         assert s.coeff(4) == Fraction(18104, 625)
         assert s.coeff(10) == Fraction(155226332, 9765625)
 
     def test_defining_relation(self):
         for n in (2, 3):
-            s = xtilde(n, 29).series
+            s = xtilde(n, 29)
             b = basis_series(40)
             t = division_polynomials(n)
             eta8 = b.eta4 * b.eta4
@@ -103,7 +113,7 @@ class TestXtilde:
         b = basis_series(360)
         eta8 = b.eta4 * b.eta4
         for n in (2, 3, 4, 5, 7, 10):
-            xhat = xtilde(n, 358).series.shift(2)
+            xhat = xtilde(n, 358).shift(2)
             powers = [LaurentSeries.one()]
             for _ in range(n * n):
                 powers.append(powers[-1] * xhat)
@@ -115,16 +125,16 @@ class TestXtilde:
 
     def test_matches_fraction_lift(self):
         for n in (2, 3, 4, 5, 6, 7, 10):
-            assert xtilde(n, 173).series == xtilde_by_fractions(n, 173)
+            assert xtilde(n, 173) == xtilde_by_fractions(n, 173)
 
     def test_support_lattice(self):
         for n in range(2, 7):
-            s = xtilde(n, 35).series
+            s = xtilde(n, 35)
             assert all(e % 6 == 4 for e, _ in s.items())
 
     def test_leading_coefficient(self):
         for n in range(2, 7):
-            assert xtilde(n, 17).series.coeff(-2) == n * n
+            assert xtilde(n, 17).coeff(-2) == n * n
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -134,12 +144,9 @@ class TestXtilde:
 
 
 class TestYtilde:
-    def test_N1_is_y(self):
-        assert ytilde(1, 20).coeffs == basis_series(20).y.coeffs
-
     def test_square_relation(self):
         for n in (2, 3):
-            xt = xtilde(n, 29).series
+            xt = xtilde(n, 29)
             yt = ytilde(n, 29)
             assert (yt * yt - (xt * xt * xt - 1728)).is_zero()
 
@@ -156,7 +163,7 @@ class TestYtilde:
         b = basis_series(prec)
         eta12 = (b.eta4 * b.eta4 * b.eta4).shift(-3)
         for n in (2, 3, 4, 5, 7):
-            xhat = xtilde(n, prec).series.shift(2)
+            xhat = xtilde(n, prec).shift(2)
             yhat = ytilde(n, prec).shift(3)
             square = yhat * yhat - (xhat * xhat * xhat - LaurentSeries({6: 1728}))
             assert square.is_zero() and square.prec >= 6 * 31

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from phicong.errors import DomainError, PrecisionError
-from phicong.series import LaurentSeries, div_exact, mul_trunc
+from phicong.series import LaurentSeries, mul_trunc
 
 from hensel_oracle import HenselError, hensel_root, series_sqrt
 
@@ -121,24 +121,6 @@ class TestKernel:
             ref = (LaurentSeries(dict(enumerate(a)))
                    * LaurentSeries(dict(enumerate(b))))
             assert mul_trunc(a, b, n) == [ref.coeff(j) for j in range(n)]
-
-    def test_div_exact_inverts_mul(self):
-        rng = random.Random(6)
-        for _ in range(40):
-            n = rng.randint(1, 15)
-            q = [rng.randint(-10 ** 20, 10 ** 20) for _ in range(n)]
-            den = [rng.choice((-1, 1)) * rng.randint(1, 10 ** 6)] + \
-                [rng.randint(-10 ** 20, 10 ** 20) for _ in range(rng.randint(0, n))]
-            assert div_exact(mul_trunc(q, den, n), den, n) == q
-
-    def test_div_exact_rejects_non_integral_quotient(self):
-        assert div_exact([1, 0, 0], [1, 2], 3) == [1, -2, 4]
-        with pytest.raises(DomainError, match="Q\\^1"):
-            div_exact([2, 1], [2, 0], 2)            # (2 + Q)/2 = 1 + Q/2
-
-    def test_div_exact_needs_unit_constant_term(self):
-        with pytest.raises(DomainError):
-            div_exact([0, 1], [0, 1], 2)
 
 
 def poly(*coeffs, prec):

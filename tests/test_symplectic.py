@@ -21,6 +21,29 @@ from closed_forms import (Lagrangian, assert_matches_closed_forms, in_span,
 from ring_matrix import Matrix as RingMatrix, eval_word
 
 
+def order_by_iteration(M):
+    """The oracle for matrix_order: the least k >= 1 with M^k = I."""
+    acc, k = M, 1
+    while not acc.is_identity():
+        acc, k = acc * M, k + 1
+    return k
+
+
+def cycle_type_by_walk(perm):
+    """The oracle for cycle_type: walk each cycle from its first point."""
+    seen = [False] * len(perm)
+    counts = {}
+    for i in range(len(perm)):
+        length, j = 0, i
+        while not seen[j]:
+            seen[j] = True
+            j = int(perm[j])
+            length += 1
+        if length:
+            counts[length] = counts.get(length, 0) + 1
+    return counts
+
+
 class TestRho:
     def test_params_validation(self):
         with pytest.raises(UnsupportedPrimeError):
@@ -45,7 +68,16 @@ class TestRho:
     def test_matrix_order_T(self):
         for p, x in ((11, 2), (13, 2)):
             _, T4 = rho_matrices(SpParams(p, x))
-            assert matrix_order(T4, p * p) == p * (p - 1)
+            assert matrix_order(T4, p * (p - 1)) == p * (p - 1)
+            with pytest.raises(InternalConsistencyError):
+                matrix_order(T4, p * p)         # not a multiple of the order
+
+    def test_matrix_order_matches_iteration(self):
+        for p in (11, 13, 17):
+            for x in range(1, p):
+                for y in (None, 3):
+                    _, T4 = rho_matrices(SpParams(p, x, y))
+                    assert matrix_order(T4, p * (p - 1)) == order_by_iteration(T4)
 
     def test_invariant_forms_contains_J(self):
         p = 11
@@ -161,6 +193,17 @@ class TestPermutations:
         assert fixed_points(perm) == 1
         assert lcm(*cycle_type(perm)) == 6
         assert cycle_type(np.arange(0)) == {}
+
+    def test_cycle_type_matches_walk(self):
+        for p in (11, 13, 23, 29, 47):
+            S4, T4 = rho_matrices(SpParams(p, 2))
+            perm_s, perm_t = permutation(S4, p), permutation(T4, p)
+            for perm in (perm_s, perm_t, perm_s[perm_t]):
+                assert cycle_type(perm) == cycle_type_by_walk(perm)
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 3, 7, 1000, 10 ** 5):
+            perm = rng.permutation(n)
+            assert cycle_type(perm) == cycle_type_by_walk(perm)
 
     def test_fixed_points_S(self):
         # epsilon_2 = p + 2 + legendre(-1, p)
