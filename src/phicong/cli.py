@@ -143,7 +143,7 @@ def _cmd_grassmannian(args) -> int:
     params = SpParams(args.p, args.x)
     if args.surjectivity or args.epsilons:
         S4, T4 = rho_matrices(params)
-        perm_s, perm_t = permutation(S4, args.p), permutation(T4, args.p)
+        perm_s, perm_t = permutation(S4), permutation(T4)
         # rho(ST) acts as rho(S) after rho(T)
         eps = {"epsilon2": fixed_points(perm_s),
                "epsilon3": fixed_points(perm_s[perm_t])}
@@ -156,14 +156,12 @@ def _cmd_grassmannian(args) -> int:
         _emit({"p": args.p, "x": args.x, **eps})
     elif args.cycles:
         _, T4 = rho_matrices(params)
-        data = cusp_data_cycles(permutation(T4, args.p))
+        data = cusp_data_cycles(permutation(T4))
         _emit({"p": args.p, "x": args.x, "total": data.total,
                "widths": {str(w): m for w, m in sorted(data.widths.items())}})
     elif args.lift_check:
         _emit({"p": args.p, "x": args.x,
                "liftWitness": lift_witness_mod_p2(params)})
-    else:
-        raise DomainError("choose one of --epsilons/--cycles/--surjectivity/--lift-check")
     return 0
 
 
@@ -185,7 +183,7 @@ def _cmd_cusps(args) -> int:
             raise DomainError("--oracle cycles requires --x")
         from .symplectic import SpParams, permutation, rho_matrices
         _, T4 = rho_matrices(SpParams(args.p, args.x))
-        data = cusp_data_cycles(permutation(T4, args.p))
+        data = cusp_data_cycles(permutation(T4))
     else:
         data = cusp_data_character(args.p)
     _emit({"p": args.p, "oracle": args.oracle, "total": data.total,

@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError
+from .polynomials import mul_trunc
+from .rationals import power
 
 
 class Cyc12:
@@ -60,12 +62,7 @@ class Cyc12:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        a, b = self.c, o.c
-        conv = [Fraction(0)] * 7
-        for i in range(4):
-            if a[i]:
-                for j in range(4):
-                    conv[i + j] += a[i] * b[j]
+        conv = mul_trunc(self.c, o.c, 7)
         # reduce with zeta^4 = zeta^2 - 1, zeta^5 = zeta^3 - zeta, zeta^6 = -1
         r0 = conv[0] - conv[4] - conv[6]
         r1 = conv[1] - conv[5]
@@ -97,15 +94,7 @@ class Cyc12:
         return self._coerce(other) / self
 
     def __pow__(self, e: int):
-        base = self.inverse() if e < 0 else self
-        e = abs(e)
-        acc = Cyc12(1)
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
+        return power(self.inverse() if e < 0 else self, abs(e), Cyc12(1))
 
     def __eq__(self, other):
         o = self._coerce(other)

@@ -66,27 +66,35 @@ class DivisionTriple:
 def _psi_sq(N: int) -> UniPoly:
     """psi_N^2 = f_N^2, times F = (2y)^2 for even N."""
     sq = _f(N) * _f(N)
-    return sq * _F if N % 2 == 0 else sq
+    if N % 2 == 0:
+        sq = sq * _F
+    if sq.degree != N * N - 1 or sq.coeffs[-1] != N * N:
+        raise InternalConsistencyError("psi_N^2 degree/leading-term check failed")
+    return sq
+
+
+def _phi_pol(N: int, psi_sq: UniPoly) -> UniPoly:
+    """phi_N = x psi_N^2 - psi_{N+1} psi_{N-1}, given psi_sq = psi_N^2."""
+    cross = _f(N + 1) * _f(N - 1)               # psi_{N+1} psi_{N-1}, up to F
+    if N % 2:
+        cross = cross * _F
+    phi_pol = UniPoly([0] + psi_sq.coeffs) - cross
+    if phi_pol.degree != N * N or phi_pol.coeffs[-1] != 1:
+        raise InternalConsistencyError("phi_N degree/leading-term check failed")
+    return phi_pol
 
 
 def division_polynomials(N: int) -> DivisionTriple:
     if N < 1:
         raise DomainError(f"N must be a positive integer, got {N}")
     psi_sq = _psi_sq(N)
-    cross = _f(N + 1) * _f(N - 1)               # psi_{N+1} psi_{N-1}, up to F
-    if N % 2:
-        cross = cross * _F
-    phi_pol = UniPoly([0] + psi_sq.coeffs) - cross
+    phi_pol = _phi_pol(N, psi_sq)
     # (psi_{N+2} psi_{N-1}^2 - psi_{N-2} psi_{N+1}^2) / 4y is y times this
     # for odd N and half of it for even N
     omega = (_f(N + 2) * _f(N - 1) * _f(N - 1)
              - _f(N - 2) * _f(N + 1) * _f(N + 1))
     if N % 2 == 0:
         omega = _scalar_div(omega, 2)
-    if psi_sq.degree != N * N - 1 or psi_sq.coeffs[-1] != N * N:
-        raise InternalConsistencyError("psi_N^2 degree/leading-term check failed")
-    if phi_pol.degree != N * N or phi_pol.coeffs[-1] != 1:
-        raise InternalConsistencyError("phi_N degree/leading-term check failed")
     return DivisionTriple(N, psi_sq, phi_pol, (omega, N % 2))
 
 
@@ -97,10 +105,10 @@ def rescaled(N: int) -> Tuple[UniPoly, UniPoly]:
     """
     if N < 2:
         raise DomainError(f"rescaled needs N >= 2, got {N}")
-    triple = division_polynomials(N)
+    psi_sq = _psi_sq(N)
     n2 = N * N
-    return (_scalar_div(triple.psiSq.scale_arg(12), 12 ** (n2 - 1)),
-            _scalar_div(triple.phiPol.scale_arg(12), 12 ** n2))
+    return (_scalar_div(psi_sq.scale_arg(12), 12 ** (n2 - 1)),
+            _scalar_div(_phi_pol(N, psi_sq).scale_arg(12), 12 ** n2))
 
 
 @dataclass(frozen=True)

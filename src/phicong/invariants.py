@@ -19,6 +19,16 @@ if TYPE_CHECKING:
     import numpy as np
 
 
+def grassmannian_size(p: int) -> int:
+    """|X(F_p)| = (p^2+1)(p+1)."""
+    return (p * p + 1) * (p + 1)
+
+
+def sp4_order(p: int) -> int:
+    """|Sp_4(F_p)| = p^4 (p^4-1)(p^2-1)."""
+    return p ** 4 * (p ** 4 - 1) * (p ** 2 - 1)
+
+
 def legendre(a: int, p: int) -> int:
     a %= p
     if a == 0:
@@ -53,7 +63,7 @@ def _chi(p: int, d: int) -> int:
     """The closed form of chi_power, without its checks of p and d."""
     n = p * (p - 1)
     if d in (n, n // 2):
-        return p ** 3 + p ** 2 + p + 1
+        return grassmannian_size(p)
     if d in ((p - 1) // 2, p - 1):
         return 2 * p + 1
     if d % p == 0:
@@ -91,7 +101,7 @@ def cusp_data_character(p: int) -> CuspData:
     if total != 2 * p + 12 or widths != expected:
         raise InternalConsistencyError(f"cusp data mismatch for p={p}: {widths}")
     data = CuspData(total, widths)
-    if data.width_sum() != (p * p + 1) * (p + 1):
+    if data.width_sum() != grassmannian_size(p):
         raise InternalConsistencyError("cusp widths do not partition X(F_p)")
     return data
 
@@ -113,12 +123,12 @@ def genus_pointstab(p: int) -> int:
     """Genus of the point-stabilizer curve, by two independent routes.
 
     Route 1: g = 1 + index/12 - eps2/4 - eps3/3 - c/2 with
-    index = (p^2+1)(p+1) and c = 2p+12.  Route 2: the closed forms by
-    p mod 12.  The routes must agree.
+    index = |X(F_p)| = (p^2+1)(p+1) and c = 2p+12.  Route 2: the closed
+    forms by p mod 12.  The routes must agree.
     """
     require_prime(p, 7)
     eps2, eps3 = elliptic_counts(p)
-    index = (p * p + 1) * (p + 1)
+    index = grassmannian_size(p)
     c = 2 * p + 12
     g1 = 1 + Fraction(index, 12) - Fraction(eps2, 4) - Fraction(eps3, 3) - Fraction(c, 2)
     cubic = p ** 3 + p ** 2
@@ -209,5 +219,5 @@ def noncongruence_report(p: int) -> NoncongruenceReport:
     sl2 = n ** 3
     for ell in factorize(n):
         sl2 = sl2 // (ell * ell) * (ell * ell - 1)
-    sp4 = p ** 4 * (p ** 4 - 1) * (p ** 2 - 1)
+    sp4 = sp4_order(p)
     return NoncongruenceReport(p, n, sl2, sp4, sp4 // 2, sp4 // 2 > sl2)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import DomainError
+from .rationals import power
 
 
 class Matrix:
@@ -36,15 +37,7 @@ class Matrix:
                        for r in self.rows], self.m)
 
     def __pow__(self, e: int) -> "Matrix":
-        if e < 0:
-            raise DomainError("negative matrix power")
-        acc, base = Matrix.identity(self.m), self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return acc
+        return power(self, e, Matrix.identity(self.m))
 
     def transpose(self) -> "Matrix":
         return Matrix(zip(*self.rows), self.m)

@@ -2,11 +2,31 @@
 
 Coefficients can be any ring elements supporting +, -, * (ints, Fractions,
 Laurent series, ...).  The trailing coefficient is kept nonzero.
+``mul_trunc`` is the one dense product: of two polynomials here, of two
+elements of Q(zeta_12) before reduction, and of two integer power series
+in ``qexp``.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import List, Sequence
+
+from .rationals import power
+
+
+def mul_trunc(a: Sequence, b: Sequence, n: int) -> List:
+    """Coefficients of a*b below X^n, for dense coefficient lists a and b
+    (lowest degree first); schoolbook, skipping zero coefficients of both."""
+    out = [0] * n
+    terms = [(j, y) for j, y in enumerate(b[:n]) if y]
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in terms:
+                k = i + j
+                if k >= n:
+                    break
+                out[k] += x * y
+    return out
 
 
 class UniPoly:
@@ -52,26 +72,14 @@ class UniPoly:
         if isinstance(other, UniPoly):
             if not self or not other:
                 return UniPoly()
-            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-            terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
-            for i, a in enumerate(self.coeffs):
-                if a:
-                    for j, b in terms:
-                        out[i + j] = out[i + j] + a * b
-            return UniPoly(out)
+            a, b = self.coeffs, other.coeffs
+            return UniPoly(mul_trunc(a, b, len(a) + len(b) - 1))
         return UniPoly([c * other for c in self.coeffs])
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "UniPoly":
-        acc = UniPoly([1])
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return acc
+        return power(self, e, UniPoly([1]))
 
     def scale_arg(self, s) -> "UniPoly":
         """p(s*X): multiply coefficient i by s^i."""

@@ -22,8 +22,9 @@ from operator import mul
 from typing import List, Tuple
 
 from .errors import DomainError, InternalConsistencyError
+from .polynomials import mul_trunc
 from .rationals import padic_val, split_power
-from .series import LaurentSeries, mul_trunc
+from .series import LaurentSeries
 
 PRIMES_37 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 

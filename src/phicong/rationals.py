@@ -1,4 +1,5 @@
-"""Exact rational helpers: valuations, factorization and fraction formatting.
+"""Exact rational helpers: valuations, factorization, repeated squaring
+and fraction formatting.
 
 Rationals themselves are ``fractions.Fraction`` (always normalized, positive
 denominator), which matches the storage invariants needed for exact golden
@@ -9,9 +10,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Tuple
 
-from .errors import UnsupportedPrimeError
+from .errors import DomainError, UnsupportedPrimeError
 
 #: Sentinel returned by :func:`padic_val` for zero (v_p(0) = +infinity).
 INF = math.inf
@@ -51,6 +53,7 @@ def factorize(n: int) -> Dict[int, int]:
     return out
 
 
+@lru_cache(maxsize=64)
 def is_prime(n: int) -> bool:
     return n > 1 and factorize(n) == {n: 1}
 
@@ -59,6 +62,21 @@ def require_prime(p: int, above: int) -> None:
     """Reject anything but a prime p > above."""
     if p <= above or not is_prime(p):
         raise UnsupportedPrimeError(f"p must be a prime > {above}, got {p}")
+
+
+def power(base, e: int, one):
+    """base^e by repeated squaring, for e >= 0, in any ring whose unit
+    is one; a ring with inverses inverts base before calling this."""
+    if e < 0:
+        raise DomainError(f"negative exponent {e}")
+    acc = one
+    while e:
+        if e & 1:
+            acc = acc * base
+        e >>= 1
+        if e:
+            base = base * base
+    return acc
 
 
 def format_fraction(r) -> str:

@@ -1,24 +1,21 @@
-"""Power series in one variable: exact Laurent series, and integer
-power series on the q^6 lattice.
+"""Exact Laurent series in one variable.
 
 ``LaurentSeries`` is a Laurent series in q with ``Fraction`` coefficients,
 stored sparsely (exponent -> coefficient) with a precision bound:
 coefficients at exponents < prec are known, the rest are O(q^prec), and
-``prec=None`` means an exact Laurent polynomial.  ``qexp`` returns its
-series in it.
-
-The computations work on dense integer lists instead: ``a[j]`` is the
-coefficient of Q^j, and a list of length n is a power series known below
-Q^n.  ``mul_trunc`` multiplies them.
+``prec=None`` means an exact Laurent polynomial.  ``qexp`` computes on
+dense integer lists (``polynomials.mul_trunc``) and returns its series in
+this type.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 from .errors import DomainError, PrecisionError
+from .rationals import power
 
 _INF = math.inf
 
@@ -141,15 +138,8 @@ class LaurentSeries:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "LaurentSeries":
-        base = self.inverse() if e < 0 else self
-        e = abs(e)
-        acc = LaurentSeries.one(self.prec if e == 0 else None)
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return acc
+        return power(self.inverse() if e < 0 else self, abs(e),
+                     LaurentSeries.one(self.prec if e == 0 else None))
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by q^k."""
@@ -216,17 +206,3 @@ class LaurentSeries:
         terms = ", ".join(f"{c}*q^{e}" for e, c in self.items()[:6])
         tail = ", ..." if len(self.coeffs) > 6 else ""
         return f"LaurentSeries({terms}{tail}; O(q^{self.prec}))"
-
-
-def mul_trunc(a: Sequence[int], b: Sequence[int], n: int) -> List[int]:
-    """Coefficients of a*b below Q^n, for integer power series a, b in Q.
-
-    Schoolbook over the coefficients, skipping zero ones.
-    """
-    out = [0] * n
-    for i, x in enumerate(a[:n]):
-        if x:
-            for j, y in enumerate(b[:n - i], i):
-                out[j] += x * y
-    return out
-

@@ -22,6 +22,7 @@ Schreier generator is sifted and the order is exact.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -29,6 +30,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import DomainError, InternalConsistencyError, UnsupportedPrimeError
+from .invariants import grassmannian_size, sp4_order
 from .matrices import Matrix
 from .rationals import factorize, require_prime
 from .words import Word
@@ -47,10 +49,11 @@ class SpParams:
         if self.y is not None and self.y % self.p == 0:
             raise DomainError("y must be invertible mod p")
 
-    def resolved_y(self) -> int:
+    def resolved_y(self, m: int) -> int:
+        """y mod m, the inverse of x mod m when y is not given."""
         if self.y is not None:
-            return self.y % self.p
-        return pow(self.x, -1, self.p)
+            return self.y % m
+        return pow(self.x, -1, m)
 
 
 #: Estimated memory, in bytes, above which the Grassmannian work refuses to
@@ -60,11 +63,6 @@ MEMORY_LIMIT = 1 << 30
 # above that of the interpreter with numpy loaded: 641, 477 and 367 bytes
 # per point at p = 23, 29 and 47, and 320-333 at p = 71 and 97; rounded up.
 _BYTES_PER_POINT = 700
-
-
-def grassmannian_size(p: int) -> int:
-    """|X(F_p)| = (p^2+1)(p+1)."""
-    return (p * p + 1) * (p + 1)
 
 
 def require_memory(n: int) -> None:
@@ -100,7 +98,7 @@ def rho_matrices(params: SpParams) -> Tuple[Matrix, Matrix]:
     """(rho(S), rho(T)) over F_p; verified symplectic for J with S^2 = -I."""
     p = params.p
     x = params.x % p
-    y = params.resolved_y()
+    y = params.resolved_y(p)
     xi, yi = pow(x, -1, p), pow(y, -1, p)
     S4 = Matrix([[0, 0, 0, -xi],
                  [0, 0, yi, 0],
@@ -162,17 +160,18 @@ def _decode(Q: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def permutation(M: Matrix, p: int) -> np.ndarray:
-    """The permutation induced by M on the canonical index set of X(F_p):
-    the exterior square of M acts on the Plucker coordinates of every
-    point at once, and _decode names the images."""
+def permutation(M: Matrix) -> np.ndarray:
+    """The permutation induced by M on the canonical index set of X(F_p),
+    p = M.m: the exterior square of M acts on the Plucker coordinates of
+    every point at once, and _decode names the images."""
+    p = M.m
     if p <= 3:
         raise UnsupportedPrimeError(f"p must be > 3, got {p}")
     require_memory(grassmannian_size(p))
-    m = np.array(M.rows, dtype=np.int64)
-    J = np.array(_J_ROWS, dtype=np.int64)
-    if ((m.T @ J @ m - J) % p).any():
+    J = form_J(p)
+    if M.transpose() * J * M != J:
         raise DomainError("matrix is not symplectic for J")
+    m = np.array(M.rows, dtype=np.int64)
     wedge = np.array([[m[i, k] * m[j, l] - m[i, l] * m[j, k] for k, l in _PAIRS]
                       for i, j in _PAIRS]) % p
     Q = wedge.astype(np.int32) @ _plucker(p)
@@ -291,17 +290,10 @@ def _add_strong(chain: List[_Level], g: np.ndarray, lvl: int,
         level.add(g, g_inv)
 
 
-def _chain_order(chain: List[_Level]) -> int:
-    order = 1
-    for level in chain:
-        order *= level.size
-    return order
-
-
 def _reached(chain: List[_Level], bound: int) -> bool:
     """Whether the chain's order, a lower bound on the group's, equals
     bound.  Exceeding it contradicts the caller's upper bound."""
-    lower = _chain_order(chain)
+    lower = math.prod(level.size for level in chain)
     if lower == bound:
         return True
     if lower > bound:
@@ -411,11 +403,7 @@ def group_order(generators: List[np.ndarray],
     """
     if not generators:
         return 1
-    return _chain_order(_stabilizer_chain(generators, bound))
-
-
-def sp4_order(p: int) -> int:
-    return p ** 4 * (p ** 4 - 1) * (p ** 2 - 1)
+    return math.prod(level.size for level in _stabilizer_chain(generators, bound))
 
 
 @dataclass(frozen=True)
@@ -472,7 +460,5 @@ def lift_witness_mod_p2(params: SpParams) -> bool:
     """rho(T)^(p(p-1)) over Z/p^2 is trivial mod p but not mod p^2."""
     p = params.p
     m2 = p * p
-    x = params.x % m2
-    y = params.y % m2 if params.y is not None else pow(x, -1, m2)
-    Mpow = Matrix(_t_rows(x, y, m2), m2) ** (p * (p - 1))
+    Mpow = Matrix(_t_rows(params.x, params.resolved_y(m2), m2), m2) ** (p * (p - 1))
     return Matrix(Mpow.rows, p).is_identity() and not Mpow.is_identity()

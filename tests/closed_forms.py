@@ -139,9 +139,9 @@ def assert_matches_closed_forms(p: int, x: int) -> None:
     """permutation(rho(S)) and permutation(rho(S) rho(T)) agree with
     s_action and r_action at every point of X(F_p)."""
     params = SpParams(p, x)
-    y = params.resolved_y()
+    y = params.resolved_y(p)
     S4, T4 = rho_matrices(params)
-    perm_s, perm_r = permutation(S4, p), permutation(S4 * T4, p)
+    perm_s, perm_r = permutation(S4), permutation(S4 * T4)
     n = grassmannian_size(p)
     assert len(perm_s) == len(perm_r) == n
     for i in range(n):

@@ -133,8 +133,8 @@ def test_criterion_3_denominators():
 def test_criterion_4_fixed_points():
     for p in (11, 13, 17, 19, 23):
         S4, T4 = rho_matrices(SpParams(p, 2))
-        eps2 = fixed_points(permutation(S4, p))
-        eps3 = fixed_points(permutation(S4 * T4, p))
+        eps2 = fixed_points(permutation(S4))
+        eps3 = fixed_points(permutation(S4 * T4))
         assert eps2 == p + 2 + legendre(-1, p), p
         assert eps3 == p + 1 + (p + 1) * legendre(-3, p), p
         assert (eps2, eps3) == elliptic_counts(p)
@@ -145,7 +145,7 @@ def test_criterion_4_fixed_points():
 def test_criterion_5_cusps():
     for p in (11, 13):
         _, T4 = rho_matrices(SpParams(p, 2))
-        cyc = cusp_data_cycles(permutation(T4, p))
+        cyc = cusp_data_cycles(permutation(T4))
         chr_ = cusp_data_character(p)
         expected = {1: 3, (p - 1) // 2: 4, p: 1, p * (p - 1) // 2: 2 * p + 4}
         assert cyc.widths == expected == chr_.widths
@@ -168,7 +168,7 @@ def test_criterion_6_genus():
 def test_criterion_7_surjectivity():
     for p in (11, 13):
         S4, T4 = rho_matrices(SpParams(p, 2))
-        order = group_order([permutation(S4, p), permutation(T4, p)])
+        order = group_order([permutation(S4), permutation(T4)])
         assert order == sp4_order(p) // 2, p
 
 

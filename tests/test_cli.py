@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import phicong
+import phicong.invariants
 import phicong.qexp
+import phicong.rationals
 from phicong.cli import MAX_TERMS, main
 from phicong.qexp import xtilde
 
@@ -164,6 +166,22 @@ class TestGenusCuspsDims:
         doc = json.loads(out)
         assert doc["genus"] == 103
         assert doc["cusps"]["total"] == 34
+
+    def test_genus_factorizes_p_once(self, capsys, monkeypatch):
+        # every check of p shares one primality test: factorize(p) once,
+        # and factorize(p - 1) once for the cusp widths
+        calls = []
+        original = phicong.rationals.factorize
+
+        def counting(n):
+            calls.append(n)
+            return original(n)
+        for module in (phicong.rationals, phicong.invariants):
+            monkeypatch.setattr(module, "factorize", counting)
+        phicong.rationals.is_prime.cache_clear()
+        code, _ = run(capsys, "genus", "--p", "1000003")
+        assert code == 0
+        assert len(calls) <= 2, calls
 
     def test_cusps_both_oracles(self, capsys):
         _, out1 = run(capsys, "cusps", "--p", "11")

@@ -51,7 +51,7 @@ class TestChi:
         # independent verification against actual permutation powers
         p = 11
         _, T4 = rho_matrices(SpParams(p, 2))
-        perm = permutation(T4, p)
+        perm = permutation(T4)
         n = len(perm)
         for d in (1, 2, 5, 10, 11, 55):
             acc = np.arange(n)
@@ -76,7 +76,7 @@ class TestCusps:
     def test_cycles_dual_oracle(self):
         for p in (11, 13):
             _, T4 = rho_matrices(SpParams(p, 2))
-            cyc = cusp_data_cycles(permutation(T4, p))
+            cyc = cusp_data_cycles(permutation(T4))
             chr_ = cusp_data_character(p)
             assert cyc.widths == chr_.widths
             assert cyc.total == chr_.total

@@ -4,6 +4,7 @@ import pytest
 
 from phicong.errors import DomainError
 from phicong.matrices import Matrix
+from phicong.polynomials import UniPoly
 from phicong.symplectic import SpParams, rho_matrices
 
 
@@ -15,6 +16,9 @@ class TestMatrix:
     def test_negative_power_rejected(self):
         with pytest.raises(DomainError):
             Matrix.identity(11) ** -1
+        # Z[x] has no inverse to take, and the shared power rejects e < 0
+        with pytest.raises(DomainError):
+            UniPoly([1, 1]) ** -1
 
     @pytest.mark.parametrize("rows", [[], [[1] * 4] * 3, [[1] * 3] * 4, [[1] * 4] * 5,
                                       [[1] * 4] * 3 + [[1] * 5]])

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from phicong.errors import DomainError, PrecisionError
-from phicong.series import LaurentSeries, mul_trunc
+from phicong.polynomials import mul_trunc
+from phicong.series import LaurentSeries
 
 from hensel_oracle import HenselError, hensel_root, series_sqrt
 
@@ -78,6 +79,9 @@ class TestArithmetic:
     def test_pow_matches_repeated_mul(self):
         s = LaurentSeries({0: 1, 1: 3, 2: -1}, 8)
         assert (s ** 3).coeffs == (s * s * s).coeffs
+        # a negative power inverts first; the zeroth keeps the precision
+        assert s ** -2 == (s * s).inverse()
+        assert s ** 0 == LaurentSeries.one(8)
 
 
 class TestSqrt:
@@ -112,11 +116,15 @@ class TestSqrt:
 class TestKernel:
     def test_mul_trunc_matches_laurent_product(self):
         rng = random.Random(5)
+        # zeros in the second operand, cut below the full product length 8
+        cases = [([1, 2, 0, 3], [4, 0, 0, 5, 0], 6)]
         for _ in range(40):
             a = [rng.randint(-10 ** 30, 10 ** 30) * rng.randint(0, 1)
                  for _ in range(rng.randint(1, 12))]
-            b = [rng.randint(-10 ** 30, 10 ** 30) for _ in range(rng.randint(1, 12))]
-            n = rng.randint(1, 20)
+            b = [rng.randint(-10 ** 30, 10 ** 30) * rng.randint(0, 1)
+                 for _ in range(rng.randint(1, 12))]
+            cases.append((a, b, rng.randint(1, 20)))
+        for a, b, n in cases:
             # exact polynomials, so every coefficient below Q^n is known
             ref = (LaurentSeries(dict(enumerate(a)))
                    * LaurentSeries(dict(enumerate(b))))

@@ -99,8 +99,8 @@ class TestRho:
 
 class TestGrassmannian:
     def test_counts(self):
-        assert len(permutation(Matrix.identity(11), 11)) == 1464
-        assert len(permutation(Matrix.identity(13), 13)) == 2380
+        assert len(permutation(Matrix.identity(11))) == 1464
+        assert len(permutation(Matrix.identity(13))) == 2380
         assert lagrangian_from_index(0, 11) == Lagrangian("A", (0, 0, 0))
         assert lagrangian_from_index(1463, 11) == Lagrangian("D", ())
 
@@ -123,13 +123,13 @@ class TestGrassmannian:
 
     def test_act_examples(self):
         params = SpParams(11, 2)
-        x, y = 2, params.resolved_y()
+        x, y = 2, params.resolved_y(11)
         S4, T4 = rho_matrices(params)
         D = Lagrangian("D", ()).index(11)
-        assert permutation(S4, 11)[D] == Lagrangian("A", (0, 0, 0)).index(11)
-        assert permutation(S4 * T4, 11)[D] == Lagrangian(
+        assert permutation(S4)[D] == Lagrangian("A", (0, 0, 0)).index(11)
+        assert permutation(S4 * T4)[D] == Lagrangian(
             "A", ((-x * y) % 11, (2 * x * x) % 11, (-2 * y * y) % 11)).index(11)
-        assert (permutation(Matrix.identity(11), 11) == np.arange(1464)).all()
+        assert (permutation(Matrix.identity(11)) == np.arange(1464)).all()
 
     def test_act_matches_closed_forms(self):
         assert_matches_closed_forms(13, 3)
@@ -151,20 +151,20 @@ class TestGrassmannian:
         S4, _ = rho_matrices(SpParams(11, 2))
         monkeypatch.setattr(phicong.symplectic, "_plucker", broken)
         with pytest.raises(InternalConsistencyError, match=message):
-            permutation(S4, 11)
+            permutation(S4)
 
     def test_negation_acts_trivially(self):
         p = 11
         S4, _ = rho_matrices(SpParams(p, 2))
         neg = Matrix([[-e for e in row] for row in S4.rows], p)
-        assert (permutation(S4, p) == permutation(neg, p)).all()
+        assert (permutation(S4) == permutation(neg)).all()
 
     def test_non_symplectic_rejected(self):
         p = 11
         M = Matrix([[int(i == j or (i, j) == (0, 1)) for j in range(4)]
                     for i in range(4)], p)
         with pytest.raises(DomainError):
-            permutation(M, p)
+            permutation(M)
 
 
 class TestRref:
@@ -184,8 +184,8 @@ class TestPermutations:
         # rho(S) rho(T) acts as rho(S) after rho(T)
         for p in (11, 13):
             S4, T4 = rho_matrices(SpParams(p, 2))
-            perm_s, perm_t = permutation(S4, p), permutation(T4, p)
-            assert (perm_s[perm_t] == permutation(S4 * T4, p)).all()
+            perm_s, perm_t = permutation(S4), permutation(T4)
+            assert (perm_s[perm_t] == permutation(S4 * T4)).all()
 
     def test_cycle_type(self):
         perm = np.array([1, 2, 0, 4, 3, 5])
@@ -197,7 +197,7 @@ class TestPermutations:
     def test_cycle_type_matches_walk(self):
         for p in (11, 13, 23, 29, 47):
             S4, T4 = rho_matrices(SpParams(p, 2))
-            perm_s, perm_t = permutation(S4, p), permutation(T4, p)
+            perm_s, perm_t = permutation(S4), permutation(T4)
             for perm in (perm_s, perm_t, perm_s[perm_t]):
                 assert cycle_type(perm) == cycle_type_by_walk(perm)
         rng = np.random.default_rng(7)
@@ -208,23 +208,23 @@ class TestPermutations:
     def test_fixed_points_S(self):
         # epsilon_2 = p + 2 + legendre(-1, p)
         S4, _ = rho_matrices(SpParams(13, 2))
-        assert fixed_points(permutation(S4, 13)) == 16
+        assert fixed_points(permutation(S4)) == 16
 
     def test_fixed_points_R(self):
         S4, T4 = rho_matrices(SpParams(11, 2))
-        assert fixed_points(permutation(S4 * T4, 11)) == 0
+        assert fixed_points(permutation(S4 * T4)) == 0
 
     def test_fixed_points_match_cycle_type(self):
         for p, x in ((11, 2), (13, 2), (29, 2)):
             S4, T4 = rho_matrices(SpParams(p, x))
-            perm_s, perm_t = permutation(S4, p), permutation(T4, p)
+            perm_s, perm_t = permutation(S4), permutation(T4)
             for perm in (perm_s, perm_t, perm_s[perm_t]):
                 assert fixed_points(perm) == cycle_type(perm).get(1, 0)
         assert fixed_points(np.arange(0)) == 0
 
     def test_T_order(self):
         _, T4 = rho_matrices(SpParams(11, 2))
-        assert lcm(*cycle_type(permutation(T4, 11))) == 55    # p(p-1)/2
+        assert lcm(*cycle_type(permutation(T4))) == 55    # p(p-1)/2
 
 
 def _symmetric_7():
@@ -240,7 +240,7 @@ def _primitive_roots(p):
 
 def _rho_perms(p, x):
     S4, T4 = rho_matrices(SpParams(p, x))
-    return [permutation(S4, p), permutation(T4, p)]
+    return [permutation(S4), permutation(T4)]
 
 
 class TestGroupOrder:
@@ -249,7 +249,7 @@ class TestGroupOrder:
 
     def test_cyclic_T(self):
         _, T4 = rho_matrices(SpParams(11, 2))
-        assert group_order([permutation(T4, 11)]) == 55
+        assert group_order([permutation(T4)]) == 55
 
     def test_symmetric_group(self):
         assert group_order(_symmetric_7()) == 5040
@@ -325,7 +325,7 @@ class TestMemoryGuard:
             raise AssertionError("points built before the size check")
         monkeypatch.setattr(phicong.symplectic, "_plucker", no_points)
         with pytest.raises(DomainError, match="GiB limit"):
-            permutation(S4, 157)
+            permutation(S4)
 
     def test_group_order_refuses_before_allocating(self):
         with pytest.raises(DomainError):
@@ -336,7 +336,7 @@ class TestSurjectivity:
     def test_p11(self):
         params = SpParams(11, 2)
         S4, T4 = rho_matrices(params)
-        v = surjectivity_verdict(params, permutation(S4, 11), permutation(T4, 11))
+        v = surjectivity_verdict(params, permutation(S4), permutation(T4))
         assert v.order_T == 110
         assert v.perm_group_order == 12860654400
         assert v.perm_group_order == sp4_order(11) // 2
