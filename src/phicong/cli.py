@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional
 
 from .errors import DomainError, InternalConsistencyError, PhicongError
 
 #: Largest ``qexp --terms``: about 10 s for --level 10 on a 2-vCPU host.
+#: The time grows about as terms^2 times the bits of the level, so a level
+#: of b > 4 bits admits the terms with terms^2 * b <= MAX_TERMS^2 * 4.
 MAX_TERMS = 450
 
 
@@ -29,29 +32,29 @@ def _poly_json(poly) -> List[str]:
 
 
 def _cmd_qexp(args) -> int:
-    if not 1 <= args.terms <= MAX_TERMS:
-        raise DomainError(
-            f"--terms must be between 1 and {MAX_TERMS}, got {args.terms}")
+    most = math.isqrt(MAX_TERMS ** 2 * 4 // max(4, args.level.bit_length()))
+    need = max(args.terms, 30 if args.denominators else 0)
+    if args.terms < 1 or need > most:
+        raise DomainError(f"--level {args.level} admits 1 to {most} terms "
+                          f"(--denominators takes 30), got --terms {args.terms}")
     # an exact coefficient at a large level has more digits than the 4300
     # that CPython (3.10.7 and later) converts to str by default
     saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if saved is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return _write_qexp(args)
+        return _write_qexp(args, need)
     finally:
         if saved is not None:
             sys.set_int_max_str_digits(saved)
 
 
-def _write_qexp(args) -> int:
-    terms_wanted = args.terms
+def _write_qexp(args, need: int) -> int:
     from .qexp import denominator_report, xtilde
     from .rationals import format_fraction
-    need = max(terms_wanted, 30 if args.denominators else 0)
     prec = max(17, 6 * need - 7)
     xt = xtilde(args.level, prec)
-    terms = xt.items()[:terms_wanted]
+    terms = xt.items()[:args.terms]
     if args.format == "csv":
         sys.stdout.write("exp,numerator,denominator\n")
         for e, c in terms:

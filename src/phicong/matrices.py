@@ -18,6 +18,8 @@ class Matrix:
     __slots__ = ("rows", "m")
 
     def __init__(self, rows: Iterable[Iterable[int]], m: int):
+        if m < 2:
+            raise DomainError(f"modulus must be >= 2, got {m}")
         self.rows = tuple(tuple(v % m for v in r) for r in rows)
         self.m = m
         if len(self.rows) != 4 or any(len(r) != 4 for r in self.rows):

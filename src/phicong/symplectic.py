@@ -9,15 +9,11 @@ permutes the indices in one numpy pass: the exterior square of M acts on
 the Plucker coordinates of all points, and each image is decoded back to
 an index.
 
-The subgroup generated by rho(S), rho(T) is measured with a Schreier-Sims
-stabilizer chain whose levels keep Schreier vectors, O(n) memory each, in
-place of n coset representatives.  surjectivity_verdict passes the upper
-bound |Sp4(F_p)|/2 on the order (the group lies in the image of Sp4(F_p),
-in which -I acts trivially): random elements from a fixed seed build the
-chain until the product of its orbit lengths, a lower bound on the order,
-equals the bound, which proves that the group is PSp4(F_p).  Without a
-bound, or when the random elements stop adding to the chain first, every
-Schreier generator is sifted and the order is exact.
+surjectivity_verdict decides whether rho(S), rho(T) generate Sp4(F_p)
+from two matrix facts about random elements (generates_sp4), and only when
+that fails measures the group with an exact Schreier-Sims stabilizer chain
+on the permutations, whose levels keep Schreier vectors, O(n) memory each,
+in place of n coset representatives.
 """
 
 from __future__ import annotations
@@ -29,10 +25,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError, InternalConsistencyError, UnsupportedPrimeError
-from .invariants import grassmannian_size, sp4_order
+from .errors import DomainError, InternalConsistencyError
+from .invariants import grassmannian_size, legendre, sp4_order
 from .matrices import Matrix
-from .rationals import factorize, require_prime
+from .rationals import factorize, require_prime, split_power
 from .words import Word
 
 
@@ -51,17 +47,16 @@ class SpParams:
 
     def resolved_y(self, m: int) -> int:
         """y mod m, the inverse of x mod m when y is not given."""
-        if self.y is not None:
-            return self.y % m
-        return pow(self.x, -1, m)
+        return pow(self.x, -1, m) if self.y is None else self.y % m
 
 
 #: Estimated memory, in bytes, above which the Grassmannian work refuses to
 #: start (DomainError, exit 2 on the command line).
 MEMORY_LIMIT = 1 << 30
-# Peak RSS of `grassmannian --surjectivity`, the verb that needs the most,
-# above that of the interpreter with numpy loaded: 641, 477 and 367 bytes
-# per point at p = 23, 29 and 47, and 320-333 at p = 71 and 97; rounded up.
+# Peak RSS of the exact stabilizer chain that `grassmannian --surjectivity`
+# still builds when generates_sp4 finds no proof, above that of the
+# interpreter with numpy loaded: 641, 477 and 367 bytes per point at
+# p = 23, 29 and 47, and 320-333 at p = 71 and 97; rounded up.
 _BYTES_PER_POINT = 700
 
 
@@ -97,8 +92,7 @@ def _t_rows(x: int, y: int, m: int) -> List[List[int]]:
 def rho_matrices(params: SpParams) -> Tuple[Matrix, Matrix]:
     """(rho(S), rho(T)) over F_p; verified symplectic for J with S^2 = -I."""
     p = params.p
-    x = params.x % p
-    y = params.resolved_y(p)
+    x, y = params.x % p, params.resolved_y(p)
     xi, yi = pow(x, -1, p), pow(y, -1, p)
     S4 = Matrix([[0, 0, 0, -xi],
                  [0, 0, yi, 0],
@@ -165,8 +159,7 @@ def permutation(M: Matrix) -> np.ndarray:
     p = M.m: the exterior square of M acts on the Plucker coordinates of
     every point at once, and _decode names the images."""
     p = M.m
-    if p <= 3:
-        raise UnsupportedPrimeError(f"p must be > 3, got {p}")
+    require_prime(p, 3)
     require_memory(grassmannian_size(p))
     J = form_J(p)
     if M.transpose() * J * M != J:
@@ -206,11 +199,6 @@ def fixed_points(perm: np.ndarray) -> int:
 
 #: Schreier-vector labels of a point off the orbit and of the base point.
 _OUTSIDE, _ROOT = -1, -2
-#: Seed of the product-replacement random elements, and how many of them in
-#: a row must sift to the identity before the known-order search gives up
-#: and verifies every Schreier generator instead.
-_SEED = 2026
-_TRIVIAL_SIFTS = 40
 
 
 class _Level:
@@ -290,34 +278,6 @@ def _add_strong(chain: List[_Level], g: np.ndarray, lvl: int,
         level.add(g, g_inv)
 
 
-def _reached(chain: List[_Level], bound: int) -> bool:
-    """Whether the chain's order, a lower bound on the group's, equals
-    bound.  Exceeding it contradicts the caller's upper bound."""
-    lower = math.prod(level.size for level in chain)
-    if lower == bound:
-        return True
-    if lower > bound:
-        raise InternalConsistencyError(
-            f"group order is at least {lower}, above the bound {bound}")
-    return False
-
-
-def _random_elements(generators: List[np.ndarray], rng: random.Random):
-    """Product replacement with an accumulator: ten slots filled with the
-    generators, each step multiplies one slot by another, and the
-    accumulator by the new slot; the accumulators are the elements."""
-    slots = [generators[i % len(generators)] for i in range(10)]
-    acc = slots[0]
-    step = 0
-    while True:
-        i, j = rng.sample(range(len(slots)), 2)
-        slots[i] = slots[i][slots[j]] if rng.random() < 0.5 else slots[j][slots[i]]
-        acc = acc[slots[i]]
-        step += 1
-        if step > 50:                   # past the warm-up
-            yield acc
-
-
 def _first_failure(chain: List[_Level], lvl: int, gens: List[np.ndarray],
                    ident: np.ndarray) -> Optional[int]:
     """Sift the Schreier generators of chain[lvl] made from gens, which
@@ -337,26 +297,16 @@ def _first_failure(chain: List[_Level], lvl: int, gens: List[np.ndarray],
     return None
 
 
-def _verify(chain: List[_Level], gens: List[np.ndarray],
-            ident: np.ndarray) -> None:
-    """Verify the chain deepest level first, by Schreier's lemma: the
-    stabilizer of the base point in the group a level's generators
-    generate is generated by the Schreier generators, so they all sift
-    through the levels below it.  The top level's group is the whole
-    group, which gens generate with fewer Schreier generators.  A new
-    strong generator fixes the base points above the level it joined at,
-    so the levels below that one stay verified, and verification resumes
-    there."""
-    lvl = len(chain) - 1
-    while lvl >= 0:
-        failed = _first_failure(chain, lvl, gens if lvl == 0 else chain[lvl].gens,
-                                ident)
-        lvl = lvl - 1 if failed is None else failed
-
-
-def _stabilizer_chain(generators: List[np.ndarray],
-                      bound: Optional[int] = None) -> List[_Level]:
-    """The stabilizer chain behind group_order."""
+def _stabilizer_chain(generators: List[np.ndarray]) -> List[_Level]:
+    """The stabilizer chain behind group_order: the generators' sift
+    residues start it, and it is verified deepest level first, by
+    Schreier's lemma: the stabilizer of the base point in the group a
+    level's generators generate is generated by the Schreier generators,
+    so they all sift through the levels below it.  The top level's group
+    is the whole group, which gens generate with fewer Schreier
+    generators.  A new strong generator fixes the base points above the
+    level it joined at, so the levels below that one stay verified, and
+    verification resumes there."""
     n = len(generators[0])
     require_memory(n)
     ident = np.arange(n)
@@ -366,44 +316,83 @@ def _stabilizer_chain(generators: List[np.ndarray],
         res, lvl = _sift(g, chain)
         if not np.array_equal(res, ident):
             _add_strong(chain, res, lvl, ident)
-    if bound is not None and gens:
-        if _reached(chain, bound):
-            return chain
-        trivial = 0
-        for g in _random_elements(gens, random.Random(_SEED)):
-            res, lvl = _sift(g, chain)
-            if np.array_equal(res, ident):
-                trivial += 1
-                if trivial == _TRIVIAL_SIFTS:
-                    break
-                continue
-            trivial = 0
-            _add_strong(chain, res, lvl, ident)
-            if _reached(chain, bound):
-                return chain
-    _verify(chain, gens, ident)
-    if bound is not None:
-        _reached(chain, bound)
+    lvl = len(chain) - 1
+    while lvl >= 0:
+        failed = _first_failure(chain, lvl, gens if lvl == 0 else chain[lvl].gens,
+                                ident)
+        lvl = lvl - 1 if failed is None else failed
     return chain
 
 
-def group_order(generators: List[np.ndarray],
-                bound: Optional[int] = None) -> int:
-    """Order of the permutation group the generators generate, from a
-    Schreier-Sims stabilizer chain with Schreier vectors.
-
-    Base points are the smallest point the new strong generator moves.
-    Without ``bound`` every Schreier generator is sifted, and the order is
-    exact.  ``bound`` must be an upper bound on the order: random elements
-    from a fixed seed are sifted first, and the search stops once the
-    product of the orbit lengths, a lower bound on the order, reaches it.
-    If _TRIVIAL_SIFTS elements in a row sift to the identity first, every
-    Schreier generator is sifted after all.  A lower bound above ``bound``
-    raises InternalConsistencyError.
-    """
+def group_order(generators: List[np.ndarray]) -> int:
+    """Exact order of the permutation group the generators generate, from
+    a Schreier-Sims stabilizer chain with Schreier vectors.  Base points
+    are the smallest point the new strong generator moves, and every
+    Schreier generator is sifted."""
     if not generators:
         return 1
-    return math.prod(level.size for level in _stabilizer_chain(generators, bound))
+    return math.prod(level.size for level in _stabilizer_chain(generators))
+
+
+# -- Recognizing Sp4(F_p) from two matrices ----------------------------------
+
+#: Seed of the product-replacement walk, and how many of its elements
+#: generates_sp4 looks at before it gives up.
+_SEED = 2026
+_TRIES = 64
+
+
+def _random_elements(generators: List[Matrix], rng: random.Random, count: int):
+    """count elements by product replacement with an accumulator: ten
+    slots filled with the generators, each step multiplies one slot by
+    another, and the accumulator by the new slot; the accumulators after
+    50 warm-up steps are the elements."""
+    slots = [generators[i % len(generators)] for i in range(10)]
+    acc = slots[0]
+    for step in range(50 + count):
+        i, j = rng.sample(range(10), 2)
+        slots[i] = slots[i] * slots[j] if rng.random() < 0.5 else slots[j] * slots[i]
+        acc = acc * slots[i]
+        if step >= 50:
+            yield acc
+
+
+def outside_sp2_p2(g: Matrix) -> bool:
+    """Whether g in Sp4(F_p) provably lies in no conjugate of Sp2(p^2):2.
+    Its characteristic polynomial is (t^2 - s1 t + 1)(t^2 - s2 t + 1),
+    s1 and s2 the roots of z^2 - a z + e2 - 2, a = tr g, e2 = (a^2 -
+    tr g^2)/2.  On Sp2(p^2) they are equal or conjugate over F_p, so
+    distinct roots in F_p put g outside it, and a != 0 puts g^2 (roots
+    s1^2 - 2 and s2^2 - 2) outside too."""
+    p, sq = g.m, g * g
+    a = sum(g.rows[i][i] for i in range(4)) % p
+    e2 = (a * a - sum(sq.rows[i][i] for i in range(4))) * pow(2, -1, p)
+    return a != 0 and legendre(a * a - 4 * e2 + 8, p) == 1
+
+
+def generates_sp4(S4: Matrix, T4: Matrix) -> bool:
+    """True when random elements of <S4, T4> in Sp4(F_p), p >= 11, prove
+    that they generate Sp4(F_p); False proves nothing.
+
+    Every element order divides p(p^4 - 1).  Let r be p^2 + 1 without
+    its factors 2 and 5.  An element g with g^(p(p^4-1)/r) != I has an
+    order divisible by a prime >= 7 that divides p^2 + 1 (none does when
+    r = 1).  Of the maximal subgroups of Sp4(p), p >= 11 (Bray, Holt and
+    Roney-Dougal, LMS LN 407, the tables for Sp4(q), q odd), only
+    Sp2(p^2):2 has an order divisible by such a prime: the others have
+    orders built from p, p - 1, p + 1 and 2, or are 2^(1+4).Omega4-(2)
+    (or .O4-(2)), 2.A6 and 2.S6, whose primes are 2, 3 and 5 (2.A7
+    occurs only at p = 7).  So such an element and one that
+    outside_sp2_p2 accepts generate a subgroup in no maximal one."""
+    p = S4.m
+    e = p * (p ** 4 - 1) // split_power(split_power(p * p + 1, 2)[1], 5)[1]
+    ppd = outside = False
+    for g in _random_elements([S4, T4], random.Random(_SEED), _TRIES):
+        ppd = ppd or not (g ** e).is_identity()
+        outside = outside or outside_sp2_p2(g)
+        if ppd and outside:
+            return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -416,8 +405,11 @@ class SurjectivityVerdict:
 
 
 def matrix_order(M: Matrix, exponent: int) -> int:
-    """Multiplicative order of M, given an exponent with M^exponent = I:
-    each prime q of the exponent is divided out while M^(order/q) = I."""
+    """Multiplicative order of M, given an exponent >= 1 with
+    M^exponent = I: each prime q of the exponent is divided out while
+    M^(order/q) = I."""
+    if exponent < 1:
+        raise DomainError(f"exponent must be >= 1, got {exponent}")
     if not (M ** exponent).is_identity():
         raise InternalConsistencyError(f"matrix power {exponent} is not the identity")
     order = exponent
@@ -429,13 +421,16 @@ def matrix_order(M: Matrix, exponent: int) -> int:
 
 def surjectivity_verdict(params: SpParams, perm_s: np.ndarray,
                          perm_t: np.ndarray) -> SurjectivityVerdict:
-    """perm_s, perm_t are the permutations of X(F_p) under rho(S), rho(T)."""
+    """perm_s, perm_t are the permutations of X(F_p) under rho(S), rho(T).
+    Sp4(F_p) acts on X(F_p) as PSp4(F_p), since -I acts trivially, so
+    generates_sp4 gives the order |Sp4(F_p)|/2; otherwise group_order
+    measures it."""
     p = params.p
-    _, T4 = rho_matrices(params)
+    S4, T4 = rho_matrices(params)
     order_T = matrix_order(T4, p * (p - 1))
-    order = group_order([perm_s, perm_t], bound=sp4_order(p) // 2)
-    return SurjectivityVerdict(p, params.x % p, order_T, order,
-                               order == sp4_order(p) // 2)
+    psp4 = sp4_order(p) // 2
+    order = psp4 if generates_sp4(S4, T4) else group_order([perm_s, perm_t])
+    return SurjectivityVerdict(p, params.x % p, order_T, order, order == psp4)
 
 
 def rho_word(w: Word, params: SpParams) -> Matrix:
@@ -458,7 +453,6 @@ def kernel_test(w: Word, params: SpParams) -> bool:
 
 def lift_witness_mod_p2(params: SpParams) -> bool:
     """rho(T)^(p(p-1)) over Z/p^2 is trivial mod p but not mod p^2."""
-    p = params.p
-    m2 = p * p
+    p, m2 = params.p, params.p ** 2
     Mpow = Matrix(_t_rows(params.x, params.resolved_y(m2), m2), m2) ** (p * (p - 1))
     return Matrix(Mpow.rows, p).is_identity() and not Mpow.is_identity()

@@ -233,6 +233,7 @@ class TestInvalidInput:
         "qexp --level 5 --terms -1", "qexp --level 5 --terms 0",
         f"qexp --level 5 --terms {MAX_TERMS + 1}",
         "qexp --level 10 --terms 1000000 --denominators",
+        "qexp --level 1000000 --terms 300",
         "divpoly --level 3 --profile 15",
     ])
     def test_exit_2_with_message(self, capsys, argv):
@@ -269,7 +270,9 @@ class TestResourceGuard:
 # entries before rho moved from residue objects to integer matrices mod m;
 # divpoly at levels 4, 6 and 7 and genus at p = 1000003 before the
 # division polynomials moved into Z[x] and the divisors of p(p - 1) came
-# from one factorization
+# from one factorization; grassmannian --surjectivity at (11, 1), (13, 3)
+# and (23, 5) before the matrix certificate replaced the known-order
+# Schreier-Sims search, so the first two pin the exact chain's orders
 GOLDEN = json.loads((Path(__file__).parent / "golden_stdout.json").read_text())
 
 
@@ -325,24 +328,38 @@ class TestImports:
         assert done.stdout.strip() == "['phicong', 'phicong.cli', 'phicong.errors']"
 
 
+def _surjectivity_in_child(p, x):
+    """Run `grassmannian --surjectivity` in a fresh interpreter; returns its
+    JSON output, wall time in seconds and peak RSS in KiB (Linux)."""
+    argv = ["grassmannian", "--p", str(p), "--x", str(x), "--surjectivity"]
+    script = f"import sys\nfrom phicong.cli import main\nsys.exit(main({argv!r}))\n"
+    start = time.perf_counter()
+    child = subprocess.Popen([sys.executable, "-c", script], env=_child_env(),
+                             stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+    out = child.stdout.read()
+    child.stdout.close()
+    _, status, usage = os.wait4(child.pid, 0)
+    elapsed = time.perf_counter() - start
+    assert os.waitstatus_to_exitcode(status) == 0, out
+    return json.loads(out), elapsed, usage.ru_maxrss
+
+
 class TestSurjectivityAtScale:
     def test_p23_under_5_s_and_200_mb(self):
-        argv = ["grassmannian", "--p", "23", "--x", "5", "--surjectivity"]
-        script = f"import sys\nfrom phicong.cli import main\nsys.exit(main({argv!r}))\n"
-        start = time.perf_counter()
-        child = subprocess.Popen([sys.executable, "-c", script], env=_child_env(),
-                                 stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
-        out = child.stdout.read()
-        child.stdout.close()
-        _, status, usage = os.wait4(child.pid, 0)
-        child.returncode = os.waitstatus_to_exitcode(status)
-        elapsed = time.perf_counter() - start
-        assert child.returncode == 0, out
-        doc = json.loads(out)
+        doc, elapsed, rss_kib = _surjectivity_in_child(23, 5)
         assert doc["permGroupOrder"] == str(23 ** 4 * (23 ** 4 - 1) * (23 ** 2 - 1) // 2)
         assert doc["surjectivePSp4"] is True
         assert elapsed < 5.0
-        assert usage.ru_maxrss < 200 * 1024          # KiB on Linux
+        assert rss_kib < 200 * 1024
+
+    def test_p97_under_3_s_and_200_mb(self):
+        # the matrix certificate proves surjectivity, so no stabilizer
+        # chain is built on the 922 180 points
+        doc, elapsed, rss_kib = _surjectivity_in_child(97, 5)
+        assert doc["permGroupOrder"] == str(97 ** 4 * (97 ** 4 - 1) * (97 ** 2 - 1) // 2)
+        assert doc["surjectivePSp4"] is True
+        assert elapsed < 3.0
+        assert rss_kib < 200 * 1024
 
 
 class TestGenusAtScale:

@@ -20,6 +20,11 @@ class TestMatrix:
         with pytest.raises(DomainError):
             UniPoly([1, 1]) ** -1
 
+    @pytest.mark.parametrize("m", [1, 0, -5])
+    def test_modulus_below_2_rejected(self, m):
+        with pytest.raises(DomainError, match="modulus"):
+            Matrix([[1] * 4] * 4, m)
+
     @pytest.mark.parametrize("rows", [[], [[1] * 4] * 3, [[1] * 3] * 4, [[1] * 4] * 5,
                                       [[1] * 4] * 3 + [[1] * 5]])
     def test_not_4x4_rejected(self, rows):

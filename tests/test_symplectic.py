@@ -1,6 +1,7 @@
 import random
+import time
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from phicong.errors import (DomainError, InternalConsistencyError,
 from phicong.matrices import Matrix
 import phicong.symplectic
 from phicong.symplectic import (SpParams, cycle_type, fixed_points, form_J,
-                                grassmannian_size, group_order, kernel_test,
-                                lift_witness_mod_p2, matrix_order,
-                                permutation, require_memory, rho_matrices,
-                                rho_word, sp4_order, surjectivity_verdict)
+                                generates_sp4, grassmannian_size, group_order,
+                                kernel_test, lift_witness_mod_p2, matrix_order,
+                                outside_sp2_p2, permutation, require_memory,
+                                rho_matrices, rho_word, sp4_order,
+                                surjectivity_verdict)
 from phicong.words import Word, parse_word
 
 from closed_forms import (Lagrangian, assert_matches_closed_forms, in_span,
@@ -71,6 +73,12 @@ class TestRho:
             assert matrix_order(T4, p * (p - 1)) == p * (p - 1)
             with pytest.raises(InternalConsistencyError):
                 matrix_order(T4, p * p)         # not a multiple of the order
+
+    @pytest.mark.parametrize("exponent", [0, -110])
+    def test_matrix_order_rejects_exponent_below_1(self, exponent):
+        _, T4 = rho_matrices(SpParams(11, 2))
+        with pytest.raises(DomainError, match="exponent"):
+            matrix_order(T4, exponent)
 
     def test_matrix_order_matches_iteration(self):
         for p in (11, 13, 17):
@@ -158,6 +166,11 @@ class TestGrassmannian:
         S4, _ = rho_matrices(SpParams(p, 2))
         neg = Matrix([[-e for e in row] for row in S4.rows], p)
         assert (permutation(S4) == permutation(neg)).all()
+
+    @pytest.mark.parametrize("m", [9, 15, 2, 3])
+    def test_modulus_not_a_prime_above_3_rejected(self, m):
+        with pytest.raises(UnsupportedPrimeError):
+            permutation(Matrix.identity(m))
 
     def test_non_symplectic_rejected(self):
         p = 11
@@ -271,40 +284,172 @@ class TestGroupOrder:
                 assert level.coset_rep(int(x), np.arange(n))[level.base] == x
 
 
-class TestKnownOrder:
-    BOUND = sp4_order(11) // 2
+def _ppd_part(p):
+    """p^2 + 1 without its factors 2 and 5."""
+    r = p * p + 1
+    for q in (2, 5):
+        while r % q == 0:
+            r //= q
+    return r
 
-    @pytest.mark.parametrize("x", [2, 7])
-    def test_certificate_equals_exact_order(self, x):
-        perms = _rho_perms(11, x)
-        assert group_order(perms, bound=self.BOUND) == group_order(perms)
 
-    def test_bound_not_reached_gives_exact_order(self):
-        _, pt = _rho_perms(11, 2)
-        assert group_order([pt], bound=self.BOUND) == 55
-        assert group_order(_symmetric_7(), bound=10080) == 5040
+def _sp2_p2_generators(p, rng):
+    """Two random elements of Sp2(p^2):2 in Sp4(p), the second outside
+    Sp2(p^2), and the Gram matrix of the form they preserve.  F_p^2 is
+    F_p(delta), delta^2 = d a non-residue, and F_p^2-coordinates u0 + u1 delta
+    are split into (u0, u1): SL2(p^2) acts on F_p^4 by restriction of
+    scalars, the Frobenius by conjugating each coordinate, and both keep the
+    form Tr det(u, v)."""
+    d = next(v for v in range(2, p) if pow(v, (p - 1) // 2, p) == p - 1)
 
-    # a bound that a partial product of orbit lengths equals is taken as
-    # reached: it has to be an upper bound, so these sit just below the order
-    @pytest.mark.parametrize("perms, bound", [
-        (_symmetric_7(), 5039),
-        (_rho_perms(11, 2), sp4_order(11) // 2 - 1),
-    ], ids=["S7", "PSp4"])
-    def test_bound_below_order_raises(self, perms, bound):
-        with pytest.raises(InternalConsistencyError, match="above the bound"):
-            group_order(perms, bound=bound)
+    def mul(a, b):
+        return ((a[0] * b[0] + d * a[1] * b[1]) % p, (a[0] * b[1] + a[1] * b[0]) % p)
 
-    def test_chain_is_deterministic(self):
-        perms = _rho_perms(11, 2)
-        first, second = [phicong.symplectic._stabilizer_chain(perms, self.BOUND)
-                         for _ in range(2)]
-        assert len(first) == len(second)
-        for a, b in zip(first, second):
-            assert a.base == b.base and a.size == b.size
-            assert np.array_equal(a.labels, b.labels)
-            assert len(a.gens) == len(b.gens)
-            for g, h in zip(a.gens, b.gens):
-                assert np.array_equal(g, h)
+    def inv(a):
+        norm = pow(a[0] * a[0] - d * a[1] * a[1], -1, p)
+        return (a[0] * norm % p, -a[1] * norm % p)
+
+    def block(a):                   # multiplication by a on the basis (1, delta)
+        return [[a[0], d * a[1]], [a[1], a[0]]]
+
+    def sl2():
+        while True:
+            al, be, ga = [(rng.randrange(p), rng.randrange(p)) for _ in range(3)]
+            if al != (0, 0):
+                break
+        one_plus = mul(be, ga)
+        ep = mul(((1 + one_plus[0]) % p, one_plus[1]), inv(al))
+        tl, tr, bl, br = map(block, (al, be, ga, ep))
+        return Matrix([tl[0] + tr[0], tl[1] + tr[1], bl[0] + br[0], bl[1] + br[1]], p)
+
+    frobenius = Matrix([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]], p)
+    gram = Matrix([[0, 0, 2, 0], [0, 0, 0, 2 * d], [-2, 0, 0, 0], [0, -2 * d, 0, 0]], p)
+    return sl2(), frobenius * sl2(), gram
+
+
+def _sp2_times_sp2_generators(p, rng):
+    """Two random elements of Sp2(p) x Sp2(p), on the J-orthogonal planes
+    <e1, e4> and <e2, e3>."""
+    def sl2():
+        while True:
+            a, b, c = (rng.randrange(p) for _ in range(3))
+            if a:
+                return a, b, c, (1 + b * c) * pow(a, -1, p) % p
+
+    def element():
+        (a, b, c, d), (e, f, g, h) = sl2(), sl2()
+        return Matrix([[a, 0, 0, b], [0, e, f, 0], [0, g, h, 0], [c, 0, 0, d]], p)
+    return element(), element()
+
+
+def _walk(A, B):
+    symplectic = phicong.symplectic
+    return list(symplectic._random_elements([A, B], random.Random(symplectic._SEED),
+                                            symplectic._TRIES))
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("p", [11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+                                   53, 59, 61])
+    def test_every_primitive_root_certified(self, p):
+        for x in _primitive_roots(p):
+            assert generates_sp4(*rho_matrices(SpParams(p, x))), x
+
+    def test_certified_iff_exact_order_is_psp4_at_p11(self):
+        seen = set()
+        for x in range(1, 11):
+            S4, T4 = rho_matrices(SpParams(11, x))
+            exact = group_order([permutation(S4), permutation(T4)])
+            assert generates_sp4(S4, T4) == (exact == sp4_order(11) // 2), x
+            seen.add(exact)
+        assert seen == {660, sp4_order(11) // 2}
+
+    @pytest.mark.parametrize("p, x, order", [(13, 3, 7197372), (19, 7, 70373340)])
+    def test_uncertified_pairs_get_exact_order(self, p, x, order):
+        params = SpParams(p, x)
+        S4, T4 = rho_matrices(params)
+        assert not generates_sp4(S4, T4)
+        v = surjectivity_verdict(params, permutation(S4), permutation(T4))
+        assert v.perm_group_order == order
+        assert not v.surjective_psp4
+
+    @pytest.mark.parametrize("p", [11, 13])
+    def test_sp2_p2_extension_never_certified(self, p):
+        rng = random.Random(p)
+        r, ppd_seen = _ppd_part(p), 0
+        for _ in range(8):
+            A, B, gram = _sp2_p2_generators(p, rng)
+            for M in (A, B):
+                assert M.transpose() * gram * M == gram
+            assert not generates_sp4(A, B)
+            for g in _walk(A, B):
+                assert not outside_sp2_p2(g)
+                ppd_seen += gcd(order_by_iteration(g), r) > 1
+        assert ppd_seen > 0
+
+    @pytest.mark.parametrize("p", [11, 13])
+    def test_sp2_times_sp2_never_certified(self, p):
+        rng = random.Random(p)
+        J = form_J(p)
+        for _ in range(8):
+            A, B = _sp2_times_sp2_generators(p, rng)
+            for M in (A, B):
+                assert M.transpose() * J * M == J
+            assert not generates_sp4(A, B)
+
+    def test_order_5_is_no_ppd_element_at_p13(self, monkeypatch):
+        # 5 divides 13^2 + 1 = 2 * 5 * 17 but also |2^(1+4).Omega4-(2)|, so
+        # only an order divisible by 17 counts.  A walk that meets an
+        # element of order 5 and one outside Sp2(p^2):2, both in the group
+        # of the same form, proves nothing.
+        p, rng = 13, random.Random(5)
+        while True:
+            A, _, gram = _sp2_p2_generators(p, rng)
+            k = order_by_iteration(A)
+            if k % 5 == 0:
+                A = A ** (k // 5)
+                break
+        while True:
+            a, b, c = (rng.randrange(p) for _ in range(3))
+            if a:
+                d = (1 + b * c) * pow(a, -1, p) % p
+                # SL2 blocks on <e1, e3> and <e2, e4>, the planes the form
+                # pairs, with traces a + d and 2 + 7 (2 * 7 = 1 mod 13)
+                C = Matrix([[a, 0, b, 0], [0, 2, 0, 0], [c, 0, d, 0], [0, 0, 0, 7]], p)
+                if outside_sp2_p2(C):
+                    break
+        for M in (A, C):
+            assert M.transpose() * gram * M == gram
+        monkeypatch.setattr(phicong.symplectic, "_random_elements",
+                            lambda gens, rng, count: iter([A, C]))
+        assert not generates_sp4(A, C)
+
+    def test_rho_T_outside_sp2_p2_iff_y_is_not_pm_x_or_inverse(self):
+        for p in (11, 13, 17):
+            for x in range(1, p):
+                assert not outside_sp2_p2(rho_matrices(SpParams(p, x))[1])
+                for y in range(1, p):
+                    excluded = {x, p - x, pow(x, -1, p), p - pow(x, -1, p)}
+                    T4 = rho_matrices(SpParams(p, x, y))[1]
+                    assert outside_sp2_p2(T4) == (y not in excluded), (p, x, y)
+
+    def test_outside_sp2_p2_matches_characteristic_polynomial(self):
+        # t^4 - a t^3 + e2 t^2 - a t + 1, e2 the sum of the principal 2x2
+        # minors, splits as (t^2 - s1 t + 1)(t^2 - s2 t + 1) with s1 + s2 = a
+        # and s1 s2 = e2 - 2; the test asks for s1 != s2 in F_p and a != 0
+        for p, x in ((11, 2), (13, 2), (13, 3), (17, 4)):
+            for g in _walk(*rho_matrices(SpParams(p, x))):
+                a = sum(g.rows[i][i] for i in range(4)) % p
+                e2 = sum(g.rows[i][i] * g.rows[j][j] - g.rows[i][j] * g.rows[j][i]
+                         for i in range(4) for j in range(i + 1, 4)) % p
+                split = any((s * (a - s) - e2 + 2) % p == 0 and (2 * s - a) % p
+                            for s in range(p))
+                assert outside_sp2_p2(g) == (split and a != 0)
+
+    def test_prime_near_10_to_9_under_1_s(self):
+        start = time.perf_counter()
+        assert generates_sp4(*rho_matrices(SpParams(10 ** 9 + 7, 5)))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestMemoryGuard:
