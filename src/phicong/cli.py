@@ -3,7 +3,9 @@
 Thin adapters over the library modules; all output is machine readable
 (JSON by default, CSV for series).  Exit codes: 0 success, 2 validation
 error, 3 internal consistency failure.  Each verb imports the modules it
-uses, so a verb loads nothing that only another verb needs (numpy, say).
+uses, so a verb loads nothing that only another verb needs.  numpy loads
+only for the exact group order of `grassmannian --surjectivity` when the
+matrix certificate finds no proof.
 """
 
 from __future__ import annotations
@@ -149,7 +151,7 @@ def _cmd_grassmannian(args) -> int:
         perm_s, perm_t = permutation(S4), permutation(T4)
         # rho(ST) acts as rho(S) after rho(T)
         eps = {"epsilon2": fixed_points(perm_s),
-               "epsilon3": fixed_points(perm_s[perm_t])}
+               "epsilon3": fixed_points(list(map(perm_s.__getitem__, perm_t)))}
     if args.surjectivity:
         v = surjectivity_verdict(params, perm_s, perm_t)
         _emit({"p": v.p, "x": v.x, "orderT": v.order_T,

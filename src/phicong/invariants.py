@@ -10,13 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import DomainError, InternalConsistencyError, UnsupportedPrimeError
 from .rationals import factorize, is_prime, require_prime
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def grassmannian_size(p: int) -> int:
@@ -106,9 +103,9 @@ def cusp_data_character(p: int) -> CuspData:
     return data
 
 
-def cusp_data_cycles(perm_t: np.ndarray) -> CuspData:
+def cusp_data_cycles(perm_t: List[int]) -> CuspData:
     """Cycle-type histogram of the T-action: the independent cusp oracle."""
-    from .symplectic import cycle_type      # loads numpy: only here
+    from .symplectic import cycle_type      # symplectic imports this module
     widths = cycle_type(perm_t)
     return CuspData(sum(widths.values()), widths)
 

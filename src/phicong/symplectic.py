@@ -5,25 +5,23 @@ rho(T) and rho(S) preserve the symplectic form J with (1,4)-entry 1 and
 (2,3)-entry -3.  X(F_p) splits into four families of Lagrangian planes
 A(a,b,c), B(a,b), C(a), D with |X(F_p)| = (p^2+1)(p+1).  A point is its
 index in the canonical order (A by (a,b,c), then B, C, D).  A matrix M
-permutes the indices in one numpy pass: the exterior square of M acts on
-the Plucker coordinates of all points, and each image is decoded back to
-an index.
+permutes the indices, a permutation being the plain list of images: the
+exterior square of M maps each row of points, whose Plucker coordinates
+are affine in one coordinate, to a row of images, and each image is
+decoded back to an index.
 
 surjectivity_verdict decides whether rho(S), rho(T) generate Sp4(F_p)
 from two matrix facts about random elements (generates_sp4), and only when
-that fails measures the group with an exact Schreier-Sims stabilizer chain
-on the permutations, whose levels keep Schreier vectors, O(n) memory each,
-in place of n coset representatives.
+that fails measures the group with the exact Schreier-Sims chain of
+phicong.schreier, the only code here that needs numpy.
 """
 
 from __future__ import annotations
 
-import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from .errors import DomainError, InternalConsistencyError
 from .invariants import grassmannian_size, legendre, sp4_order
@@ -53,10 +51,13 @@ class SpParams:
 #: Estimated memory, in bytes, above which the Grassmannian work refuses to
 #: start (DomainError, exit 2 on the command line).
 MEMORY_LIMIT = 1 << 30
-# Peak RSS of the exact stabilizer chain that `grassmannian --surjectivity`
-# still builds when generates_sp4 finds no proof, above that of the
-# interpreter with numpy loaded: 641, 477 and 367 bytes per point at
-# p = 23, 29 and 47, and 320-333 at p = 71 and 97; rounded up.
+# An upper bound on the peak RSS per point of every verb, above that of the
+# interpreter with the same modules loaded, measured at p = 23, 47, 97 and
+# 113.  A permutation is a list of Python ints, about 36 bytes an entry:
+# --epsilons and a certified --surjectivity take 90-119 bytes per point
+# (two permutations, their composition, the bytearray of the bijection
+# check), --cycles 41-71.  An uncertified --surjectivity adds numpy copies
+# and the stabilizer chain: 202-361, above the interpreter with numpy.
 _BYTES_PER_POINT = 700
 
 
@@ -107,231 +108,110 @@ def rho_matrices(params: SpParams) -> Tuple[Matrix, Matrix]:
     return S4, T4
 
 
-def _plucker(p: int) -> np.ndarray:
-    """Plucker coordinates, on _PAIRS, of every point of X(F_p): column i
-    holds the point with index i, reduced mod p."""
-    n, p2, p3 = grassmannian_size(p), p * p, p ** 3
-    # entries stay below 6p^2 through the action, and the memory guard
-    # keeps p below 160, so int32 holds every intermediate value
-    P = np.zeros((6, n), dtype=np.int32)
-    i = np.arange(p3, dtype=np.int32)
-    a, b, c = i // p2, i // p % p, i % p
-    A = P[:, :p3]                               # A(a,b,c), index (ap+b)p+c
-    A[0], A[1], A[2], A[3], A[4], A[5] = 1, c, -3 * a, -a, -b, -3 * a * a - b * c
-    i = np.arange(p2, dtype=np.int32)
-    a, b = i // p, i % p
-    B = P[:, p3:p3 + p2]                        # B(a,b), index p^3+ap+b
-    B[1], B[2], B[3], B[4], B[5] = 1, 3 * a, a, 3 * a * a, -b
-    P[4, p3 + p2:n - 1] = 1                     # C(a), index p^3+p^2+a
-    P[5, p3 + p2:n - 1] = np.arange(p)
-    P[5, n - 1] = 1                             # D, index p^3+p^2+p
-    P %= p
-    return P
+def _wedge(M: Matrix) -> List[List[int]]:
+    """The exterior square of M on _PAIRS, reduced mod p = M.m: column
+    (k, l) holds the Plucker coordinates of the plane M e_k, M e_l."""
+    m, p = M.rows, M.m
+    return [[(m[i][k] * m[j][l] - m[i][l] * m[j][k]) % p for k, l in _PAIRS]
+            for i, j in _PAIRS]
 
 
-def _decode(Q: np.ndarray, p: int) -> np.ndarray:
-    """Index of the Lagrangian plane with Plucker coordinates Q (6 x n,
-    reduced mod p), column by column."""
-    q01, q02, q03, q12, q13, q23 = Q
-    # <v, w> = p03 - 3 p12 for J
-    if ((q03 - 3 * q12) % p).any():
-        raise InternalConsistencyError("image of a plane is not Lagrangian")
-    inv = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=Q.dtype)
+def _image_rows(W: List[List[int]], p: int):
+    """The images under W of the points of X(F_p) in canonical order, as
+    rows (alpha, beta, count): the points alpha + t beta, t < count.  Each
+    family's Plucker coordinates (README, "How the Lagrangian action is
+    computed") are affine in its last coordinate, and so are their images."""
+    w01, w02, w03, w12, w13, w23 = zip(*W)
+    for a in range(p):                  # A(a, b, c): t = c
+        lead = [u - 3 * a * v - a * w - 3 * a * a * z
+                for u, v, w, z in zip(w01, w03, w12, w23)]
+        for b in range(p):
+            yield ([u - b * v for u, v in zip(lead, w13)],
+                   [u - b * v for u, v in zip(w02, w23)], p)
+    for a in range(p):                  # B(a, b): t = b
+        yield ([u + 3 * a * v + a * w + 3 * a * a * z
+                for u, v, w, z in zip(w02, w03, w12, w13)],
+               [-z for z in w23], p)
+    yield w13, w23, p                   # C(a): t = a
+    yield w23, (0,) * 6, 1              # D
+
+
+def _decode_off_a(q: List[int], p: int, inv: List[int]) -> int:
+    """Index of the Lagrangian plane with Plucker coordinates q (reduced
+    mod p, q01 = 0), which is B, C or D."""
+    _, q02, _, q12, q13, q23 = q
     p2, p3 = p * p, p ** 3
-    out = np.full(Q.shape[1], p3 + p2 + p, dtype=np.int64)
-    fam_a = q01 != 0
-    d = inv[q01[fam_a]]
-    out[fam_a] = (((-q12[fam_a] * d % p) * p + (-q13[fam_a] * d % p)) * p
-                  + q02[fam_a] * d % p)
-    fam_b = ~fam_a & (q02 != 0)
-    d = inv[q02[fam_b]]
-    out[fam_b] = p3 + (q12[fam_b] * d % p) * p + (-q23[fam_b] * d % p)
-    fam_c = ~(fam_a | fam_b) & (q13 != 0)
-    out[fam_c] = p3 + p2 + q23[fam_c] * inv[q13[fam_c]] % p
-    fam_d = ~(fam_a | fam_b | fam_c)
-    if not q23[fam_d].all():
+    if q02:
+        d = inv[q02]
+        return p3 + (q12 * d % p) * p + (-q23 * d % p)
+    if q13:
+        return p3 + p2 + q23 * inv[q13] % p
+    if not q23:
         raise InternalConsistencyError("image of a plane is not 2-dimensional")
-    return out
+    return p3 + p2 + p
 
 
-def permutation(M: Matrix) -> np.ndarray:
+def permutation(M: Matrix) -> List[int]:
     """The permutation induced by M on the canonical index set of X(F_p),
-    p = M.m: the exterior square of M acts on the Plucker coordinates of
-    every point at once, and _decode names the images."""
+    p = M.m, as the list of images.  A row of images alpha + t beta is
+    checked Lagrangian once, on alpha and beta: an affine function of t
+    vanishes at every t iff both its coefficients do.  An image with
+    q01 != 0 is A(-q12/q01, -q13/q01, q02/q01); _decode_off_a names the
+    others."""
     p = M.m
     require_prime(p, 3)
-    require_memory(grassmannian_size(p))
+    n = grassmannian_size(p)
+    require_memory(n)
     J = form_J(p)
     if M.transpose() * J * M != J:
         raise DomainError("matrix is not symplectic for J")
-    m = np.array(M.rows, dtype=np.int64)
-    wedge = np.array([[m[i, k] * m[j, l] - m[i, l] * m[j, k] for k, l in _PAIRS]
-                      for i, j in _PAIRS]) % p
-    Q = wedge.astype(np.int32) @ _plucker(p)
-    Q %= p
-    out = _decode(Q, p)
-    # every index is the image of exactly one point (np.unique, which
-    # hashes in numpy 2.4, took 0.7 s of 0.8 s here at p = 97)
-    if not (np.bincount(out, minlength=len(out)) == 1).all():
+    inv = [0] + [pow(v, -1, p) for v in range(1, p)]
+    out: List[int] = []
+    append = out.append
+    for alpha, beta, count in _image_rows(_wedge(M), p):
+        # <v, w> = p03 - 3 p12 for J
+        if (alpha[2] - 3 * alpha[3]) % p or (beta[2] - 3 * beta[3]) % p:
+            raise InternalConsistencyError("image of a plane is not Lagrangian")
+        q01, q02, _, q12, q13, _ = alpha
+        d01, d02, _, d12, d13, _ = beta
+        q12, q13 = -q12, -q13
+        for t in range(count):          # q holds alpha + t beta, q12, q13 negated
+            d = inv[q01 % p]
+            if d:
+                append(((q12 * d % p) * p + q13 * d % p) * p + q02 * d % p)
+            else:
+                append(_decode_off_a([(u + t * v) % p for u, v in zip(alpha, beta)],
+                                     p, inv))
+            q01, q02, q12, q13 = q01 + d01, q02 + d02, q12 - d12, q13 - d13
+    # every index is the image of exactly one point
+    seen = bytearray(n)
+    for i in out:
+        seen[i] = 1
+    if 0 in seen:
         raise InternalConsistencyError("action is not a bijection")
     return out
 
 
-def cycle_type(perm: np.ndarray) -> Dict[int, int]:
-    """{cycle length: number of cycles} of a permutation, by pointer
-    doubling: least[i] is the least of the 2^k points from i on, and jump
-    is perm^(2^k).  While a cycle is longer than 2^k, least still changes
-    2^k steps before its minimum, so the first round that changes nothing
-    has found every cycle's minimum, where the cycle is counted."""
-    least, jump = np.minimum(np.arange(len(perm)), perm), perm[perm]
-    while ((step := np.minimum(least, least[jump])) != least).any():
-        least, jump = step, jump[jump]
-    cycles = np.bincount(np.bincount(least))      # cycles[L]: cycles of length L
-    return {int(k): int(cycles[k]) for k in np.flatnonzero(cycles[1:]) + 1}
+def cycle_type(perm: List[int]) -> Dict[int, int]:
+    """{cycle length: number of cycles} of a permutation, walking each
+    cycle once from its least point."""
+    seen = bytearray(len(perm))
+    counts: Dict[int, int] = {}
+    start = seen.find(0)
+    while start >= 0:
+        length, j = 0, start
+        while not seen[j]:
+            seen[j] = 1
+            j = perm[j]
+            length += 1
+        counts[length] = counts.get(length, 0) + 1
+        start = seen.find(0, start + 1)
+    return counts
 
 
-def fixed_points(perm: np.ndarray) -> int:
+def fixed_points(perm: List[int]) -> int:
     """Number of points a permutation fixes."""
-    return int(np.count_nonzero(perm == np.arange(len(perm))))
-
-
-# -- Schreier-Sims on Schreier vectors ----------------------------------------
-
-#: Schreier-vector labels of a point off the orbit and of the base point.
-_OUTSIDE, _ROOT = -1, -2
-
-
-class _Level:
-    """One level of a stabilizer chain: a base point, the strong generators
-    that fix every earlier base point (with their inverses), and the
-    Schreier vector of the base point's orbit under them.  labels[y] is the
-    index k of a generator that maps the point invs[k][y], nearer the base,
-    to y; _ROOT at the base and _OUTSIDE off the orbit."""
-
-    def __init__(self, base: int, n: int):
-        self.base = base
-        self.gens: List[np.ndarray] = []
-        self.invs: List[np.ndarray] = []
-        self.labels = np.full(n, _OUTSIDE, dtype=np.int32)
-        self.labels[base] = _ROOT
-        self.size = 1
-
-    def add(self, g: np.ndarray, g_inv: np.ndarray) -> None:
-        """Take g as a generator and close the orbit under it, breadth
-        first from the current orbit."""
-        self.gens.append(g)
-        self.invs.append(g_inv)
-        labels = self.labels
-        frontier = np.flatnonzero(labels != _OUTSIDE)
-        while frontier.size:
-            reached = []
-            for k, h in enumerate(self.gens):
-                img = h[frontier]
-                new = img[labels[img] == _OUTSIDE]
-                labels[new] = k
-                reached.append(new)
-            frontier = np.unique(np.concatenate(reached))
-            self.size += frontier.size
-
-    def coset_rep(self, x: int, ident: np.ndarray) -> np.ndarray:
-        """The element that the labels map the base point to x with."""
-        path = []
-        k = int(self.labels[x])
-        while k != _ROOT:
-            path.append(k)
-            x = int(self.invs[k][x])
-            k = int(self.labels[x])
-        u = ident
-        for k in reversed(path):
-            u = self.gens[k][u]
-        return u
-
-
-def _sift(g: np.ndarray, chain: List[_Level], start: int = 0):
-    """Strip g through chain[start:], which g's first base points must fix;
-    returns (residue, level it left the chain at, or len(chain))."""
-    for lvl in range(start, len(chain)):
-        level = chain[lvl]
-        y = int(g[level.base])
-        k = int(level.labels[y])
-        if k == _OUTSIDE:
-            return g, lvl
-        # g <- u_y^-1 g, one generator of the path to the base at a time
-        while k != _ROOT:
-            inv = level.invs[k]
-            g = inv[g]
-            y = int(inv[y])
-            k = int(level.labels[y])
-    return g, len(chain)
-
-
-def _add_strong(chain: List[_Level], g: np.ndarray, lvl: int,
-                ident: np.ndarray) -> None:
-    """Add a sift residue g that left the chain at lvl: it fixes the base
-    points of chain[:lvl], so it generates on those levels and on lvl,
-    which is new when g got through the whole chain."""
-    if lvl == len(chain):
-        chain.append(_Level(int(np.flatnonzero(g != ident)[0]), len(g)))
-    g_inv = np.empty_like(g)
-    g_inv[g] = ident
-    for level in chain[:lvl + 1]:
-        level.add(g, g_inv)
-
-
-def _first_failure(chain: List[_Level], lvl: int, gens: List[np.ndarray],
-                   ident: np.ndarray) -> Optional[int]:
-    """Sift the Schreier generators of chain[lvl] made from gens, which
-    generate the group of the level; the first nontrivial residue joins the
-    chain, and the level it left the chain at is returned."""
-    level = chain[lvl]
-    for x in np.flatnonzero(level.labels != _OUTSIDE):
-        u = level.coset_rep(int(x), ident)
-        for g in gens:
-            k = int(level.labels[g[x]])
-            if k >= 0 and level.gens[k] is g:   # a tree edge: u_{g(x)} = g u_x
-                continue
-            res, out = _sift(g[u], chain, lvl)
-            if not np.array_equal(res, ident):
-                _add_strong(chain, res, out, ident)
-                return out
-    return None
-
-
-def _stabilizer_chain(generators: List[np.ndarray]) -> List[_Level]:
-    """The stabilizer chain behind group_order: the generators' sift
-    residues start it, and it is verified deepest level first, by
-    Schreier's lemma: the stabilizer of the base point in the group a
-    level's generators generate is generated by the Schreier generators,
-    so they all sift through the levels below it.  The top level's group
-    is the whole group, which gens generate with fewer Schreier
-    generators.  A new strong generator fixes the base points above the
-    level it joined at, so the levels below that one stay verified, and
-    verification resumes there."""
-    n = len(generators[0])
-    require_memory(n)
-    ident = np.arange(n)
-    gens = [g for g in generators if not np.array_equal(g, ident)]
-    chain: List[_Level] = []
-    for g in gens:
-        res, lvl = _sift(g, chain)
-        if not np.array_equal(res, ident):
-            _add_strong(chain, res, lvl, ident)
-    lvl = len(chain) - 1
-    while lvl >= 0:
-        failed = _first_failure(chain, lvl, gens if lvl == 0 else chain[lvl].gens,
-                                ident)
-        lvl = lvl - 1 if failed is None else failed
-    return chain
-
-
-def group_order(generators: List[np.ndarray]) -> int:
-    """Exact order of the permutation group the generators generate, from
-    a Schreier-Sims stabilizer chain with Schreier vectors.  Base points
-    are the smallest point the new strong generator moves, and every
-    Schreier generator is sifted."""
-    if not generators:
-        return 1
-    return math.prod(level.size for level in _stabilizer_chain(generators))
+    return sum(map(operator.eq, perm, range(len(perm))))
 
 
 # -- Recognizing Sp4(F_p) from two matrices ----------------------------------
@@ -419,8 +299,8 @@ def matrix_order(M: Matrix, exponent: int) -> int:
     return order
 
 
-def surjectivity_verdict(params: SpParams, perm_s: np.ndarray,
-                         perm_t: np.ndarray) -> SurjectivityVerdict:
+def surjectivity_verdict(params: SpParams, perm_s: List[int],
+                         perm_t: List[int]) -> SurjectivityVerdict:
     """perm_s, perm_t are the permutations of X(F_p) under rho(S), rho(T).
     Sp4(F_p) acts on X(F_p) as PSp4(F_p), since -I acts trivially, so
     generates_sp4 gives the order |Sp4(F_p)|/2; otherwise group_order
@@ -429,7 +309,11 @@ def surjectivity_verdict(params: SpParams, perm_s: np.ndarray,
     S4, T4 = rho_matrices(params)
     order_T = matrix_order(T4, p * (p - 1))
     psp4 = sp4_order(p) // 2
-    order = psp4 if generates_sp4(S4, T4) else group_order([perm_s, perm_t])
+    if generates_sp4(S4, T4):
+        order = psp4
+    else:
+        from .schreier import group_order       # loads numpy: only here
+        order = group_order([perm_s, perm_t])
     return SurjectivityVerdict(p, params.x % p, order_T, order, order == psp4)
 
 

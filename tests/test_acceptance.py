@@ -6,15 +6,14 @@ import random
 from fractions import Fraction
 from math import lcm
 
-import numpy as np
-
 from phicong.divpoly import rescaled
 from phicong.invariants import (cusp_data_character, cusp_data_cycles,
                                 elliptic_counts, genus_pointstab, legendre)
 from phicong.qexp import denominator_report, xtilde
-from phicong.symplectic import (SpParams, fixed_points, group_order,
-                                kernel_test, lift_witness_mod_p2,
-                                permutation, rho_matrices, sp4_order)
+from phicong.schreier import group_order
+from phicong.symplectic import (SpParams, fixed_points, kernel_test,
+                                lift_witness_mod_p2, permutation, rho_matrices,
+                                sp4_order)
 from phicong.words import SubgroupSpec, Word, parse_word, phi, subgroup_member
 
 from closed_forms import assert_matches_closed_forms

@@ -298,7 +298,11 @@ class TestImports:
                          "matrices", "cyclotomic"),
               "divpoly": ("qexp", "series", "words", "invariants"),
               "dims": ("qexp", "series", "divpoly", "words"),
-              "genus": ("qexp", "series", "divpoly", "words")}
+              "genus": ("qexp", "series", "divpoly", "words"),
+              # the certified Grassmannian calls need no exact group order
+              "grassmannian": ("qexp", "series", "divpoly", "cyclotomic",
+                               "schreier"),
+              "cusps": ("qexp", "series", "divpoly", "cyclotomic", "schreier")}
 
     @pytest.mark.parametrize("argv", [
         ["qexp", "--level", "3", "--terms", "4"],
@@ -306,6 +310,14 @@ class TestImports:
         ["divpoly", "--level", "3", "--profile", "5"],
         ["dims", "--family", "gp", "--k", "2", "--p", "5"],
         ["genus", "--p", "11"],
+        pytest.param(["grassmannian", "--p", "11", "--x", "2", "--surjectivity"],
+                     id="grassmannian-surjectivity"),
+        pytest.param(["grassmannian", "--p", "11", "--x", "2", "--epsilons"],
+                     id="grassmannian-epsilons"),
+        pytest.param(["grassmannian", "--p", "11", "--x", "2", "--cycles"],
+                     id="grassmannian-cycles"),
+        pytest.param(["cusps", "--p", "11", "--oracle", "cycles", "--x", "2"],
+                     id="cusps-cycles"),
     ], ids=lambda argv: argv[0])
     def test_verb_does_not_load_numpy(self, argv):
         unused = ["numpy"] + [f"phicong.{m}" for m in self.UNUSED[argv[0]]]

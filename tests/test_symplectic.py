@@ -9,15 +9,18 @@ import pytest
 from phicong.errors import (DomainError, InternalConsistencyError,
                             UnsupportedPrimeError)
 from phicong.matrices import Matrix
+import phicong.schreier
 import phicong.symplectic
+from phicong.schreier import group_order
 from phicong.symplectic import (SpParams, cycle_type, fixed_points, form_J,
-                                generates_sp4, grassmannian_size, group_order,
-                                kernel_test, lift_witness_mod_p2, matrix_order,
+                                generates_sp4, grassmannian_size, kernel_test,
+                                lift_witness_mod_p2, matrix_order,
                                 outside_sp2_p2, permutation, require_memory,
                                 rho_matrices, rho_word, sp4_order,
                                 surjectivity_verdict)
 from phicong.words import Word, parse_word
 
+import numpy_oracle
 from closed_forms import (Lagrangian, assert_matches_closed_forms, in_span,
                           invariant_forms, lagrangian_from_index, rref_mod_p)
 from ring_matrix import Matrix as RingMatrix, eval_word
@@ -31,19 +34,9 @@ def order_by_iteration(M):
     return k
 
 
-def cycle_type_by_walk(perm):
-    """The oracle for cycle_type: walk each cycle from its first point."""
-    seen = [False] * len(perm)
-    counts = {}
-    for i in range(len(perm)):
-        length, j = 0, i
-        while not seen[j]:
-            seen[j] = True
-            j = int(perm[j])
-            length += 1
-        if length:
-            counts[length] = counts.get(length, 0) + 1
-    return counts
+def compose(f, g):
+    """The permutation f after g, composed point by point."""
+    return [f[i] for i in g]
 
 
 class TestRho:
@@ -113,10 +106,17 @@ class TestGrassmannian:
         assert lagrangian_from_index(1463, 11) == Lagrangian("D", ())
 
     def test_isotropy(self):
-        # every point's Plucker vector is isotropic for J: p03 = 3 p12
+        # the rows of points that permutation expands, under the identity,
+        # are the oracle's Plucker coordinates, and each is isotropic for
+        # J: p03 = 3 p12
         for p in (11, 13):
-            P = phicong.symplectic._plucker(p)
-            assert not ((P[2] - 3 * P[3]) % p).any()
+            ident = [[int(r == s) for s in range(6)] for r in range(6)]
+            points = []
+            for alpha, beta, count in phicong.symplectic._image_rows(ident, p):
+                points += [[(u + t * v) % p for u, v in zip(alpha, beta)]
+                           for t in range(count)]
+            assert points == numpy_oracle._plucker(p).T.tolist()
+            assert all((q[2] - 3 * q[3]) % p == 0 for q in points)
 
     def test_index_round_trip(self):
         for p in (11, 13):
@@ -137,27 +137,29 @@ class TestGrassmannian:
         assert permutation(S4)[D] == Lagrangian("A", (0, 0, 0)).index(11)
         assert permutation(S4 * T4)[D] == Lagrangian(
             "A", ((-x * y) % 11, (2 * x * x) % 11, (-2 * y * y) % 11)).index(11)
-        assert (permutation(Matrix.identity(11)) == np.arange(1464)).all()
+        assert permutation(Matrix.identity(11)) == list(range(1464))
 
     def test_act_matches_closed_forms(self):
         assert_matches_closed_forms(13, 3)
 
     @pytest.mark.parametrize("broken, message", [
-        # a plane that is not Lagrangian
-        (lambda p: np.array([[1], [0], [1], [0], [0], [0]], dtype=np.int32),
-         "not Lagrangian"),
+        # images that are not Lagrangian: q03 becomes q01 + q03
+        (lambda M: [[int(r == s or (r, s) == (2, 0)) for s in range(6)]
+                    for r in range(6)], "not Lagrangian"),
         # the zero vector
-        (lambda p: np.zeros((6, 3), dtype=np.int32), "not 2-dimensional"),
+        (lambda M: [[0] * 6 for _ in range(6)], "not 2-dimensional"),
         # a Lagrangian vector that is not a plane: only p03 = 3 p12 nonzero
-        (lambda p: np.array([[0], [0], [3], [1], [0], [0]], dtype=np.int32),
-         "not 2-dimensional"),
-        # every column is the point D
-        (lambda p: np.tile(np.array([[0], [0], [0], [0], [0], [1]],
-                                    dtype=np.int32), 5), "not a bijection"),
+        (lambda M: [[0] * 6, [0] * 6, [3, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0],
+                    [0] * 6, [0] * 6], "not 2-dimensional"),
+        # valid images, but q03 and q12 forgotten: A(a, b, c) goes to
+        # A(0, b, c), so points collide
+        (lambda M: [[int(r == s and r not in (2, 3)) for s in range(6)]
+                    for r in range(6)], "not a bijection"),
     ])
     def test_broken_images_rejected(self, monkeypatch, broken, message):
+        # the broken matrices stand in for the exterior square of rho(S)
         S4, _ = rho_matrices(SpParams(11, 2))
-        monkeypatch.setattr(phicong.symplectic, "_plucker", broken)
+        monkeypatch.setattr(phicong.symplectic, "_wedge", broken)
         with pytest.raises(InternalConsistencyError, match=message):
             permutation(S4)
 
@@ -165,7 +167,7 @@ class TestGrassmannian:
         p = 11
         S4, _ = rho_matrices(SpParams(p, 2))
         neg = Matrix([[-e for e in row] for row in S4.rows], p)
-        assert (permutation(S4) == permutation(neg)).all()
+        assert permutation(S4) == permutation(neg)
 
     @pytest.mark.parametrize("m", [9, 15, 2, 3])
     def test_modulus_not_a_prime_above_3_rejected(self, m):
@@ -198,25 +200,32 @@ class TestPermutations:
         for p in (11, 13):
             S4, T4 = rho_matrices(SpParams(p, 2))
             perm_s, perm_t = permutation(S4), permutation(T4)
-            assert (perm_s[perm_t] == permutation(S4 * T4)).all()
+            assert compose(perm_s, perm_t) == permutation(S4 * T4)
 
     def test_cycle_type(self):
-        perm = np.array([1, 2, 0, 4, 3, 5])
+        perm = [1, 2, 0, 4, 3, 5]
         assert cycle_type(perm) == {3: 1, 2: 1, 1: 1}
         assert fixed_points(perm) == 1
         assert lcm(*cycle_type(perm)) == 6
-        assert cycle_type(np.arange(0)) == {}
+        assert cycle_type([]) == {}
 
-    def test_cycle_type_matches_walk(self):
+    @pytest.mark.parametrize("p", [11, 13, 23, 29, 47])
+    def test_action_matches_numpy_oracle(self, p):
+        S4, T4 = rho_matrices(SpParams(p, 2))
+        for M in (S4, T4, S4 * T4):
+            assert permutation(M) == numpy_oracle.permutation(M).tolist()
+
+    def test_cycle_type_matches_pointer_doubling(self):
         for p in (11, 13, 23, 29, 47):
             S4, T4 = rho_matrices(SpParams(p, 2))
             perm_s, perm_t = permutation(S4), permutation(T4)
-            for perm in (perm_s, perm_t, perm_s[perm_t]):
-                assert cycle_type(perm) == cycle_type_by_walk(perm)
+            for perm in (perm_s, perm_t, compose(perm_s, perm_t)):
+                assert cycle_type(perm) == numpy_oracle.cycle_type(np.array(perm))
         rng = np.random.default_rng(7)
         for n in (1, 2, 3, 7, 1000, 10 ** 5):
             perm = rng.permutation(n)
-            assert cycle_type(perm) == cycle_type_by_walk(perm)
+            assert cycle_type(perm.tolist()) == numpy_oracle.cycle_type(perm)
+            assert fixed_points(perm.tolist()) == np.count_nonzero(perm == np.arange(n))
 
     def test_fixed_points_S(self):
         # epsilon_2 = p + 2 + legendre(-1, p)
@@ -231,9 +240,9 @@ class TestPermutations:
         for p, x in ((11, 2), (13, 2), (29, 2)):
             S4, T4 = rho_matrices(SpParams(p, x))
             perm_s, perm_t = permutation(S4), permutation(T4)
-            for perm in (perm_s, perm_t, perm_s[perm_t]):
+            for perm in (perm_s, perm_t, compose(perm_s, perm_t)):
                 assert fixed_points(perm) == cycle_type(perm).get(1, 0)
-        assert fixed_points(np.arange(0)) == 0
+        assert fixed_points([]) == 0
 
     def test_T_order(self):
         _, T4 = rho_matrices(SpParams(11, 2))
@@ -241,10 +250,7 @@ class TestPermutations:
 
 
 def _symmetric_7():
-    cycle = np.roll(np.arange(7), -1)
-    swap = np.arange(7)
-    swap[0], swap[1] = 1, 0
-    return [cycle, swap]
+    return [[1, 2, 3, 4, 5, 6, 0], [1, 0, 2, 3, 4, 5, 6]]
 
 
 def _primitive_roots(p):
@@ -258,7 +264,7 @@ def _rho_perms(p, x):
 
 class TestGroupOrder:
     def test_trivial(self):
-        assert group_order([np.arange(20)]) == 1
+        assert group_order([list(range(20))]) == 1
 
     def test_cyclic_T(self):
         _, T4 = rho_matrices(SpParams(11, 2))
@@ -274,7 +280,8 @@ class TestGroupOrder:
     def test_schreier_vectors_are_arrays_of_labels(self):
         # O(n) per level: no level keeps a permutation per orbit point
         n = grassmannian_size(11)
-        chain = phicong.symplectic._stabilizer_chain(_rho_perms(11, 2))
+        chain = phicong.schreier._stabilizer_chain(
+            [np.array(g) for g in _rho_perms(11, 2)])
         for level in chain:
             assert level.labels.shape == (n,)
             assert len(level.gens) == len(level.invs)
@@ -397,6 +404,24 @@ class TestCertificate:
                 assert M.transpose() * J * M == J
             assert not generates_sp4(A, B)
 
+    @pytest.mark.parametrize("p", [11, 13, 17, 29])
+    def test_borel_generators_never_certified(self, p):
+        # rho(T) is upper triangular, and so is diag(t, s, 1/s, 1/t): they
+        # generate a subgroup of the Borel subgroup, whose order p^4 (p-1)^2
+        # no prime >= 7 that divides p^2 + 1 divides
+        rng = random.Random(p)
+        J = form_J(p)
+        for _ in range(6):
+            t, s = rng.randrange(1, p), rng.randrange(1, p)
+            D = Matrix([[t, 0, 0, 0], [0, s, 0, 0], [0, 0, pow(s, -1, p), 0],
+                        [0, 0, 0, pow(t, -1, p)]], p)
+            assert D.transpose() * J * D == J
+            T4 = rho_matrices(SpParams(p, rng.randrange(1, p)))[1]
+            assert not generates_sp4(T4, D)
+            for g in _walk(T4, D):
+                assert all(g.rows[i][j] == 0 for i in range(4) for j in range(i))
+                assert (g ** (p * (p - 1))).is_identity()
+
     def test_order_5_is_no_ppd_element_at_p13(self, monkeypatch):
         # 5 divides 13^2 + 1 = 2 * 5 * 17 but also |2^(1+4).Omega4-(2)|, so
         # only an order divisible by 17 counts.  A walk that meets an
@@ -466,15 +491,15 @@ class TestMemoryGuard:
     def test_permutation_refuses_before_allocating(self, monkeypatch):
         S4, _ = rho_matrices(SpParams(157, 2))
 
-        def no_points(p):
+        def no_points(M):
             raise AssertionError("points built before the size check")
-        monkeypatch.setattr(phicong.symplectic, "_plucker", no_points)
+        monkeypatch.setattr(phicong.symplectic, "_wedge", no_points)
         with pytest.raises(DomainError, match="GiB limit"):
             permutation(S4)
 
     def test_group_order_refuses_before_allocating(self):
         with pytest.raises(DomainError):
-            group_order([np.arange(grassmannian_size(127))])
+            group_order([range(grassmannian_size(127))])
 
 
 class TestSurjectivity:
