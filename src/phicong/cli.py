@@ -151,7 +151,7 @@ def _cmd_grassmannian(args) -> int:
         perm_s, perm_t = permutation(S4), permutation(T4)
         # rho(ST) acts as rho(S) after rho(T)
         eps = {"epsilon2": fixed_points(perm_s),
-               "epsilon3": fixed_points(list(map(perm_s.__getitem__, perm_t)))}
+               "epsilon3": fixed_points(map(perm_s.__getitem__, perm_t))}
     if args.surjectivity:
         v = surjectivity_verdict(params, perm_s, perm_t)
         _emit({"p": v.p, "x": v.x, "orderT": v.order_T,
@@ -211,7 +211,7 @@ def _cmd_dims(args) -> int:
         if args.p is None:
             raise DomainError("--family gp requires --p")
         d = dims_Gp(args.k, args.p)
-        _emit({"family": "gp", "k": d.k, "p": d.p, "dimM": int(d.dim_M),
+        _emit({"family": "gp", "k": d.k, "p": d.p, "dimM": d.dim_M,
                "genus": d.genus, "cusps": d.cusps,
                "ellipticOrder2": d.elliptic2})
     return 0

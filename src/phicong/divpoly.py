@@ -10,9 +10,8 @@ recursion never divides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .errors import DomainError, InternalConsistencyError
 from .polynomials import UniPoly
@@ -53,8 +52,7 @@ def _f(n: int) -> UniPoly:
                     - _f(m - 2) * _f(m + 1) * _f(m + 1))
 
 
-@dataclass(frozen=True)
-class DivisionTriple:
+class DivisionTriple(NamedTuple):
     """psi_N^2, phi_N (pure x), and omega_N = omega * y^y_parity."""
 
     N: int
@@ -111,8 +109,7 @@ def rescaled(N: int) -> Tuple[UniPoly, UniPoly]:
             _scalar_div(_phi_pol(N, psi_sq).scale_arg(12), 12 ** n2))
 
 
-@dataclass(frozen=True)
-class ReductionProfile:
+class ReductionProfile(NamedTuple):
     """p-adic valuation report for psi_N^2 (and psi_N itself)."""
 
     N: int

@@ -2,15 +2,13 @@
 
 Covers both families: the symplectic point stabilizers (cusps via the
 permutation character chi of the X(F_p) action, with a cycle-type dual
-oracle) and the quasi-unipotent family (Newman-style genus formula and
-dimension formulas for M_2k / S_2k).
+oracle) and the quasi-unipotent family (dimension formulas for
+M_2k / S_2k).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .errors import DomainError, InternalConsistencyError, UnsupportedPrimeError
 from .rationals import factorize, is_prime, require_prime
@@ -68,10 +66,9 @@ def _chi(p: int, d: int) -> int:
     return 3
 
 
-@dataclass(frozen=True)
-class CuspData:
+class CuspData(NamedTuple):
     total: int
-    widths: Dict[int, int] = field(hash=False)
+    widths: Dict[int, int]
 
     def width_sum(self) -> int:
         return sum(w * m for w, m in self.widths.items())
@@ -119,15 +116,15 @@ def elliptic_counts(p: int) -> Tuple[int, int]:
 def genus_pointstab(p: int) -> int:
     """Genus of the point-stabilizer curve, by two independent routes.
 
-    Route 1: g = 1 + index/12 - eps2/4 - eps3/3 - c/2 with
+    Route 1: 12g = 12 + index - 3 eps2 - 4 eps3 - 6c with
     index = |X(F_p)| = (p^2+1)(p+1) and c = 2p+12.  Route 2: the closed
-    forms by p mod 12.  The routes must agree.
+    forms for 12g by p mod 12.  The routes must agree.
     """
     require_prime(p, 7)
     eps2, eps3 = elliptic_counts(p)
     index = grassmannian_size(p)
     c = 2 * p + 12
-    g1 = 1 + Fraction(index, 12) - Fraction(eps2, 4) - Fraction(eps3, 3) - Fraction(c, 2)
+    twelve_g = 12 + index - 3 * eps2 - 4 * eps3 - 6 * c
     cubic = p ** 3 + p ** 2
     closed = {
         1: cubic - 22 * p - 76,
@@ -137,23 +134,13 @@ def genus_pointstab(p: int) -> int:
     }[p % 12]
     if closed % 12 != 0:
         raise InternalConsistencyError(f"closed-form genus not integral for p={p}")
-    g2 = closed // 12
-    if g1 != g2:
+    if twelve_g != closed:
         raise InternalConsistencyError(
-            f"genus routes disagree for p={p}: {g1} vs {g2}")
-    return g2
+            f"genus routes disagree for p={p}: 12g = {twelve_g} vs {closed}")
+    return closed // 12
 
 
-def genus_newman(index: int, N: int) -> Fraction:
-    """g = 1 + index (N-6)/(24N) for a normal subgroup with branch
-    schema (2,3,N); non-integrality means no such group exists."""
-    if index < 1 or N < 1:
-        raise DomainError("index and N must be positive")
-    return 1 + Fraction(index * (N - 6), 24 * N)
-
-
-@dataclass(frozen=True)
-class DimsUnipotent:
+class DimsUnipotent(NamedTuple):
     k: int
     index: int
     character_trivial: bool
@@ -177,11 +164,10 @@ def dims_unipotent(k: int, index_in_gamma_prime: int,
                          dim_m_char - dim_s_char)
 
 
-@dataclass(frozen=True)
-class DimsGp:
+class DimsGp(NamedTuple):
     k: int
     p: int
-    dim_M: Fraction        # kp/2 + 1 - (3/2 if k odd)
+    dim_M: int             # kp/2 + 1 - (3/2 if k odd)
     genus: int             # 0
     cusps: int             # (p+1)/2
     elliptic2: int         # 3 elliptic points of order 2
@@ -192,29 +178,7 @@ def dims_Gp(k: int, p: int) -> DimsGp:
         raise UnsupportedPrimeError(f"p = {p} is not a prime = 5 (mod 12)")
     if k < 1:
         raise DomainError("k must be positive")
-    dim = Fraction(k * p, 2) + 1 - (Fraction(3, 2) if k % 2 else 0)
-    if dim.denominator != 1:
+    twice = k * p + 2 - (3 if k % 2 else 0)
+    if twice % 2:
         raise InternalConsistencyError("dimension formula gave a non-integer")
-    return DimsGp(k, p, dim, 0, (p + 1) // 2, 3)
-
-
-@dataclass(frozen=True)
-class NoncongruenceReport:
-    p: int
-    level: int             # p(p-1), the putative congruence level
-    sl2_order: int         # |SL_2(Z / p(p-1))|
-    sp4_order: int         # |Sp_4(F_p)|
-    psp4_order: int
-    witness: bool          # psp4_order > sl2_order, forcing noncongruence
-
-
-def noncongruence_report(p: int) -> NoncongruenceReport:
-    """|SL_2(Z/p(p-1))| vs |PSp_4(F_p)|: the image is too large to factor
-    through any congruence quotient of the candidate level."""
-    require_prime(p, 7)
-    n = p * (p - 1)
-    sl2 = n ** 3
-    for ell in factorize(n):
-        sl2 = sl2 // (ell * ell) * (ell * ell - 1)
-    sp4 = sp4_order(p)
-    return NoncongruenceReport(p, n, sl2, sp4, sp4 // 2, sp4 // 2 > sl2)
+    return DimsGp(k, p, twice // 2, 0, (p + 1) // 2, 3)

@@ -15,11 +15,10 @@ lattice Q = q^6 as dense lists and is returned as a ``LaurentSeries``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .errors import DomainError, InternalConsistencyError
 from .polynomials import mul_trunc
@@ -29,8 +28,7 @@ from .series import LaurentSeries
 PRIMES_37 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-@dataclass(frozen=True)
-class BasisSeries:
+class BasisSeries(NamedTuple):
     eta4: LaurentSeries
     E4: LaurentSeries
     E6: LaurentSeries
@@ -154,8 +152,7 @@ def ytilde(N: int, prec: int) -> LaurentSeries:
     return _on_lattice(b, N, -3, prec)
 
 
-@dataclass(frozen=True)
-class PrimeReport:
+class PrimeReport(NamedTuple):
     p: int
     min_vals: Tuple          # min v_p over first 10/20/30 terms (INF if none)
     integral: bool           # all computed coefficients p-integral
@@ -164,8 +161,7 @@ class PrimeReport:
     bound_ok: bool           # v_p(c_n) >= -2 v_p(N) (n+1) for every term
 
 
-@dataclass(frozen=True)
-class DenominatorReport:
+class DenominatorReport(NamedTuple):
     N: int
     prec: int
     cutoffs: Tuple[int, int, int]

@@ -1,15 +1,16 @@
 """Exact rational helpers: valuations, factorization, repeated squaring
 and fraction formatting.
 
-Rationals themselves are ``fractions.Fraction`` (always normalized, positive
-denominator), which matches the storage invariants needed for exact golden
-comparisons.
+A rational is an ``int`` or a ``fractions.Fraction`` (always normalized,
+positive denominator), which matches the storage invariants needed for exact
+golden comparisons.  Both carry ``numerator`` and ``denominator``, so this
+module reads those and never imports ``fractions``: only ``qexp`` computes
+with Fractions.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Tuple
 
@@ -19,15 +20,24 @@ from .errors import DomainError, UnsupportedPrimeError
 INF = math.inf
 
 
+def _num_den(r) -> Tuple[int, int]:
+    """(numerator, denominator) of an int or a Fraction; anything else,
+    a float or a string among them, is a DomainError."""
+    try:
+        return r.numerator, r.denominator
+    except AttributeError:
+        raise DomainError(f"{r!r} is not an int or a Fraction") from None
+
+
 def padic_val(r, p: int):
     """Normalized p-adic valuation of a rational, with v_p(p) = 1.
 
     Returns ``INF`` for zero.
     """
-    r = Fraction(r)
-    if r == 0:
+    num, den = _num_den(r)
+    if num == 0:
         return INF
-    return split_power(r.numerator, p)[0] - split_power(r.denominator, p)[0]
+    return split_power(num, p)[0] - split_power(den, p)[0]
 
 
 def split_power(m: int, p: int) -> Tuple[int, int]:
@@ -81,7 +91,7 @@ def power(base, e: int, one):
 
 def format_fraction(r) -> str:
     """Render a rational as ``num/den`` (or plain integer when den == 1)."""
-    r = Fraction(r)
-    if r.denominator == 1:
-        return str(r.numerator)
-    return f"{r.numerator}/{r.denominator}"
+    num, den = _num_den(r)
+    if den == 1:
+        return str(num)
+    return f"{num}/{den}"

@@ -18,10 +18,10 @@ phicong.schreier, the only code here that needs numpy.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import random
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .errors import DomainError, InternalConsistencyError
 from .invariants import grassmannian_size, legendre, sp4_order
@@ -30,18 +30,25 @@ from .rationals import factorize, require_prime, split_power
 from .words import Word
 
 
-@dataclass(frozen=True)
-class SpParams:
+class _SpFields(NamedTuple):
     p: int
     x: int
     y: Optional[int] = None
 
-    def __post_init__(self):
-        require_prime(self.p, 7)
-        if self.x % self.p == 0:
+
+class SpParams(_SpFields):
+    """The prime p > 7 and the units x, y mod p that choose rho; y
+    defaults to the inverse of x."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, x: int, y: Optional[int] = None):
+        require_prime(p, 7)
+        if x % p == 0:
             raise DomainError("x must be invertible mod p")
-        if self.y is not None and self.y % self.p == 0:
+        if y is not None and y % p == 0:
             raise DomainError("y must be invertible mod p")
+        return super().__new__(cls, p, x, y)
 
     def resolved_y(self, m: int) -> int:
         """y mod m, the inverse of x mod m when y is not given."""
@@ -54,10 +61,11 @@ MEMORY_LIMIT = 1 << 30
 # An upper bound on the peak RSS per point of every verb, above that of the
 # interpreter with the same modules loaded, measured at p = 23, 47, 97 and
 # 113.  A permutation is a list of Python ints, about 36 bytes an entry:
-# --epsilons and a certified --surjectivity take 90-119 bytes per point
-# (two permutations, their composition, the bytearray of the bijection
-# check), --cycles 41-71.  An uncertified --surjectivity adds numpy copies
-# and the stabilizer chain: 202-361, above the interpreter with numpy.
+# --epsilons and a certified --surjectivity take 75-83 bytes per point
+# (two permutations and the bytearray of the bijection check; the fixed
+# points of their composition are counted without building it), --cycles
+# 41-71.  An uncertified --surjectivity adds numpy copies and the
+# stabilizer chain: 202-361, above the interpreter with numpy.
 _BYTES_PER_POINT = 700
 
 
@@ -209,9 +217,10 @@ def cycle_type(perm: List[int]) -> Dict[int, int]:
     return counts
 
 
-def fixed_points(perm: List[int]) -> int:
-    """Number of points a permutation fixes."""
-    return sum(map(operator.eq, perm, range(len(perm))))
+def fixed_points(images: Iterable[int]) -> int:
+    """Number of points i with images[i] == i.  images may be a lazy map,
+    so a composition of permutations is counted without being built."""
+    return sum(map(operator.eq, images, itertools.count()))
 
 
 # -- Recognizing Sp4(F_p) from two matrices ----------------------------------
@@ -275,8 +284,7 @@ def generates_sp4(S4: Matrix, T4: Matrix) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class SurjectivityVerdict:
+class SurjectivityVerdict(NamedTuple):
     p: int
     x: int
     order_T: int                 # matrix order of rho(T) in Sp4(F_p)

@@ -11,8 +11,7 @@ matrix over Q(zeta_12) is formed (the tests' oracle multiplies them out).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError, UnsupportedPrimeError
 from .rationals import is_prime
@@ -99,8 +98,7 @@ def format_word(w: Word) -> str:
     return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class PhiImage:
+class PhiImage(NamedTuple):
     """phi(w) in coordinates: the matrix (u, u*v; 0, 1/u), u = zeta^u_exp,
     v = v[0]*zeta + v[1]*zeta^3."""
 
@@ -136,29 +134,33 @@ def phi(w: Word) -> PhiImage:
     return img
 
 
-@dataclass(frozen=True)
-class SubgroupSpec:
+class _SpecFields(NamedTuple):
+    kind: str
+    n: Optional[int] = None
+
+
+class SubgroupSpec(_SpecFields):
     """Tagged choice of subgroup family.
 
     kind is one of 'GammaPrime', 'GammaDoublePrime', 'GammaPrimeN', 'Gp',
     'PhiCong'; n carries the level N or the prime p where applicable.
     """
 
-    kind: str
-    n: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind in ("GammaPrime", "GammaDoublePrime"):
-            if self.n is not None:
-                raise DomainError(f"{self.kind} takes no parameter")
-        elif self.kind in ("GammaPrimeN", "PhiCong"):
-            if not isinstance(self.n, int) or self.n < 1:
-                raise DomainError(f"{self.kind} needs a positive integer level")
-        elif self.kind == "Gp":
-            if not isinstance(self.n, int) or self.n % 12 != 5 or not is_prime(self.n):
-                raise UnsupportedPrimeError(f"Gp needs a prime p = 5 (mod 12), got {self.n}")
+    def __new__(cls, kind: str, n: Optional[int] = None):
+        if kind in ("GammaPrime", "GammaDoublePrime"):
+            if n is not None:
+                raise DomainError(f"{kind} takes no parameter")
+        elif kind in ("GammaPrimeN", "PhiCong"):
+            if not isinstance(n, int) or n < 1:
+                raise DomainError(f"{kind} needs a positive integer level")
+        elif kind == "Gp":
+            if not isinstance(n, int) or n % 12 != 5 or not is_prime(n):
+                raise UnsupportedPrimeError(f"Gp needs a prime p = 5 (mod 12), got {n}")
         else:
-            raise DomainError(f"unknown subgroup kind {self.kind!r}")
+            raise DomainError(f"unknown subgroup kind {kind!r}")
+        return super().__new__(cls, kind, n)
 
 
 def subgroup_member(w: Word, spec: SubgroupSpec) -> bool:

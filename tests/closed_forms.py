@@ -3,13 +3,18 @@ Lagrangian Grassmannian, transcribed case by case, with the oracle's own
 names for the points of X(F_p).  Used to check symplectic.permutation,
 which acts on Plucker coordinates instead, at every point.  Also the
 antisymmetric forms that rho(S) and rho(T) preserve, by elimination over
-F_p: J spans them, so X(F_p) is the Lagrangian Grassmannian for J."""
+F_p: J spans them, so X(F_p) is the Lagrangian Grassmannian for J.  And
+two closed forms no command computes: Newman's genus formula and the
+group orders that witness noncongruence."""
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Tuple
 
 from phicong.errors import DomainError
+from phicong.invariants import sp4_order
 from phicong.matrices import Matrix
+from phicong.rationals import factorize, require_prime
 from phicong.symplectic import (_PAIRS, SpParams, grassmannian_size,
                                 permutation, rho_matrices)
 
@@ -210,3 +215,33 @@ def in_span(G: Matrix, basis: List[Matrix]) -> bool:
     A = [[b.rows[i][j] for b in basis] + [G.rows[i][j]] for (i, j) in _PAIRS]
     # G is in the span iff the appended column carries no pivot
     return len(basis) not in rref_mod_p(A, G.m)
+
+
+def genus_newman(index: int, N: int) -> Fraction:
+    """g = 1 + index (N-6)/(24N) for a normal subgroup with branch
+    schema (2,3,N); non-integrality means no such group exists."""
+    if index < 1 or N < 1:
+        raise DomainError("index and N must be positive")
+    return 1 + Fraction(index * (N - 6), 24 * N)
+
+
+@dataclass(frozen=True)
+class NoncongruenceReport:
+    p: int
+    level: int             # p(p-1), the putative congruence level
+    sl2_order: int         # |SL_2(Z / p(p-1))|
+    sp4_order: int         # |Sp_4(F_p)|
+    psp4_order: int
+    witness: bool          # psp4_order > sl2_order, forcing noncongruence
+
+
+def noncongruence_report(p: int) -> NoncongruenceReport:
+    """|SL_2(Z/p(p-1))| vs |PSp_4(F_p)|: the image is too large to factor
+    through any congruence quotient of the candidate level."""
+    require_prime(p, 7)
+    n = p * (p - 1)
+    sl2 = n ** 3
+    for ell in factorize(n):
+        sl2 = sl2 // (ell * ell) * (ell * ell - 1)
+    sp4 = sp4_order(p)
+    return NoncongruenceReport(p, n, sl2, sp4, sp4 // 2, sp4 // 2 > sl2)

@@ -5,10 +5,10 @@ import pytest
 from phicong.errors import DomainError, UnsupportedPrimeError
 from phicong.invariants import (chi_power, cusp_data_character,
                                 cusp_data_cycles, dims_Gp, dims_unipotent,
-                                elliptic_counts, genus_newman,
-                                genus_pointstab, legendre,
-                                noncongruence_report)
+                                elliptic_counts, genus_pointstab, legendre)
 from phicong.symplectic import SpParams, permutation, rho_matrices
+
+from closed_forms import genus_newman, noncongruence_report
 
 
 def is_prime(n):

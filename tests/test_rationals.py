@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from phicong.errors import UnsupportedPrimeError
-from phicong.rationals import (INF, factorize, is_prime, padic_val,
-                               require_prime, split_power)
+from phicong.errors import DomainError, UnsupportedPrimeError
+from phicong.rationals import (INF, factorize, format_fraction, is_prime,
+                               padic_val, require_prime, split_power)
 
 
 def test_split_power():
@@ -41,3 +41,12 @@ def test_padic_val():
     assert padic_val(Fraction(40, 9), 2) == 3
     assert padic_val(Fraction(40, 9), 3) == -2
     assert padic_val(0, 5) == INF
+
+
+def test_only_ints_and_fractions_are_rationals():
+    assert format_fraction(Fraction(-3, 4)) == "-3/4"
+    assert format_fraction(5) == "5"
+    with pytest.raises(DomainError, match="0.5"):
+        padic_val(0.5, 2)
+    with pytest.raises(DomainError, match="'1/2'"):
+        format_fraction("1/2")

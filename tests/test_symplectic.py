@@ -349,6 +349,20 @@ def _sp2_times_sp2_generators(p, rng):
     return element(), element()
 
 
+def _sym3(g, p):
+    """Sym^3 of the 2x2 matrix g = ((a, b), (c, d)) mod p, on the basis
+    X^3, X^2 Y, X Y^2, Y^3: column j holds the coefficients of
+    (a X + c Y)^(3 - j) (b X + d Y)^j."""
+    (a, b), (c, d) = g
+    cols = []
+    for j in range(4):
+        poly = [1]
+        for u, v in [(a, c)] * (3 - j) + [(b, d)] * j:
+            poly = [s * u + t * v for s, t in zip(poly + [0], [0] + poly)]
+        cols.append(poly)
+    return Matrix(zip(*cols), p)
+
+
 def _walk(A, B):
     symplectic = phicong.symplectic
     return list(symplectic._random_elements([A, B], random.Random(symplectic._SEED),
@@ -421,6 +435,19 @@ class TestCertificate:
             for g in _walk(T4, D):
                 assert all(g.rows[i][j] == 0 for i in range(4) for j in range(i))
                 assert (g ** (p * (p - 1))).is_identity()
+
+    @pytest.mark.parametrize("p", [11, 13, 17])
+    def test_principal_sl2_never_certified(self, p):
+        # Sym^3 sends SL2(p), generated by S and T, into the group of the
+        # form below; the image has order p(p^2 - 1), which no prime >= 7
+        # that divides p^2 + 1 divides, so a proof here would be false
+        S4, T4 = _sym3(((0, -1), (1, 0)), p), _sym3(((1, 1), (0, 1)), p)
+        gram = Matrix([[0, 0, 0, 3], [0, 0, -1, 0], [0, 1, 0, 0], [-3, 0, 0, 0]], p)
+        for M in (S4, T4):
+            assert M.transpose() * gram * M == gram
+        assert not generates_sp4(S4, T4)
+        for g in _walk(S4, T4):
+            assert (g ** (p * (p * p - 1))).is_identity()
 
     def test_order_5_is_no_ppd_element_at_p13(self, monkeypatch):
         # 5 divides 13^2 + 1 = 2 * 5 * 17 but also |2^(1+4).Omega4-(2)|, so
