@@ -142,13 +142,14 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_grassmannian(args) -> int:
-    from .invariants import cusp_data_cycles
-    from .symplectic import (SpParams, fixed_points, lift_witness_mod_p2,
-                             permutation, rho_matrices, surjectivity_verdict)
+    from .symplectic import (SpParams, fixed_points, grassmannian_size,
+                             lift_witness_mod_p2, permutation, require_memory,
+                             rho_matrices, surjectivity_verdict)
+    if not args.lift_check:             # the size check comes before primality
+        require_memory(grassmannian_size(args.p))
     params = SpParams(args.p, args.x)
     if args.surjectivity or args.epsilons:
-        S4, T4 = rho_matrices(params)
-        perm_s, perm_t = permutation(S4), permutation(T4)
+        perm_s, perm_t = map(permutation, rho_matrices(params))
         # rho(ST) acts as rho(S) after rho(T)
         eps = {"epsilon2": fixed_points(perm_s),
                "epsilon3": fixed_points(map(perm_s.__getitem__, perm_t))}
@@ -160,8 +161,8 @@ def _cmd_grassmannian(args) -> int:
     elif args.epsilons:
         _emit({"p": args.p, "x": args.x, **eps})
     elif args.cycles:
-        _, T4 = rho_matrices(params)
-        data = cusp_data_cycles(permutation(T4))
+        from .invariants import cusp_data_cycles
+        data = cusp_data_cycles(permutation(rho_matrices(params)[1]))
         _emit({"p": args.p, "x": args.x, "total": data.total,
                "widths": {str(w): m for w, m in sorted(data.widths.items())}})
     elif args.lift_check:
@@ -186,9 +187,10 @@ def _cmd_cusps(args) -> int:
     if args.oracle == "cycles":
         if args.x is None:
             raise DomainError("--oracle cycles requires --x")
-        from .symplectic import SpParams, permutation, rho_matrices
-        _, T4 = rho_matrices(SpParams(args.p, args.x))
-        data = cusp_data_cycles(permutation(T4))
+        from .symplectic import (SpParams, grassmannian_size, permutation,
+                                 require_memory, rho_matrices)
+        require_memory(grassmannian_size(args.p))
+        data = cusp_data_cycles(permutation(rho_matrices(SpParams(args.p, args.x))[1]))
     else:
         data = cusp_data_character(args.p)
     _emit({"p": args.p, "oracle": args.oracle, "total": data.total,

@@ -11,24 +11,8 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple, Tuple
 
 from .errors import DomainError, InternalConsistencyError, UnsupportedPrimeError
-from .rationals import factorize, is_prime, require_prime
-
-
-def grassmannian_size(p: int) -> int:
-    """|X(F_p)| = (p^2+1)(p+1)."""
-    return (p * p + 1) * (p + 1)
-
-
-def sp4_order(p: int) -> int:
-    """|Sp_4(F_p)| = p^4 (p^4-1)(p^2-1)."""
-    return p ** 4 * (p ** 4 - 1) * (p ** 2 - 1)
-
-
-def legendre(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+from .rationals import (factorize, grassmannian_size, is_prime, legendre,
+                        require_prime, sp4_order)
 
 
 def _divisors_moebius(factors: Dict[int, int]) -> List[Tuple[int, int]]:
@@ -102,7 +86,7 @@ def cusp_data_character(p: int) -> CuspData:
 
 def cusp_data_cycles(perm_t: List[int]) -> CuspData:
     """Cycle-type histogram of the T-action: the independent cusp oracle."""
-    from .symplectic import cycle_type      # symplectic imports this module
+    from .symplectic import cycle_type      # only this oracle needs symplectic
     widths = cycle_type(perm_t)
     return CuspData(sum(widths.values()), widths)
 

@@ -16,36 +16,45 @@ from .rationals import power
 
 class Matrix:
     __slots__ = ("rows", "m")
+    _IDENTITY = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
     def __init__(self, rows: Iterable[Iterable[int]], m: int):
-        if m < 2:
-            raise DomainError(f"modulus must be >= 2, got {m}")
-        self.rows = tuple(tuple(v % m for v in r) for r in rows)
-        self.m = m
-        if len(self.rows) != 4 or any(len(r) != 4 for r in self.rows):
-            raise DomainError("matrix must be 4x4")
+        if not isinstance(m, int) or m < 2:
+            raise DomainError(f"modulus must be an int >= 2, got {m!r}")
+        self.rows, self.m = tuple(tuple(v % m for v in r) for r in rows), m
+        if (len(self.rows) != 4 or any(len(r) != 4 for r in self.rows)
+                or not all(isinstance(v, int) for r in self.rows for v in r)):
+            raise DomainError(f"matrix must be 4x4 with int entries, got {self!r}")
+
+    @staticmethod
+    def _of(rows, m: int) -> "Matrix":
+        """The Matrix of rows that a product has already reduced mod m."""
+        M = object.__new__(Matrix)
+        M.rows, M.m = rows, m
+        return M
 
     @staticmethod
     def identity(m: int) -> "Matrix":
-        return Matrix([[int(i == j) for j in range(4)] for i in range(4)], m)
+        return Matrix(Matrix._IDENTITY, m)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
-        if other.m != self.m:
-            raise DomainError(f"mixed moduli {self.m} and {other.m}")
+        if other.m != (m := self.m):
+            raise DomainError(f"mixed moduli {m} and {other.m}")
         cols = tuple(zip(*other.rows))
-        return Matrix([[sum(a * b for a, b in zip(r, c)) for c in cols]
-                       for r in self.rows], self.m)
+        return Matrix._of(tuple([tuple([(r0 * c0 + r1 * c1 + r2 * c2 + r3 * c3) % m
+                                        for c0, c1, c2, c3 in cols])
+                                 for r0, r1, r2, r3 in self.rows]), m)
 
     def __pow__(self, e: int) -> "Matrix":
-        return power(self, e, Matrix.identity(self.m))
+        return power(self, e, Matrix._of(Matrix._IDENTITY, self.m))
 
     def transpose(self) -> "Matrix":
-        return Matrix(zip(*self.rows), self.m)
+        return Matrix._of(tuple(zip(*self.rows)), self.m)
 
     def is_identity(self) -> bool:
-        return self == Matrix.identity(self.m)
+        return self.rows == Matrix._IDENTITY
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.m == other.m

@@ -1,5 +1,5 @@
-"""Exact rational helpers: valuations, factorization, repeated squaring
-and fraction formatting.
+"""Exact rational helpers: valuations, factorization, repeated squaring,
+fraction formatting, and the counts |X(F_p)|, |Sp4(F_p)| and (a/p).
 
 A rational is an ``int`` or a ``fractions.Fraction`` (always normalized,
 positive denominator), which matches the storage invariants needed for exact
@@ -69,9 +69,24 @@ def is_prime(n: int) -> bool:
 
 
 def require_prime(p: int, above: int) -> None:
-    """Reject anything but a prime p > above."""
-    if p <= above or not is_prime(p):
+    """Reject anything but an int p that is a prime > above."""
+    if not isinstance(p, int) or p <= above or not is_prime(p):
         raise UnsupportedPrimeError(f"p must be a prime > {above}, got {p}")
+
+
+def grassmannian_size(p: int) -> int:
+    """|X(F_p)| = (p^2+1)(p+1)."""
+    return (p * p + 1) * (p + 1)
+
+
+def sp4_order(p: int) -> int:
+    """|Sp_4(F_p)| = p^4 (p^4-1)(p^2-1)."""
+    return p ** 4 * (p ** 4 - 1) * (p ** 2 - 1)
+
+
+def legendre(a: int, p: int) -> int:
+    """(a/p) for an odd prime p, by Euler's criterion."""
+    return (pow(a, (p - 1) // 2, p) + 1) % p - 1
 
 
 def power(base, e: int, one):

@@ -21,13 +21,15 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .errors import DomainError, InternalConsistencyError
-from .invariants import grassmannian_size, legendre, sp4_order
 from .matrices import Matrix
-from .rationals import factorize, require_prime, split_power
-from .words import Word
+from .rationals import (factorize, grassmannian_size, legendre, require_prime,
+                        sp4_order, split_power)
+
+if TYPE_CHECKING:                       # only the annotations name a Word
+    from .words import Word
 
 
 class _SpFields(NamedTuple):
@@ -44,10 +46,9 @@ class SpParams(_SpFields):
 
     def __new__(cls, p: int, x: int, y: Optional[int] = None):
         require_prime(p, 7)
-        if x % p == 0:
-            raise DomainError("x must be invertible mod p")
-        if y is not None and y % p == 0:
-            raise DomainError("y must be invertible mod p")
+        for name, v in (("x", x), ("y", 1 if y is None else y)):
+            if not isinstance(v, int) or v % p == 0:
+                raise DomainError(f"{name} must be an int invertible mod p, got {v!r}")
         return super().__new__(cls, p, x, y)
 
     def resolved_y(self, m: int) -> int:
@@ -72,10 +73,10 @@ _BYTES_PER_POINT = 700
 def require_memory(n: int) -> None:
     """Refuse to work on n points when the estimate exceeds MEMORY_LIMIT."""
     need = _BYTES_PER_POINT * n
-    if need > MEMORY_LIMIT:
-        raise DomainError(
-            f"working on {n} points needs about {need / 2 ** 30:.1f} GiB, "
-            f"above the {MEMORY_LIMIT / 2 ** 30:.1f} GiB limit")
+    if need > MEMORY_LIMIT:             # a float, or str, cannot show every n
+        about = (f"{n} points needs about {need / 2 ** 30:.1f} GiB" if need < 2 ** 1000
+                 else f"2^{n.bit_length() - 1} points or more needs more")
+        raise DomainError(f"working on {about}, above the {MEMORY_LIMIT >> 30} GiB limit")
 
 
 #: The symplectic form preserved by rho.
@@ -166,10 +167,9 @@ def permutation(M: Matrix) -> List[int]:
     vanishes at every t iff both its coefficients do.  An image with
     q01 != 0 is A(-q12/q01, -q13/q01, q02/q01); _decode_off_a names the
     others."""
-    p = M.m
-    require_prime(p, 3)
-    n = grassmannian_size(p)
+    p, n = M.m, grassmannian_size(M.m)
     require_memory(n)
+    require_prime(p, 3)
     J = form_J(p)
     if M.transpose() * J * M != J:
         raise DomainError("matrix is not symplectic for J")

@@ -264,6 +264,29 @@ class TestResourceGuard:
         assert captured.out == ""
         assert elapsed < 1.0
 
+    # 10^18 + 3 is prime: trial division would run far past the timeout,
+    # so the size check must come first; 10^400 + 1 would overflow a float
+    @pytest.mark.parametrize("argv", [
+        pytest.param(f"grassmannian --p {10 ** 18 + 3} --x 2 --{mode}",
+                     id=f"grassmannian-{mode}")
+        for mode in ("epsilons", "surjectivity", "cycles")
+    ] + [
+        pytest.param(f"cusps --p {10 ** 18 + 3} --oracle cycles --x 2",
+                     id="cusps-cycles"),
+        pytest.param(f"grassmannian --p {10 ** 400 + 1} --x 2 --cycles",
+                     id="grassmannian-cycles-10^400"),
+    ])
+    def test_huge_p_refused_before_primality_test(self, argv):
+        script = ("import sys\n"
+                  "from phicong.cli import main\n"
+                  f"sys.exit(main({argv.split()!r}))\n")
+        done = subprocess.run([sys.executable, "-c", script], env=_child_env(),
+                              capture_output=True, text=True, timeout=10)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error: ")
+        assert "GiB limit" in done.stderr
+        assert done.stdout == ""
+
 
 # stdout of each invocation, captured before phi moved to (u, v)
 # coordinates and the eliminations mod p were merged; the --lift-check
@@ -299,10 +322,16 @@ class TestImports:
               "divpoly": ("qexp", "series", "words", "invariants"),
               "dims": ("qexp", "series", "divpoly", "words"),
               "genus": ("qexp", "series", "divpoly", "words"),
-              # the certified Grassmannian calls need no exact group order
+              # the certified Grassmannian calls need no exact group order,
+              # and no word
               "grassmannian": ("qexp", "series", "divpoly", "cyclotomic",
-                               "schreier"),
-              "cusps": ("qexp", "series", "divpoly", "cyclotomic", "schreier")}
+                               "schreier", "words"),
+              "cusps": ("qexp", "series", "divpoly", "cyclotomic", "schreier",
+                        "words")}
+    # and those that one mode of a verb does not use: only the cusp data
+    # of --cycles comes from invariants
+    MODE_UNUSED = {"--surjectivity": ("invariants",),
+                   "--epsilons": ("invariants",)}
 
     @pytest.mark.parametrize("argv", [
         ["qexp", "--level", "3", "--terms", "4"],
@@ -320,7 +349,8 @@ class TestImports:
                      id="cusps-cycles"),
     ], ids=lambda argv: argv[0])
     def test_verb_does_not_load_numpy(self, argv):
-        unused = ["numpy", "dataclasses"] + [f"phicong.{m}" for m in self.UNUSED[argv[0]]]
+        modules = self.UNUSED[argv[0]] + self.MODE_UNUSED.get(argv[-1], ())
+        unused = ["numpy", "dataclasses"] + [f"phicong.{m}" for m in modules]
         if argv[0] != "qexp":
             # fractions pulls in decimal and numbers; only qexp computes
             # with Fractions

@@ -51,6 +51,12 @@ class TestRho:
             with pytest.raises(UnsupportedPrimeError):
                 SpParams(composite, 2)
 
+    @pytest.mark.parametrize("args", [(11, 2.0), (11.0, 2), (11, 2, 3.0),
+                                      (11, Fraction(2)), (Fraction(11), 2)])
+    def test_params_must_be_ints(self, args):
+        with pytest.raises(DomainError):
+            SpParams(*args)
+
     def test_st_order_six(self):
         S4, T4 = rho_matrices(SpParams(11, 2))
         R = S4 * T4
