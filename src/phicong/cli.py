@@ -1,11 +1,14 @@
 """Command-line front end.
 
 Thin adapters over the library modules; all output is machine readable
-(JSON by default, CSV for series).  Exit codes: 0 success, 2 validation
-error, 3 internal consistency failure.  Each verb imports the modules it
-uses, so a verb loads nothing that only another verb needs.  numpy loads
-only for the exact group order of `grassmannian --surjectivity` when the
-matrix certificate finds no proof.
+(JSON by default, CSV for series).  Each verb returns its document and
+`main` is the only writer: it writes the whole document at once, so a
+failed call leaves nothing on stdout, and it prints integers of any
+size.  Exit codes: 0 success, 2 validation error, 3 internal consistency
+failure.  Each verb imports the modules it uses, so a verb loads nothing
+that only another verb needs.  numpy loads only for the exact group
+order of `grassmannian --surjectivity` when the matrix certificate finds
+no proof.
 """
 
 from __future__ import annotations
@@ -24,44 +27,32 @@ from .errors import DomainError, InternalConsistencyError, PhicongError
 MAX_TERMS = 450
 
 
-def _emit(doc) -> None:
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
-
-
 def _poly_json(poly) -> List[str]:
     return [str(c) for c in poly.coeffs]
 
 
-def _cmd_qexp(args) -> int:
+def _option(args, name: str, rule: str):
+    """The value of --name, which rule (say "--spec gp") requires."""
+    value = getattr(args, name)
+    if value is None:
+        raise DomainError(f"{rule} requires --{name}")
+    return value
+
+
+def _cmd_qexp(args) -> dict | str:
     most = math.isqrt(MAX_TERMS ** 2 * 4 // max(4, args.level.bit_length()))
     need = max(args.terms, 30 if args.denominators else 0)
     if args.terms < 1 or need > most:
         raise DomainError(f"--level {args.level} admits 1 to {most} terms "
                           f"(--denominators takes 30), got --terms {args.terms}")
-    # an exact coefficient at a large level has more digits than the 4300
-    # that CPython (3.10.7 and later) converts to str by default
-    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if saved is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        return _write_qexp(args, need)
-    finally:
-        if saved is not None:
-            sys.set_int_max_str_digits(saved)
-
-
-def _write_qexp(args, need: int) -> int:
     from .qexp import denominator_report, xtilde
     from .rationals import format_fraction
     prec = max(17, 6 * need - 7)
     xt = xtilde(args.level, prec)
     terms = xt.items()[:args.terms]
     if args.format == "csv":
-        sys.stdout.write("exp,numerator,denominator\n")
-        for e, c in terms:
-            sys.stdout.write(f"{e},{c.numerator},{c.denominator}\n")
-        return 0
+        return "exp,numerator,denominator\n" + "".join(
+            f"{e},{c.numerator},{c.denominator}\n" for e, c in terms)
     doc = {
         "N": args.level,
         "prec": xt.prec,
@@ -80,11 +71,10 @@ def _write_qexp(args, need: int) -> int:
             }
             for r in rep.primes
         ]
-    _emit(doc)
-    return 0
+    return doc
 
 
-def _cmd_divpoly(args) -> int:
+def _cmd_divpoly(args) -> dict:
     from .divpoly import division_polynomials, reduction_profile, rescaled
     doc = {"N": args.level}
     if args.rescaled:
@@ -109,114 +99,101 @@ def _cmd_divpoly(args) -> int:
             "ordinaryTail": prof.ordinary_tail,
             "topValuations2r": prof.top_valuations_2r,
         }
-    _emit(doc)
-    return 0
+    return doc
 
 
+#: --spec name -> (SubgroupSpec kind, the option that carries its parameter)
 _SPEC_NAMES = {
-    "gamma-prime": "GammaPrime",
-    "gamma-double-prime": "GammaDoublePrime",
-    "gamma-prime-n": "GammaPrimeN",
-    "gp": "Gp",
-    "phicong": "PhiCong",
+    "gamma-prime": ("GammaPrime", None),
+    "gamma-double-prime": ("GammaDoublePrime", None),
+    "gamma-prime-n": ("GammaPrimeN", "n"),
+    "gp": ("Gp", "p"),
+    "phicong": ("PhiCong", "n"),
 }
 
 
-def _cmd_member(args) -> int:
+def _cmd_member(args) -> dict:
     from .words import SubgroupSpec, parse_word, subgroup_member
-    kind = _SPEC_NAMES[args.spec]
-    if kind in ("GammaPrimeN", "PhiCong"):
-        if args.n is None:
-            raise DomainError(f"--spec {args.spec} requires --n")
-        spec = SubgroupSpec(kind, args.n)
-    elif kind == "Gp":
-        if args.p is None:
-            raise DomainError("--spec gp requires --p")
-        spec = SubgroupSpec(kind, args.p)
-    else:
-        spec = SubgroupSpec(kind)
+    kind, name = _SPEC_NAMES[args.spec]
+    spec = SubgroupSpec(kind, _option(args, name, f"--spec {args.spec}")
+                        if name else None)
     w = parse_word(args.word)
-    _emit({"spec": args.spec, "n": args.n, "p": args.p,
-           "word": args.word, "member": subgroup_member(w, spec)})
-    return 0
+    return {"spec": args.spec, "n": args.n, "p": args.p,
+            "word": args.word, "member": subgroup_member(w, spec)}
 
 
-def _cmd_grassmannian(args) -> int:
-    from .symplectic import (SpParams, fixed_points, grassmannian_size,
-                             lift_witness_mod_p2, permutation, require_memory,
-                             rho_matrices, surjectivity_verdict)
-    if not args.lift_check:             # the size check comes before primality
-        require_memory(grassmannian_size(args.p))
-    params = SpParams(args.p, args.x)
-    if args.surjectivity or args.epsilons:
-        perm_s, perm_t = map(permutation, rho_matrices(params))
-        # rho(ST) acts as rho(S) after rho(T)
-        eps = {"epsilon2": fixed_points(perm_s),
-               "epsilon3": fixed_points(map(perm_s.__getitem__, perm_t))}
-    if args.surjectivity:
-        v = surjectivity_verdict(params, perm_s, perm_t)
-        _emit({"p": v.p, "x": v.x, "orderT": v.order_T,
-               "permGroupOrder": str(v.perm_group_order),
-               "surjectivePSp4": v.surjective_psp4, **eps})
-    elif args.epsilons:
-        _emit({"p": args.p, "x": args.x, **eps})
-    elif args.cycles:
-        from .invariants import cusp_data_cycles
-        data = cusp_data_cycles(permutation(rho_matrices(params)[1]))
-        _emit({"p": args.p, "x": args.x, "total": data.total,
-               "widths": {str(w): m for w, m in sorted(data.widths.items())}})
-    elif args.lift_check:
-        _emit({"p": args.p, "x": args.x,
-               "liftWitness": lift_witness_mod_p2(params)})
-    return 0
+def _sp_params(p: int, x: int):
+    """SpParams(p, x) for a verb that permutes the (p^2+1)(p+1) points of
+    X(F_p): the memory estimate comes before the primality test, so a
+    large prime is refused at once."""
+    from .symplectic import SpParams, grassmannian_size, require_memory
+    require_memory(grassmannian_size(p))
+    return SpParams(p, x)
 
 
-def _cmd_genus(args) -> int:
+def _cusp_doc(data) -> dict:
+    return {"total": data.total,
+            "widths": {str(w): m for w, m in sorted(data.widths.items())}}
+
+
+def _cycle_cusps(p: int, x: int) -> dict:
+    """The cusp document read off the cycles of rho(T) on X(F_p)."""
+    from .invariants import cusp_data_cycles
+    from .symplectic import permutation, rho_matrices
+    return _cusp_doc(cusp_data_cycles(permutation(rho_matrices(_sp_params(p, x))[1])))
+
+
+def _cmd_grassmannian(args) -> dict:
+    head = {"p": args.p, "x": args.x}
+    if args.lift_check:
+        from .symplectic import SpParams, lift_witness_mod_p2
+        return {**head, "liftWitness": lift_witness_mod_p2(SpParams(args.p, args.x))}
+    if args.cycles:
+        return {**head, **_cycle_cusps(args.p, args.x)}
+    from .symplectic import fixed_points, permutation, rho_matrices, surjectivity_verdict
+    params = _sp_params(args.p, args.x)
+    perm_s, perm_t = map(permutation, rho_matrices(params))
+    # rho(ST) acts as rho(S) after rho(T)
+    eps = {"epsilon2": fixed_points(perm_s),
+           "epsilon3": fixed_points(map(perm_s.__getitem__, perm_t))}
+    if args.epsilons:
+        return {**head, **eps}
+    v = surjectivity_verdict(params, perm_s, perm_t)
+    return {"p": v.p, "x": v.x, "orderT": v.order_T,
+            "permGroupOrder": str(v.perm_group_order),
+            "surjectivePSp4": v.surjective_psp4, **eps}
+
+
+def _cmd_genus(args) -> dict:
     from .invariants import cusp_data_character, elliptic_counts, genus_pointstab
     eps2, eps3 = elliptic_counts(args.p)
-    cd = cusp_data_character(args.p)
-    _emit({"p": args.p, "epsilon2": eps2, "epsilon3": eps3,
-           "cusps": {"total": cd.total,
-                     "widths": {str(w): m for w, m in sorted(cd.widths.items())}},
-           "genus": genus_pointstab(args.p)})
-    return 0
+    return {"p": args.p, "epsilon2": eps2, "epsilon3": eps3,
+            "cusps": _cusp_doc(cusp_data_character(args.p)),
+            "genus": genus_pointstab(args.p)}
 
 
-def _cmd_cusps(args) -> int:
-    from .invariants import cusp_data_character, cusp_data_cycles
+def _cmd_cusps(args) -> dict:
+    head = {"p": args.p, "oracle": args.oracle}
     if args.oracle == "cycles":
-        if args.x is None:
-            raise DomainError("--oracle cycles requires --x")
-        from .symplectic import (SpParams, grassmannian_size, permutation,
-                                 require_memory, rho_matrices)
-        require_memory(grassmannian_size(args.p))
-        data = cusp_data_cycles(permutation(rho_matrices(SpParams(args.p, args.x))[1]))
-    else:
-        data = cusp_data_character(args.p)
-    _emit({"p": args.p, "oracle": args.oracle, "total": data.total,
-           "widths": {str(w): m for w, m in sorted(data.widths.items())}})
-    return 0
+        return {**head, **_cycle_cusps(args.p, _option(args, "x", "--oracle cycles"))}
+    from .invariants import cusp_data_character
+    return {**head, **_cusp_doc(cusp_data_character(args.p))}
 
 
-def _cmd_dims(args) -> int:
+def _cmd_dims(args) -> dict:
     from .invariants import dims_Gp, dims_unipotent
     if args.family == "unipotent":
-        if args.index is None:
-            raise DomainError("--family unipotent requires --index")
-        d = dims_unipotent(args.k, args.index, not args.nontrivial_character)
-        _emit({"family": "unipotent", "k": d.k, "index": d.index,
-               "characterTrivial": d.character_trivial,
-               "dimM": d.dim_M, "dimMPerCharacter": d.dim_M_char,
-               "dimSPerCharacter": d.dim_S_char,
-               "dimEisPerCharacter": d.dim_eis_char})
-    else:
-        if args.p is None:
-            raise DomainError("--family gp requires --p")
-        d = dims_Gp(args.k, args.p)
-        _emit({"family": "gp", "k": d.k, "p": d.p, "dimM": d.dim_M,
-               "genus": d.genus, "cusps": d.cusps,
-               "ellipticOrder2": d.elliptic2})
-    return 0
+        d = dims_unipotent(args.k, _option(args, "index", "--family unipotent"),
+                           not args.nontrivial_character)
+        return {"family": "unipotent", "k": d.k, "index": d.index,
+                "characterTrivial": d.character_trivial,
+                "dimM": d.dim_M, "dimMPerCharacter": d.dim_M_char,
+                "dimSPerCharacter": d.dim_S_char,
+                "dimEisPerCharacter": d.dim_eis_char}
+    d = dims_Gp(args.k, _option(args, "p", "--family gp"))
+    return {"family": "gp", "k": d.k, "p": d.p, "dimM": d.dim_M,
+            "genus": d.genus, "cusps": d.cusps,
+            "ellipticOrder2": d.elliptic2}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,8 +261,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
+    # an exact result may have more digits than the 4300 that CPython
+    # (3.10.7 and later) converts to str by default; the limit is lifted
+    # only after parsing, so a longer argument still exits 2
+    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if saved is not None:
+        sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        doc = args.func(args)
+        sys.stdout.write(doc if isinstance(doc, str)
+                         else json.dumps(doc, indent=2) + "\n")
+        return 0
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 3
@@ -295,6 +281,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except PhicongError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
 
 
 if __name__ == "__main__":

@@ -21,10 +21,14 @@ class Matrix:
     def __init__(self, rows: Iterable[Iterable[int]], m: int):
         if not isinstance(m, int) or m < 2:
             raise DomainError(f"modulus must be an int >= 2, got {m!r}")
-        self.rows, self.m = tuple(tuple(v % m for v in r) for r in rows), m
-        if (len(self.rows) != 4 or any(len(r) != 4 for r in self.rows)
-                or not all(isinstance(v, int) for r in self.rows for v in r)):
-            raise DomainError(f"matrix must be 4x4 with int entries, got {self!r}")
+        try:
+            entries = tuple(map(tuple, rows))
+        except TypeError:                   # rows, or a row, is not iterable
+            entries = ()
+        if (len(entries) != 4 or any(len(r) != 4 for r in entries)
+                or not all(isinstance(v, int) for r in entries for v in r)):
+            raise DomainError(f"matrix must be 4x4 with int entries, got {rows!r}")
+        self.rows, self.m = tuple(tuple(v % m for v in r) for r in entries), m
 
     @staticmethod
     def _of(rows, m: int) -> "Matrix":

@@ -13,6 +13,7 @@ import phicong.invariants
 import phicong.qexp
 import phicong.rationals
 from phicong.cli import MAX_TERMS, main
+from phicong.divpoly import MAX_LEVEL
 from phicong.qexp import xtilde
 
 
@@ -68,6 +69,15 @@ class TestQexp:
             assert code == 0
             assert max(map(len, out.splitlines())) > 4300
         assert sys.get_int_max_str_digits() == limit
+        # main lifts the limit for every verb and restores it on each exit
+        nines = "9" * 4000
+        code, _ = run(capsys, "dims", "--family", "unipotent", "--k", nines,
+                      "--index", nines)
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        code, _ = run(capsys, "divpoly", "--level", str(MAX_LEVEL + 1))
+        assert code == 2
+        assert sys.get_int_max_str_digits() == limit
 
     def test_determinism(self, capsys):
         _, out1 = run(capsys, "qexp", "--level", "5", "--terms", "4")
@@ -108,6 +118,19 @@ class TestDivpoly:
         doc = json.loads(out)
         assert doc["profile"]["supersingular"] is True
         assert doc["profile"]["r"] == 1
+
+    @pytest.mark.parametrize("level", [MAX_LEVEL + 1, 10 ** 6])
+    @pytest.mark.parametrize("mode", [[], ["--rescaled"], ["--profile", "5"]],
+                             ids=["plain", "rescaled", "profile"])
+    def test_level_above_ceiling_exits_2(self, capsys, level, mode):
+        start = time.perf_counter()
+        code = main(["divpoly", "--level", str(level)] + mode)
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: N must be at most {MAX_LEVEL}, got {level}\n"
+        assert captured.out == ""
+        assert elapsed < 1.0
 
 
 class TestMember:
@@ -200,6 +223,18 @@ class TestGenusCuspsDims:
                         "--index", "24")
         doc = json.loads(out)
         assert doc["dimM"] == 24 and doc["dimSPerCharacter"] == 1
+
+    def test_dims_beyond_str_digit_limit(self, capsys):
+        # dimM = k * index has 8000 digits, more than CPython converts to
+        # str by default; numbers are read as strings for the same reason
+        nines = "9" * 4000                      # 10^4000 - 1
+        code, out = run(capsys, "dims", "--family", "unipotent", "--k", nines,
+                        "--index", nines)
+        assert code == 0
+        doc = json.loads(out, parse_int=str)
+        assert doc["k"] == doc["index"] == nines
+        # (10^4000 - 1)^2 = 10^8000 - 2 * 10^4000 + 1
+        assert doc["dimM"] == "9" * 3999 + "8" + "0" * 3999 + "1"
 
     def test_dims_gp(self, capsys):
         code, out = run(capsys, "dims", "--family", "gp", "--k", "2",
@@ -429,9 +464,11 @@ _MALFORMED_TOKENS = ("Q^2", "S^", "T^x", "^3", "s", "T^^2", "S^1.5", "TT",
 
 def _grammar_argv(rng: random.Random, verb: str):
     """One generated command line for verb: p and x in -3..40, levels in
-    -2..6, --terms in -2..8 or above the ceiling up to 10^6, words mixing
-    valid and malformed tokens; an optional argument is left out now and
-    then, and an integer is sometimes not one."""
+    -2..6, --terms in -2..8, divpoly's --level and qexp's --terms now and
+    then above their ceilings up to 10^6, dims --k and --index now and
+    then of 4000 digits, words mixing valid and malformed tokens; an
+    optional argument is left out now and then, and an integer is
+    sometimes not one."""
     def num(lo, hi):
         return "x1" if rng.random() < 0.03 else str(rng.randint(lo, hi))
 
@@ -447,6 +484,8 @@ def _grammar_argv(rng: random.Random, verb: str):
         return (["qexp", "--level", level] + opt("--terms", terms)
                 + flag("--denominators") + opt("--format", rng.choice(["json", "csv"])))
     if verb == "divpoly":
+        if rng.random() < 0.2:
+            level = num(MAX_LEVEL + 1, 10 ** 6)
         return (["divpoly", "--level", level] + flag("--rescaled")
                 + opt("--profile", p))
     if verb == "member":
@@ -467,8 +506,12 @@ def _grammar_argv(rng: random.Random, verb: str):
     if verb == "cusps":
         return (["cusps", "--p", p] + opt("--oracle", rng.choice(["cycles", "character"]))
                 + opt("--x", x))
+
+    def dim_arg():
+        return level if rng.random() < 0.8 else num(10 ** 3999, 10 ** 4000 - 1)
+
     return (["dims", "--family", rng.choice(["unipotent", "gp"]),
-             "--k", level] + opt("--index", level) + opt("--p", p)
+             "--k", dim_arg()] + opt("--index", dim_arg()) + opt("--p", p)
             + flag("--nontrivial-character"))
 
 

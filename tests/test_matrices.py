@@ -58,6 +58,9 @@ class TestMatrix:
         ([[Fraction(1, 2)] * 4] * 4, 11),
         ([[1] * 4] * 4, 11.0),
         ([[1] * 4] * 4, Fraction(11)),
+        ([["a"] * 4] * 4, 11),
+        (5, 11),
+        ([[1] * 4] * 3 + [5], 11),
     ])
     def test_non_int_rejected(self, rows, m):
         with pytest.raises(DomainError, match="int"):
