@@ -123,9 +123,10 @@ def _cmd_member(args) -> dict:
 
 
 def _sp_params(p: int, x: int):
-    """SpParams(p, x) for a verb that permutes the (p^2+1)(p+1) points of
-    X(F_p): the memory estimate comes before the primality test, so a
-    large prime is refused at once."""
+    """SpParams(p, x) for a verb on the (p^2+1)(p+1) points of X(F_p): the
+    memory estimate of the uncertified --surjectivity comes before the
+    primality test, so a large prime is refused at once, by every such
+    verb while primality is tested by trial division."""
     from .symplectic import SpParams, grassmannian_size, require_memory
     require_memory(grassmannian_size(p))
     return SpParams(p, x)
@@ -137,10 +138,12 @@ def _cusp_doc(data) -> dict:
 
 
 def _cycle_cusps(p: int, x: int) -> dict:
-    """The cusp document read off the cycles of rho(T) on X(F_p)."""
-    from .invariants import cusp_data_cycles
-    from .symplectic import permutation, rho_matrices
-    return _cusp_doc(cusp_data_cycles(permutation(rho_matrices(_sp_params(p, x))[1])))
+    """The cusp document of the cycle type of rho(T) on X(F_p), from the
+    Lagrangians that each power of rho(T) fixes."""
+    from .invariants import cusp_data_fixed
+    from .symplectic import fixed_lagrangians, rho_matrices
+    T4 = rho_matrices(_sp_params(p, x))[1]
+    return _cusp_doc(cusp_data_fixed(p, lambda d: fixed_lagrangians(T4 ** d)))
 
 
 def _cmd_grassmannian(args) -> dict:
@@ -150,15 +153,14 @@ def _cmd_grassmannian(args) -> dict:
         return {**head, "liftWitness": lift_witness_mod_p2(SpParams(args.p, args.x))}
     if args.cycles:
         return {**head, **_cycle_cusps(args.p, args.x)}
-    from .symplectic import fixed_points, permutation, rho_matrices, surjectivity_verdict
+    from .symplectic import fixed_lagrangians, rho_matrices, surjectivity_verdict
     params = _sp_params(args.p, args.x)
-    perm_s, perm_t = map(permutation, rho_matrices(params))
-    # rho(ST) acts as rho(S) after rho(T)
-    eps = {"epsilon2": fixed_points(perm_s),
-           "epsilon3": fixed_points(map(perm_s.__getitem__, perm_t))}
+    S4, T4 = rho_matrices(params)
+    eps = {"epsilon2": fixed_lagrangians(S4),
+           "epsilon3": fixed_lagrangians(S4 * T4)}
     if args.epsilons:
         return {**head, **eps}
-    v = surjectivity_verdict(params, perm_s, perm_t)
+    v = surjectivity_verdict(params)
     return {"p": v.p, "x": v.x, "orderT": v.order_T,
             "permGroupOrder": str(v.perm_group_order),
             "surjectivePSp4": v.surjective_psp4, **eps}

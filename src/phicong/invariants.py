@@ -1,14 +1,14 @@
 """Elliptic-point counts, cusp data, genus, and dimension formulas.
 
 Covers both families: the symplectic point stabilizers (cusps via the
-permutation character chi of the X(F_p) action, with a cycle-type dual
-oracle) and the quasi-unipotent family (dimension formulas for
-M_2k / S_2k).
+permutation character chi of the X(F_p) action, and as a dual route the
+same Moebius inversion of the counted fixed points of rho(T)'s powers)
+and the quasi-unipotent family (dimension formulas for M_2k / S_2k).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 from .errors import DomainError, InternalConsistencyError, UnsupportedPrimeError
 from .rationals import (factorize, grassmannian_size, is_prime, legendre,
@@ -58,37 +58,36 @@ class CuspData(NamedTuple):
         return sum(w * m for w, m in self.widths.items())
 
 
-def cusp_data_character(p: int) -> CuspData:
-    """Cusp widths of the point stabilizer via Moebius inversion of chi:
-    c_n = (1/n) sum_{d | n} mu(d) chi(T^(n/d)), over n | p(p-1)."""
+def cusp_data_fixed(p: int, fix: Callable[[int], int]) -> CuspData:
+    """Cusp widths of the point stabilizer, the cycle type of rho(T) on
+    X(F_p), from fix(d), the number of Lagrangians that rho(T)^d fixes, by
+    Moebius inversion: c_n = (1/n) sum_{d | n} mu(d) fix(n/d), over
+    n | p(p-1), since rho(T)^(p(p-1)) = I."""
     require_prime(p, 7)
-    n0 = p * (p - 1)
     pairs = _divisors_moebius({p: 1, **factorize(p - 1)})
+    fixes = {d: fix(d) for d, _ in pairs}
     squarefree = [(d, mu) for d, mu in pairs if mu]
     widths: Dict[int, int] = {}
-    total = 0
-    for n, _ in sorted(pairs):
-        s = sum(mu * _chi(p, n // d) for d, mu in squarefree if n % d == 0)
+    for n in sorted(fixes):
+        s = sum(mu * fixes[n // d] for d, mu in squarefree if n % d == 0)
         if s % n != 0 or s < 0:
             raise InternalConsistencyError(f"c_{n} is not a non-negative integer")
-        c = s // n
-        if c:
-            widths[n] = c
-            total += c
-    expected = {1: 3, (p - 1) // 2: 4, p: 1, n0 // 2: 2 * p + 4}
-    if total != 2 * p + 12 or widths != expected:
-        raise InternalConsistencyError(f"cusp data mismatch for p={p}: {widths}")
-    data = CuspData(total, widths)
+        if s:
+            widths[n] = s // n
+    data = CuspData(sum(widths.values()), widths)
     if data.width_sum() != grassmannian_size(p):
         raise InternalConsistencyError("cusp widths do not partition X(F_p)")
     return data
 
 
-def cusp_data_cycles(perm_t: List[int]) -> CuspData:
-    """Cycle-type histogram of the T-action: the independent cusp oracle."""
-    from .symplectic import cycle_type      # only this oracle needs symplectic
-    widths = cycle_type(perm_t)
-    return CuspData(sum(widths.values()), widths)
+def cusp_data_character(p: int) -> CuspData:
+    """cusp_data_fixed with the closed form chi, which holds when x is a
+    primitive root, checked against the widths it gives."""
+    data = cusp_data_fixed(p, lambda d: _chi(p, d))
+    expected = {1: 3, (p - 1) // 2: 4, p: 1, p * (p - 1) // 2: 2 * p + 4}
+    if data.total != 2 * p + 12 or data.widths != expected:
+        raise InternalConsistencyError(f"cusp data mismatch for p={p}: {data.widths}")
+    return data
 
 
 def elliptic_counts(p: int) -> Tuple[int, int]:

@@ -1,10 +1,16 @@
-"""Exact order of a permutation group by Schreier-Sims, on numpy arrays.
+"""The permutation of X(F_p) that a matrix induces, and the exact order of
+a permutation group by Schreier-Sims, on numpy arrays.
 
 The fallback of symplectic.surjectivity_verdict when generates_sp4 finds
 no proof, and the exact order that the tests compare the proof with.  It
-is the one module that imports numpy: the Grassmannian verbs load it only
-when they get here.  Each level of the stabilizer chain keeps a Schreier
-vector, O(n) memory, in place of n coset representatives.
+is the one module that imports numpy or builds a list of the
+n = (p^2+1)(p+1) points: the Grassmannian verbs load it only when they get
+here.  A point is its index in the canonical order (A by (a,b,c), then B,
+C, D), and a permutation is the plain list of images: the exterior square
+of M maps each row of points, whose Plucker coordinates are affine in one
+coordinate, to a row of images, and each image is decoded back to an
+index.  Each level of the stabilizer chain keeps a Schreier vector, O(n)
+memory, in place of n coset representatives.
 """
 
 from __future__ import annotations
@@ -14,7 +20,86 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .symplectic import require_memory
+from .errors import DomainError, InternalConsistencyError
+from .matrices import Matrix
+from .rationals import grassmannian_size, require_prime
+from .symplectic import _wedge, form_J, require_memory
+
+
+def _image_rows(W: List[List[int]], p: int):
+    """The images under W of the points of X(F_p) in canonical order, as
+    rows (alpha, beta, count): the points alpha + t beta, t < count.  Each
+    family's Plucker coordinates (README, "How the Lagrangian action is
+    computed") are affine in its last coordinate, and so are their images."""
+    w01, w02, w03, w12, w13, w23 = zip(*W)
+    for a in range(p):                  # A(a, b, c): t = c
+        lead = [u - 3 * a * v - a * w - 3 * a * a * z
+                for u, v, w, z in zip(w01, w03, w12, w23)]
+        for b in range(p):
+            yield ([u - b * v for u, v in zip(lead, w13)],
+                   [u - b * v for u, v in zip(w02, w23)], p)
+    for a in range(p):                  # B(a, b): t = b
+        yield ([u + 3 * a * v + a * w + 3 * a * a * z
+                for u, v, w, z in zip(w02, w03, w12, w13)],
+               [-z for z in w23], p)
+    yield w13, w23, p                   # C(a): t = a
+    yield w23, (0,) * 6, 1              # D
+
+
+def _decode_off_a(q: List[int], p: int, inv: List[int]) -> int:
+    """Index of the Lagrangian plane with Plucker coordinates q (reduced
+    mod p, q01 = 0), which is B, C or D."""
+    _, q02, _, q12, q13, q23 = q
+    p2, p3 = p * p, p ** 3
+    if q02:
+        d = inv[q02]
+        return p3 + (q12 * d % p) * p + (-q23 * d % p)
+    if q13:
+        return p3 + p2 + q23 * inv[q13] % p
+    if not q23:
+        raise InternalConsistencyError("image of a plane is not 2-dimensional")
+    return p3 + p2 + p
+
+
+def permutation(M: Matrix) -> List[int]:
+    """The permutation induced by M on the canonical index set of X(F_p),
+    p = M.m, as the list of images.  A row of images alpha + t beta is
+    checked Lagrangian once, on alpha and beta: an affine function of t
+    vanishes at every t iff both its coefficients do.  An image with
+    q01 != 0 is A(-q12/q01, -q13/q01, q02/q01); _decode_off_a names the
+    others."""
+    p, n = M.m, grassmannian_size(M.m)
+    require_memory(n)
+    require_prime(p, 3)
+    J = form_J(p)
+    if M.transpose() * J * M != J:
+        raise DomainError("matrix is not symplectic for J")
+    inv = [0] + [pow(v, -1, p) for v in range(1, p)]
+    out: List[int] = []
+    append = out.append
+    for alpha, beta, count in _image_rows(_wedge(M), p):
+        # <v, w> = p03 - 3 p12 for J
+        if (alpha[2] - 3 * alpha[3]) % p or (beta[2] - 3 * beta[3]) % p:
+            raise InternalConsistencyError("image of a plane is not Lagrangian")
+        q01, q02, _, q12, q13, _ = alpha
+        d01, d02, _, d12, d13, _ = beta
+        q12, q13 = -q12, -q13
+        for t in range(count):          # q holds alpha + t beta, q12, q13 negated
+            d = inv[q01 % p]
+            if d:
+                append(((q12 * d % p) * p + q13 * d % p) * p + q02 * d % p)
+            else:
+                append(_decode_off_a([(u + t * v) % p for u, v in zip(alpha, beta)],
+                                     p, inv))
+            q01, q02, q12, q13 = q01 + d01, q02 + d02, q12 - d12, q13 - d13
+    # every index is the image of exactly one point
+    seen = bytearray(n)
+    for i in out:
+        seen[i] = 1
+    if 0 in seen:
+        raise InternalConsistencyError("action is not a bijection")
+    return out
+
 
 
 #: Schreier-vector labels of a point off the orbit and of the base point.

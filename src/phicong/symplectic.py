@@ -3,17 +3,15 @@ Grassmannian X(F_p) it acts on.
 
 rho(T) and rho(S) preserve the symplectic form J with (1,4)-entry 1 and
 (2,3)-entry -3.  X(F_p) splits into four families of Lagrangian planes
-A(a,b,c), B(a,b), C(a), D with |X(F_p)| = (p^2+1)(p+1).  A point is its
-index in the canonical order (A by (a,b,c), then B, C, D).  A matrix M
-permutes the indices, a permutation being the plain list of images: the
-exterior square of M maps each row of points, whose Plucker coordinates
-are affine in one coordinate, to a row of images, and each image is
-decoded back to an index.
+A(a,b,c), B(a,b), C(a), D with |X(F_p)| = (p^2+1)(p+1).  fixed_lagrangians
+counts the planes that a matrix fixes from its 6x6 exterior square, as
+the zeros of a quadratic form on each eigenspace, so nothing here grows
+with |X(F_p)|.
 
 surjectivity_verdict decides whether rho(S), rho(T) generate Sp4(F_p)
 from two matrix facts about random elements (generates_sp4), and only when
 that fails measures the group with the exact Schreier-Sims chain of
-phicong.schreier, the only code here that needs numpy.
+phicong.schreier, which holds the permutation of X(F_p) and numpy.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
 from .errors import DomainError, InternalConsistencyError
 from .matrices import Matrix
@@ -59,14 +57,13 @@ class SpParams(_SpFields):
 #: Estimated memory, in bytes, above which the Grassmannian work refuses to
 #: start (DomainError, exit 2 on the command line).
 MEMORY_LIMIT = 1 << 30
-# An upper bound on the peak RSS per point of every verb, above that of the
-# interpreter with the same modules loaded, measured at p = 23, 47, 97 and
-# 113.  A permutation is a list of Python ints, about 36 bytes an entry:
-# --epsilons and a certified --surjectivity take 75-83 bytes per point
-# (two permutations and the bytearray of the bijection check; the fixed
-# points of their composition are counted without building it), --cycles
-# 41-71.  An uncertified --surjectivity adds numpy copies and the
-# stabilizer chain: 202-361, above the interpreter with numpy.
+# An upper bound on the peak RSS per point of the one call that allocates
+# per point, an uncertified --surjectivity: two permutations of
+# phicong.schreier (lists of Python ints, about 36 bytes an entry), their
+# numpy copies and the stabilizer chain, 202-361 bytes per point above the
+# interpreter with numpy.  Every other Grassmannian call counts from 4x4
+# matrices, but the command line applies the estimate to all of them: it
+# also keeps p small enough for trial-division primality tests.
 _BYTES_PER_POINT = 700
 
 
@@ -125,102 +122,142 @@ def _wedge(M: Matrix) -> List[List[int]]:
             for i, j in _PAIRS]
 
 
-def _image_rows(W: List[List[int]], p: int):
-    """The images under W of the points of X(F_p) in canonical order, as
-    rows (alpha, beta, count): the points alpha + t beta, t < count.  Each
-    family's Plucker coordinates (README, "How the Lagrangian action is
-    computed") are affine in its last coordinate, and so are their images."""
-    w01, w02, w03, w12, w13, w23 = zip(*W)
-    for a in range(p):                  # A(a, b, c): t = c
-        lead = [u - 3 * a * v - a * w - 3 * a * a * z
-                for u, v, w, z in zip(w01, w03, w12, w23)]
-        for b in range(p):
-            yield ([u - b * v for u, v in zip(lead, w13)],
-                   [u - b * v for u, v in zip(w02, w23)], p)
-    for a in range(p):                  # B(a, b): t = b
-        yield ([u + 3 * a * v + a * w + 3 * a * a * z
-                for u, v, w, z in zip(w02, w03, w12, w13)],
-               [-z for z in w23], p)
-    yield w13, w23, p                   # C(a): t = a
-    yield w23, (0,) * 6, 1              # D
+#: q03 - 3 q12, the form J on a plane: zero exactly on the Lagrangian ones.
+_LAGRANGIAN_ROW = (0, 0, 1, -3, 0, 0)
 
 
-def _decode_off_a(q: List[int], p: int, inv: List[int]) -> int:
-    """Index of the Lagrangian plane with Plucker coordinates q (reduced
-    mod p, q01 = 0), which is B, C or D."""
-    _, q02, _, q12, q13, q23 = q
-    p2, p3 = p * p, p ** 3
-    if q02:
-        d = inv[q02]
-        return p3 + (q12 * d % p) * p + (-q23 * d % p)
-    if q13:
-        return p3 + p2 + q23 * inv[q13] % p
-    if not q23:
-        raise InternalConsistencyError("image of a plane is not 2-dimensional")
-    return p3 + p2 + p
+def _charpoly(W: List[List[int]], p: int) -> List[int]:
+    """det(t I - W) mod p for a 6x6 W, leading coefficient first, from the
+    power sums s_k = tr W^k by Newton's identities:
+    k c_k = -(s_k + c_1 s_(k-1) + ... + c_(k-1) s_1), with c_k the
+    coefficient of t^(6-k).  Dividing by k <= 6 needs p > 5."""
+    def times(A, B):
+        cols = list(zip(*B))
+        return [[sum(map(operator.mul, row, col)) % p for col in cols] for row in A]
+
+    def trace(A, B):                    # tr AB
+        return sum(map(operator.mul, itertools.chain(*A), itertools.chain(*zip(*B))))
+
+    W2 = times(W, W)
+    powers = {1: W, 2: W2, 3: times(W2, W)}
+    sums = [sum(W[i][i] for i in range(6))]
+    sums += [trace(powers[k // 2], powers[k - k // 2]) for k in range(2, 7)]
+    coeffs = [1]
+    for k in range(1, 7):
+        acc = sum(c * s for c, s in zip(coeffs, reversed(sums[:k])))
+        coeffs.append(-acc * pow(k, -1, p) % p)
+    return coeffs
 
 
-def permutation(M: Matrix) -> List[int]:
-    """The permutation induced by M on the canonical index set of X(F_p),
-    p = M.m, as the list of images.  A row of images alpha + t beta is
-    checked Lagrangian once, on alpha and beta: an affine function of t
-    vanishes at every t iff both its coefficients do.  An image with
-    q01 != 0 is A(-q12/q01, -q13/q01, q02/q01); _decode_off_a names the
-    others."""
-    p, n = M.m, grassmannian_size(M.m)
-    require_memory(n)
-    require_prime(p, 3)
+def _kernel(rows: List[List[int]], p: int) -> List[List[int]]:
+    """A basis of the vectors v with r . v = 0 mod p for every row r, by one
+    Gauss-Jordan elimination mod p."""
+    rows = [[v % p for v in r] for r in rows]
+    width, pivots = len(rows[0]), []
+    for c in range(width):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if hit is None:
+            continue
+        rows[r], rows[hit] = rows[hit], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        top = rows[r] = [v * inv % p for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                f = row[c]
+                rows[i] = [(u - f * v) % p for u, v in zip(row, top)]
+        pivots.append(c)
+    basis = []
+    for f in (c for c in range(width) if c not in pivots):
+        v = [0] * width
+        v[f] = 1
+        for row, c in zip(rows, pivots):
+            v[c] = -row[f] % p
+        basis.append(v)
+    return basis
+
+
+def _polar(u: List[int], v: List[int]) -> int:
+    """Q(u + v) - Q(u) - Q(v) for the Plucker quadric
+    Q(q) = q01 q23 - q02 q13 + q03 q12, which vanishes exactly on planes."""
+    u01, u02, u03, u12, u13, u23 = u
+    v01, v02, v03, v12, v13, v23 = v
+    return (u01 * v23 + u23 * v01 - u02 * v13 - u13 * v02
+            + u03 * v12 + u12 * v03)
+
+
+def _quadric_zeros(G: List[List[int]], p: int) -> int:
+    """The number of x in F_p^k with x^T G x = 0, for G symmetric k x k and
+    reduced mod p, p odd.  G is diagonalized by congruence to rank r with
+    discriminant d, the product of its nonzero diagonal entries; then the
+    count is p^(k-r) N_r, where N_0 = 1, N_r = p^(r-1) for odd r and
+    N_r = p^(r-1) + (p-1) p^(r/2-1) ((-1)^(r/2) d / p) for even r (Lidl and
+    Niederreiter, Finite Fields, Thms 6.26-6.27)."""
+    G = [row[:] for row in G]
+    live = list(range(len(G)))
+    rank, disc = 0, 1
+    while live:
+        i = next((i for i in live if G[i][i]), None)
+        if i is None:
+            pair = next(((i, j) for i in live for j in live if G[i][j]), None)
+            if pair is None:
+                break                   # what is left is the radical
+            i, j = pair                 # b_i + b_j takes the value 2 G_ij != 0
+            for r in live:
+                G[i][r] = (G[i][r] + G[j][r]) % p
+            for r in live:
+                G[r][i] = (G[r][i] + G[r][j]) % p
+        d = G[i][i]
+        live.remove(i)
+        inv = pow(d, -1, p)
+        for r in live:
+            f = G[r][i] * inv % p
+            for c in live:
+                G[r][c] = (G[r][c] - f * G[i][c]) % p
+        rank += 1
+        disc = disc * d % p
+    if rank == 0:
+        n_r = 1
+    elif rank % 2:
+        n_r = p ** (rank - 1)
+    else:
+        eta = legendre((-1) ** (rank // 2) * disc, p)
+        n_r = p ** (rank - 1) + (p - 1) * p ** (rank // 2 - 1) * eta
+    return p ** (len(G) - rank) * n_r
+
+
+def fixed_lagrangians(g: Matrix) -> int:
+    """The number of points of X(F_p) that g fixes, p = g.m > 5, counted
+    from g without enumerating X(F_p).
+
+    A plane is fixed iff its Plucker vector q is an eigenvector of the
+    exterior square W of g, with an eigenvalue mu in F_p*.  For each root mu
+    of W's characteristic polynomial, the fixed planes are the points of
+    P(V) on the Plucker quadric, V the vectors of ker(W - mu) on the
+    Lagrangian hyperplane q03 = 3 q12.  The Gram matrix of _polar on a basis
+    of V is twice the quadric's, with the same zeros and, at even rank, the
+    same square class of discriminant; its nonzero zeros are p - 1 to a
+    point of P(V).  The roots are found by a scan of F_p*, which the memory
+    gate of the command line keeps at p <= 113."""
+    p = g.m
+    require_prime(p, 5)
     J = form_J(p)
-    if M.transpose() * J * M != J:
+    if g.transpose() * J * g != J:
         raise DomainError("matrix is not symplectic for J")
-    inv = [0] + [pow(v, -1, p) for v in range(1, p)]
-    out: List[int] = []
-    append = out.append
-    for alpha, beta, count in _image_rows(_wedge(M), p):
-        # <v, w> = p03 - 3 p12 for J
-        if (alpha[2] - 3 * alpha[3]) % p or (beta[2] - 3 * beta[3]) % p:
-            raise InternalConsistencyError("image of a plane is not Lagrangian")
-        q01, q02, _, q12, q13, _ = alpha
-        d01, d02, _, d12, d13, _ = beta
-        q12, q13 = -q12, -q13
-        for t in range(count):          # q holds alpha + t beta, q12, q13 negated
-            d = inv[q01 % p]
-            if d:
-                append(((q12 * d % p) * p + q13 * d % p) * p + q02 * d % p)
-            else:
-                append(_decode_off_a([(u + t * v) % p for u, v in zip(alpha, beta)],
-                                     p, inv))
-            q01, q02, q12, q13 = q01 + d01, q02 + d02, q12 - d12, q13 - d13
-    # every index is the image of exactly one point
-    seen = bytearray(n)
-    for i in out:
-        seen[i] = 1
-    if 0 in seen:
-        raise InternalConsistencyError("action is not a bijection")
-    return out
-
-
-def cycle_type(perm: List[int]) -> Dict[int, int]:
-    """{cycle length: number of cycles} of a permutation, walking each
-    cycle once from its least point."""
-    seen = bytearray(len(perm))
-    counts: Dict[int, int] = {}
-    start = seen.find(0)
-    while start >= 0:
-        length, j = 0, start
-        while not seen[j]:
-            seen[j] = 1
-            j = perm[j]
-            length += 1
-        counts[length] = counts.get(length, 0) + 1
-        start = seen.find(0, start + 1)
-    return counts
-
-
-def fixed_points(images: Iterable[int]) -> int:
-    """Number of points i with images[i] == i.  images may be a lazy map,
-    so a composition of permutations is counted without being built."""
-    return sum(map(operator.eq, images, itertools.count()))
+    W = _wedge(g)
+    coeffs = _charpoly(W, p)
+    count = 0
+    for mu in range(1, p):
+        value = 0
+        for c in coeffs:
+            value = (value * mu + c) % p
+        if value:
+            continue
+        rows = [[w - mu * (i == j) for j, w in enumerate(row)] for i, row in enumerate(W)]
+        basis = _kernel(rows + [_LAGRANGIAN_ROW], p)
+        gram = [[_polar(u, v) % p for v in basis] for u in basis]
+        count += (_quadric_zeros(gram, p) - 1) // (p - 1)
+    return count
 
 
 # -- Recognizing Sp4(F_p) from two matrices ----------------------------------
@@ -307,12 +344,10 @@ def matrix_order(M: Matrix, exponent: int) -> int:
     return order
 
 
-def surjectivity_verdict(params: SpParams, perm_s: List[int],
-                         perm_t: List[int]) -> SurjectivityVerdict:
-    """perm_s, perm_t are the permutations of X(F_p) under rho(S), rho(T).
-    Sp4(F_p) acts on X(F_p) as PSp4(F_p), since -I acts trivially, so
+def surjectivity_verdict(params: SpParams) -> SurjectivityVerdict:
+    """Sp4(F_p) acts on X(F_p) as PSp4(F_p), since -I acts trivially, so
     generates_sp4 gives the order |Sp4(F_p)|/2; otherwise group_order
-    measures it."""
+    measures it on the permutations of X(F_p) under rho(S) and rho(T)."""
     p = params.p
     S4, T4 = rho_matrices(params)
     order_T = matrix_order(T4, p * (p - 1))
@@ -320,8 +355,9 @@ def surjectivity_verdict(params: SpParams, perm_s: List[int],
     if generates_sp4(S4, T4):
         order = psp4
     else:
-        from .schreier import group_order       # loads numpy: only here
-        order = group_order([perm_s, perm_t])
+        # numpy and the n-point permutations: only here
+        from .schreier import group_order, permutation
+        order = group_order([permutation(S4), permutation(T4)])
     return SurjectivityVerdict(p, params.x % p, order_T, order, order == psp4)
 
 

@@ -7,17 +7,17 @@ from fractions import Fraction
 from math import lcm
 
 from phicong.divpoly import rescaled
-from phicong.invariants import (cusp_data_character, cusp_data_cycles,
+from phicong.invariants import (cusp_data_character, cusp_data_fixed,
                                 elliptic_counts, genus_pointstab, legendre)
 from phicong.qexp import denominator_report, xtilde
-from phicong.schreier import group_order
-from phicong.symplectic import (SpParams, fixed_points, kernel_test,
-                                lift_witness_mod_p2, permutation, rho_matrices,
-                                sp4_order)
+from phicong.schreier import group_order, permutation
+from phicong.symplectic import (SpParams, fixed_lagrangians, kernel_test,
+                                lift_witness_mod_p2, rho_matrices, sp4_order)
 from phicong.words import SubgroupSpec, Word, parse_word, phi, subgroup_member
 
 from closed_forms import assert_matches_closed_forms
 from cyc12_oracle import phi_by_matrices
+from cycle_oracle import cusp_data_cycles, fixed_points
 
 
 def criterion(num, text):
@@ -137,6 +137,7 @@ def test_criterion_4_fixed_points():
         assert eps2 == p + 2 + legendre(-1, p), p
         assert eps3 == p + 1 + (p + 1) * legendre(-3, p), p
         assert (eps2, eps3) == elliptic_counts(p)
+        assert (fixed_lagrangians(S4), fixed_lagrangians(S4 * T4)) == (eps2, eps3)
 
 
 @criterion(5, "cycle-type and character-theoretic cusp data agree for "
@@ -149,6 +150,7 @@ def test_criterion_5_cusps():
         expected = {1: 3, (p - 1) // 2: 4, p: 1, p * (p - 1) // 2: 2 * p + 4}
         assert cyc.widths == expected == chr_.widths
         assert cyc.total == 2 * p + 12 == chr_.total
+        assert cusp_data_fixed(p, lambda d: fixed_lagrangians(T4 ** d)) == cyc
 
 
 @criterion(6, "genus values 103/167/408/561/1026/2063/2500 with both "

@@ -330,7 +330,11 @@ class TestResourceGuard:
 # division polynomials moved into Z[x] and the divisors of p(p - 1) came
 # from one factorization; grassmannian --surjectivity at (11, 1), (13, 3)
 # and (23, 5) before the matrix certificate replaced the known-order
-# Schreier-Sims search, so the first two pin the exact chain's orders
+# Schreier-Sims search, so the first two pin the exact chain's orders;
+# --cycles at (43, 2) and (11, 1), cusps --oracle cycles at (13, 3) and
+# --epsilons at (29, 12) and (13, 12) before epsilon_2, epsilon_3 and the
+# cycle type were counted from 4x4 matrices: x of order 14, 1, 3, 4 and 2,
+# for which the cusp widths differ from the character route's
 GOLDEN = json.loads((Path(__file__).parent / "golden_stdout.json").read_text())
 
 
@@ -395,6 +399,23 @@ class TestImports:
                   f"assert main({argv!r}) == 0\n"
                   f"loaded = [m for m in {unused!r} if m in sys.modules]\n"
                   "assert not loaded, f'{loaded} imported'\n")
+        done = subprocess.run([sys.executable, "-c", script], env=_child_env(),
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("argv", [
+        "grassmannian --p 97 --x 5 --surjectivity",
+        "grassmannian --p 113 --x 3 --epsilons",
+        "grassmannian --p 113 --x 3 --cycles",
+        "cusps --p 113 --oracle cycles --x 3",
+    ])
+    def test_certified_calls_build_no_permutation(self, argv):
+        # the permutation of X(F_p) lives in phicong.schreier: a call that
+        # does not load it builds no list of the n points
+        script = ("import sys\n"
+                  "from phicong.cli import main\n"
+                  f"assert main({argv.split()!r}) == 0\n"
+                  "assert 'phicong.schreier' not in sys.modules\n")
         done = subprocess.run([sys.executable, "-c", script], env=_child_env(),
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stderr

@@ -2,13 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from phicong.errors import DomainError, UnsupportedPrimeError
-from phicong.invariants import (chi_power, cusp_data_character,
-                                cusp_data_cycles, dims_Gp, dims_unipotent,
-                                elliptic_counts, genus_pointstab, legendre)
-from phicong.symplectic import SpParams, permutation, rho_matrices
+from phicong.errors import DomainError, InternalConsistencyError, UnsupportedPrimeError
+from phicong.invariants import (chi_power, cusp_data_character, cusp_data_fixed,
+                                dims_Gp, dims_unipotent, elliptic_counts,
+                                genus_pointstab, legendre)
+from phicong.schreier import permutation
+from phicong.symplectic import SpParams, fixed_lagrangians, rho_matrices
 
 from closed_forms import genus_newman, noncongruence_report
+from cycle_oracle import cusp_data_cycles, cycle_type
 
 
 def is_prime(n):
@@ -84,6 +86,29 @@ class TestCusps:
         data = cusp_data_cycles(list(range(10)))
         assert data.widths == {1: 10}
         assert data.total == 10
+
+    @pytest.mark.parametrize("p, x", [(11, 2), (11, 1), (11, 10), (13, 3),
+                                      (13, 4), (13, 5), (17, 4), (19, 7),
+                                      (29, 12), (37, 6), (43, 2)])
+    def test_counted_fixes_match_cycle_walk(self, p, x):
+        # the Moebius inversion of fixed_lagrangians against the cycles of
+        # the permutation, at a primitive root and at x of order 1, 2, 3,
+        # 4, 6 and 14
+        _, T4 = rho_matrices(SpParams(p, x))
+        data = cusp_data_fixed(p, lambda d: fixed_lagrangians(T4 ** d))
+        assert data.widths == cycle_type(permutation(T4))
+        assert data == cusp_data_cycles(permutation(T4))
+
+    def test_counted_fixes_checked(self):
+        # fixes of no permutation: c_1 = 4 / 1, c_2 = (3 - 4) / 2 < 0
+        with pytest.raises(InternalConsistencyError, match="non-negative"):
+            cusp_data_fixed(11, lambda d: 4 if d == 1 else 3)
+        # the identity on 5 points: every c_n is a count, but the widths do
+        # not add up to |X(F_13)|
+        with pytest.raises(InternalConsistencyError, match="partition"):
+            cusp_data_fixed(13, lambda d: 5)
+        with pytest.raises(UnsupportedPrimeError):
+            cusp_data_fixed(15, lambda d: 0)
 
     def test_character_range(self):
         for p in PRIMES_TO_200[:10]:

@@ -11,18 +11,18 @@ from phicong.errors import (DomainError, InternalConsistencyError,
 from phicong.matrices import Matrix
 import phicong.schreier
 import phicong.symplectic
-from phicong.schreier import group_order
-from phicong.symplectic import (SpParams, cycle_type, fixed_points, form_J,
+from phicong.schreier import group_order, permutation
+from phicong.symplectic import (SpParams, fixed_lagrangians, form_J,
                                 generates_sp4, grassmannian_size, kernel_test,
                                 lift_witness_mod_p2, matrix_order,
-                                outside_sp2_p2, permutation, require_memory,
-                                rho_matrices, rho_word, sp4_order,
-                                surjectivity_verdict)
+                                outside_sp2_p2, require_memory, rho_matrices,
+                                rho_word, sp4_order, surjectivity_verdict)
 from phicong.words import Word, parse_word
 
 import numpy_oracle
 from closed_forms import (Lagrangian, assert_matches_closed_forms, in_span,
                           invariant_forms, lagrangian_from_index, rref_mod_p)
+from cycle_oracle import cycle_type, fixed_points
 from ring_matrix import Matrix as RingMatrix, eval_word
 
 
@@ -118,7 +118,7 @@ class TestGrassmannian:
         for p in (11, 13):
             ident = [[int(r == s) for s in range(6)] for r in range(6)]
             points = []
-            for alpha, beta, count in phicong.symplectic._image_rows(ident, p):
+            for alpha, beta, count in phicong.schreier._image_rows(ident, p):
                 points += [[(u + t * v) % p for u, v in zip(alpha, beta)]
                            for t in range(count)]
             assert points == numpy_oracle._plucker(p).T.tolist()
@@ -165,7 +165,7 @@ class TestGrassmannian:
     def test_broken_images_rejected(self, monkeypatch, broken, message):
         # the broken matrices stand in for the exterior square of rho(S)
         S4, _ = rho_matrices(SpParams(11, 2))
-        monkeypatch.setattr(phicong.symplectic, "_wedge", broken)
+        monkeypatch.setattr(phicong.schreier, "_wedge", broken)
         with pytest.raises(InternalConsistencyError, match=message):
             permutation(S4)
 
@@ -396,7 +396,7 @@ class TestCertificate:
         params = SpParams(p, x)
         S4, T4 = rho_matrices(params)
         assert not generates_sp4(S4, T4)
-        v = surjectivity_verdict(params, permutation(S4), permutation(T4))
+        v = surjectivity_verdict(params)
         assert v.perm_group_order == order
         assert not v.surjective_psp4
 
@@ -510,6 +510,77 @@ class TestCertificate:
         assert time.perf_counter() - start < 1.0
 
 
+def _fixes_of_powers(perm, exponents):
+    """{k: points fixed by perm^k}: a point is fixed by perm^k iff the
+    length of its cycle divides k."""
+    cycles = cycle_type(perm)
+    return {k: sum(length * count for length, count in cycles.items()
+                   if k % length == 0) for k in exponents}
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _transvection(u, a, p):
+    """v -> v + a <v, u> u, with <v, u> = v^T J u."""
+    Ju = [sum(r * c for r, c in zip(row, u)) for row in form_J(p).rows]
+    return Matrix([[int(i == j) + a * u[i] * Ju[j] for j in range(4)]
+                   for i in range(4)], p)
+
+
+class TestFixedLagrangians:
+    """fixed_lagrangians against the fixed points of the permutation of
+    X(F_p), point by point; the fixes of a power g^k come from the cycle
+    type of g's permutation."""
+
+    @staticmethod
+    def assert_rho_matches(p, x):
+        S4, T4 = rho_matrices(SpParams(p, x))
+        assert fixed_lagrangians(S4) == fixed_points(permutation(S4)), (p, x)
+        assert fixed_lagrangians(S4 * T4) == fixed_points(permutation(S4 * T4)), (p, x)
+        ds = _divisors(p * (p - 1))
+        counted = {d: fixed_lagrangians(T4 ** d) for d in ds}
+        assert counted == _fixes_of_powers(permutation(T4), ds), (p, x)
+
+    @pytest.mark.parametrize("p", [11, 13, 17, 19, 23])
+    def test_rho_at_every_x(self, p):
+        for x in range(1, p):
+            self.assert_rho_matches(p, x)
+
+    @pytest.mark.parametrize("p, x", [(29, 2), (29, 12), (31, 5), (37, 6),
+                                      (41, 10), (43, 6), (47, 46)])
+    def test_rho_sample_to_47(self, p, x):
+        self.assert_rho_matches(p, x)
+
+    @pytest.mark.parametrize("p, x", [(11, 2), (11, 1), (13, 3), (17, 4)])
+    def test_walk_elements_and_powers(self, p, x):
+        exponents = (1, 2, 3, 4, 6, p, p + 1)
+        for g in _walk(*rho_matrices(SpParams(p, x))):
+            counted = {k: fixed_lagrangians(g ** k) for k in exponents}
+            assert counted == _fixes_of_powers(permutation(g), exponents)
+
+    @pytest.mark.parametrize("p", [11, 13])
+    def test_identity_negation_and_transvections(self, p):
+        n = grassmannian_size(p)
+        ident = Matrix.identity(p)
+        neg = Matrix([[-int(i == j) for j in range(4)] for i in range(4)], p)
+        assert fixed_lagrangians(ident) == fixed_lagrangians(neg) == n
+        for u in ((1, 0, 0, 0), (0, 1, 0, 0), (1, 2, 0, 3), (1, 1, 1, 1)):
+            for a in (1, 2, p - 1):
+                t = _transvection(u, a, p)
+                assert t.transpose() * form_J(p) * t == form_J(p)
+                assert fixed_lagrangians(t) == fixed_points(permutation(t)), (u, a)
+
+    def test_rejects(self):
+        with pytest.raises(DomainError, match="not symplectic"):
+            fixed_lagrangians(Matrix([[int(i == j or (i, j) == (0, 1))
+                                       for j in range(4)] for i in range(4)], 11))
+        for m in (5, 9, 15):
+            with pytest.raises(UnsupportedPrimeError):
+                fixed_lagrangians(Matrix.identity(m))
+
+
 class TestMemoryGuard:
     def test_sizes_in_use_admitted(self):
         for p in (11, 13, 17, 19, 23, 29, 31, 47, 97, 113):
@@ -526,7 +597,7 @@ class TestMemoryGuard:
 
         def no_points(M):
             raise AssertionError("points built before the size check")
-        monkeypatch.setattr(phicong.symplectic, "_wedge", no_points)
+        monkeypatch.setattr(phicong.schreier, "_wedge", no_points)
         with pytest.raises(DomainError, match="GiB limit"):
             permutation(S4)
 
@@ -538,8 +609,7 @@ class TestMemoryGuard:
 class TestSurjectivity:
     def test_p11(self):
         params = SpParams(11, 2)
-        S4, T4 = rho_matrices(params)
-        v = surjectivity_verdict(params, permutation(S4), permutation(T4))
+        v = surjectivity_verdict(params)
         assert v.order_T == 110
         assert v.perm_group_order == 12860654400
         assert v.perm_group_order == sp4_order(11) // 2
@@ -549,7 +619,7 @@ class TestSurjectivity:
         (11, 2), (13, 2), (17, 3), (19, 2), (23, 5), (29, 2), (31, 3)])
     def test_certified_for_every_prime_to_31(self, p, x):
         assert x in _primitive_roots(p)
-        v = surjectivity_verdict(SpParams(p, x), *_rho_perms(p, x))
+        v = surjectivity_verdict(SpParams(p, x))
         assert v.perm_group_order == sp4_order(p) // 2
         assert v.surjective_psp4
         assert v.order_T == p * (p - 1)
