@@ -1,23 +1,22 @@
 """Command-line front end.
 
 Thin adapters over the library modules; all output is machine readable
-(JSON by default, CSV for series).  Each verb returns its document and
-`main` is the only writer: it writes the whole document at once, so a
-failed call leaves nothing on stdout, and it prints integers of any
-size.  Exit codes: 0 success, 2 validation error, 3 internal consistency
-failure.  Each verb imports the modules it uses, so a verb loads nothing
-that only another verb needs.  numpy loads only for the exact group
-order of `grassmannian --surjectivity` when the matrix certificate finds
-no proof.
+(JSON by default, CSV for series).  `_VERBS` is the one grammar and help:
+options take full names, as `--name value` or `--name=value`, `-h` or
+`--help` prints the usage, and a line the table does not admit exits 2.
+Each verb returns its document and `main` is the only writer: it writes
+it at once, so a failed call leaves stdout empty, and it prints integers
+of any size.  Exit codes: 0 success, 2 validation error, 3 internal
+consistency failure.  A verb imports only the modules it uses, and none
+loads argparse or json.  numpy loads only for the exact group order of
+`grassmannian --surjectivity` when the matrix certificate finds no proof.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import sys
-from typing import List, Optional
+from types import SimpleNamespace
 
 from .errors import DomainError, InternalConsistencyError, PhicongError
 
@@ -27,7 +26,7 @@ from .errors import DomainError, InternalConsistencyError, PhicongError
 MAX_TERMS = 450
 
 
-def _poly_json(poly) -> List[str]:
+def _poly_json(poly) -> list[str]:
     return [str(c) for c in poly.coeffs]
 
 
@@ -198,91 +197,117 @@ def _cmd_dims(args) -> dict:
             "ellipticOrder2": d.elliptic2}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="phicong",
-        description="Exact computations for two families of phi-congruence "
-                    "subgroups of the modular group.")
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    p_qexp = sub.add_parser("qexp", help="q-expansion of xtilde")
-    p_qexp.add_argument("--level", type=int, required=True)
-    p_qexp.add_argument("--terms", type=int, default=6)
-    p_qexp.add_argument("--denominators", action="store_true")
-    p_qexp.add_argument("--format", choices=["json", "csv"], default="json")
-    p_qexp.set_defaults(func=_cmd_qexp)
-
-    p_div = sub.add_parser("divpoly", help="division polynomials")
-    p_div.add_argument("--level", type=int, required=True)
-    p_div.add_argument("--rescaled", action="store_true")
-    p_div.add_argument("--profile", type=int, default=None, metavar="P")
-    p_div.set_defaults(func=_cmd_divpoly)
-
-    p_mem = sub.add_parser("member", help="subgroup membership of a word")
-    p_mem.add_argument("--spec", choices=sorted(_SPEC_NAMES), required=True)
-    p_mem.add_argument("--n", type=int, default=None)
-    p_mem.add_argument("--p", type=int, default=None)
-    p_mem.add_argument("--word", required=True)
-    p_mem.set_defaults(func=_cmd_member)
-
-    p_gr = sub.add_parser("grassmannian", help="Lagrangian Grassmannian actions")
-    p_gr.add_argument("--p", type=int, required=True)
-    p_gr.add_argument("--x", type=int, required=True)
-    mode = p_gr.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--epsilons", action="store_true")
-    mode.add_argument("--cycles", action="store_true")
-    mode.add_argument("--surjectivity", action="store_true")
-    mode.add_argument("--lift-check", action="store_true")
-    p_gr.set_defaults(func=_cmd_grassmannian)
-
-    p_gen = sub.add_parser("genus", help="genus of the point stabilizer")
-    p_gen.add_argument("--p", type=int, required=True)
-    p_gen.set_defaults(func=_cmd_genus)
-
-    p_cusp = sub.add_parser("cusps", help="cusp data")
-    p_cusp.add_argument("--p", type=int, required=True)
-    p_cusp.add_argument("--oracle", choices=["character", "cycles"],
-                        default="character")
-    p_cusp.add_argument("--x", type=int, default=None)
-    p_cusp.set_defaults(func=_cmd_cusps)
-
-    p_dims = sub.add_parser("dims", help="dimension formulas")
-    p_dims.add_argument("--family", choices=["unipotent", "gp"], required=True)
-    p_dims.add_argument("--k", type=int, required=True)
-    p_dims.add_argument("--index", type=int, default=None)
-    p_dims.add_argument("--p", type=int, default=None)
-    p_dims.add_argument("--nontrivial-character", action="store_true")
-    p_dims.set_defaults(func=_cmd_dims)
-
-    return parser
+#: verb -> (handler, summary, {--name: (kind, default)}), the grammar and
+#: the help.  A kind is int, str, a tuple of choices or bool (a flag); the
+#: default ... marks a required option, or a mode among required flags.
+_VERBS = {
+    "qexp": (_cmd_qexp, "q-expansion of xtilde", {
+        "level": (int, ...), "terms": (int, 6), "denominators": (bool, False),
+        "format": (("json", "csv"), "json")}),
+    "divpoly": (_cmd_divpoly, "division polynomials", {
+        "level": (int, ...), "rescaled": (bool, False), "profile": (int, None)}),
+    "member": (_cmd_member, "subgroup membership of a word", {"word": (str, ...),
+        "spec": (tuple(sorted(_SPEC_NAMES)), ...), "n": (int, None), "p": (int, None)}),
+    "grassmannian": (_cmd_grassmannian, "Lagrangian Grassmannian actions", {
+        "p": (int, ...), "x": (int, ...), **dict.fromkeys(
+            ("epsilons", "cycles", "surjectivity", "lift-check"), (bool, ...))}),
+    "genus": (_cmd_genus, "genus of the point stabilizer", {"p": (int, ...)}),
+    "cusps": (_cmd_cusps, "cusp data", {"p": (int, ...), "x": (int, None),
+        "oracle": (("character", "cycles"), "character")}),
+    "dims": (_cmd_dims, "dimension formulas", {
+        "family": (("unipotent", "gp"), ...), "k": (int, ...),
+        "index": (int, None), "p": (int, None),
+        "nontrivial-character": (bool, False)}),
+}
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else 2
+def _usage(verb: str | None) -> str:
+    """The help of verb, or of every verb, read off the verb table."""
+    text = "usage: phicong VERB [--name value | --name=value]...\n"
+    for name in [verb] if verb else _VERBS:
+        text += f"\n{name}: {_VERBS[name][1]}\n" + "".join(
+            f"  --{opt}" + ("" if kind is bool else " " + (
+                "|".join(kind) if isinstance(kind, tuple) else kind.__name__.upper()))
+            + {...: "  (required)" if kind is not bool else "  (mode: give one)",
+               None: "", False: ""}.get(d, f"  (default {d})")
+            + "\n" for opt, (kind, d) in _VERBS[name][2].items())
+    return text
+
+
+def parse_args(argv: list[str]):
+    """(handler, arguments) of a command line by the verb table, or DomainError;
+    -h or --help gives the handler that returns the usage, and its verb."""
+    if not argv or argv[0] not in _VERBS:
+        if argv[:1] in (["-h"], ["--help"]):
+            return _usage, None
+        raise DomainError(f"expected a verb, one of {', '.join(_VERBS)}"
+                          + (f"; got {argv[0]!r}" if argv else ""))
+    verb, rest = argv[0], iter(argv[1:])
+    handler, _, opts = _VERBS[verb]
+    args = {n: False if kind is bool else d for n, (kind, d) in opts.items()}
+    for arg in rest:
+        if arg in ("-h", "--help"):
+            return _usage, verb
+        name, eq, value = arg.partition("=")
+        kind = opts[name[2:]][0] if name[:2] == "--" and name[2:] in opts else None
+        if kind is None or (kind is bool and eq):
+            raise DomainError(f"{verb}: unrecognized argument {arg!r}")
+        value = True if kind is bool else value if eq else next(rest, None)
+        if value is None:
+            raise DomainError(f"{name} needs a value")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise DomainError(f"{name} takes an integer, got {value!r}") from None
+        elif isinstance(kind, tuple) and value not in kind:
+            raise DomainError(f"{name} takes one of {', '.join(kind)}, got {value!r}")
+        args[name[2:]] = value
+    modes = [n for n, (kind, d) in opts.items() if kind is bool and d is ...]
+    missing = [n for n, v in args.items() if v is ...]
+    if missing or (modes and sum(args[n] for n in modes) != 1):
+        raise DomainError(f"{verb} requires --{' --'.join(missing)}" if missing else
+                          f"{verb} takes exactly one of --{' --'.join(modes)}")
+    return handler, SimpleNamespace(**{n.replace("-", "_"): v for n, v in args.items()})
+
+
+def _json(doc, indent: str = "\n") -> str:
+    """json.dumps(doc, indent=2) without json for str-keyed dicts, lists,
+    tuples, ints, bools, None and printable-ASCII strings with no '"' or '\\'."""
+    inner = indent + "  "
+    if isinstance(doc, dict):
+        return "{" + ",".join(f"{inner}{_json(k)}: {_json(v, inner)}"
+                              for k, v in doc.items()) + indent + "}" if doc else "{}"
+    if isinstance(doc, (list, tuple)):
+        return "[" + ",".join(inner + _json(v, inner) for v in doc) + indent + "]" \
+            if doc else "[]"
+    if doc is None or isinstance(doc, int):      # str(True).lower() == "true"
+        return "null" if doc is None else str(doc).lower()
+    if (isinstance(doc, str) and doc.isascii() and doc.isprintable()
+            and '"' not in doc and "\\" not in doc):
+        return f'"{doc}"'
+    import json
+    return json.dumps(doc)
+
+
+def main(argv: list[str] | None = None) -> int:
     # an exact result may have more digits than the 4300 that CPython
     # (3.10.7 and later) converts to str by default; the limit is lifted
     # only after parsing, so a longer argument still exits 2
     saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if saved is not None:
-        sys.set_int_max_str_digits(0)
     try:
-        doc = args.func(args)
-        sys.stdout.write(doc if isinstance(doc, str)
-                         else json.dumps(doc, indent=2) + "\n")
+        handler, args = parse_args(sys.argv[1:] if argv is None else argv)
+        if saved is not None:
+            sys.set_int_max_str_digits(0)
+        doc = handler(args)
+        sys.stdout.write(doc if isinstance(doc, str) else _json(doc) + "\n")
         return 0
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 3
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except PhicongError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, DomainError) else 3
     finally:
         if saved is not None:
             sys.set_int_max_str_digits(saved)

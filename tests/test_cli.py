@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -12,7 +13,7 @@ import phicong
 import phicong.invariants
 import phicong.qexp
 import phicong.rationals
-from phicong.cli import MAX_TERMS, main
+from phicong.cli import MAX_TERMS, _json, main
 from phicong.divpoly import MAX_LEVEL
 from phicong.qexp import xtilde
 
@@ -248,6 +249,26 @@ class TestGenusCuspsDims:
         assert code == 2       # UnsupportedPrimeError is a DomainError
 
 
+#: every verb's options, as the README documents them
+OPTIONS = {"qexp": {"--level", "--terms", "--denominators", "--format"},
+           "divpoly": {"--level", "--rescaled", "--profile"},
+           "member": {"--spec", "--n", "--p", "--word"},
+           "grassmannian": {"--p", "--x", "--epsilons", "--cycles",
+                            "--surjectivity", "--lift-check"},
+           "genus": {"--p"},
+           "cusps": {"--p", "--oracle", "--x"},
+           "dims": {"--family", "--k", "--index", "--p", "--nontrivial-character"}}
+
+
+def _help_sections(out):
+    """{verb: its options} from the text of -h/--help: a blank line before
+    each verb's "verb: summary" line, then one line per option."""
+    blocks = out.split("\n\n")
+    assert blocks[0].startswith("usage: phicong ")
+    return {b.split(":")[0]: {line.split()[0] for line in b.splitlines()[1:]}
+            for b in blocks[1:]}
+
+
 class TestParser:
     def test_unknown_verb(self, capsys):
         code = main(["frobnicate"])
@@ -258,6 +279,112 @@ class TestParser:
         code = main([])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    def test_help_lists_every_verb_and_option(self, capsys, flag):
+        code = main([flag])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert _help_sections(captured.out) == OPTIONS
+
+    @pytest.mark.parametrize("argv", [["qexp", "-h"], ["qexp", "--terms", "3", "--help"],
+                                      ["grassmannian", "--help"]])
+    def test_verb_help(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert _help_sections(captured.out) == {argv[0]: OPTIONS[argv[0]]}
+
+    def test_help_in_fresh_interpreter(self):
+        done = subprocess.run([sys.executable, "-m", "phicong", "--help"],
+                              env=_child_env(), capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert _help_sections(done.stdout) == OPTIONS
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param("frobnicate --p 11", id="unknown-verb"),
+        pytest.param("--p 11 genus", id="option-before-verb"),
+        pytest.param("genus --p 11 --q 3", id="unknown-option"),
+        pytest.param("qexp --lev 3", id="abbreviated-option"),
+        pytest.param("genus -p 11", id="single-dash"),
+        pytest.param("genus 11", id="positional"),
+        pytest.param("qexp --level", id="missing-value"),
+        pytest.param("qexp --level 3 --terms", id="missing-last-value"),
+        pytest.param("qexp --terms 3", id="missing-required"),
+        pytest.param("genus --p eleven", id="non-integer"),
+        pytest.param("genus --p=1.5", id="non-integer-equals"),
+        pytest.param(f"genus --p {'1' * 4301}", id="over-4300-digits"),
+        pytest.param("qexp --level 3 --format xml", id="bad-choice"),
+        pytest.param("member --spec gamma --word T", id="bad-spec"),
+        pytest.param("grassmannian --p 11 --x 2 --epsilons --cycles", id="two-modes"),
+        pytest.param("grassmannian --p 11 --x 2", id="no-mode"),
+        pytest.param("qexp --level 3 --denominators=yes", id="flag-with-value"),
+        pytest.param("grassmannian --p 11 --x 2 --cycles=", id="mode-with-empty-value"),
+    ])
+    def test_parse_failure_exits_2(self, capsys, argv):
+        code = main(argv.split())
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_equals_form_and_last_value_wins(self, capsys):
+        _, plain = run(capsys, "genus", "--p", "11")
+        assert run(capsys, "genus", "--p=11") == (0, plain)
+        assert run(capsys, "genus", "--p", "13", "--p", "11") == (0, plain)
+        assert run(capsys, "genus", "--p=13", "--p=11") == (0, plain)
+        _, word = run(capsys, "member", "--spec", "gamma-prime", "--word", "S T^-1")
+        assert json.loads(word)["word"] == "S T^-1"
+        assert run(capsys, "member", "--spec=gamma-prime", "--word=S T^-1") == (0, word)
+
+
+@pytest.fixture
+def no_digit_limit():
+    """CPython's int-to-str limit lifted, as `main` lifts it to write."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+class TestWriter:
+    # json.dumps(doc, indent=2) is the oracle of every byte the writer
+    # emits
+    @pytest.mark.parametrize("doc", [
+        {}, [], {"a": {}, "b": [], "c": [{}]}, [[[]]], (), (1, [2, ()]),
+        {"a": [1, [2, {"c": None}]], "d": "x", "e": -7},
+        [True, 1, False, 0, None], True, False, 1, 0, None,
+        math.inf, -math.inf, {"minValuations": [0, -2, math.inf]}, 0.5,
+        "", " ", "plain text ~!@#$%^&*()_+{}|:<>?", 'a"b', "a\\b", "a\tb",
+        "a\nb", "a\x7fb", "a\u00a0b", "a\U0001d11eb", "\u00e9",
+        {'k"ey': 1, "k\u00a0": [2]},
+    ], ids=repr)
+    def test_matches_json(self, doc):
+        assert _json(doc) == json.dumps(doc, indent=2)
+
+    def test_bool_is_not_int(self):
+        assert (_json(True), _json(1), _json(False), _json(0)) == ("true", "1", "false", "0")
+
+    def test_5000_digit_int(self, no_digit_limit):
+        n = -(10 ** 4999 + 1)
+        assert _json({"n": [n]}) == json.dumps({"n": [n]}, indent=2)
+        assert len(_json(n)) == 5001
+
+    def test_every_golden_document(self, no_digit_limit):
+        docs = [e for e in GOLDEN if "csv" not in e["argv"]]
+        assert len(docs) > 30
+        for entry in docs:
+            doc = json.loads(entry["stdout"])
+            assert _json(doc) + "\n" == json.dumps(doc, indent=2) + "\n" == entry["stdout"]
+
+    @pytest.mark.parametrize("word", ["S\tT", "S\u00a0T", "S T\n"], ids=repr)
+    def test_word_outside_printable_ascii(self, capsys, word):
+        code, out = run(capsys, "member", "--spec", "gamma-prime", "--word", word)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["word"] == word
+        assert out == json.dumps(doc, indent=2) + "\n"
 
 
 class TestInvalidInput:
@@ -389,7 +516,10 @@ class TestImports:
     ], ids=lambda argv: argv[0])
     def test_verb_does_not_load_numpy(self, argv):
         modules = self.UNUSED[argv[0]] + self.MODE_UNUSED.get(argv[-1], ())
-        unused = ["numpy", "dataclasses"] + [f"phicong.{m}" for m in modules]
+        # nor the stdlib's argument parser and json writer: the verb table
+        # and `_json` serve every verb
+        unused = (["numpy", "dataclasses", "argparse", "gettext", "locale", "json"]
+                  + [f"phicong.{m}" for m in modules])
         if argv[0] != "qexp":
             # fractions pulls in decimal and numbers; only qexp computes
             # with Fractions
@@ -489,7 +619,21 @@ def _grammar_argv(rng: random.Random, verb: str):
     then above their ceilings up to 10^6, dims --k and --index now and
     then of 4000 digits, words mixing valid and malformed tokens; an
     optional argument is left out now and then, and an integer is
-    sometimes not one."""
+    sometimes not one.  A quarter of the options with a value are spelled
+    --name=value, and now and then an unknown option is put in."""
+    argv, out = _grammar_tokens(rng, verb), []
+    for token in argv:
+        if out and out[-1].startswith("--") and not token.startswith("--") \
+                and rng.random() < 0.25:
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    if rng.random() < 0.03:
+        out.insert(rng.randint(1, len(out)), rng.choice(["--bogus", "--bogus=1"]))
+    return out
+
+
+def _grammar_tokens(rng: random.Random, verb: str):
     def num(lo, hi):
         return "x1" if rng.random() < 0.03 else str(rng.randint(lo, hi))
 

@@ -391,6 +391,19 @@ class TestCertificate:
             seen.add(exact)
         assert seen == {660, sp4_order(11) // 2}
 
+    def test_uncertified_exactly_for_x_of_order_1_2_3_4_6(self):
+        # over all 300 pairs (p, x) with 11 <= p <= 47 prime and 1 <= x < p,
+        # no certificate is found exactly when x has multiplicative order
+        # 1, 2, 3, 4 or 6 mod p
+        uncertified = 0
+        for p in (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+            for x in range(1, p):
+                order = next(k for k in range(1, p) if pow(x, k, p) == 1)
+                certified = generates_sp4(*rho_matrices(SpParams(p, x)))
+                assert certified == (order not in (1, 2, 3, 4, 6)), (p, x, order)
+                uncertified += not certified
+        assert uncertified == 52
+
     @pytest.mark.parametrize("p, x, order", [(13, 3, 7197372), (19, 7, 70373340)])
     def test_uncertified_pairs_get_exact_order(self, p, x, order):
         params = SpParams(p, x)
