@@ -8,8 +8,8 @@ Each verb returns its document and `main` is the only writer: it writes
 it at once, so a failed call leaves stdout empty, and it prints integers
 of any size.  Exit codes: 0 success, 2 validation error, 3 internal
 consistency failure.  A verb imports only the modules it uses, and none
-loads argparse or json.  numpy loads only for the exact group order of
-`grassmannian --surjectivity` when the matrix certificate finds no proof.
+loads argparse or json, and only an uncertified `grassmannian
+--surjectivity` loads phicong.schreier.
 """
 
 from __future__ import annotations
@@ -122,10 +122,9 @@ def _cmd_member(args) -> dict:
 
 
 def _sp_params(p: int, x: int):
-    """SpParams(p, x) for a verb on the (p^2+1)(p+1) points of X(F_p): the
-    memory estimate of the uncertified --surjectivity comes before the
-    primality test, so a large prime is refused at once, by every such
-    verb while primality is tested by trial division."""
+    """SpParams(p, x) for a verb on the (p^2+1)(p+1) points of X(F_p) after
+    the memory estimate, the ceiling of every such verb: a large prime is
+    refused at once, while primality is tested by trial division."""
     from .symplectic import SpParams, grassmannian_size, require_memory
     require_memory(grassmannian_size(p))
     return SpParams(p, x)

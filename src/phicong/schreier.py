@@ -1,240 +1,160 @@
-"""The permutation of X(F_p) that a matrix induces, and the exact order of
-a permutation group by Schreier-Sims, on numpy arrays.
-
-The fallback of symplectic.surjectivity_verdict when generates_sp4 finds
-no proof, and the exact order that the tests compare the proof with.  It
-is the one module that imports numpy or builds a list of the
-n = (p^2+1)(p+1) points: the Grassmannian verbs load it only when they get
-here.  A point is its index in the canonical order (A by (a,b,c), then B,
-C, D), and a permutation is the plain list of images: the exterior square
-of M maps each row of points, whose Plucker coordinates are affine in one
-coordinate, to a row of images, and each image is decoded back to an
-index.  Each level of the stabilizer chain keeps a Schreier vector, O(n)
-memory, in place of n coset representatives.
+"""The exact order of a group of symplectic 4x4 matrices over F_p, the
+fallback of symplectic.surjectivity_verdict when generates_sp4 finds no
+proof: Schreier-Sims on F_p^4 (Butler, SYMSAC 1976) with an explicit
+transversal, so a sift costs one product per level, and eigenvectors with
+short orbits as base points (Murray and O'Brien, J. Symbolic Comput. 19,
+1995).  A point is a vector v coded as ((v0 p + v1) p + v2) p + v3, and a
+Matrix acts on columns.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
 
-import numpy as np
-
-from .errors import DomainError, InternalConsistencyError
+from .errors import DomainError
 from .matrices import Matrix
-from .rationals import grassmannian_size, require_prime
-from .symplectic import _wedge, form_J, require_memory
+from .rationals import require_prime
+from .symplectic import _kernel, _roots, _trace_pair, form_J
 
 
-def _image_rows(W: List[List[int]], p: int):
-    """The images under W of the points of X(F_p) in canonical order, as
-    rows (alpha, beta, count): the points alpha + t beta, t < count.  Each
-    family's Plucker coordinates (README, "How the Lagrangian action is
-    computed") are affine in its last coordinate, and so are their images."""
-    w01, w02, w03, w12, w13, w23 = zip(*W)
-    for a in range(p):                  # A(a, b, c): t = c
-        lead = [u - 3 * a * v - a * w - 3 * a * a * z
-                for u, v, w, z in zip(w01, w03, w12, w23)]
-        for b in range(p):
-            yield ([u - b * v for u, v in zip(lead, w13)],
-                   [u - b * v for u, v in zip(w02, w23)], p)
-    for a in range(p):                  # B(a, b): t = b
-        yield ([u + 3 * a * v + a * w + 3 * a * a * z
-                for u, v, w, z in zip(w02, w03, w12, w13)],
-               [-z for z in w23], p)
-    yield w13, w23, p                   # C(a): t = a
-    yield w23, (0,) * 6, 1              # D
-
-
-def _decode_off_a(q: List[int], p: int, inv: List[int]) -> int:
-    """Index of the Lagrangian plane with Plucker coordinates q (reduced
-    mod p, q01 = 0), which is B, C or D."""
-    _, q02, _, q12, q13, q23 = q
-    p2, p3 = p * p, p ** 3
-    if q02:
-        d = inv[q02]
-        return p3 + (q12 * d % p) * p + (-q23 * d % p)
-    if q13:
-        return p3 + p2 + q23 * inv[q13] % p
-    if not q23:
-        raise InternalConsistencyError("image of a plane is not 2-dimensional")
-    return p3 + p2 + p
-
-
-def permutation(M: Matrix) -> List[int]:
-    """The permutation induced by M on the canonical index set of X(F_p),
-    p = M.m, as the list of images.  A row of images alpha + t beta is
-    checked Lagrangian once, on alpha and beta: an affine function of t
-    vanishes at every t iff both its coefficients do.  An image with
-    q01 != 0 is A(-q12/q01, -q13/q01, q02/q01); _decode_off_a names the
-    others."""
-    p, n = M.m, grassmannian_size(M.m)
-    require_memory(n)
-    require_prime(p, 3)
-    J = form_J(p)
-    if M.transpose() * J * M != J:
-        raise DomainError("matrix is not symplectic for J")
-    inv = [0] + [pow(v, -1, p) for v in range(1, p)]
-    out: List[int] = []
-    append = out.append
-    for alpha, beta, count in _image_rows(_wedge(M), p):
-        # <v, w> = p03 - 3 p12 for J
-        if (alpha[2] - 3 * alpha[3]) % p or (beta[2] - 3 * beta[3]) % p:
-            raise InternalConsistencyError("image of a plane is not Lagrangian")
-        q01, q02, _, q12, q13, _ = alpha
-        d01, d02, _, d12, d13, _ = beta
-        q12, q13 = -q12, -q13
-        for t in range(count):          # q holds alpha + t beta, q12, q13 negated
-            d = inv[q01 % p]
-            if d:
-                append(((q12 * d % p) * p + q13 * d % p) * p + q02 * d % p)
-            else:
-                append(_decode_off_a([(u + t * v) % p for u, v in zip(alpha, beta)],
-                                     p, inv))
-            q01, q02, q12, q13 = q01 + d01, q02 + d02, q12 - d12, q13 - d13
-    # every index is the image of exactly one point
-    seen = bytearray(n)
-    for i in out:
-        seen[i] = 1
-    if 0 in seen:
-        raise InternalConsistencyError("action is not a bijection")
+def _image(g: Matrix, v: int) -> int:
+    """The point g v, p = g.m."""
+    p, out = g.m, 0
+    v0, v1, v2, v3 = v // p ** 3, v // (p * p) % p, v // p % p, v % p
+    for a, b, c, d in g.rows:
+        out = out * p + (a * v0 + b * v1 + c * v2 + d * v3) % p
     return out
 
 
-
-#: Schreier-vector labels of a point off the orbit and of the base point.
-_OUTSIDE, _ROOT = -1, -2
+def _inverter(p: int):
+    """g -> J^-1 g^T J, the inverse of a g that preserves J, without a product:
+    J holds c_k at (k, 3 - k) and zeros, so entry (i, j) is g[3-j][3-i] w_ij."""
+    c = (1, -3, 3, -1)
+    w = [[c[3 - j] * pow(c[3 - i], -1, p) % p for j in range(4)] for i in range(4)]
+    return lambda g: Matrix._of(tuple([tuple([g.rows[3 - j][3 - i] * w[i][j] % p
+                                              for j in range(4)]) for i in range(4)]), p)
 
 
 class _Level:
-    """One level of a stabilizer chain: a base point, the strong generators
-    that fix every earlier base point (with their inverses), and the
-    Schreier vector of the base point's orbit under them.  labels[y] is the
-    index k of a generator that maps the point invs[k][y], nearer the base,
-    to y; _ROOT at the base and _OUTSIDE off the orbit."""
+    """A base point, the strong generators that fix every earlier one, and
+    its orbit under them: points[k] = reps[k] base, inv_reps[k] = reps[k]^-1,
+    and edge[k] = (i, g) when reps[k] = g reps[i]."""
 
-    def __init__(self, base: int, n: int):
-        self.base = base
-        self.gens: List[np.ndarray] = []
-        self.invs: List[np.ndarray] = []
-        self.labels = np.full(n, _OUTSIDE, dtype=np.int32)
-        self.labels[base] = _ROOT
-        self.size = 1
+    def __init__(self, base: int, inverse, p: int):
+        self.base, self.inverse, self.index, self.gens = base, inverse, {base: 0}, []
+        self.points, self.edge = [base], [None]
+        self.reps, self.inv_reps = [Matrix.identity(p)], [Matrix.identity(p)]
 
-    def add(self, g: np.ndarray, g_inv: np.ndarray) -> None:
-        """Take g as a generator and close the orbit under it, breadth
-        first from the current orbit."""
+    def add(self, g: Matrix) -> None:
+        """Take g as a generator and close the orbit: g on the old points,
+        every generator on the points that join, which the loop reaches."""
         self.gens.append(g)
-        self.invs.append(g_inv)
-        labels = self.labels
-        frontier = np.flatnonzero(labels != _OUTSIDE)
-        while frontier.size:
-            reached = []
-            for k, h in enumerate(self.gens):
-                img = h[frontier]
-                new = img[labels[img] == _OUTSIDE]
-                labels[new] = k
-                reached.append(new)
-            frontier = np.unique(np.concatenate(reached))
-            self.size += frontier.size
-
-    def coset_rep(self, x: int, ident: np.ndarray) -> np.ndarray:
-        """The element that the labels map the base point to x with."""
-        path = []
-        k = int(self.labels[x])
-        while k != _ROOT:
-            path.append(k)
-            x = int(self.invs[k][x])
-            k = int(self.labels[x])
-        u = ident
-        for k in reversed(path):
-            u = self.gens[k][u]
-        return u
+        old = len(self.points)
+        for k, x in enumerate(self.points):
+            for h in (g,) if k < old else self.gens:
+                y = _image(h, x)
+                if y not in self.index:
+                    self.index[y] = len(self.points)
+                    u = h * self.reps[k]
+                    self.points.append(y)
+                    self.reps.append(u)
+                    self.inv_reps.append(self.inverse(u))
+                    self.edge.append((k, h))
 
 
-def _sift(g: np.ndarray, chain: List[_Level], start: int = 0):
-    """Strip g through chain[start:], which g's first base points must fix;
-    returns (residue, level it left the chain at, or len(chain))."""
-    for lvl in range(start, len(chain)):
-        level = chain[lvl]
-        y = int(g[level.base])
-        k = int(level.labels[y])
-        if k == _OUTSIDE:
+def _sift(g: Matrix, chain: list, start: int):
+    """Strip g, which fixes the base points before start, through
+    chain[start:]: (residue, the level it left the chain at), with None for
+    a residue I, which at the last level means g = u_y."""
+    for lvl, level in enumerate(chain[start:], start):
+        k = level.index.get(_image(g, level.base))
+        if k is None:
             return g, lvl
-        # g <- u_y^-1 g, one generator of the path to the base at a time
-        while k != _ROOT:
-            inv = level.invs[k]
-            g = inv[g]
-            y = int(inv[y])
-            k = int(level.labels[y])
-    return g, len(chain)
+        if lvl == len(chain) - 1:
+            return (None if g == level.reps[k] else level.inv_reps[k] * g), lvl + 1
+        g = level.inv_reps[k] * g
+    return (None if g.is_identity() else g), len(chain)
 
 
-def _add_strong(chain: List[_Level], g: np.ndarray, lvl: int,
-                ident: np.ndarray) -> None:
-    """Add a sift residue g that left the chain at lvl: it fixes the base
-    points of chain[:lvl], so it generates on those levels and on lvl,
-    which is new when g got through the whole chain."""
-    if lvl == len(chain):
-        chain.append(_Level(int(np.flatnonzero(g != ident)[0]), len(g)))
-    g_inv = np.empty_like(g)
-    g_inv[g] = ident
-    for level in chain[:lvl + 1]:
-        level.add(g, g_inv)
+def _eigenvectors(g: Matrix) -> list:
+    """A basis of each eigenspace of a symplectic g with an eigenvalue in
+    F_p, a root of t^4 - a t^3 + b t^2 - a t + 1."""
+    (a, b), p = _trace_pair(g), g.m
+    return [((v0 * p + v1) * p + v2) * p + v3 for mu in _roots([1, -a, b, -a, 1], p)
+            for v0, v1, v2, v3 in _kernel(g.rows, p, mu)]
 
 
-def _first_failure(chain: List[_Level], lvl: int, gens: List[np.ndarray],
-                   ident: np.ndarray) -> Optional[int]:
-    """Sift the Schreier generators of chain[lvl] made from gens, which
-    generate the group of the level; the first nontrivial residue joins the
-    chain, and the level it left the chain at is returned."""
-    level = chain[lvl]
-    for x in np.flatnonzero(level.labels != _OUTSIDE):
-        u = level.coset_rep(int(x), ident)
-        for g in gens:
-            k = int(level.labels[g[x]])
-            if k >= 0 and level.gens[k] is g:   # a tree edge: u_{g(x)} = g u_x
-                continue
-            res, out = _sift(g[u], chain, lvl)
-            if not np.array_equal(res, ident):
-                _add_strong(chain, res, out, ident)
-                return out
-    return None
+def _base_point(g: Matrix, gens: list, candidates: list) -> int:
+    """Of the candidates and g's eigenvectors that g, a new level's first
+    strong generator, moves, the one with the smallest orbit under gens (a
+    group that holds the level's), each orbit counted up to 2p^2 + 2 points
+    and up to the best so far; a standard basis vector if g moves none."""
+    p = g.m
+    best, best_size, counted = None, 2 * p * p + 3, set()
+    for v in dict.fromkeys(candidates + _eigenvectors(g)):
+        if v in counted or _image(g, v) == v:   # an orbit already counted
+            continue
+        orbit, todo = {v}, [v]
+        while todo and len(orbit) < best_size:
+            w = todo.pop()
+            for y in (_image(h, w) for h in gens):
+                if y not in orbit:
+                    orbit.add(y)
+                    todo.append(y)
+        if len(orbit) < best_size:
+            best, best_size = v, len(orbit)
+            counted |= orbit
+        elif best is None:
+            best = v
+    return best or next(e for e in (p ** 3, p * p, p, 1) if _image(g, e) != e)
 
 
-def _stabilizer_chain(generators: List[np.ndarray]) -> List[_Level]:
-    """The stabilizer chain behind group_order: the generators' sift
-    residues start it, and it is verified deepest level first, by
-    Schreier's lemma: the stabilizer of the base point in the group a
-    level's generators generate is generated by the Schreier generators,
-    so they all sift through the levels below it.  The top level's group
-    is the whole group, which gens generate with fewer Schreier
-    generators.  A new strong generator fixes the base points above the
-    level it joined at, so the levels below that one stay verified, and
-    verification resumes there."""
-    ident = np.arange(len(generators[0]))
-    gens = [g for g in generators if not np.array_equal(g, ident)]
-    chain: List[_Level] = []
+def group_order(generators: list) -> int:
+    """Exact order of the group of the generators, 4x4 matrices over F_p,
+    p > 3 prime, that preserve J.  Their sift residues start the chain,
+    verified deepest level first by Schreier's lemma: the Schreier
+    generators u_(s y)^-1 s u_y of a level, s over its strong generators (on
+    top, over the generators), must sift through the levels below."""
+    gens = [g for g in generators if not g.is_identity()]
+    if not gens:
+        return 1
+    p = gens[0].m
+    require_prime(p, 3)
+    J = form_J(p)
+    if any(g.transpose() * J * g != J for g in gens):
+        raise DomainError("matrix is not symplectic for J")
+    inverse, chain = _inverter(p), []
+    # for <rho(S), rho(T)>: eigenvectors of rho(S), rho(T) and rho(S) rho(T)
+    candidates = [v for g in (*gens, gens[0] * gens[-1]) for v in _eigenvectors(g)]
+
+    def add_strong(g: Matrix, lvl: int) -> None:
+        if lvl == len(chain):
+            above = chain[-1].gens if chain else gens
+            chain.append(_Level(_base_point(g, above, candidates), inverse, p))
+        for level in chain[:lvl + 1]:
+            level.add(g)
+
+    def verify(lvl: int) -> int:
+        """Sift the Schreier generators of chain[lvl]; the first that does not
+        sift joins the chain at a level below which nothing changed, and
+        verification resumes there, else at the level above."""
+        level = chain[lvl]
+        for s in gens if lvl == 0 else level.gens:
+            for k, y in enumerate(level.points):
+                j = level.index[_image(s, y)]
+                if level.edge[j] == (k, s):     # u_(s y) = s u_y
+                    continue
+                res, out = _sift(level.inv_reps[j] * s * level.reps[k], chain, lvl + 1)
+                if res is not None:
+                    add_strong(res, out)
+                    return out
+        return lvl - 1
+
     for g in gens:
-        res, lvl = _sift(g, chain)
-        if not np.array_equal(res, ident):
-            _add_strong(chain, res, lvl, ident)
+        res, lvl = _sift(g, chain, 0)
+        if res is not None:
+            add_strong(res, lvl)
     lvl = len(chain) - 1
     while lvl >= 0:
-        failed = _first_failure(chain, lvl, gens if lvl == 0 else chain[lvl].gens,
-                                ident)
-        lvl = lvl - 1 if failed is None else failed
-    return chain
-
-
-def group_order(generators: Sequence[Sequence[int]]) -> int:
-    """Exact order of the permutation group the generators, lists of
-    images, generate, from a Schreier-Sims stabilizer chain with Schreier
-    vectors.  Base points are the smallest point the new strong generator
-    moves, and every Schreier generator is sifted."""
-    if not generators:
-        return 1
-    require_memory(len(generators[0]))
-    chain = _stabilizer_chain([np.array(g, dtype=np.int64) for g in generators])
-    return math.prod(level.size for level in chain)
-
+        lvl = verify(lvl)
+    return math.prod(len(level.points) for level in chain)

@@ -11,13 +11,12 @@ with |X(F_p)|.
 surjectivity_verdict decides whether rho(S), rho(T) generate Sp4(F_p)
 from two matrix facts about random elements (generates_sp4), and only when
 that fails measures the group with the exact Schreier-Sims chain of
-phicong.schreier, which holds the permutation of X(F_p) and numpy.
+phicong.schreier, on F_p^4.
 """
 
 from __future__ import annotations
 
-import itertools
-import operator
+import functools
 import random
 from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
@@ -57,13 +56,11 @@ class SpParams(_SpFields):
 #: Estimated memory, in bytes, above which the Grassmannian work refuses to
 #: start (DomainError, exit 2 on the command line).
 MEMORY_LIMIT = 1 << 30
-# An upper bound on the peak RSS per point of the one call that allocates
-# per point, an uncertified --surjectivity: two permutations of
-# phicong.schreier (lists of Python ints, about 36 bytes an entry), their
-# numpy copies and the stabilizer chain, 202-361 bytes per point above the
-# interpreter with numpy.  Every other Grassmannian call counts from 4x4
-# matrices, but the command line applies the estimate to all of them: it
-# also keeps p small enough for trial-division primality tests.
+# No call allocates per point of X(F_p): the exact group order of an
+# uncertified --surjectivity, the largest, peaked at 30 MB RSS at (113, 1)
+# and 43 MB at (109, 45), under 40 bytes per point.  The estimate is the
+# ceiling of every Grassmannian call: p <= 113 keeps the scans of F_p* and
+# the trial-division primality tests short.
 _BYTES_PER_POINT = 700
 
 
@@ -126,33 +123,27 @@ def _wedge(M: Matrix) -> List[List[int]]:
 _LAGRANGIAN_ROW = (0, 0, 1, -3, 0, 0)
 
 
-def _charpoly(W: List[List[int]], p: int) -> List[int]:
-    """det(t I - W) mod p for a 6x6 W, leading coefficient first, from the
-    power sums s_k = tr W^k by Newton's identities:
-    k c_k = -(s_k + c_1 s_(k-1) + ... + c_(k-1) s_1), with c_k the
-    coefficient of t^(6-k).  Dividing by k <= 6 needs p > 5."""
-    def times(A, B):
-        cols = list(zip(*B))
-        return [[sum(map(operator.mul, row, col)) % p for col in cols] for row in A]
-
-    def trace(A, B):                    # tr AB
-        return sum(map(operator.mul, itertools.chain(*A), itertools.chain(*zip(*B))))
-
-    W2 = times(W, W)
-    powers = {1: W, 2: W2, 3: times(W2, W)}
-    sums = [sum(W[i][i] for i in range(6))]
-    sums += [trace(powers[k // 2], powers[k - k // 2]) for k in range(2, 7)]
-    coeffs = [1]
-    for k in range(1, 7):
-        acc = sum(c * s for c, s in zip(coeffs, reversed(sums[:k])))
-        coeffs.append(-acc * pow(k, -1, p) % p)
-    return coeffs
+def _trace_pair(g: Matrix) -> Tuple[int, int]:
+    """(a, b) = (tr g, (a^2 - tr g^2)/2) mod p = g.m, p odd: a symplectic g
+    has characteristic polynomial t^4 - a t^3 + b t^2 - a t + 1."""
+    p, m = g.m, g.rows
+    a = (m[0][0] + m[1][1] + m[2][2] + m[3][3]) % p
+    tr_sq = sum(m[i][j] * m[j][i] for i in range(4) for j in range(4))
+    return a, (a * a - tr_sq) * pow(2, -1, p) % p
 
 
-def _kernel(rows: List[List[int]], p: int) -> List[List[int]]:
-    """A basis of the vectors v with r . v = 0 mod p for every row r, by one
-    Gauss-Jordan elimination mod p."""
-    rows = [[v % p for v in r] for r in rows]
+def _roots(coeffs: List[int], p: int) -> List[int]:
+    """The roots in F_p* of a polynomial mod p, leading coefficient first,
+    by a scan of F_p* (p <= 113 behind the memory gate of the verbs)."""
+    return [mu for mu in range(1, p)
+            if not functools.reduce(lambda acc, c: (acc * mu + c) % p, coeffs, 0)]
+
+
+def _kernel(rows, p: int, mu: int = 0, extra=()) -> List[List[int]]:
+    """A basis of the v with M v = mu v mod p, M the matrix of rows, and
+    r . v = 0 for the extra rows r, by one Gauss-Jordan elimination mod p."""
+    rows = [[(v - mu * (i == j)) % p for j, v in enumerate(r)]
+            for i, r in enumerate(rows)] + [[v % p for v in r] for r in extra]
     width, pivots = len(rows[0]), []
     for c in range(width):
         r = len(pivots)
@@ -162,19 +153,13 @@ def _kernel(rows: List[List[int]], p: int) -> List[List[int]]:
         rows[r], rows[hit] = rows[hit], rows[r]
         inv = pow(rows[r][c], -1, p)
         top = rows[r] = [v * inv % p for v in rows[r]]
-        for i, row in enumerate(rows):
-            if i != r and row[c]:
-                f = row[c]
-                rows[i] = [(u - f * v) % p for u, v in zip(row, top)]
+        rows = [[(u - row[c] * v) % p for u, v in zip(row, top)] if i != r and row[c]
+                else row for i, row in enumerate(rows)]
         pivots.append(c)
-    basis = []
-    for f in (c for c in range(width) if c not in pivots):
-        v = [0] * width
-        v[f] = 1
-        for row, c in zip(rows, pivots):
-            v[c] = -row[f] % p
-        basis.append(v)
-    return basis
+    # a free coordinate f set to 1, the other free ones to 0, and each pivot
+    # coordinate solved for
+    return [[-rows[pivots.index(c)][f] % p if c in pivots else int(c == f)
+             for c in range(width)] for f in range(width) if f not in pivots]
 
 
 def _polar(u: List[int], v: List[int]) -> int:
@@ -231,30 +216,26 @@ def fixed_lagrangians(g: Matrix) -> int:
     from g without enumerating X(F_p).
 
     A plane is fixed iff its Plucker vector q is an eigenvector of the
-    exterior square W of g, with an eigenvalue mu in F_p*.  For each root mu
-    of W's characteristic polynomial, the fixed planes are the points of
-    P(V) on the Plucker quadric, V the vectors of ker(W - mu) on the
-    Lagrangian hyperplane q03 = 3 q12.  The Gram matrix of _polar on a basis
-    of V is twice the quadric's, with the same zeros and, at even rank, the
-    same square class of discriminant; its nonzero zeros are p - 1 to a
-    point of P(V).  The roots are found by a scan of F_p*, which the memory
-    gate of the command line keeps at p <= 113."""
+    exterior square W of g, with an eigenvalue mu in F_p*; the fixed planes
+    are then the points of P(V) on the Plucker quadric, V the vectors of
+    ker(W - mu) on the Lagrangian hyperplane q03 = 3 q12.  The Gram matrix of
+    _polar on a basis of V is twice the quadric's, with the same zeros and,
+    at even rank, the same square class of discriminant; its nonzero zeros
+    are p - 1 to a point of P(V).  The eigenvalues l, 1/l, m, 1/m of g give
+    W the eigenvalues 1, 1, lm, 1/(lm), l/m, m/l, whose two pair sums add up
+    to b - 2 and multiply to a^2 - 2b, (a, b) = _trace_pair(g): the last four
+    are the roots of q = t^4 - (b-2) t^3 + (a^2 - 2b + 2) t^2 - (b-2) t + 1.
+    A Lagrangian fixed with mu = 1 gives g eigenvalues c, 1/c twice, so then
+    q(1) = 0 too: every mu with a fixed Lagrangian is a root of q."""
     p = g.m
     require_prime(p, 5)
     J = form_J(p)
     if g.transpose() * J * g != J:
         raise DomainError("matrix is not symplectic for J")
-    W = _wedge(g)
-    coeffs = _charpoly(W, p)
+    W, (a, b) = _wedge(g), _trace_pair(g)
     count = 0
-    for mu in range(1, p):
-        value = 0
-        for c in coeffs:
-            value = (value * mu + c) % p
-        if value:
-            continue
-        rows = [[w - mu * (i == j) for j, w in enumerate(row)] for i, row in enumerate(W)]
-        basis = _kernel(rows + [_LAGRANGIAN_ROW], p)
+    for mu in _roots([1, 2 - b, a * a - 2 * b + 2, 2 - b, 1], p):
+        basis = _kernel(W, p, mu, [_LAGRANGIAN_ROW])
         gram = [[_polar(u, v) % p for v in basis] for u in basis]
         count += (_quadric_zeros(gram, p) - 1) // (p - 1)
     return count
@@ -285,15 +266,12 @@ def _random_elements(generators: List[Matrix], rng: random.Random, count: int):
 
 def outside_sp2_p2(g: Matrix) -> bool:
     """Whether g in Sp4(F_p) provably lies in no conjugate of Sp2(p^2):2.
-    Its characteristic polynomial is (t^2 - s1 t + 1)(t^2 - s2 t + 1),
-    s1 and s2 the roots of z^2 - a z + e2 - 2, a = tr g, e2 = (a^2 -
-    tr g^2)/2.  On Sp2(p^2) they are equal or conjugate over F_p, so
-    distinct roots in F_p put g outside it, and a != 0 puts g^2 (roots
-    s1^2 - 2 and s2^2 - 2) outside too."""
-    p, sq = g.m, g * g
-    a = sum(g.rows[i][i] for i in range(4)) % p
-    e2 = (a * a - sum(sq.rows[i][i] for i in range(4))) * pow(2, -1, p)
-    return a != 0 and legendre(a * a - 4 * e2 + 8, p) == 1
+    Its characteristic polynomial is (t^2 - s1 t + 1)(t^2 - s2 t + 1), s1
+    and s2 the roots of z^2 - a z + b - 2, (a, b) = _trace_pair(g).  On
+    Sp2(p^2) they are equal or conjugate over F_p, so distinct roots in F_p
+    put g outside it, and a != 0 puts g^2 (roots s_i^2 - 2) outside too."""
+    a, b = _trace_pair(g)
+    return a != 0 and legendre(a * a - 4 * b + 8, g.m) == 1
 
 
 def generates_sp4(S4: Matrix, T4: Matrix) -> bool:
@@ -345,9 +323,10 @@ def matrix_order(M: Matrix, exponent: int) -> int:
 
 
 def surjectivity_verdict(params: SpParams) -> SurjectivityVerdict:
-    """Sp4(F_p) acts on X(F_p) as PSp4(F_p), since -I acts trivially, so
-    generates_sp4 gives the order |Sp4(F_p)|/2; otherwise group_order
-    measures it on the permutations of X(F_p) under rho(S) and rho(T)."""
+    """The group <rho(S), rho(T)> contains -I = rho(S)^2, which acts
+    trivially on X(F_p), so it acts there with half its order: generates_sp4
+    gives |Sp4(F_p)|/2, and otherwise the Schreier-Sims chain of
+    phicong.schreier measures the matrix group."""
     p = params.p
     S4, T4 = rho_matrices(params)
     order_T = matrix_order(T4, p * (p - 1))
@@ -355,9 +334,11 @@ def surjectivity_verdict(params: SpParams) -> SurjectivityVerdict:
     if generates_sp4(S4, T4):
         order = psp4
     else:
-        # numpy and the n-point permutations: only here
-        from .schreier import group_order, permutation
-        order = group_order([permutation(S4), permutation(T4)])
+        require_memory(grassmannian_size(p))
+        from .schreier import group_order
+        order, odd = divmod(group_order([S4, T4]), 2)
+        if odd:
+            raise InternalConsistencyError("a group that holds -I has odd order")
     return SurjectivityVerdict(p, params.x % p, order_T, order, order == psp4)
 
 

@@ -1,6 +1,6 @@
 """Independent closed-form oracles for the S- and R-actions on the
 Lagrangian Grassmannian, transcribed case by case, with the oracle's own
-names for the points of X(F_p).  Used to check schreier.permutation,
+names for the points of X(F_p).  Used to check permutation_oracle.permutation,
 which acts on Plucker coordinates instead, at every point.  Also the
 antisymmetric forms that rho(S) and rho(T) preserve, by elimination over
 F_p: J spans them, so X(F_p) is the Lagrangian Grassmannian for J.  And
@@ -15,8 +15,9 @@ from phicong.errors import DomainError
 from phicong.invariants import sp4_order
 from phicong.matrices import Matrix
 from phicong.rationals import factorize, require_prime
-from phicong.schreier import permutation
 from phicong.symplectic import _PAIRS, SpParams, grassmannian_size, rho_matrices
+
+from permutation_oracle import permutation
 
 
 @dataclass(frozen=True)

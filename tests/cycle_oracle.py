@@ -1,7 +1,7 @@
 """The cycle walk over a permutation of X(F_p) that the Grassmannian verbs
 used for epsilon_2, epsilon_3 and the cusp widths before they were
 counted from 4x4 matrices, kept unchanged as their oracle: with
-phicong.schreier.permutation it counts fixed points and cycles point by
+permutation_oracle.permutation it counts fixed points and cycles point by
 point, independent of symplectic.fixed_lagrangians and of the Moebius
 inversion in invariants."""
 

@@ -10,7 +10,6 @@ from phicong.divpoly import rescaled
 from phicong.invariants import (cusp_data_character, cusp_data_fixed,
                                 elliptic_counts, genus_pointstab, legendre)
 from phicong.qexp import denominator_report, xtilde
-from phicong.schreier import group_order, permutation
 from phicong.symplectic import (SpParams, fixed_lagrangians, kernel_test,
                                 lift_witness_mod_p2, rho_matrices, sp4_order)
 from phicong.words import SubgroupSpec, Word, parse_word, phi, subgroup_member
@@ -18,6 +17,7 @@ from phicong.words import SubgroupSpec, Word, parse_word, phi, subgroup_member
 from closed_forms import assert_matches_closed_forms
 from cyc12_oracle import phi_by_matrices
 from cycle_oracle import cusp_data_cycles, fixed_points
+from permutation_oracle import group_order, permutation
 
 
 def criterion(num, text):

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -498,6 +499,9 @@ class TestImports:
     # of --cycles comes from invariants
     MODE_UNUSED = {"--surjectivity": ("invariants",),
                    "--epsilons": ("invariants",)}
+    # an x of order 3 gets no certificate: the exact group order loads
+    # phicong.schreier, and still no numpy
+    UNCERTIFIED = ["grassmannian", "--p", "13", "--x", "3", "--surjectivity"]
 
     @pytest.mark.parametrize("argv", [
         ["qexp", "--level", "3", "--terms", "4"],
@@ -507,6 +511,7 @@ class TestImports:
         ["genus", "--p", "11"],
         pytest.param(["grassmannian", "--p", "11", "--x", "2", "--surjectivity"],
                      id="grassmannian-surjectivity"),
+        pytest.param(UNCERTIFIED, id="grassmannian-surjectivity-uncertified"),
         pytest.param(["grassmannian", "--p", "11", "--x", "2", "--epsilons"],
                      id="grassmannian-epsilons"),
         pytest.param(["grassmannian", "--p", "11", "--x", "2", "--cycles"],
@@ -516,6 +521,8 @@ class TestImports:
     ], ids=lambda argv: argv[0])
     def test_verb_does_not_load_numpy(self, argv):
         modules = self.UNUSED[argv[0]] + self.MODE_UNUSED.get(argv[-1], ())
+        if argv == self.UNCERTIFIED:
+            modules = tuple(m for m in modules if m != "schreier")
         # nor the stdlib's argument parser and json writer: the verb table
         # and `_json` serve every verb
         unused = (["numpy", "dataclasses", "argparse", "gettext", "locale", "json"]
@@ -549,6 +556,17 @@ class TestImports:
         done = subprocess.run([sys.executable, "-c", script], env=_child_env(),
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
+
+    def test_no_module_imports_numpy(self):
+        # numpy is a test dependency only
+        sources = sorted(Path(phicong.__file__).parent.glob("*.py"))
+        assert len(sources) > 10
+        for path in sources:
+            for node in ast.walk(ast.parse(path.read_text())):
+                names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                         else [node.module or ""] if isinstance(node, ast.ImportFrom)
+                         else [])
+                assert not any(n.split(".")[0] == "numpy" for n in names), path
 
     def test_cli_import_loads_no_library_module(self):
         script = ("import sys\n"

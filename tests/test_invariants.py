@@ -6,11 +6,11 @@ from phicong.errors import DomainError, InternalConsistencyError, UnsupportedPri
 from phicong.invariants import (chi_power, cusp_data_character, cusp_data_fixed,
                                 dims_Gp, dims_unipotent, elliptic_counts,
                                 genus_pointstab, legendre)
-from phicong.schreier import permutation
 from phicong.symplectic import SpParams, fixed_lagrangians, rho_matrices
 
 from closed_forms import genus_newman, noncongruence_report
 from cycle_oracle import cusp_data_cycles, cycle_type
+from permutation_oracle import permutation
 
 
 def is_prime(n):

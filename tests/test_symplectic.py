@@ -9,9 +9,8 @@ import pytest
 from phicong.errors import (DomainError, InternalConsistencyError,
                             UnsupportedPrimeError)
 from phicong.matrices import Matrix
-import phicong.schreier
 import phicong.symplectic
-from phicong.schreier import group_order, permutation
+from phicong import schreier
 from phicong.symplectic import (SpParams, fixed_lagrangians, form_J,
                                 generates_sp4, grassmannian_size, kernel_test,
                                 lift_witness_mod_p2, matrix_order,
@@ -20,9 +19,11 @@ from phicong.symplectic import (SpParams, fixed_lagrangians, form_J,
 from phicong.words import Word, parse_word
 
 import numpy_oracle
+import permutation_oracle
 from closed_forms import (Lagrangian, assert_matches_closed_forms, in_span,
                           invariant_forms, lagrangian_from_index, rref_mod_p)
 from cycle_oracle import cycle_type, fixed_points
+from permutation_oracle import group_order, permutation
 from ring_matrix import Matrix as RingMatrix, eval_word
 
 
@@ -118,7 +119,7 @@ class TestGrassmannian:
         for p in (11, 13):
             ident = [[int(r == s) for s in range(6)] for r in range(6)]
             points = []
-            for alpha, beta, count in phicong.schreier._image_rows(ident, p):
+            for alpha, beta, count in permutation_oracle._image_rows(ident, p):
                 points += [[(u + t * v) % p for u, v in zip(alpha, beta)]
                            for t in range(count)]
             assert points == numpy_oracle._plucker(p).T.tolist()
@@ -165,7 +166,7 @@ class TestGrassmannian:
     def test_broken_images_rejected(self, monkeypatch, broken, message):
         # the broken matrices stand in for the exterior square of rho(S)
         S4, _ = rho_matrices(SpParams(11, 2))
-        monkeypatch.setattr(phicong.schreier, "_wedge", broken)
+        monkeypatch.setattr(permutation_oracle, "_wedge", broken)
         with pytest.raises(InternalConsistencyError, match=message):
             permutation(S4)
 
@@ -286,7 +287,7 @@ class TestGroupOrder:
     def test_schreier_vectors_are_arrays_of_labels(self):
         # O(n) per level: no level keeps a permutation per orbit point
         n = grassmannian_size(11)
-        chain = phicong.schreier._stabilizer_chain(
+        chain = permutation_oracle._stabilizer_chain(
             [np.array(g) for g in _rho_perms(11, 2)])
         for level in chain:
             assert level.labels.shape == (n,)
@@ -594,6 +595,95 @@ class TestFixedLagrangians:
                 fixed_lagrangians(Matrix.identity(m))
 
 
+def _uncertified(p):
+    """The x mod p for which generates_sp4 finds no proof: those of
+    multiplicative order 1, 2, 3, 4 or 6 (TestCertificate)."""
+    return [x for x in range(1, p) if not generates_sp4(*rho_matrices(SpParams(p, x)))]
+
+
+def _order_on_x(p, x):
+    """The order of <rho(S), rho(T)> on X(F_p) when x has multiplicative
+    order 1, 2, 3, 4 or 6, in the closed forms that the permutation chain
+    gave: p(p^2 - 1)/2 for x = +-1, 3 p^4 (p^2 - 1)/2 for order 3 or 6, and
+    6 for order 4, where rho(T) has order 4 too."""
+    order = next(k for k in range(1, p) if pow(x, k, p) == 1)
+    return {1: p * (p * p - 1) // 2, 2: p * (p * p - 1) // 2, 4: 6}.get(
+        order, 3 * p ** 4 * (p * p - 1) // 2)
+
+
+class TestMatrixChain:
+    """schreier.group_order, on F_p^4, against the permutation chain on
+    X(F_p), which -I fixes pointwise, and against the closed forms."""
+
+    @pytest.mark.parametrize("p", [11, 13, 17, 19, 23])
+    def test_matches_permutation_chain_when_uncertified(self, p):
+        xs = _uncertified(p)
+        assert len(xs) == {11: 2, 13: 8, 17: 4, 19: 6, 23: 2}[p]
+        for x in xs:
+            S4, T4 = rho_matrices(SpParams(p, x))
+            assert schreier.group_order([S4, T4]) == 2 * group_order(
+                [permutation(S4), permutation(T4)]), (p, x)
+
+    def test_matches_permutation_chain_on_sp4_at_p11(self):
+        S4, T4 = rho_matrices(SpParams(11, 2))
+        order = schreier.group_order([S4, T4])
+        assert order == sp4_order(11)
+        assert order == 2 * group_order([permutation(S4), permutation(T4)])
+
+    @pytest.mark.parametrize("p", [11, 13, 17, 19, 23, 29, 31])
+    def test_closed_forms_when_uncertified(self, p):
+        for x in _uncertified(p):
+            S4, T4 = rho_matrices(SpParams(p, x))
+            assert schreier.group_order([S4, T4]) == 2 * _order_on_x(p, x), (p, x)
+            assert surjectivity_verdict(SpParams(p, x)).perm_group_order == _order_on_x(p, x)
+
+    def test_small_groups(self):
+        p = 13
+        S4, T4 = rho_matrices(SpParams(p, 2))
+        ident = Matrix.identity(p)
+        neg = Matrix([[-int(i == j) for j in range(4)] for i in range(4)], p)
+        assert schreier.group_order([]) == schreier.group_order([ident]) == 1
+        assert schreier.group_order([neg]) == 2
+        assert schreier.group_order([S4]) == schreier.group_order([S4, neg]) == 4
+        assert schreier.group_order([T4]) == matrix_order(T4, p * (p - 1))
+        for u in ((1, 0, 0, 0), (1, 2, 0, 3)):
+            assert schreier.group_order([_transvection(u, 1, p)]) == p
+        # Sp2(p) x Sp2(p) on the J-orthogonal planes <e1, e4> and <e2, e3>
+        rng = random.Random(p)
+        gens = [g for _ in range(3) for g in _sp2_times_sp2_generators(p, rng)]
+        assert schreier.group_order(gens) == (p * (p * p - 1)) ** 2
+
+    @pytest.mark.parametrize("p", [11, 17, 113])
+    def test_inverse_is_J_conjugate_transpose(self, p):
+        J = form_J(p)
+        J_inv = Matrix([[0, 0, 0, -1], [0, 0, pow(3, -1, p), 0],
+                        [0, -pow(3, -1, p), 0, 0], [1, 0, 0, 0]], p)
+        assert (J * J_inv).is_identity()
+        inverse = schreier._inverter(p)
+        for g in _walk(*rho_matrices(SpParams(p, 3))):
+            assert inverse(g) == J_inv * g.transpose() * J
+            assert (g * inverse(g)).is_identity() and (inverse(g) * g).is_identity()
+
+    def test_rejects(self):
+        M = Matrix([[int(i == j or (i, j) == (0, 1)) for j in range(4)]
+                    for i in range(4)], 11)
+        with pytest.raises(DomainError, match="not symplectic"):
+            schreier.group_order([M])
+        for m in (3, 9, 15):
+            with pytest.raises(UnsupportedPrimeError):
+                schreier.group_order([Matrix([[-int(i == j) for j in range(4)]
+                                              for i in range(4)], m)])
+
+    def test_odd_order_is_internal_error(self, monkeypatch):
+        monkeypatch.setattr(schreier, "group_order", lambda gens: 1321)
+        with pytest.raises(InternalConsistencyError, match="odd order"):
+            surjectivity_verdict(SpParams(11, 1))
+
+    def test_uncertified_verdict_refused_above_memory_limit(self):
+        with pytest.raises(DomainError, match="GiB limit"):
+            surjectivity_verdict(SpParams(127, 1))
+
+
 class TestMemoryGuard:
     def test_sizes_in_use_admitted(self):
         for p in (11, 13, 17, 19, 23, 29, 31, 47, 97, 113):
@@ -610,7 +700,7 @@ class TestMemoryGuard:
 
         def no_points(M):
             raise AssertionError("points built before the size check")
-        monkeypatch.setattr(phicong.schreier, "_wedge", no_points)
+        monkeypatch.setattr(permutation_oracle, "_wedge", no_points)
         with pytest.raises(DomainError, match="GiB limit"):
             permutation(S4)
 
