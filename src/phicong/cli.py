@@ -20,10 +20,10 @@ from types import SimpleNamespace
 
 from .errors import DomainError, InternalConsistencyError, PhicongError
 
-#: Largest ``qexp --terms``: about 10 s for --level 10 on a 2-vCPU host.
+#: Largest ``qexp --terms``: about 8 s for --level 13, the slowest to 15.
 #: The time grows about as terms^2 times the bits of the level, so a level
 #: of b > 4 bits admits the terms with terms^2 * b <= MAX_TERMS^2 * 4.
-MAX_TERMS = 450
+MAX_TERMS = 750
 
 
 def _poly_json(poly) -> list[str]:
@@ -39,37 +39,28 @@ def _option(args, name: str, rule: str):
 
 
 def _cmd_qexp(args) -> dict | str:
+    if args.denominators and args.format == "csv":
+        raise DomainError("--denominators cannot be written as --format csv")
     most = math.isqrt(MAX_TERMS ** 2 * 4 // max(4, args.level.bit_length()))
     need = max(args.terms, 30 if args.denominators else 0)
     if args.terms < 1 or need > most:
         raise DomainError(f"--level {args.level} admits 1 to {most} terms "
                           f"(--denominators takes 30), got --terms {args.terms}")
-    from .qexp import denominator_report, xtilde
-    from .rationals import format_fraction
+    from .qexp import denominator_report, xtilde_terms
     prec = max(17, 6 * need - 7)
-    xt = xtilde(args.level, prec)
-    terms = xt.items()[:args.terms]
+    terms = xtilde_terms(args.level, prec)[:args.terms]
     if args.format == "csv":
         return "exp,numerator,denominator\n" + "".join(
-            f"{e},{c.numerator},{c.denominator}\n" for e, c in terms)
-    doc = {
-        "N": args.level,
-        "prec": xt.prec,
-        "terms": [{"exp": e, "coeff": format_fraction(c)} for e, c in terms],
-    }
+            f"{e},{num},{den}\n" for e, num, den in terms)
+    doc = {"N": args.level, "prec": prec, "terms": [
+        {"exp": e, "coeff": f"{num}/{den}" if den > 1 else str(num)}
+        for e, num, den in terms]}
     if args.denominators:
-        rep = denominator_report(args.level, prec)
-        doc["denominators"] = [
-            {
-                "p": r.p,
-                "minValuations": list(r.min_vals),
-                "integral": r.integral,
-                "expectedIntegral": r.expected_integral,
-                "unboundedTrend": r.unbounded_trend,
-                "boundOk": r.bound_ok,
-            }
-            for r in rep.primes
-        ]
+        doc["denominators"] = [{
+            "p": r.p, "minValuations": list(r.min_vals), "integral": r.integral,
+            "expectedIntegral": r.expected_integral,
+            "unboundedTrend": r.unbounded_trend, "boundOk": r.bound_ok,
+        } for r in denominator_report(args.level, prec).primes]
     return doc
 
 

@@ -10,20 +10,30 @@ relation: [N] scales the invariant differential dx/2y by N, so
 D xtilde = -2 ytilde eta^4 / N with D = q d/dq, and that relation with
 ytilde^2 = xtilde^3 - 1728 determines both series term by term
 (``_tower``); at N = 1 it gives x and y.  Everything lives on the
-lattice Q = q^6 as dense lists and is returned as a ``LaurentSeries``.
+lattice Q = q^6 as dense integer lists, rescaled Q -> lam Q by the lam
+that the denominators need.  ``xtilde_terms`` gives xtilde's coefficients
+as reduced integer pairs, which the CLI prints and ``denominator_report``
+reads; only ``xtilde``, ``ytilde`` and ``basis_series`` turn them into a
+``LaurentSeries`` (``_on_lattice``), so the CLI loads neither fractions
+nor phicong.series.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from operator import mul
-from typing import List, NamedTuple, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Tuple
 
 from .errors import DomainError, InternalConsistencyError
 from .polynomials import mul_trunc
-from .rationals import padic_val, split_power
-from .series import LaurentSeries
+from .rationals import split_power
+
+if TYPE_CHECKING:
+    from .series import LaurentSeries
+
+#: (exponent, numerator, denominator) of each nonzero term of a series
+Terms = Tuple[Tuple[int, int, int], ...]
 
 PRIMES_37 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -63,11 +73,27 @@ def _eta_q(n: int) -> List[int]:
     return mul_trunc(f2, f2, n)
 
 
-def _on_lattice(coeffs: List[int], N: int, shift: int, prec: int) -> LaurentSeries:
-    """sum_k coeffs[k] / N^(12k) q^(6k + shift), known to O(q^prec): the
-    rescaling of ``_tower`` undone, with N = 1 for a series not rescaled."""
-    return LaurentSeries({6 * k + shift: Fraction(c, N ** (12 * k))
-                          for k, c in enumerate(coeffs)}, prec)
+def _reduced(coeffs: List[int], lam: int, shift: int) -> Terms:
+    """(6k + shift, numerator, denominator) of each nonzero coeffs[k] / lam^k,
+    in lowest terms: the rescaling of ``_tower`` undone, with lam = 1 for a
+    series not rescaled."""
+    out, den = [], 1
+    for k, c in enumerate(coeffs):
+        if c:
+            g = gcd(c, den)
+            out.append((6 * k + shift, c // g, den // g))
+        den *= lam
+    return tuple(out)
+
+
+def _on_lattice(terms: Terms, prec: int) -> LaurentSeries:
+    """The series of terms, known to O(q^prec).  The integer path (the
+    CLI, ``denominator_report``) never comes here, so only a library call
+    loads fractions and phicong.series."""
+    from fractions import Fraction
+
+    from .series import LaurentSeries
+    return LaurentSeries({e: Fraction(num, den) for e, num, den in terms}, prec)
 
 
 @lru_cache(maxsize=8)
@@ -75,11 +101,14 @@ def basis_series(prec: int) -> BasisSeries:
     if prec < 1:
         raise DomainError(f"prec must be >= 1, got {prec}")
     n = prec // 6 + 2
-    x, y = _tower(1, n)
-    return BasisSeries(_on_lattice(_eta_q(n), 1, 1, prec),
-                       _on_lattice(_sigma_q(3, 240, n), 1, 0, prec),
-                       _on_lattice(_sigma_q(5, -504, n), 1, 0, prec),
-                       _on_lattice(x, 1, -2, prec), _on_lattice(y, 1, -3, prec), prec)
+    x, y, _ = _tower(1, n)                 # lam = 1: x and y are integral
+
+    def series(coeffs, shift):
+        return _on_lattice(_reduced(coeffs, 1, shift), prec)
+
+    return BasisSeries(series(_eta_q(n), 1), series(_sigma_q(3, 240, n), 0),
+                       series(_sigma_q(5, -504, n), 0), series(x, -2),
+                       series(y, -3), prec)
 
 
 def _inner_square(c: List[int], m: int) -> int:
@@ -89,56 +118,91 @@ def _inner_square(c: List[int], m: int) -> int:
     return t + c[m // 2] ** 2 if m % 2 == 0 else t
 
 
-def _tower(N: int, n: int) -> Tuple[List[int], List[int]]:
-    """A_k = a_k N^(12k) and B_k = b_k N^(12k) for k < n, where
-    xtilde = sum_k a_k q^(6k-2) and ytilde = sum_k b_k q^(6k-3).
+def _tower(N: int, n: int) -> Tuple[List[int], List[int], int]:
+    """(A, B, lam) with A_k = a_k lam^k and B_k = b_k lam^k integers for
+    k < n, where xtilde = sum_k a_k q^(6k-2) and ytilde = sum_k b_k q^(6k-3),
+    and lam a divisor of N^12.
 
-    A_0 = N^2 and B_0 = N^3.  With E_j = e_j N^(12j), eta^4 = q sum e_j Q^j,
-    step m >= 1 takes the coefficient of q^(6m-2) in D xtilde =
-    -2 ytilde eta^4 / N and that of q^(6m-6) in ytilde^2 = xtilde^3 - 1728;
-    after Q -> N^12 Q they read
+    A_0 = N^2 and B_0 = N^3.  Differentiating ytilde^2 = xtilde^3 - 1728
+    along D xtilde = -2 ytilde eta^4 / N gives D ytilde = -3 xtilde^2 eta^4 / N.
+    With eta^4 = q sum e_j Q^j and X_k = c_k lam^k for the coefficients c_k
+    of xtilde^2 = sum c_k q^(6k-4), the coefficients of q^(6m-2) and
+    q^(6m-3) in these two relations read, after Q -> lam Q,
 
-        N (3m - 1) A_m + B_m = -S_m,      S_m = sum_{k<m} B_k E_{m-k},
-        3 N^4 A_m - 2 N^3 B_m = -R_m,
+        N (3m - 1) A_m + B_m = -S_m,    S_m = sum_{k<m} B_k e_(m-k) lam^(m-k),
+        N (2m - 1) B_m + X_m = -T_m,    T_m = sum_{k<m} X_k e_(m-k) lam^(m-k),
 
-    where R_m is the part of that coefficient of xtilde^3 - ytilde^2 - 1728
-    that does not involve A_m or B_m.  So N^4 (6m + 1) A_m = -(R_m + 2 N^3 S_m):
-    one exact integer division per step, O(m) products per step and
-    nothing that grows with N^2.  The rescaling makes every A_m and B_m
-    an integer (the bound ``denominator_report`` checks as ``bound_ok``);
-    a remainder raises InternalConsistencyError rather than being assumed
-    away.
+    where X_m = P_m + 2 N^2 A_m and P_m = sum_{0<k<m} A_k A_(m-k).  So
+
+        N^2 (6m + 1)(m - 1) A_m = P_m + T_m - N (2m - 1) S_m
+
+    for m >= 2: one exact integer division per step.  S_m and T_m are
+    Horner sums in lam of products with the small e_j, so the only
+    products of two long integers are the m/2 of P_m, and nothing grows
+    with N^2.  At m = 1 the derivative has lost the constant 1728; the
+    coefficient of q^0 in ytilde^2 = xtilde^3 - 1728 gives
+    7 N^4 A_1 = 1728 lam - 2 N^3 S_1 instead.
+
+    The relations are homogeneous in lam, so lam starts at 1 and grows
+    only when a division leaves a remainder: lam is multiplied by
+    f = gcd(d, N^12 / lam), d the denominator A_m lacks, the stored prefix
+    by f^k, and the step is repeated.  N is never factored.  The bound
+    v_l(c_e) >= -2 v_l(N) (e + 1) (``bound_ok`` in ``denominator_report``)
+    makes every A_m an integer at lam = N^12, and an integer at a divisor
+    of N^12 stays one at N^12; so the remainder left once f = 1 is one that
+    lam = N^12 leaves too, and it raises InternalConsistencyError rather
+    than being assumed away.
     """
     n2, n3 = N * N, N ** 3
-    e = [c * N ** (12 * j) for j, c in enumerate(_eta_q(n))]
+    room = N ** 12                         # N^12 / lam
+    lam, e = 1, _eta_q(n)
     a, b = [n2], [n3]
-    sq = [n2 * n2]                         # xtilde^2, rescaled the same way
-    for m in range(1, n):
-        s = sum(map(mul, b, e[m:0:-1]))
-        sq_known = _inner_square(a, m)
-        r = (sum(map(mul, sq[1:], a[m - 1:0:-1])) + sq_known * n2
-             - _inner_square(b, m))
+    x2 = [n2 * n2]                         # X_k: xtilde^2, rescaled the same way
+    m = 1
+    while m < n:
+        s = t = 0
+        for bk, xk, ej in zip(b, x2, e[m:0:-1]):
+            s = (s + bk * ej) * lam
+            t = (t + xk * ej) * lam
+        p = _inner_square(a, m)
         if m == 1:
-            r -= 1728 * N ** 12
-        am, rem = divmod(-(r + 2 * n3 * s), n2 * n2 * (6 * m + 1))
+            num, den = 1728 * lam - 2 * n3 * s, 7 * n2 * n2
+        else:
+            num, den = p + t - N * (2 * m - 1) * s, n2 * (6 * m + 1) * (m - 1)
+        am, rem = divmod(num, den)
         if rem:
-            raise InternalConsistencyError(
-                f"xtilde for N={N} is not integral at Q^{m} after rescaling")
+            f = gcd(den // gcd(rem, den), room)
+            if f == 1:
+                raise InternalConsistencyError(
+                    f"xtilde for N={N} is not integral at Q^{m} after rescaling")
+            lam, room = lam * f, room // f
+            for c in (a, b, x2):
+                for k in range(1, m):
+                    c[k] *= f ** k
+            continue
         a.append(am)
         b.append(-s - N * (3 * m - 1) * am)
-        sq.append(sq_known + 2 * n2 * am)
-    return a, b
+        x2.append(p + 2 * n2 * am)
+        m += 1
+    return a, b, lam
 
 
 @lru_cache(maxsize=64)
-def xtilde(N: int, prec: int) -> LaurentSeries:
-    """xtilde = N^2 q^-2 + ..., with coefficients known for exponents < prec."""
+def xtilde_terms(N: int, prec: int) -> Terms:
+    """The nonzero terms of xtilde = N^2 q^-2 + ... below q^prec, as
+    (exponent, numerator, denominator) in lowest terms: the one cached form
+    of xtilde, which the CLI prints and ``denominator_report`` reads."""
     if N < 2:
         raise DomainError(f"xtilde needs N >= 2, got {N}")
     if prec < 17:
         raise DomainError("prec too small to contain three nonzero terms")
-    a, _ = _tower(N, (prec + 7) // 6)      # exponents 6k - 2 < prec
-    return _on_lattice(a, N, -2, prec)
+    a, _, lam = _tower(N, (prec + 7) // 6)     # exponents 6k - 2 < prec
+    return _reduced(a, lam, -2)
+
+
+def xtilde(N: int, prec: int) -> LaurentSeries:
+    """xtilde = N^2 q^-2 + ..., with coefficients known for exponents < prec."""
+    return _on_lattice(xtilde_terms(N, prec), prec)
 
 
 def ytilde(N: int, prec: int) -> LaurentSeries:
@@ -148,8 +212,8 @@ def ytilde(N: int, prec: int) -> LaurentSeries:
         raise DomainError(f"ytilde needs N >= 1, got {N}")
     if prec < 1:
         raise DomainError(f"prec must be >= 1, got {prec}")
-    _, b = _tower(N, (prec + 8) // 6)      # exponents 6k - 3 < prec
-    return _on_lattice(b, N, -3, prec)
+    _, b, lam = _tower(N, (prec + 8) // 6)     # exponents 6k - 3 < prec
+    return _on_lattice(_reduced(b, lam, -3), prec)
 
 
 class PrimeReport(NamedTuple):
@@ -170,20 +234,20 @@ class DenominatorReport(NamedTuple):
 
 def denominator_report(N: int, prec: int,
                        cutoffs: Tuple[int, int, int] = (10, 20, 30)) -> DenominatorReport:
-    xt = xtilde(N, prec)
-    terms = xt.items()
+    terms = xtilde_terms(N, prec)
     if len(terms) < cutoffs[-1]:
         raise DomainError(
             f"only {len(terms)} terms available, need {cutoffs[-1]}; raise prec")
     reports = []
     for p in PRIMES_37:
         r = split_power(N, p)[0]
-        vals = [padic_val(c, p) for _, c in terms]
+        vals = [split_power(num, p)[0] - split_power(den, p)[0]
+                for _, num, den in terms]
         mins = tuple(min(vals[:c]) for c in cutoffs)
         integral = all(v >= 0 for v in vals)
         expected_integral = N % 4 != 0 if p == 2 else r == 0
         trend = mins[0] > mins[1] > mins[2]
-        bound_ok = all(v >= -2 * r * (e + 1) for (e, _), v in zip(terms, vals))
+        bound_ok = all(v >= -2 * r * (e + 1) for (e, _, _), v in zip(terms, vals))
         reports.append(PrimeReport(p, mins, integral, expected_integral,
                                    trend, bound_ok))
     return DenominatorReport(N, prec, cutoffs, tuple(reports))

@@ -1,11 +1,12 @@
 """Exact rational helpers: valuations, factorization, repeated squaring,
-fraction formatting, and the counts |X(F_p)|, |Sp4(F_p)| and (a/p).
+and the counts |X(F_p)|, |Sp4(F_p)| and (a/p).
 
 A rational is an ``int`` or a ``fractions.Fraction`` (always normalized,
 positive denominator), which matches the storage invariants needed for exact
 golden comparisons.  Both carry ``numerator`` and ``denominator``, so this
-module reads those and never imports ``fractions``: only ``qexp`` computes
-with Fractions.
+module reads those and never imports ``fractions``.  No verb computes with
+Fractions: ``qexp`` prints reduced integer pairs, and only the library's
+series (``phicong.series``, ``qexp.xtilde``) build Fractions.
 """
 
 from __future__ import annotations
@@ -42,11 +43,19 @@ def padic_val(r, p: int):
 
 def split_power(m: int, p: int) -> Tuple[int, int]:
     """(v, m / p^v) for a nonzero integer m, with p^v the largest power of
-    p dividing m."""
-    v = 0
+    p dividing m.  It divides by p, p^2, p^4, ... while they divide, then
+    by the same powers in reverse where they still do: O(log v) divisions,
+    not v, for the long valuations of qexp's denominators."""
+    v, powers = 0, []
     while m % p == 0:
         m //= p
-        v += 1
+        v += 1 << len(powers)
+        powers.append(p)
+        p *= p
+    for k in range(len(powers) - 1, -1, -1):
+        q, r = divmod(m, powers[k])
+        if r == 0:
+            m, v = q, v + (1 << k)
     return v, m
 
 
@@ -103,10 +112,3 @@ def power(base, e: int, one):
             base = base * base
     return acc
 
-
-def format_fraction(r) -> str:
-    """Render a rational as ``num/den`` (or plain integer when den == 1)."""
-    num, den = _num_den(r)
-    if den == 1:
-        return str(num)
-    return f"{num}/{den}"

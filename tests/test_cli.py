@@ -16,7 +16,8 @@ import phicong.qexp
 import phicong.rationals
 from phicong.cli import MAX_TERMS, _json, main
 from phicong.divpoly import MAX_LEVEL
-from phicong.qexp import xtilde
+
+import n12_oracle
 
 
 def run(capsys, *argv):
@@ -81,6 +82,35 @@ class TestQexp:
         assert code == 2
         assert sys.get_int_max_str_digits() == limit
 
+    def test_huge_prime_level_in_child(self):
+        # 10^30 + 57 is a probable prime: lam comes from gcds with N^12, so
+        # N is never factored, and the coefficients are the N^12 tower's
+        level = 10 ** 30 + 57
+        script = ("import sys\n"
+                  "from phicong.cli import main\n"
+                  f"sys.exit(main(['qexp', '--level', '{level}', '--terms', '40']))\n")
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-c", script], env=_child_env(),
+                              capture_output=True, text=True, timeout=60)
+        elapsed = time.perf_counter() - start
+        assert done.returncode == 0, done.stderr
+        assert elapsed < 5.0
+        terms = json.loads(done.stdout)["terms"]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)       # the 40th term has 7000-digit parts
+        try:
+            expected = [(e, f"{num}/{den}" if den > 1 else str(num))
+                        for e, num, den in n12_oracle.tower_terms(level, 40)]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert [(t["exp"], t["coeff"]) for t in terms] == expected
+
+    def test_denominators_need_json(self, capsys):
+        # TestInvalidInput checks the exit code; the message names both options
+        main("qexp --level 5 --terms 3 --denominators --format csv".split())
+        err = capsys.readouterr().err
+        assert "--denominators" in err and "--format csv" in err
+
     def test_determinism(self, capsys):
         _, out1 = run(capsys, "qexp", "--level", "5", "--terms", "4")
         _, out2 = run(capsys, "qexp", "--level", "5", "--terms", "4")
@@ -92,7 +122,7 @@ class TestQexp:
         eta_q = phicong.qexp._eta_q
         monkeypatch.setattr(phicong.qexp, "_eta_q",
                             lambda n: [c + (j == 1) for j, c in enumerate(eta_q(n))])
-        xtilde.cache_clear()            # other tests may have cached N = 3
+        phicong.qexp.xtilde_terms.cache_clear()   # other tests may have cached N = 3
         code = main(["qexp", "--level", "3", "--terms", "6"])
         captured = capsys.readouterr()
         assert code == 3
@@ -396,7 +426,8 @@ class TestInvalidInput:
         "qexp --level 5 --terms -1", "qexp --level 5 --terms 0",
         f"qexp --level 5 --terms {MAX_TERMS + 1}",
         "qexp --level 10 --terms 1000000 --denominators",
-        "qexp --level 1000000 --terms 300",
+        "qexp --level 5 --terms 3 --denominators --format csv",
+        "qexp --level 1000000 --terms 400",
         "divpoly --level 3 --profile 15",
     ])
     def test_exit_2_with_message(self, capsys, argv):
@@ -483,7 +514,7 @@ def _child_env():
 
 class TestImports:
     # phicong modules that only other verbs use
-    UNUSED = {"qexp": ("divpoly", "invariants", "words", "symplectic"),
+    UNUSED = {"qexp": ("divpoly", "invariants", "words", "symplectic", "series"),
               "member": ("qexp", "series", "divpoly", "invariants",
                          "matrices", "cyclotomic"),
               "divpoly": ("qexp", "series", "words", "invariants"),
@@ -505,6 +536,10 @@ class TestImports:
 
     @pytest.mark.parametrize("argv", [
         ["qexp", "--level", "3", "--terms", "4"],
+        pytest.param(["qexp", "--level", "4", "--terms", "3", "--denominators"],
+                     id="qexp-denominators"),
+        pytest.param(["qexp", "--level", "3", "--terms", "6", "--format", "csv"],
+                     id="qexp-csv"),
         ["member", "--spec", "gp", "--p", "17", "--word", "T^4 S^-1"],
         ["divpoly", "--level", "3", "--profile", "5"],
         ["dims", "--family", "gp", "--k", "2", "--p", "5"],
@@ -524,13 +559,11 @@ class TestImports:
         if argv == self.UNCERTIFIED:
             modules = tuple(m for m in modules if m != "schreier")
         # nor the stdlib's argument parser and json writer: the verb table
-        # and `_json` serve every verb
-        unused = (["numpy", "dataclasses", "argparse", "gettext", "locale", "json"]
+        # and `_json` serve every verb; nor fractions, with the decimal and
+        # numbers it pulls in: qexp prints reduced integer pairs
+        unused = (["numpy", "dataclasses", "argparse", "gettext", "locale", "json",
+                   "fractions", "decimal", "numbers"]
                   + [f"phicong.{m}" for m in modules])
-        if argv[0] != "qexp":
-            # fractions pulls in decimal and numbers; only qexp computes
-            # with Fractions
-            unused.append("fractions")
         script = ("import sys\n"
                   "from phicong.cli import main\n"
                   f"assert main({argv!r}) == 0\n"

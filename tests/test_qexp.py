@@ -2,11 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+import phicong.qexp
 from phicong.divpoly import _f, division_polynomials
-from phicong.errors import DomainError
-from phicong.qexp import basis_series, denominator_report, xtilde, ytilde
+from phicong.errors import DomainError, InternalConsistencyError
+from phicong.qexp import (_reduced, _tower, basis_series, denominator_report,
+                          xtilde, xtilde_terms, ytilde)
 from phicong.series import LaurentSeries
 
+import n12_oracle
 from hensel_oracle import (euler_product, series_sqrt, sigma_series,
                            xtilde_by_fractions)
 
@@ -189,6 +192,54 @@ class TestYtilde:
             root = series_sqrt(xt * xt * xt - 1728)
             assert root.prec >= 6 * 30 - 3
             assert ytilde(n, root.prec) == root
+
+
+class TestLambda:
+    """The rescaling lam that _tower finds against the fixed N^12 of
+    n12_oracle: the same coefficients, and a remainder at the same step."""
+
+    @pytest.mark.parametrize("N, n", [(N, 100) for N in range(2, 13)]
+                             + [(5, 300), (10, 300), (12, 300)])
+    def test_matches_n12_tower(self, N, n):
+        a, b, lam = _tower(N, n)
+        assert N ** 12 % lam == 0
+        assert list(xtilde_terms(N, 6 * n - 7)) == n12_oracle.tower_terms(N, n)
+        assert list(_reduced(b, lam, -3)) == n12_oracle.tower_terms(N, n, 1)
+
+    def test_lambda_table(self):
+        # lam is 1 exactly where xtilde is integral, and stays far below N^12
+        lam = {N: _tower(N, 100)[2] for N in range(2, 13)}
+        assert lam == {2: 1, 3: 3 ** 3, 4: 2 ** 6, 5: 5 ** 7, 6: 3 ** 3,
+                       7: 7 ** 7, 8: 2 ** 12, 9: 3 ** 9, 10: 5 ** 7,
+                       11: 11 ** 7, 12: 2 ** 6 * 3 ** 3}
+        assert _tower(11, 30)[2] == 11 ** 6      # grows only when a step needs it
+
+    @pytest.mark.parametrize("j", [1, 2, 4, 7])
+    def test_corrupted_eta_fails_at_the_oracles_step(self, monkeypatch, j):
+        # (j, N) = (1, 7) fails only at Q^15 and (4, 5), (4, 10) not at all
+        # within 20 steps: a prime dividing N absorbs the error of 6j + 1
+        eta_q = phicong.qexp._eta_q
+
+        def corrupted(n):
+            return [c + (i == j) for i, c in enumerate(eta_q(n))]
+
+        monkeypatch.setattr(phicong.qexp, "_eta_q", corrupted)
+        monkeypatch.setattr(n12_oracle, "_eta_q", corrupted)
+
+        def by_lambda(N):
+            a, _, lam = _tower(N, 20)
+            return list(_reduced(a, lam, -2))
+
+        for N in (2, 3, 5, 6, 7, 10, 12):
+            outcomes = []
+            for terms in (by_lambda, lambda N: n12_oracle.tower_terms(N, 20)):
+                try:
+                    outcomes.append(terms(N))
+                except InternalConsistencyError as err:
+                    outcomes.append(str(err))
+            assert outcomes[0] == outcomes[1], N
+            if N in (2, 3):
+                assert outcomes[0].endswith(f"not integral at Q^{j} after rescaling")
 
 
 class TestDenominators:

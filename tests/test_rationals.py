@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from phicong.errors import DomainError, UnsupportedPrimeError
-from phicong.rationals import (INF, factorize, format_fraction, is_prime,
+from phicong.rationals import (INF, factorize, is_prime,
                                padic_val, require_prime, split_power)
 
 
@@ -11,6 +11,10 @@ def test_split_power():
     assert split_power(96, 2) == (5, 3)
     assert split_power(-45, 3) == (2, -5)
     assert split_power(7, 5) == (0, 7)
+    # long valuations, found by squaring p, as qexp's denominators have
+    for v in (1, 2, 3, 1000, 1023, 1024):
+        assert split_power(-(13 ** v) * 12, 13) == (v, -12)
+        assert split_power(2 ** v * 3, 2) == (v, 3)
 
 
 def test_factorize():
@@ -44,9 +48,7 @@ def test_padic_val():
 
 
 def test_only_ints_and_fractions_are_rationals():
-    assert format_fraction(Fraction(-3, 4)) == "-3/4"
-    assert format_fraction(5) == "5"
     with pytest.raises(DomainError, match="0.5"):
         padic_val(0.5, 2)
     with pytest.raises(DomainError, match="'1/2'"):
-        format_fraction("1/2")
+        padic_val("1/2", 2)
