@@ -6,10 +6,10 @@ options take full names, as `--name value` or `--name=value`, `-h` or
 `--help` prints the usage, and a line the table does not admit exits 2.
 Each verb returns its document and `main` is the only writer: it writes
 it at once, so a failed call leaves stdout empty, and it prints integers
-of any size.  Exit codes: 0 success, 2 validation error, 3 internal
-consistency failure.  A verb imports only the modules it uses, and none
-loads argparse or json, and only an uncertified `grassmannian
---surjectivity` loads phicong.schreier.
+of any size.  Exit codes: 0 success, 1 the result could not be written,
+2 validation error, 3 internal consistency failure.  A verb imports only
+the modules it uses, and none loads argparse or json, and only an
+uncertified `grassmannian --surjectivity` loads phicong.schreier.
 """
 
 from __future__ import annotations
@@ -113,11 +113,11 @@ def _cmd_member(args) -> dict:
 
 
 def _sp_params(p: int, x: int):
-    """SpParams(p, x) for a verb on the (p^2+1)(p+1) points of X(F_p) after
-    the memory estimate, the ceiling of every such verb: a large prime is
-    refused at once, while primality is tested by trial division."""
-    from .symplectic import SpParams, grassmannian_size, require_memory
-    require_memory(grassmannian_size(p))
+    """SpParams(p, x) for a verb on X(F_p), once p is at most MAX_P: the
+    ceiling comes before the trial-division primality test, so a large
+    prime is refused at once."""
+    from .symplectic import SpParams, require_max_p
+    require_max_p(p)
     return SpParams(p, x)
 
 
@@ -290,7 +290,17 @@ def main(argv: list[str] | None = None) -> int:
         if saved is not None:
             sys.set_int_max_str_digits(0)
         doc = handler(args)
-        sys.stdout.write(doc if isinstance(doc, str) else _json(doc) + "\n")
+        text = doc if isinstance(doc, str) else _json(doc) + "\n"
+        try:
+            if sys.stdout is None:          # started with no stdout (>&-)
+                raise OSError("stdout is closed")
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            # what is left in its buffer would fail again at exit
+            sys.stdout = None
+            print(f"error: cannot write the result: {exc}", file=sys.stderr)
+            return 1
         return 0
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)

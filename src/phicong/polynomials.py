@@ -89,15 +89,5 @@ class UniPoly:
             f = f * s
         return UniPoly(out)
 
-    def evaluate(self, x):
-        """Horner evaluation; works for any argument ring."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def map_coeffs(self, f) -> "UniPoly":
-        return UniPoly([f(c) for c in self.coeffs])
-
     def __repr__(self):
         return f"UniPoly({self.coeffs})"

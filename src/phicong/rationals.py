@@ -1,12 +1,9 @@
-"""Exact rational helpers: valuations, factorization, repeated squaring,
-and the counts |X(F_p)|, |Sp4(F_p)| and (a/p).
+"""Exact integer helpers: valuations, factorization, repeated squaring
+in any ring, and the counts |X(F_p)|, |Sp4(F_p)| and (a/p).
 
-A rational is an ``int`` or a ``fractions.Fraction`` (always normalized,
-positive denominator), which matches the storage invariants needed for exact
-golden comparisons.  Both carry ``numerator`` and ``denominator``, so this
-module reads those and never imports ``fractions``.  No verb computes with
-Fractions: ``qexp`` prints reduced integer pairs, and only the library's
-series (``phicong.series``, ``qexp.xtilde``) build Fractions.
+padic_val takes an int and refuses anything else, a Fraction among them,
+with DomainError: divpoly reads valuations of integer coefficients, and
+qexp reads those of reduced integer pairs with split_power.
 """
 
 from __future__ import annotations
@@ -21,24 +18,14 @@ from .errors import DomainError, UnsupportedPrimeError
 INF = math.inf
 
 
-def _num_den(r) -> Tuple[int, int]:
-    """(numerator, denominator) of an int or a Fraction; anything else,
-    a float or a string among them, is a DomainError."""
-    try:
-        return r.numerator, r.denominator
-    except AttributeError:
-        raise DomainError(f"{r!r} is not an int or a Fraction") from None
-
-
-def padic_val(r, p: int):
-    """Normalized p-adic valuation of a rational, with v_p(p) = 1.
+def padic_val(n: int, p: int):
+    """Normalized p-adic valuation of an int, with v_p(p) = 1.
 
     Returns ``INF`` for zero.
     """
-    num, den = _num_den(r)
-    if num == 0:
-        return INF
-    return split_power(num, p)[0] - split_power(den, p)[0]
+    if not isinstance(n, int):
+        raise DomainError(f"{n!r} is not an int")
+    return INF if n == 0 else split_power(n, p)[0]
 
 
 def split_power(m: int, p: int) -> Tuple[int, int]:

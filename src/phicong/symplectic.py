@@ -22,8 +22,7 @@ from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
 from .errors import DomainError, InternalConsistencyError
 from .matrices import Matrix
-from .rationals import (factorize, grassmannian_size, legendre, require_prime,
-                        sp4_order, split_power)
+from .rationals import factorize, legendre, require_prime, sp4_order, split_power
 
 if TYPE_CHECKING:                       # only the annotations name a Word
     from .words import Word
@@ -53,24 +52,20 @@ class SpParams(_SpFields):
         return pow(self.x, -1, m) if self.y is None else self.y % m
 
 
-#: Estimated memory, in bytes, above which the Grassmannian work refuses to
-#: start (DomainError, exit 2 on the command line).
-MEMORY_LIMIT = 1 << 30
-# No call allocates per point of X(F_p): the exact group order of an
-# uncertified --surjectivity, the largest, peaked at 30 MB RSS at (113, 1)
-# and 43 MB at (109, 45), under 40 bytes per point.  The estimate is the
-# ceiling of every Grassmannian call: p <= 113 keeps the scans of F_p* and
-# the trial-division primality tests short.
-_BYTES_PER_POINT = 700
+#: The largest p that the Grassmannian verbs admit (DomainError above it,
+#: exit 2 on the command line).  No call allocates per point of X(F_p);
+#: what grows with p is the trial-division primality test, O(sqrt p), the
+#: scan of F_p* in _roots, O(p), the factorization of p(p - 1) in
+#: matrix_order, and the transversals of about p^2 points in the
+#: uncertified Schreier-Sims chain of phicong.schreier.
+MAX_P = 113
 
 
-def require_memory(n: int) -> None:
-    """Refuse to work on n points when the estimate exceeds MEMORY_LIMIT."""
-    need = _BYTES_PER_POINT * n
-    if need > MEMORY_LIMIT:             # a float, or str, cannot show every n
-        about = (f"{n} points needs about {need / 2 ** 30:.1f} GiB" if need < 2 ** 1000
-                 else f"2^{n.bit_length() - 1} points or more needs more")
-        raise DomainError(f"working on {about}, above the {MEMORY_LIMIT >> 30} GiB limit")
+def require_max_p(p: int) -> None:
+    """Refuse p > MAX_P, before anything that grows with p runs."""
+    if p > MAX_P:
+        raise DomainError(f"the Lagrangian Grassmannian takes a prime "
+                          f"p <= {MAX_P}, got {p}")
 
 
 #: The symplectic form preserved by rho.
@@ -134,7 +129,7 @@ def _trace_pair(g: Matrix) -> Tuple[int, int]:
 
 def _roots(coeffs: List[int], p: int) -> List[int]:
     """The roots in F_p* of a polynomial mod p, leading coefficient first,
-    by a scan of F_p* (p <= 113 behind the memory gate of the verbs)."""
+    by a scan of F_p*, O(p): the verbs admit p <= MAX_P."""
     return [mu for mu in range(1, p)
             if not functools.reduce(lambda acc, c: (acc * mu + c) % p, coeffs, 0)]
 
@@ -334,7 +329,7 @@ def surjectivity_verdict(params: SpParams) -> SurjectivityVerdict:
     if generates_sp4(S4, T4):
         order = psp4
     else:
-        require_memory(grassmannian_size(p))
+        require_max_p(p)
         from .schreier import group_order
         order, odd = divmod(group_order([S4, T4]), 2)
         if odd:

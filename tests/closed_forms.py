@@ -14,8 +14,8 @@ from typing import List, Tuple
 from phicong.errors import DomainError
 from phicong.invariants import sp4_order
 from phicong.matrices import Matrix
-from phicong.rationals import factorize, require_prime
-from phicong.symplectic import _PAIRS, SpParams, grassmannian_size, rho_matrices
+from phicong.rationals import factorize, grassmannian_size, require_prime
+from phicong.symplectic import _PAIRS, SpParams, rho_matrices
 
 from permutation_oracle import permutation
 

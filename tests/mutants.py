@@ -1,0 +1,157 @@
+"""Mutation check: each mutant changes one piece of text in a copy of the
+checkout, and the tests listed with it must then fail (DeMillo, Lipton
+and Sayward, "Hints on test data selection", IEEE Computer 11, 1978).
+
+Run it from the root of a checkout, for every mutant or for those named:
+
+    python tests/mutants.py
+    python tests/mutants.py ceiling-off-by-one write-handler-removed
+
+It copies src/, tests/ and pyproject.toml into a temporary directory,
+runs the listed tests there unchanged (they must pass), then for each
+mutant replaces its text, which must occur exactly once, runs its tests
+and restores the file.  A mutant is killed when a test fails, or the tests
+run past TIMEOUT seconds; pytest stopping for any other reason (a
+collection error, say) is an error, not a kill.  One line per mutant is
+printed; the exit status is 1 when any mutant survived or ended in an
+error, or its text is no longer in the file.  pytest does not
+collect this file, whose name does not start with test_.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple, Tuple
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str                   # relative to the root of the checkout
+    old: str
+    new: str
+    tests: Tuple[str, ...]      # pytest node ids, at least one must fail
+
+
+_WRITE = """        try:
+            if sys.stdout is None:          # started with no stdout (>&-)
+                raise OSError("stdout is closed")
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            # what is left in its buffer would fail again at exit
+            sys.stdout = None
+            print(f"error: cannot write the result: {exc}", file=sys.stderr)
+            return 1
+"""
+_KERNEL = "tests/test_matrices.py::TestProductKernel"
+_CERTIFICATE = "tests/test_symplectic.py::TestCertificate"
+
+MUTANTS = (
+    Mutant("ceiling-off-by-one", "src/phicong/symplectic.py",
+           "if p > MAX_P:", "if p >= MAX_P:",
+           ("tests/test_cli.py::TestResourceGuard::test_ceiling_sweep",)),
+    Mutant("ceiling-not-in-sp-params", "src/phicong/cli.py",
+           "    require_max_p(p)\n    return SpParams(p, x)", "    return SpParams(p, x)",
+           ("tests/test_cli.py::TestResourceGuard::test_refused_before_allocating",)),
+    Mutant("ceiling-not-in-verdict", "src/phicong/symplectic.py",
+           "        require_max_p(p)\n        from .schreier", "        from .schreier",
+           ("tests/test_symplectic.py::TestMatrixChain"
+            "::test_uncertified_verdict_refused_above_memory_limit",)),
+    Mutant("write-handler-removed", "src/phicong/cli.py",
+           _WRITE, "        sys.stdout.write(text)\n",
+           ("tests/test_cli.py::TestWriteFailure",)),
+    Mutant("write-buffer-kept", "src/phicong/cli.py",
+           "            sys.stdout = None\n", "",
+           ("tests/test_cli.py::TestWriteFailure::test_full_device",)),
+    Mutant("padic-val-any-type", "src/phicong/rationals.py",
+           "    if not isinstance(n, int):\n        raise DomainError(f\"{n!r} is not an int\")\n",
+           "", ("tests/test_rationals.py::test_padic_val",)),
+    Mutant("outside-a-zero-admitted", "src/phicong/symplectic.py",
+           "return a != 0 and legendre(", "return legendre(", (_CERTIFICATE,)),
+    Mutant("outside-non-squares-admitted", "src/phicong/symplectic.py",
+           "legendre(a * a - 4 * b + 8, g.m) == 1", "legendre(a * a - 4 * b + 8, g.m) != 0",
+           (_CERTIFICATE,)),
+    Mutant("ppd-factor-p-dropped", "src/phicong/symplectic.py",
+           "e = p * (p ** 4 - 1) //", "e = (p ** 4 - 1) //", (_CERTIFICATE,)),
+    Mutant("ppd-factor-5-kept", "src/phicong/symplectic.py",
+           "split_power(split_power(p * p + 1, 2)[1], 5)[1]",
+           "split_power(p * p + 1, 2)[1]", (_CERTIFICATE,)),
+    Mutant("numpy-in-src", "src/phicong/symplectic.py",
+           "import random\n", "import random\nimport numpy\n",
+           ("tests/test_cli.py::TestImports::test_no_module_imports_numpy",)),
+    Mutant("kernel-no-reduction", "src/phicong/matrices.py",
+           "(r0 * c0 + r1 * c1 + r2 * c2 + r3 * c3) % m",
+           "(r0 * c0 + r1 * c1 + r2 * c2 + r3 * c3)", (_KERNEL,)),
+    Mutant("kernel-columns-swapped", "src/phicong/matrices.py",
+           "for c0, c1, c2, c3 in cols]",
+           "for c0, c1, c2, c3 in (cols[1], cols[0], cols[2], cols[3])]", (_KERNEL,)),
+    Mutant("is-identity-one-row", "src/phicong/matrices.py",
+           "return self.rows == Matrix._IDENTITY",
+           "return self.rows[0] == Matrix._IDENTITY[0]", (_KERNEL,)),
+)
+
+#: Seconds a mutant's tests may run; a mutant that makes them hang is killed.
+TIMEOUT = 300
+
+
+def _pytest(root: Path, tests) -> str:
+    """'pass', 'fail', 'timeout' or 'error' for the tests in the copy at
+    root; pytest exits 1 exactly when a test failed."""
+    # no bytecode cache: a mutant of the same size written within the same
+    # second as its original would load the original's .pyc
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    try:
+        done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x",
+                               "-p", "no:cacheprovider", *tests],
+                              cwd=root, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    return {0: "pass", 1: "fail"}.get(done.returncode, "error")
+
+
+def main(names) -> int:
+    checkout = Path(__file__).resolve().parent.parent
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__")
+        for part in ("src", "tests"):
+            shutil.copytree(checkout / part, root / part, ignore=ignore)
+        shutil.copy(checkout / "pyproject.toml", root)
+        tests = sorted({t for m in chosen for t in m.tests})
+        if _pytest(root, tests) != "pass":
+            print("the listed tests do not pass on the unchanged copy", file=sys.stderr)
+            return 2
+        bad = 0
+        for m in chosen:
+            path = root / m.path
+            text = path.read_text()
+            if text.count(m.old) != 1:
+                print(f"STALE     {m.name}: its text is not in {m.path} exactly once")
+                bad += 1
+                continue
+            path.write_text(text.replace(m.old, m.new))
+            start = time.perf_counter()
+            try:
+                outcome = _pytest(root, m.tests)
+            finally:
+                path.write_text(text)
+            verdict = {"pass": "SURVIVED", "error": "ERROR"}.get(outcome, "killed")
+            bad += verdict != "killed"
+            print(f"{verdict:9} {m.name} ({outcome}, {time.perf_counter() - start:.1f} s)")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -12,9 +12,10 @@ import numpy as np
 
 from phicong.errors import DomainError, InternalConsistencyError
 from phicong.matrices import Matrix
-from phicong.rationals import require_prime
-from phicong.symplectic import (_PAIRS, form_J, grassmannian_size,
-                                require_memory)
+from phicong.rationals import grassmannian_size, require_prime
+from phicong.symplectic import _PAIRS, form_J
+
+from permutation_oracle import require_memory
 
 
 def _plucker(p: int) -> np.ndarray:

@@ -23,7 +23,25 @@ import numpy as np
 from phicong.errors import DomainError, InternalConsistencyError
 from phicong.matrices import Matrix
 from phicong.rationals import grassmannian_size, require_prime
-from phicong.symplectic import _wedge, form_J, require_memory
+from phicong.symplectic import _wedge, form_J
+
+#: Estimated memory, in bytes, above which the oracles refuse to build
+#: permutations of X(F_p) (DomainError).
+MEMORY_LIMIT = 1 << 30
+# An upper bound on the peak RSS per point of the exact order here: two
+# permutations (lists of Python ints, about 36 bytes an entry), their
+# numpy copies and the stabilizer chain, 202-361 bytes per point above
+# the interpreter with numpy.  It admits p up to 113.
+_BYTES_PER_POINT = 700
+
+
+def require_memory(n: int) -> None:
+    """Refuse to work on n points when the estimate exceeds MEMORY_LIMIT."""
+    need = _BYTES_PER_POINT * n
+    if need > MEMORY_LIMIT:             # a float, or str, cannot show every n
+        about = (f"{n} points needs about {need / 2 ** 30:.1f} GiB" if need < 2 ** 1000
+                 else f"2^{n.bit_length() - 1} points or more needs more")
+        raise DomainError(f"working on {about}, above the {MEMORY_LIMIT >> 30} GiB limit")
 
 
 def _image_rows(W: List[List[int]], p: int):

@@ -1,0 +1,17 @@
+"""Test helpers on phicong.polynomials.UniPoly that no library path
+uses: Horner evaluation at an element of any ring, and a map of the
+coefficients (the tests lift integer polynomials to Fraction ones)."""
+
+from phicong.polynomials import UniPoly
+
+
+def evaluate(poly: UniPoly, x):
+    """Horner evaluation; works for any argument ring."""
+    acc = 0
+    for c in reversed(poly.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def map_coeffs(poly: UniPoly, f) -> UniPoly:
+    return UniPoly([f(c) for c in poly.coeffs])

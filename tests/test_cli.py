@@ -16,6 +16,8 @@ import phicong.qexp
 import phicong.rationals
 from phicong.cli import MAX_TERMS, _json, main
 from phicong.divpoly import MAX_LEVEL
+from phicong.rationals import is_prime
+from phicong.symplectic import MAX_P
 
 import n12_oracle
 
@@ -418,6 +420,33 @@ class TestWriter:
         assert out == json.dumps(doc, indent=2) + "\n"
 
 
+class TestWriteFailure:
+    """A document that cannot be written exits 1 with one line on stderr,
+    with no traceback and nothing from the flush at interpreter exit."""
+
+    def run_genus(self, env, **kwargs):
+        done = subprocess.run([sys.executable, "-m", "phicong", "genus", "--p", "11"],
+                              env=env, stderr=subprocess.PIPE, text=True,
+                              timeout=60, **kwargs)
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.startswith("error: cannot write the result: ")
+        assert done.stderr.count("\n") == 1, done.stderr
+
+    # buffered, the bytes reach the device at the flush; unbuffered, at
+    # the write
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_full_device(self, unbuffered):
+        env = dict(_child_env(), PYTHONUNBUFFERED=unbuffered)
+        with open("/dev/full", "w") as full:
+            self.run_genus(env, stdout=full)
+
+    @pytest.mark.skipif(os.name != "posix", reason="closes fd 1 in the child")
+    def test_closed_stdout(self):
+        self.run_genus(_child_env(), stdout=subprocess.DEVNULL,
+                       preexec_fn=lambda: os.close(1))
+
+
 class TestInvalidInput:
     @pytest.mark.parametrize("argv", [
         "genus --p 15", "genus --p 9", "cusps --p 21",
@@ -454,12 +483,12 @@ class TestResourceGuard:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("error: ")
-        assert "GiB limit" in captured.err
+        assert f"p <= {MAX_P}, got " in captured.err
         assert captured.out == ""
         assert elapsed < 1.0
 
     # 10^18 + 3 is prime: trial division would run far past the timeout,
-    # so the size check must come first; 10^400 + 1 would overflow a float
+    # so the ceiling on p must come first
     @pytest.mark.parametrize("argv", [
         pytest.param(f"grassmannian --p {10 ** 18 + 3} --x 2 --{mode}",
                      id=f"grassmannian-{mode}")
@@ -478,8 +507,25 @@ class TestResourceGuard:
                               capture_output=True, text=True, timeout=10)
         assert done.returncode == 2, done.stderr
         assert done.stderr.startswith("error: ")
-        assert "GiB limit" in done.stderr
+        assert f"p <= {MAX_P}, got " in done.stderr
         assert done.stdout == ""
+
+    @pytest.mark.parametrize("mode", [
+        "grassmannian --epsilons", "grassmannian --cycles",
+        "grassmannian --surjectivity", "cusps --oracle cycles"])
+    def test_ceiling_sweep(self, capsys, mode):
+        # exit 0 exactly for the primes 11 <= p <= MAX_P, whichever of the
+        # ceiling and the primality test refuses the rest
+        for p in (-11, 0, 1, 2, 9, 11, 15, 111, 113, 114, 115, 125, 127, 157,
+                  10 ** 18 + 3):
+            x = next((x for x in (2, 3) if math.gcd(x, p) == 1), 1)
+            code = main(mode.split() + ["--p", str(p), "--x", str(x)])
+            captured = capsys.readouterr()
+            admitted = 11 <= p <= MAX_P and is_prime(p)
+            assert code == (0 if admitted else 2), (p, captured.err)
+            if not admitted:
+                assert captured.out == "", p
+                assert captured.err.startswith("error: "), p
 
 
 # stdout of each invocation, captured before phi moved to (u, v)

@@ -7,6 +7,8 @@ from phicong.divpoly import _f, division_polynomials, reduction_profile, rescale
 from phicong.errors import DomainError, UnsupportedPrimeError
 from phicong.polynomials import UniPoly
 
+from ring_poly import map_coeffs
+
 B = -1728
 
 
@@ -100,12 +102,12 @@ class TestDivisionPolynomials:
 
     def test_composition_law(self):
         for m, n in itertools.product((2, 3, 4), (2, 3)):
-            fm = division_polynomials(m).phiPol.map_coeffs(Fraction)
-            gm = division_polynomials(m).psiSq.map_coeffs(Fraction)
-            fn = division_polynomials(n).phiPol.map_coeffs(Fraction)
-            gn = division_polynomials(n).psiSq.map_coeffs(Fraction)
-            fmn = division_polynomials(m * n).phiPol.map_coeffs(Fraction)
-            gmn = division_polynomials(m * n).psiSq.map_coeffs(Fraction)
+            fm = map_coeffs(division_polynomials(m).phiPol, Fraction)
+            gm = map_coeffs(division_polynomials(m).psiSq, Fraction)
+            fn = map_coeffs(division_polynomials(n).phiPol, Fraction)
+            gn = map_coeffs(division_polynomials(n).psiSq, Fraction)
+            fmn = map_coeffs(division_polynomials(m * n).phiPol, Fraction)
+            gmn = map_coeffs(division_polynomials(m * n).psiSq, Fraction)
             d = fm.degree
             num, den = UniPoly(), UniPoly()
             for i in range(d + 1):
@@ -131,8 +133,8 @@ class TestRescaled:
         for n in range(2, 11):
             psi_hat, phi_hat = rescaled(n)
             t = division_polynomials(n)
-            scaled = t.psiSq.map_coeffs(Fraction).scale_arg(Fraction(12))
-            assert psi_hat.map_coeffs(Fraction) * Fraction(12 ** (n * n - 1)) == scaled
+            scaled = map_coeffs(t.psiSq, Fraction).scale_arg(Fraction(12))
+            assert map_coeffs(psi_hat, Fraction) * Fraction(12 ** (n * n - 1)) == scaled
 
     def test_two_adic_shape(self):
         # 2^r || N: psiHat / 2^(2r) is integral and = X^(N^2-4)(X^3-1) mod 2

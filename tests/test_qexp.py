@@ -12,6 +12,7 @@ from phicong.series import LaurentSeries
 import n12_oracle
 from hensel_oracle import (euler_product, series_sqrt, sigma_series,
                            xtilde_by_fractions)
+from ring_poly import evaluate, map_coeffs
 
 
 def homogenized_at(poly, powers):
@@ -108,8 +109,8 @@ class TestXtilde:
             b = basis_series(40)
             t = division_polynomials(n)
             eta8 = b.eta4 * b.eta4
-            lhs = t.psiSq.map_coeffs(Fraction).evaluate(s) * b.E4
-            rhs = t.phiPol.map_coeffs(Fraction).evaluate(s) * eta8
+            lhs = evaluate(map_coeffs(t.psiSq, Fraction), s) * b.E4
+            rhs = evaluate(map_coeffs(t.phiPol, Fraction), s) * eta8
             assert (lhs - rhs).is_zero()
         # 60 terms for N = 2..5, 7, 10, multiplied through by q^(2N^2-2)
         # so that xhat = q^2 xtilde keeps its full precision

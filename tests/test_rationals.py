@@ -42,12 +42,15 @@ def test_require_prime():
 
 
 def test_padic_val():
-    assert padic_val(Fraction(40, 9), 2) == 3
-    assert padic_val(Fraction(40, 9), 3) == -2
+    assert padic_val(40, 2) == 3
+    assert padic_val(-9 * 7, 3) == 2
+    assert padic_val(40, 3) == 0
     assert padic_val(0, 5) == INF
+    with pytest.raises(DomainError, match="Fraction"):
+        padic_val(Fraction(40, 9), 2)
 
 
-def test_only_ints_and_fractions_are_rationals():
+def test_padic_val_refuses_non_int():
     with pytest.raises(DomainError, match="0.5"):
         padic_val(0.5, 2)
     with pytest.raises(DomainError, match="'1/2'"):

@@ -9,12 +9,13 @@ import pytest
 from phicong.errors import (DomainError, InternalConsistencyError,
                             UnsupportedPrimeError)
 from phicong.matrices import Matrix
+from phicong.rationals import grassmannian_size
 import phicong.symplectic
 from phicong import schreier
-from phicong.symplectic import (SpParams, fixed_lagrangians, form_J,
-                                generates_sp4, grassmannian_size, kernel_test,
+from phicong.symplectic import (MAX_P, SpParams, fixed_lagrangians, form_J,
+                                generates_sp4, kernel_test,
                                 lift_witness_mod_p2, matrix_order,
-                                outside_sp2_p2, require_memory, rho_matrices,
+                                outside_sp2_p2, rho_matrices,
                                 rho_word, sp4_order, surjectivity_verdict)
 from phicong.words import Word, parse_word
 
@@ -23,7 +24,7 @@ import permutation_oracle
 from closed_forms import (Lagrangian, assert_matches_closed_forms, in_span,
                           invariant_forms, lagrangian_from_index, rref_mod_p)
 from cycle_oracle import cycle_type, fixed_points
-from permutation_oracle import group_order, permutation
+from permutation_oracle import group_order, permutation, require_memory
 from ring_matrix import Matrix as RingMatrix, eval_word
 
 
@@ -680,7 +681,7 @@ class TestMatrixChain:
             surjectivity_verdict(SpParams(11, 1))
 
     def test_uncertified_verdict_refused_above_memory_limit(self):
-        with pytest.raises(DomainError, match="GiB limit"):
+        with pytest.raises(DomainError, match=f"p <= {MAX_P}, got 127"):
             surjectivity_verdict(SpParams(127, 1))
 
 
