@@ -7,7 +7,8 @@ options take full names, as `--name value` or `--name=value`, `-h` or
 Each verb returns its document and `main` is the only writer: it writes
 it at once, so a failed call leaves stdout empty, and it prints integers
 of any size.  Exit codes: 0 success, 1 the result could not be written,
-2 validation error, 3 internal consistency failure.  A verb imports only
+2 validation error, 3 internal consistency failure; a closed or full
+stderr loses the message, not the code.  A verb imports only
 the modules it uses, and none loads argparse or json, and only an
 uncertified `grassmannian --surjectivity` loads phicong.schreier.
 """
@@ -280,6 +281,15 @@ def _json(doc, indent: str = "\n") -> str:
     return json.dumps(doc)
 
 
+def _complain(message: str) -> None:
+    """Print message on stderr; a closed or full stderr loses it, not the code."""
+    if sys.stderr is not None:              # started with no stderr (2>&-)
+        try:
+            print(message, file=sys.stderr, flush=True)
+        except OSError:
+            pass
+
+
 def main(argv: list[str] | None = None) -> int:
     # an exact result may have more digits than the 4300 that CPython
     # (3.10.7 and later) converts to str by default; the limit is lifted
@@ -299,14 +309,14 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             # what is left in its buffer would fail again at exit
             sys.stdout = None
-            print(f"error: cannot write the result: {exc}", file=sys.stderr)
+            _complain(f"error: cannot write the result: {exc}")
             return 1
         return 0
     except InternalConsistencyError as exc:
-        print(f"internal consistency failure: {exc}", file=sys.stderr)
+        _complain(f"internal consistency failure: {exc}")
         return 3
     except PhicongError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _complain(f"error: {exc}")
         return 2 if isinstance(exc, DomainError) else 3
     finally:
         if saved is not None:

@@ -4,8 +4,16 @@ psi_N, phi_N, omega_N give the multiplication-by-N map
 [N](x, y) = (phi_N / psi_N^2, omega_N / psi_N^3) (Washington, *Elliptic
 Curves*, section 3.2).  psi_n is a polynomial in x for odd n and 2y times
 one for even n, so one integer sequence f_n (psi_n, or psi_n / 2y) carries
-them all.  The 2y factors pair up into F = (2y)^2 = 4(x^3 - 1728), so the
+them all.  The 2y factors pair up into F = (2y)^2 = 4(x^3 + B), so the
 recursion never divides.
+
+The recursion runs on the twist E': Y^2 = X^3 - 1 (B = -1), whose
+coefficients are about 4.5 times shorter.  (x, y) = (u^2 X, u^3 Y) with
+u^2 = 12 maps E' to the curve, and an output f of degree d (psi_N^2,
+phi_N, or omega_N over y^(N mod 2)) has f(12X) = 12^d f'(X), f' the same
+output on E' (Washington, section 3.2).  So ``rescaled`` is f' as it is,
+``_untwist`` multiplies coefficient i of f' by 12^(d - i), and for p > 3,
+where 12 is a unit, f and f' have the same p-adic valuations.
 """
 
 from __future__ import annotations
@@ -17,21 +25,20 @@ from .errors import DomainError, InternalConsistencyError
 from .polynomials import UniPoly
 from .rationals import padic_val, require_prime, split_power
 
-B = -1728
-#: Largest N: on a 2-vCPU host `divpoly --level 42 --profile 5`, the
-#: slowest mode, takes 8.9 s and level 43 takes 11.5 s (about N^6).
+B = -1
+#: Largest N: on a 2-vCPU host `divpoly --level 42` takes 1.3-2.0 s plain
+#: or with --profile 5; the output grows about as N^4 (3.4 MB at 42).
 MAX_LEVEL = 42
-_F = UniPoly([4 * B, 0, 0, 4])         # (2y)^2 = 4(x^3 - 1728)
+_F = UniPoly([4 * B, 0, 0, 4])         # (2Y)^2 = 4(X^3 - 1)
 _F2 = _F * _F
 _BASE = (UniPoly(), UniPoly([1]), UniPoly([1]),                   # f_0 .. f_4
-         UniPoly([0, 12 * B, 0, 0, 3]),                   # 3x^4 + 12Bx
-         UniPoly([-16 * B * B, 0, 0, 40 * B, 0, 0, 2]))   # 2(x^6 + 20Bx^3 - 8B^2)
+         UniPoly([0, 12 * B, 0, 0, 3]),                   # 3X^4 + 12BX
+         UniPoly([-16 * B * B, 0, 0, 40 * B, 0, 0, 2]))   # 2(X^6 + 20BX^3 - 8B^2)
 
 
-def _scalar_div(f: UniPoly, d: int) -> UniPoly:
-    if any(c % d for c in f.coeffs):
-        raise InternalConsistencyError(f"coefficients not divisible by {d}")
-    return UniPoly([c // d for c in f.coeffs])
+def _untwist(f: UniPoly) -> UniPoly:
+    """f' on E' to f on y^2 = x^3 - 1728: coefficient i times 12^(deg - i)."""
+    return UniPoly([c * 12 ** (f.degree - i) for i, c in enumerate(f.coeffs)])
 
 
 @lru_cache(maxsize=None)
@@ -97,21 +104,20 @@ def division_polynomials(N: int) -> DivisionTriple:
     omega = (_f(N + 2) * _f(N - 1) * _f(N - 1)
              - _f(N - 2) * _f(N + 1) * _f(N + 1))
     if N % 2 == 0:
-        omega = _scalar_div(omega, 2)
-    return DivisionTriple(N, psi_sq, phi_pol, (omega, N % 2))
+        if any(c % 2 for c in omega.coeffs):
+            raise InternalConsistencyError("omega_N has an odd coefficient")
+        omega = UniPoly([c // 2 for c in omega.coeffs])
+    return DivisionTriple(N, _untwist(psi_sq), _untwist(phi_pol),
+                          (_untwist(omega), N % 2))
 
 
 def rescaled(N: int) -> Tuple[UniPoly, UniPoly]:
-    """(psiHat, phiHat): psi_N^2(12X)/12^(N^2-1) and phi_N(12X)/12^(N^2).
-
-    Both have integer coefficients.
-    """
+    """(psiHat, phiHat): psi_N^2(12X)/12^(N^2-1) and phi_N(12X)/12^(N^2),
+    which are psi'_N^2 and phi'_N of E'."""
     if N < 2:
         raise DomainError(f"rescaled needs N >= 2, got {N}")
     psi_sq = _psi_sq(N)
-    n2 = N * N
-    return (_scalar_div(psi_sq.scale_arg(12), 12 ** (n2 - 1)),
-            _scalar_div(_phi_pol(N, psi_sq).scale_arg(12), 12 ** n2))
+    return psi_sq, _phi_pol(N, psi_sq)
 
 
 class ReductionProfile(NamedTuple):

@@ -81,13 +81,5 @@ class UniPoly:
     def __pow__(self, e: int) -> "UniPoly":
         return power(self, e, UniPoly([1]))
 
-    def scale_arg(self, s) -> "UniPoly":
-        """p(s*X): multiply coefficient i by s^i."""
-        out, f = [], 1
-        for c in self.coeffs:
-            out.append(c * f)
-            f = f * s
-        return UniPoly(out)
-
     def __repr__(self):
         return f"UniPoly({self.coeffs})"

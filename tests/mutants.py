@@ -46,11 +46,19 @@ _WRITE = """        try:
         except OSError as exc:
             # what is left in its buffer would fail again at exit
             sys.stdout = None
-            print(f"error: cannot write the result: {exc}", file=sys.stderr)
+            _complain(f"error: cannot write the result: {exc}")
             return 1
+"""
+_COMPLAIN = """    if sys.stderr is not None:              # started with no stderr (2>&-)
+        try:
+            print(message, file=sys.stderr, flush=True)
+        except OSError:
+            pass
 """
 _KERNEL = "tests/test_matrices.py::TestProductKernel"
 _CERTIFICATE = "tests/test_symplectic.py::TestCertificate"
+_FIXED = "tests/test_symplectic.py::TestFixedLagrangians"
+_DIVPOLY_ORACLE = "tests/test_divpoly.py::TestOracle"
 
 MUTANTS = (
     Mutant("ceiling-off-by-one", "src/phicong/symplectic.py",
@@ -69,6 +77,9 @@ MUTANTS = (
     Mutant("write-buffer-kept", "src/phicong/cli.py",
            "            sys.stdout = None\n", "",
            ("tests/test_cli.py::TestWriteFailure::test_full_device",)),
+    Mutant("stderr-guard-removed", "src/phicong/cli.py",
+           _COMPLAIN, "    print(message, file=sys.stderr)\n",
+           ("tests/test_cli.py::TestStderrFailure",)),
     Mutant("padic-val-any-type", "src/phicong/rationals.py",
            "    if not isinstance(n, int):\n        raise DomainError(f\"{n!r} is not an int\")\n",
            "", ("tests/test_rationals.py::test_padic_val",)),
@@ -94,6 +105,17 @@ MUTANTS = (
     Mutant("is-identity-one-row", "src/phicong/matrices.py",
            "return self.rows == Matrix._IDENTITY",
            "return self.rows[0] == Matrix._IDENTITY[0]", (_KERNEL,)),
+    Mutant("quartic-sign-of-b", "src/phicong/symplectic.py",
+           "[1, 2 - b, a * a - 2 * b + 2, 2 - b, 1]",
+           "[1, b - 2, a * a - 2 * b + 2, b - 2, 1]", (_FIXED,)),
+    Mutant("trace-pair-not-halved", "src/phicong/symplectic.py",
+           "(a * a - tr_sq) * pow(2, -1, p) % p", "(a * a - tr_sq) % p", (_FIXED,)),
+    Mutant("tower-prefix-not-rescaled", "src/phicong/qexp.py",
+           "c[k] *= f ** k", "c[k] *= 1", ("tests/test_qexp.py::TestLambda",)),
+    Mutant("untwist-powers-reversed", "src/phicong/divpoly.py",
+           "12 ** (f.degree - i)", "12 ** i", (_DIVPOLY_ORACLE,)),
+    Mutant("divpoly-on-the-curve", "src/phicong/divpoly.py",
+           "B = -1\n", "B = -1728\n", (_DIVPOLY_ORACLE,)),
 )
 
 #: Seconds a mutant's tests may run; a mutant that makes them hang is killed.

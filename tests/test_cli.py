@@ -447,6 +447,35 @@ class TestWriteFailure:
                        preexec_fn=lambda: os.close(1))
 
 
+class TestStderrFailure:
+    """A closed or full stderr loses the message, not the exit code, and
+    nothing goes to stdout in its place."""
+
+    def run(self, argv, code, **kwargs):
+        done = subprocess.run([sys.executable, "-m", "phicong", *argv.split()],
+                              env=_child_env(), timeout=60, **kwargs)
+        assert done.returncode == code
+        return done
+
+    # closed, stderr is None; a launcher script that opens itself as
+    # fd 2 leaves a read-only stderr, which fails at the write
+    @pytest.mark.skipif(os.name != "posix", reason="closes fd 2 in the child")
+    @pytest.mark.parametrize("fd2", [
+        lambda: os.close(2),
+        lambda: os.dup2(os.open(os.devnull, os.O_RDONLY), 2)], ids=["closed", "read-only"])
+    def test_closed_stderr(self, fd2):
+        done = self.run("genus --p 15", 2, stdout=subprocess.PIPE, preexec_fn=fd2)
+        assert done.stdout == b""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device(self):
+        with open("/dev/full", "w") as full:
+            done = self.run("genus --p 15", 2, stdout=subprocess.PIPE, stderr=full)
+            assert done.stdout == b""
+            # the result and then its error message both fail
+            self.run("genus --p 11", 1, stdout=full, stderr=full)
+
+
 class TestInvalidInput:
     @pytest.mark.parametrize("argv", [
         "genus --p 15", "genus --p 9", "cusps --p 21",

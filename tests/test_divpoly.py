@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+import phicong.divpoly
 from phicong.divpoly import _f, division_polynomials, reduction_profile, rescaled
 from phicong.errors import DomainError, UnsupportedPrimeError
 from phicong.polynomials import UniPoly
 
-from ring_poly import map_coeffs
+import divpoly_oracle
+from ring_poly import map_coeffs, scale_arg
 
 B = -1728
 
@@ -36,14 +38,14 @@ def gcd_degree_mod_p(a: UniPoly, b: UniPoly, p: int) -> int:
     return len(A) - 1
 
 
-F = UniPoly([4 * B, 0, 0, 4])            # (2y)^2
+F = UniPoly([-4, 0, 0, 4])            # (2Y)^2 on Y^2 = X^3 - 1, where _f runs
 
 
 def psi_product(*ks):
-    """The product of psi_k over ks as a polynomial in x.
+    """The product of psi_k over ks as a polynomial in X.
 
-    psi_k is f_k (2y)^e with e = 1 for even k and 0 for odd k, and the
-    total power of 2y is even here, so it becomes a power of F = (2y)^2.
+    psi_k is f_k (2Y)^e with e = 1 for even k and 0 for odd k, and the
+    total power of 2Y is even here, so it becomes a power of F = (2Y)^2.
     """
     out, e = UniPoly([1]), 0
     for k in ks:
@@ -56,7 +58,8 @@ class TestDivisionPolynomials:
     def test_elliptic_divisibility(self):
         # psi_{m+n} psi_{m-n} = psi_{m+1} psi_{m-1} psi_n^2
         #                       - psi_{n+1} psi_{n-1} psi_m^2
-        # for every pair, not only the ones the recursion is built from
+        # for every pair, not only the ones the recursion is built from;
+        # the identity holds on any curve, here the twist _f runs on
         for m in range(2, 13):
             for n in range(1, m):
                 assert psi_product(m + n, m - n) == (
@@ -133,7 +136,7 @@ class TestRescaled:
         for n in range(2, 11):
             psi_hat, phi_hat = rescaled(n)
             t = division_polynomials(n)
-            scaled = map_coeffs(t.psiSq, Fraction).scale_arg(Fraction(12))
+            scaled = scale_arg(map_coeffs(t.psiSq, Fraction), Fraction(12))
             assert map_coeffs(psi_hat, Fraction) * Fraction(12 ** (n * n - 1)) == scaled
 
     def test_two_adic_shape(self):
@@ -202,3 +205,24 @@ class TestReductionProfile:
         prof = reduction_profile(6, 7)
         assert prof.r == 0 and prof.top_valuations_2r
         assert prof.psi_sq_valuations[-1] == 0
+
+
+class TestOracle:
+    """The twist against divpoly_oracle, which runs the recursion on
+    y^2 = x^3 - 1728 itself: the same outputs to N = 30."""
+
+    def test_division_polynomials(self):
+        for n in range(1, 31):
+            assert division_polynomials(n) == divpoly_oracle.division_polynomials(n), n
+
+    def test_rescaled(self):
+        for n in range(2, 31):
+            assert rescaled(n) == divpoly_oracle.rescaled(n), n
+
+    def test_reduction_profile(self, monkeypatch):
+        # the profile's own reading of psi_N^2 and f_N on the curve itself
+        got = {(n, p): reduction_profile(n, p) for n in range(1, 31) for p in (5, 7, 11)}
+        monkeypatch.setattr(phicong.divpoly, "_psi_sq", divpoly_oracle._psi_sq)
+        monkeypatch.setattr(phicong.divpoly, "_f", divpoly_oracle._f)
+        for (n, p), prof in got.items():
+            assert prof == reduction_profile(n, p), (n, p)

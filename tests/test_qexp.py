@@ -3,13 +3,14 @@ from fractions import Fraction
 import pytest
 
 import phicong.qexp
-from phicong.divpoly import _f, division_polynomials
+from phicong.divpoly import division_polynomials
 from phicong.errors import DomainError, InternalConsistencyError
 from phicong.qexp import (_reduced, _tower, basis_series, denominator_report,
                           xtilde, xtilde_terms, ytilde)
 from phicong.series import LaurentSeries
 
 import n12_oracle
+from divpoly_oracle import _f
 from hensel_oracle import (euler_product, series_sqrt, sigma_series,
                            xtilde_by_fractions)
 from ring_poly import evaluate, map_coeffs
@@ -171,7 +172,7 @@ class TestYtilde:
             yhat = ytilde(n, prec).shift(3)
             square = yhat * yhat - (xhat * xhat * xhat - LaurentSeries({6: 1728}))
             assert square.is_zero() and square.prec >= 6 * 31
-            # psi_n = 2y f_n for even n, f_n for odd n
+            # psi_n = 2y f_n for even n, f_n for odd n, on y^2 = x^3 - 1728
             psi_poly, psi_y = (_f(n) * 2, 1) if n % 2 == 0 else (_f(n), 0)
             omega_poly, omega_y = division_polynomials(n).omega
             powers = [LaurentSeries.one()]
