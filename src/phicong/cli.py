@@ -28,7 +28,7 @@ MAX_TERMS = 750
 
 
 def _poly_json(poly) -> list[str]:
-    return [str(c) for c in poly.coeffs]
+    return [str(c) for c in poly]
 
 
 def _option(args, name: str, rule: str):

@@ -18,31 +18,51 @@ where 12 is a unit, f and f' have the same p-adic valuations.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import zip_longest
 from typing import List, NamedTuple, Optional, Tuple
 
 from .errors import DomainError, InternalConsistencyError
-from .polynomials import UniPoly
+from .polynomials import mul_trunc
 from .rationals import padic_val, require_prime, split_power
+
+#: Integer coefficients, lowest degree first: tuples, as ``_f`` shares them.
+Poly = Tuple[int, ...]
 
 B = -1
 #: Largest N: on a 2-vCPU host `divpoly --level 42` takes 1.3-2.0 s plain
 #: or with --profile 5; the output grows about as N^4 (3.4 MB at 42).
 MAX_LEVEL = 42
-_F = UniPoly([4 * B, 0, 0, 4])         # (2Y)^2 = 4(X^3 - 1)
-_F2 = _F * _F
-_BASE = (UniPoly(), UniPoly([1]), UniPoly([1]),                   # f_0 .. f_4
-         UniPoly([0, 12 * B, 0, 0, 3]),                   # 3X^4 + 12BX
-         UniPoly([-16 * B * B, 0, 0, 40 * B, 0, 0, 2]))   # 2(X^6 + 20BX^3 - 8B^2)
 
 
-def _untwist(f: UniPoly) -> UniPoly:
+def _mul(*fs: Poly) -> Poly:
+    """The product of fs; () is the zero polynomial."""
+    return reduce(lambda a, b: tuple(mul_trunc(a, b, len(a) + len(b) - 1))
+                  if a and b else (), fs)
+
+
+def _sub(a: Poly, b: Poly) -> Poly:
+    """a - b, its zero leading coefficients dropped."""
+    d = [x - y for x, y in zip_longest(a, b, fillvalue=0)]
+    while d and not d[-1]:
+        d.pop()
+    return tuple(d)
+
+
+_F = (4 * B, 0, 0, 4)                  # (2Y)^2 = 4(X^3 - 1)
+_F2 = _mul(_F, _F)
+_BASE = ((), (1,), (1,),                                   # f_0 .. f_4
+         (0, 12 * B, 0, 0, 3),                             # 3X^4 + 12BX
+         (-16 * B * B, 0, 0, 40 * B, 0, 0, 2))             # 2(X^6 + 20BX^3 - 8B^2)
+
+
+def _untwist(f: Poly) -> Poly:
     """f' on E' to f on y^2 = x^3 - 1728: coefficient i times 12^(deg - i)."""
-    return UniPoly([c * 12 ** (f.degree - i) for i, c in enumerate(f.coeffs)])
+    return tuple(c * 12 ** (len(f) - 1 - i) for i, c in enumerate(f))
 
 
 @lru_cache(maxsize=None)
-def _f(n: int) -> UniPoly:
+def _f(n: int) -> Poly:
     """psi_n for odd n and psi_n / 2y for even n (n may be negative).
 
     The elliptic divisibility recursion, with each psi of even index
@@ -50,72 +70,75 @@ def _f(n: int) -> UniPoly:
     in the even step the (2y)^2 cancels.
     """
     if n < 0:
-        return -_f(-n)
+        return tuple(-c for c in _f(-n))
     if n < len(_BASE):
         return _BASE[n]
     m, odd = divmod(n, 2)
     if odd:
-        a = _f(m + 2) * _f(m) * _f(m) * _f(m)
-        b = _f(m - 1) * _f(m + 1) * _f(m + 1) * _f(m + 1)
-        return a * _F2 - b if m % 2 == 0 else a - b * _F2
-    return _f(m) * (_f(m + 2) * _f(m - 1) * _f(m - 1)
-                    - _f(m - 2) * _f(m + 1) * _f(m + 1))
+        a = _mul(_f(m + 2), _f(m), _f(m), _f(m))
+        b = _mul(_f(m - 1), _f(m + 1), _f(m + 1), _f(m + 1))
+        return _sub(_mul(a, _F2), b) if m % 2 == 0 else _sub(a, _mul(b, _F2))
+    return _mul(_f(m), _g(m))
+
+
+def _g(m: int) -> Poly:
+    """f_{m+2} f_{m-1}^2 - f_{m-2} f_{m+1}^2, which is f_2m / f_m."""
+    return _sub(_mul(_f(m + 2), _f(m - 1), _f(m - 1)),
+                _mul(_f(m - 2), _f(m + 1), _f(m + 1)))
 
 
 class DivisionTriple(NamedTuple):
     """psi_N^2, phi_N (pure x), and omega_N = omega * y^y_parity."""
 
     N: int
-    psiSq: UniPoly
-    phiPol: UniPoly
-    omega: Tuple[UniPoly, int]
+    psiSq: Poly
+    phiPol: Poly
+    omega: Tuple[Poly, int]
 
 
-def _psi_sq(N: int) -> UniPoly:
-    """psi_N^2 = f_N^2, times F = (2y)^2 for even N."""
+@lru_cache(maxsize=1)
+def _psi_sq(N: int) -> Poly:
+    """psi_N^2 = f_N^2, times F = (2y)^2 for even N.  The last one is kept:
+    ``reduction_profile`` reads the one its verb call just built."""
     if N > MAX_LEVEL:
         raise DomainError(f"N must be at most {MAX_LEVEL}, got {N}")
-    sq = _f(N) * _f(N)
-    if N % 2 == 0:
-        sq = sq * _F
-    if sq.degree != N * N - 1 or sq.coeffs[-1] != N * N:
+    sq = _mul(_f(N), _f(N), _F) if N % 2 == 0 else _mul(_f(N), _f(N))
+    if len(sq) != N * N or sq[-1] != N * N:
         raise InternalConsistencyError("psi_N^2 degree/leading-term check failed")
     return sq
 
 
-def _phi_pol(N: int, psi_sq: UniPoly) -> UniPoly:
+def _phi_pol(N: int, psi_sq: Poly) -> Poly:
     """phi_N = x psi_N^2 - psi_{N+1} psi_{N-1}, given psi_sq = psi_N^2."""
-    cross = _f(N + 1) * _f(N - 1)               # psi_{N+1} psi_{N-1}, up to F
-    if N % 2:
-        cross = cross * _F
-    phi_pol = UniPoly([0] + psi_sq.coeffs) - cross
-    if phi_pol.degree != N * N or phi_pol.coeffs[-1] != 1:
+    # psi_{N+1} psi_{N-1}: f_{N+1} f_{N-1}, times F for odd N
+    cross = _mul(_f(N + 1), _f(N - 1), _F) if N % 2 else _mul(_f(N + 1), _f(N - 1))
+    phi_pol = _sub((0,) + psi_sq, cross)
+    if len(phi_pol) != N * N + 1 or phi_pol[-1] != 1:
         raise InternalConsistencyError("phi_N degree/leading-term check failed")
     return phi_pol
 
 
 def division_polynomials(N: int) -> DivisionTriple:
-    if N < 1:
-        raise DomainError(f"N must be a positive integer, got {N}")
+    if not isinstance(N, int) or N < 1:
+        raise DomainError(f"N must be a positive integer, got {N!r}")
     psi_sq = _psi_sq(N)
     phi_pol = _phi_pol(N, psi_sq)
     # (psi_{N+2} psi_{N-1}^2 - psi_{N-2} psi_{N+1}^2) / 4y is y times this
     # for odd N and half of it for even N
-    omega = (_f(N + 2) * _f(N - 1) * _f(N - 1)
-             - _f(N - 2) * _f(N + 1) * _f(N + 1))
+    omega = _g(N)
     if N % 2 == 0:
-        if any(c % 2 for c in omega.coeffs):
+        if any(c % 2 for c in omega):
             raise InternalConsistencyError("omega_N has an odd coefficient")
-        omega = UniPoly([c // 2 for c in omega.coeffs])
+        omega = tuple(c // 2 for c in omega)
     return DivisionTriple(N, _untwist(psi_sq), _untwist(phi_pol),
                           (_untwist(omega), N % 2))
 
 
-def rescaled(N: int) -> Tuple[UniPoly, UniPoly]:
+def rescaled(N: int) -> Tuple[Poly, Poly]:
     """(psiHat, phiHat): psi_N^2(12X)/12^(N^2-1) and phi_N(12X)/12^(N^2),
     which are psi'_N^2 and phi'_N of E'."""
-    if N < 2:
-        raise DomainError(f"rescaled needs N >= 2, got {N}")
+    if not isinstance(N, int) or N < 2:
+        raise DomainError(f"rescaled needs N >= 2, got {N!r}")
     psi_sq = _psi_sq(N)
     return psi_sq, _phi_pol(N, psi_sq)
 
@@ -137,12 +160,11 @@ class ReductionProfile(NamedTuple):
 def reduction_profile(N: int, p: int) -> ReductionProfile:
     # the recurrences do not give division polynomials mod 2 or 3
     require_prime(p, 3)
-    if N < 1:
-        raise DomainError(f"N must be a positive integer, got {N}")
-    b = _psi_sq(N)
-    psi_poly = _f(N) * 2 if N % 2 == 0 else _f(N)      # psi_N = 2y f_N, N even
-    sq_vals = [padic_val(b[i], p) for i in range(b.degree + 1)]
-    psi_vals = [padic_val(psi_poly[i], p) for i in range(psi_poly.degree + 1)]
+    if not isinstance(N, int) or N < 1:
+        raise DomainError(f"N must be a positive integer, got {N!r}")
+    # psi_N is 2y f_N for even N, and 2 f_N has f_N's valuations at p > 3
+    sq_vals = [padic_val(c, p) for c in _psi_sq(N)]
+    psi_vals = [padic_val(c, p) for c in _f(N)]
     r = split_power(N, p)[0]
     supersingular = p % 3 == 2
     ss_const = ord_tail = None

@@ -33,7 +33,7 @@ def chi_power(p: int, d: int) -> int:
     """
     require_prime(p, 7)
     n = p * (p - 1)
-    if d < 1 or n % d != 0:
+    if not isinstance(d, int) or d < 1 or n % d != 0:
         raise DomainError(f"d = {d} does not divide p(p-1) = {n}")
     return _chi(p, d)
 
@@ -135,8 +135,8 @@ class DimsUnipotent(NamedTuple):
 
 def dims_unipotent(k: int, index_in_gamma_prime: int,
                    character_trivial: bool) -> DimsUnipotent:
-    if k < 1 or index_in_gamma_prime < 1:
-        raise DomainError("k and index must be positive")
+    if not all(isinstance(v, int) and v >= 1 for v in (k, index_in_gamma_prime)):
+        raise DomainError("k and index must be positive integers")
     dim_m_char = k
     if k > 1:
         dim_s_char = k - 1
@@ -157,10 +157,10 @@ class DimsGp(NamedTuple):
 
 
 def dims_Gp(k: int, p: int) -> DimsGp:
-    if p % 12 != 5 or not is_prime(p):
+    if not isinstance(p, int) or p % 12 != 5 or not is_prime(p):
         raise UnsupportedPrimeError(f"p = {p} is not a prime = 5 (mod 12)")
-    if k < 1:
-        raise DomainError("k must be positive")
+    if not isinstance(k, int) or k < 1:
+        raise DomainError("k must be a positive integer")
     twice = k * p + 2 - (3 if k % 2 else 0)
     if twice % 2:
         raise InternalConsistencyError("dimension formula gave a non-integer")

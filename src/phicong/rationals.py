@@ -1,5 +1,6 @@
 """Exact integer helpers: valuations, factorization, repeated squaring
-in any ring, and the counts |X(F_p)|, |Sp4(F_p)| and (a/p).
+in any ring, the counts |X(F_p)|, |Sp4(F_p)| and (a/p), and the roots of
+a polynomial and the kernel of a matrix mod p.
 
 padic_val takes an int and refuses anything else, a Fraction among them,
 with DomainError: divpoly reads valuations of integer coefficients, and
@@ -9,8 +10,8 @@ qexp reads those of reduced integer pairs with split_power.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from typing import Dict, Tuple
+from functools import lru_cache, reduce
+from typing import Dict, List, Tuple
 
 from .errors import DomainError, UnsupportedPrimeError
 
@@ -83,6 +84,36 @@ def sp4_order(p: int) -> int:
 def legendre(a: int, p: int) -> int:
     """(a/p) for an odd prime p, by Euler's criterion."""
     return (pow(a, (p - 1) // 2, p) + 1) % p - 1
+
+
+def roots_mod_p(coeffs: List[int], p: int) -> List[int]:
+    """The roots in F_p* of a polynomial mod p, coefficients lowest degree
+    first, by a scan of F_p*, O(p)."""
+    return [mu for mu in range(1, p)
+            if not reduce(lambda acc, c: (acc * mu + c) % p, reversed(coeffs), 0)]
+
+
+def kernel_mod_p(rows, p: int, mu: int = 0, extra=()) -> List[List[int]]:
+    """A basis of the v with M v = mu v mod p, M the matrix of rows, and
+    r . v = 0 for the extra rows r, by one Gauss-Jordan elimination mod p."""
+    rows = [[(v - mu * (i == j)) % p for j, v in enumerate(r)]
+            for i, r in enumerate(rows)] + [[v % p for v in r] for r in extra]
+    width, pivots = len(rows[0]), []
+    for c in range(width):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if hit is None:
+            continue
+        rows[r], rows[hit] = rows[hit], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        top = rows[r] = [v * inv % p for v in rows[r]]
+        rows = [[(u - row[c] * v) % p for u, v in zip(row, top)] if i != r and row[c]
+                else row for i, row in enumerate(rows)]
+        pivots.append(c)
+    # a free coordinate f set to 1, the other free ones to 0, and each pivot
+    # coordinate solved for
+    return [[-rows[pivots.index(c)][f] % p if c in pivots else int(c == f)
+             for c in range(width)] for f in range(width) if f not in pivots]
 
 
 def power(base, e: int, one):

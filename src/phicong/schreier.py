@@ -13,8 +13,8 @@ import math
 
 from .errors import DomainError
 from .matrices import Matrix
-from .rationals import require_prime
-from .symplectic import _kernel, _roots, _trace_pair, form_J
+from .rationals import kernel_mod_p, require_prime, roots_mod_p
+from .symplectic import form_J, trace_pair
 
 
 def _image(g: Matrix, v: int) -> int:
@@ -79,9 +79,9 @@ def _sift(g: Matrix, chain: list, start: int):
 def _eigenvectors(g: Matrix) -> list:
     """A basis of each eigenspace of a symplectic g with an eigenvalue in
     F_p, a root of t^4 - a t^3 + b t^2 - a t + 1."""
-    (a, b), p = _trace_pair(g), g.m
-    return [((v0 * p + v1) * p + v2) * p + v3 for mu in _roots([1, -a, b, -a, 1], p)
-            for v0, v1, v2, v3 in _kernel(g.rows, p, mu)]
+    (a, b), p = trace_pair(g), g.m
+    return [((v0 * p + v1) * p + v2) * p + v3 for mu in roots_mod_p([1, -a, b, -a, 1], p)
+            for v0, v1, v2, v3 in kernel_mod_p(g.rows, p, mu)]
 
 
 def _base_point(g: Matrix, gens: list, candidates: list) -> int:

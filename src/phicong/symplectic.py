@@ -16,13 +16,13 @@ phicong.schreier, on F_p^4.
 
 from __future__ import annotations
 
-import functools
 import random
 from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
 from .errors import DomainError, InternalConsistencyError
 from .matrices import Matrix
-from .rationals import factorize, legendre, require_prime, sp4_order, split_power
+from .rationals import (factorize, kernel_mod_p, legendre, require_prime, roots_mod_p,
+                        sp4_order, split_power)
 
 if TYPE_CHECKING:                       # only the annotations name a Word
     from .words import Word
@@ -55,9 +55,9 @@ class SpParams(_SpFields):
 #: The largest p that the Grassmannian verbs admit (DomainError above it,
 #: exit 2 on the command line).  No call allocates per point of X(F_p);
 #: what grows with p is the trial-division primality test, O(sqrt p), the
-#: scan of F_p* in _roots, O(p), the factorization of p(p - 1) in
-#: matrix_order, and the transversals of about p^2 points in the
-#: uncertified Schreier-Sims chain of phicong.schreier.
+#: scan of F_p* in rationals.roots_mod_p, O(p), the factorization of
+#: p(p - 1) in matrix_order, and the transversals of about p^2 points in
+#: the uncertified Schreier-Sims chain of phicong.schreier.
 MAX_P = 113
 
 
@@ -118,43 +118,13 @@ def _wedge(M: Matrix) -> List[List[int]]:
 _LAGRANGIAN_ROW = (0, 0, 1, -3, 0, 0)
 
 
-def _trace_pair(g: Matrix) -> Tuple[int, int]:
+def trace_pair(g: Matrix) -> Tuple[int, int]:
     """(a, b) = (tr g, (a^2 - tr g^2)/2) mod p = g.m, p odd: a symplectic g
     has characteristic polynomial t^4 - a t^3 + b t^2 - a t + 1."""
     p, m = g.m, g.rows
     a = (m[0][0] + m[1][1] + m[2][2] + m[3][3]) % p
     tr_sq = sum(m[i][j] * m[j][i] for i in range(4) for j in range(4))
     return a, (a * a - tr_sq) * pow(2, -1, p) % p
-
-
-def _roots(coeffs: List[int], p: int) -> List[int]:
-    """The roots in F_p* of a polynomial mod p, leading coefficient first,
-    by a scan of F_p*, O(p): the verbs admit p <= MAX_P."""
-    return [mu for mu in range(1, p)
-            if not functools.reduce(lambda acc, c: (acc * mu + c) % p, coeffs, 0)]
-
-
-def _kernel(rows, p: int, mu: int = 0, extra=()) -> List[List[int]]:
-    """A basis of the v with M v = mu v mod p, M the matrix of rows, and
-    r . v = 0 for the extra rows r, by one Gauss-Jordan elimination mod p."""
-    rows = [[(v - mu * (i == j)) % p for j, v in enumerate(r)]
-            for i, r in enumerate(rows)] + [[v % p for v in r] for r in extra]
-    width, pivots = len(rows[0]), []
-    for c in range(width):
-        r = len(pivots)
-        hit = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if hit is None:
-            continue
-        rows[r], rows[hit] = rows[hit], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        top = rows[r] = [v * inv % p for v in rows[r]]
-        rows = [[(u - row[c] * v) % p for u, v in zip(row, top)] if i != r and row[c]
-                else row for i, row in enumerate(rows)]
-        pivots.append(c)
-    # a free coordinate f set to 1, the other free ones to 0, and each pivot
-    # coordinate solved for
-    return [[-rows[pivots.index(c)][f] % p if c in pivots else int(c == f)
-             for c in range(width)] for f in range(width) if f not in pivots]
 
 
 def _polar(u: List[int], v: List[int]) -> int:
@@ -218,7 +188,7 @@ def fixed_lagrangians(g: Matrix) -> int:
     at even rank, the same square class of discriminant; its nonzero zeros
     are p - 1 to a point of P(V).  The eigenvalues l, 1/l, m, 1/m of g give
     W the eigenvalues 1, 1, lm, 1/(lm), l/m, m/l, whose two pair sums add up
-    to b - 2 and multiply to a^2 - 2b, (a, b) = _trace_pair(g): the last four
+    to b - 2 and multiply to a^2 - 2b, (a, b) = trace_pair(g): the last four
     are the roots of q = t^4 - (b-2) t^3 + (a^2 - 2b + 2) t^2 - (b-2) t + 1.
     A Lagrangian fixed with mu = 1 gives g eigenvalues c, 1/c twice, so then
     q(1) = 0 too: every mu with a fixed Lagrangian is a root of q."""
@@ -227,10 +197,10 @@ def fixed_lagrangians(g: Matrix) -> int:
     J = form_J(p)
     if g.transpose() * J * g != J:
         raise DomainError("matrix is not symplectic for J")
-    W, (a, b) = _wedge(g), _trace_pair(g)
+    W, (a, b) = _wedge(g), trace_pair(g)
     count = 0
-    for mu in _roots([1, 2 - b, a * a - 2 * b + 2, 2 - b, 1], p):
-        basis = _kernel(W, p, mu, [_LAGRANGIAN_ROW])
+    for mu in roots_mod_p([1, 2 - b, a * a - 2 * b + 2, 2 - b, 1], p):
+        basis = kernel_mod_p(W, p, mu, [_LAGRANGIAN_ROW])
         gram = [[_polar(u, v) % p for v in basis] for u in basis]
         count += (_quadric_zeros(gram, p) - 1) // (p - 1)
     return count
@@ -262,10 +232,10 @@ def _random_elements(generators: List[Matrix], rng: random.Random, count: int):
 def outside_sp2_p2(g: Matrix) -> bool:
     """Whether g in Sp4(F_p) provably lies in no conjugate of Sp2(p^2):2.
     Its characteristic polynomial is (t^2 - s1 t + 1)(t^2 - s2 t + 1), s1
-    and s2 the roots of z^2 - a z + b - 2, (a, b) = _trace_pair(g).  On
+    and s2 the roots of z^2 - a z + b - 2, (a, b) = trace_pair(g).  On
     Sp2(p^2) they are equal or conjugate over F_p, so distinct roots in F_p
     put g outside it, and a != 0 puts g^2 (roots s_i^2 - 2) outside too."""
-    a, b = _trace_pair(g)
+    a, b = trace_pair(g)
     return a != 0 and legendre(a * a - 4 * b + 8, g.m) == 1
 
 

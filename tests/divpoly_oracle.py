@@ -5,8 +5,9 @@ Y^2 = X^3 - 1 and maps the result back to this curve.  This is the
 recursion as it stood before, with B = -1728 throughout, so its
 coefficients are about 4.5 times longer; ``rescaled`` takes psi_N^2 and
 phi_N at x = 12X apart again by exact divisions by powers of 12.  The
-code is kept as it was, apart from ``scale_arg``, which now lives in
-``ring_poly``.
+code is kept as it was, apart from ``UniPoly`` and ``scale_arg``, which
+now live in ``ring_poly``; ``phicong.divpoly`` returns int tuples, the
+coefficients of these.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ from functools import lru_cache
 from typing import NamedTuple, Tuple
 
 from phicong.errors import DomainError, InternalConsistencyError
-from phicong.polynomials import UniPoly
 
-from ring_poly import scale_arg
+from ring_poly import UniPoly, scale_arg
 
 B = -1728
 #: Largest N, the same as phicong.divpoly's.

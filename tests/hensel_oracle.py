@@ -120,8 +120,7 @@ def xtilde_by_fractions(N: int, prec: int) -> LaurentSeries:
     # Mhat(X) = q^(2N^2-2) M(X/q^2): coefficient of X^i is
     # (psiSq_i E4 - phiPol_i eta^8) q^(2N^2-2-2i), valuation >= 0
     coeffs: List[LaurentSeries] = []
-    for i in range(n2 + 1):
-        a, b = triple.psiSq[i], triple.phiPol[i]
+    for i, (a, b) in enumerate(zip(triple.psiSq + (0,), triple.phiPol)):
         ci = LaurentSeries.zero(target + 4)
         if a:
             ci = ci + e4 * Fraction(a)

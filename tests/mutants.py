@@ -113,9 +113,12 @@ MUTANTS = (
     Mutant("tower-prefix-not-rescaled", "src/phicong/qexp.py",
            "c[k] *= f ** k", "c[k] *= 1", ("tests/test_qexp.py::TestLambda",)),
     Mutant("untwist-powers-reversed", "src/phicong/divpoly.py",
-           "12 ** (f.degree - i)", "12 ** i", (_DIVPOLY_ORACLE,)),
+           "12 ** (len(f) - 1 - i)", "12 ** i", (_DIVPOLY_ORACLE,)),
     Mutant("divpoly-on-the-curve", "src/phicong/divpoly.py",
            "B = -1\n", "B = -1728\n", (_DIVPOLY_ORACLE,)),
+    Mutant("psi-sq-not-reused", "src/phicong/divpoly.py",
+           "@lru_cache(maxsize=1)\ndef _psi_sq", "@lru_cache(maxsize=0)\ndef _psi_sq",
+           ("tests/test_divpoly.py::TestProductCount",)),
 )
 
 #: Seconds a mutant's tests may run; a mutant that makes them hang is killed.

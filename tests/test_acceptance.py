@@ -81,31 +81,31 @@ def test_criterion_1_qexp_golden():
 @criterion(2, "rescaled division polynomials and their mod-2 / mod-3 shapes")
 def test_criterion_2_rescaled():
     psi2, phi2 = rescaled(2)
-    assert psi2.coeffs == [-4, 0, 0, 4]
-    assert phi2.coeffs == [0, 8, 0, 0, 1]
+    assert psi2 == (-4, 0, 0, 4)
+    assert phi2 == (0, 8, 0, 0, 1)
     psi3, phi3 = rescaled(3)
-    assert psi3.coeffs == [0, 0, 144, 0, 0, -72, 0, 0, 9]
-    assert phi3.coeffs == [-64, 0, 0, 48, 0, 0, 96, 0, 0, 1]
+    assert psi3 == (0, 0, 144, 0, 0, -72, 0, 0, 9)
+    assert phi3 == (-64, 0, 0, 48, 0, 0, 96, 0, 0, 1)
     # N = 4 (2^2 || 4): psiHat/2^4 = X^12 (X^3-1) = X^15 - X^12 mod 2,
     # phiHat = X^16 mod 2
     psi4, phi4 = rescaled(4)
-    assert all(c % 16 == 0 for c in psi4.coeffs)
-    assert {i for i, c in enumerate(psi4.coeffs) if (c // 16) % 2} == {12, 15}
-    assert {i for i, c in enumerate(phi4.coeffs) if c % 2} == {16}
+    assert all(c % 16 == 0 for c in psi4)
+    assert {i for i, c in enumerate(psi4) if (c // 16) % 2} == {12, 15}
+    assert {i for i, c in enumerate(phi4) if c % 2} == {16}
     # N = 3, 9 (3^r || N): psiHat/3^(2r) = X^2 (X-1)^(N^2-3) mod 3,
     # phiHat = (X-1)^(N^2) mod 3
     for n, r in ((3, 1), (9, 2)):
         psi_hat, phi_hat = rescaled(n)
         d = 9 ** r
-        assert all(c % d == 0 for c in psi_hat.coeffs)
+        assert all(c % d == 0 for c in psi_hat)
         for poly, shift, m in ((psi_hat, 2, n * n - 3), (phi_hat, 0, n * n)):
             div = d if poly is psi_hat else 1
-            expect = [0] * (len(poly.coeffs))
+            expect = [0] * len(poly)
             binom = 1
             for i in range(m + 1):
                 expect[i + shift] = (binom * (-1) ** (m - i)) % 3
                 binom = binom * (m - i) // (i + 1)
-            assert [(c // div) % 3 for c in poly.coeffs] == expect, n
+            assert [(c // div) % 3 for c in poly] == expect, n
 
 
 @criterion(3, "denominator dichotomy for N = 3 (bounded), N = 5 and N = 4 "

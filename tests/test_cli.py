@@ -568,7 +568,9 @@ class TestResourceGuard:
 # --cycles at (43, 2) and (11, 1), cusps --oracle cycles at (13, 3) and
 # --epsilons at (29, 12) and (13, 12) before epsilon_2, epsilon_3 and the
 # cycle type were counted from 4x4 matrices: x of order 14, 1, 3, 4 and 2,
-# for which the cusp widths differ from the character route's
+# for which the cusp widths differ from the character route's; divpoly
+# --level 10 --rescaled --profile 7 and --level 9 --profile 11 before the
+# division polynomials became int tuples and --profile reused psi_N^2
 GOLDEN = json.loads((Path(__file__).parent / "golden_stdout.json").read_text())
 
 
@@ -675,6 +677,13 @@ class TestImports:
                          else [node.module or ""] if isinstance(node, ast.ImportFrom)
                          else [])
                 assert not any(n.split(".")[0] == "numpy" for n in names), path
+
+    def test_no_module_imports_a_private_name(self):
+        # a module's underscored names are its own
+        for path in sorted(Path(phicong.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and node.level:
+                    assert not [a.name for a in node.names if a.name.startswith("_")], path
 
     def test_cli_import_loads_no_library_module(self):
         script = ("import sys\n"

@@ -6,17 +6,27 @@ import pytest
 import phicong.divpoly
 from phicong.divpoly import _f, division_polynomials, reduction_profile, rescaled
 from phicong.errors import DomainError, UnsupportedPrimeError
-from phicong.polynomials import UniPoly
+from phicong.polynomials import mul_trunc
 
 import divpoly_oracle
-from ring_poly import map_coeffs, scale_arg
+from ring_poly import UniPoly, map_coeffs, scale_arg
 
 B = -1728
 
 
-def gcd_degree_mod_p(a: UniPoly, b: UniPoly, p: int) -> int:
-    A = [c % p for c in a.coeffs]
-    Bc = [c % p for c in b.coeffs]
+def frac(poly: tuple) -> UniPoly:
+    """An int tuple of phicong.divpoly as a polynomial over Q."""
+    return map_coeffs(UniPoly(poly), Fraction)
+
+
+def coeffs(poly: UniPoly) -> tuple:
+    """A polynomial of divpoly_oracle as phicong.divpoly writes it."""
+    return tuple(poly.coeffs)
+
+
+def gcd_degree_mod_p(a: tuple, b: tuple, p: int) -> int:
+    A = [c % p for c in a]
+    Bc = [c % p for c in b]
 
     def trim(v):
         while v and v[-1] == 0:
@@ -49,7 +59,7 @@ def psi_product(*ks):
     """
     out, e = UniPoly([1]), 0
     for k in ks:
-        out, e = out * _f(k), e + (k % 2 == 0)
+        out, e = out * UniPoly(_f(k)), e + (k % 2 == 0)
     assert e % 2 == 0
     return out * F ** (e // 2)
 
@@ -69,25 +79,25 @@ class TestDivisionPolynomials:
 
     def test_N1_identity(self):
         t = division_polynomials(1)
-        assert t.psiSq.coeffs == [1]
-        assert t.phiPol.coeffs == [0, 1]
+        assert t.psiSq == (1,)
+        assert t.phiPol == (0, 1)
 
     def test_N2(self):
         t = division_polynomials(2)
-        assert t.psiSq.coeffs == [4 * B, 0, 0, 4]       # 4(x^3 - 1728)
+        assert t.psiSq == (4 * B, 0, 0, 4)              # 4(x^3 - 1728)
 
     def test_N3(self):
         t = division_polynomials(3)
         psi3 = UniPoly([0, 12 * B, 0, 0, 3])
-        assert t.psiSq == psi3 * psi3
+        assert t.psiSq == coeffs(psi3 * psi3)
 
     def test_omega_small(self):
         t1 = division_polynomials(1)
-        assert t1.omega == (UniPoly([1]), 1)            # omega_1 = y
+        assert t1.omega == ((1,), 1)                    # omega_1 = y
         t2 = division_polynomials(2)
         poly, parity = t2.omega
         assert parity == 0
-        assert poly.coeffs == [-8 * B * B, 0, 0, 20 * B, 0, 0, 1]
+        assert poly == (-8 * B * B, 0, 0, 20 * B, 0, 0, 1)
 
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
@@ -96,21 +106,19 @@ class TestDivisionPolynomials:
     def test_degree_invariants_to_25(self):
         for n in range(1, 26):
             t = division_polynomials(n)
-            assert t.psiSq.degree == n * n - 1
-            assert t.psiSq.coeffs[-1] == n * n
-            assert t.phiPol.degree == n * n
-            assert t.phiPol.coeffs[-1] == 1
+            assert len(t.psiSq) == n * n and t.psiSq[-1] == n * n
+            assert len(t.phiPol) == n * n + 1 and t.phiPol[-1] == 1
             if n > 1:
                 assert gcd_degree_mod_p(t.psiSq, t.phiPol, 99991) == 0
 
     def test_composition_law(self):
         for m, n in itertools.product((2, 3, 4), (2, 3)):
-            fm = map_coeffs(division_polynomials(m).phiPol, Fraction)
-            gm = map_coeffs(division_polynomials(m).psiSq, Fraction)
-            fn = map_coeffs(division_polynomials(n).phiPol, Fraction)
-            gn = map_coeffs(division_polynomials(n).psiSq, Fraction)
-            fmn = map_coeffs(division_polynomials(m * n).phiPol, Fraction)
-            gmn = map_coeffs(division_polynomials(m * n).psiSq, Fraction)
+            fm = frac(division_polynomials(m).phiPol)
+            gm = frac(division_polynomials(m).psiSq)
+            fn = frac(division_polynomials(n).phiPol)
+            gn = frac(division_polynomials(n).psiSq)
+            fmn = frac(division_polynomials(m * n).phiPol)
+            gmn = frac(division_polynomials(m * n).psiSq)
             d = fm.degree
             num, den = UniPoly(), UniPoly()
             for i in range(d + 1):
@@ -124,28 +132,28 @@ class TestDivisionPolynomials:
 class TestRescaled:
     def test_N2(self):
         psi_hat, phi_hat = rescaled(2)
-        assert psi_hat.coeffs == [-4, 0, 0, 4]          # 4(X^3 - 1)
-        assert phi_hat.coeffs == [0, 8, 0, 0, 1]        # X^4 + 8X
+        assert psi_hat == (-4, 0, 0, 4)                 # 4(X^3 - 1)
+        assert phi_hat == (0, 8, 0, 0, 1)               # X^4 + 8X
 
     def test_N3(self):
         psi_hat, phi_hat = rescaled(3)
-        assert psi_hat.coeffs == [0, 0, 144, 0, 0, -72, 0, 0, 9]
-        assert phi_hat.coeffs == [-64, 0, 0, 48, 0, 0, 96, 0, 0, 1]
+        assert psi_hat == (0, 0, 144, 0, 0, -72, 0, 0, 9)
+        assert phi_hat == (-64, 0, 0, 48, 0, 0, 96, 0, 0, 1)
 
     def test_consistency_to_10(self):
         for n in range(2, 11):
             psi_hat, phi_hat = rescaled(n)
             t = division_polynomials(n)
-            scaled = scale_arg(map_coeffs(t.psiSq, Fraction), Fraction(12))
-            assert map_coeffs(psi_hat, Fraction) * Fraction(12 ** (n * n - 1)) == scaled
+            scaled = scale_arg(frac(t.psiSq), Fraction(12))
+            assert frac(psi_hat) * Fraction(12 ** (n * n - 1)) == scaled
 
     def test_two_adic_shape(self):
         # 2^r || N: psiHat / 2^(2r) is integral and = X^(N^2-4)(X^3-1) mod 2
         for n, r in ((4, 2), (6, 1), (8, 3), (12, 2)):
             psi_hat, _ = rescaled(n)
             d = 4 ** r
-            assert all(c % d == 0 for c in psi_hat.coeffs)
-            support = {i for i, c in enumerate(psi_hat.coeffs) if (c // d) % 2}
+            assert all(c % d == 0 for c in psi_hat)
+            support = {i for i, c in enumerate(psi_hat) if (c // d) % 2}
             assert support == {n * n - 4, n * n - 1}
 
     def test_three_adic_shape(self):
@@ -154,8 +162,8 @@ class TestRescaled:
         for n, r in ((3, 1), (6, 1), (9, 2)):
             psi_hat, _ = rescaled(n)
             d = 9 ** r
-            assert all(c % d == 0 for c in psi_hat.coeffs)
-            reduced = [(c // d) % 3 for c in psi_hat.coeffs]
+            assert all(c % d == 0 for c in psi_hat)
+            reduced = [(c // d) % 3 for c in psi_hat]
             m = n * n - 3
             expect = [0] * (n * n)
             binom = 1
@@ -213,16 +221,48 @@ class TestOracle:
 
     def test_division_polynomials(self):
         for n in range(1, 31):
-            assert division_polynomials(n) == divpoly_oracle.division_polynomials(n), n
+            t = divpoly_oracle.division_polynomials(n)
+            assert division_polynomials(n) == (n, coeffs(t.psiSq), coeffs(t.phiPol),
+                                               (coeffs(t.omega[0]), t.omega[1])), n
 
     def test_rescaled(self):
         for n in range(2, 31):
-            assert rescaled(n) == divpoly_oracle.rescaled(n), n
+            assert rescaled(n) == tuple(map(coeffs, divpoly_oracle.rescaled(n))), n
 
     def test_reduction_profile(self, monkeypatch):
         # the profile's own reading of psi_N^2 and f_N on the curve itself
         got = {(n, p): reduction_profile(n, p) for n in range(1, 31) for p in (5, 7, 11)}
-        monkeypatch.setattr(phicong.divpoly, "_psi_sq", divpoly_oracle._psi_sq)
-        monkeypatch.setattr(phicong.divpoly, "_f", divpoly_oracle._f)
+        monkeypatch.setattr(phicong.divpoly, "_psi_sq",
+                            lambda n: coeffs(divpoly_oracle._psi_sq(n)))
+        monkeypatch.setattr(phicong.divpoly, "_f", lambda n: coeffs(divpoly_oracle._f(n)))
         for (n, p), prof in got.items():
             assert prof == reduction_profile(n, p), (n, p)
+
+
+class TestProductCount:
+    """reduction_profile after division_polynomials or rescaled at the same
+    N reads the psi_N^2 that the first call built: it multiplies nothing."""
+
+    @pytest.mark.parametrize("first", [division_polynomials, rescaled],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_profile_reuses_psi_sq(self, monkeypatch, first, n):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return mul_trunc(*args)
+
+        monkeypatch.setattr(phicong.divpoly, "mul_trunc", counted)
+
+        def products(*steps):
+            phicong.divpoly._f.cache_clear()
+            phicong.divpoly._psi_sq.cache_clear()
+            calls.clear()
+            for step in steps:
+                step()
+            return len(calls)
+
+        alone = products(lambda: first(n))
+        assert alone > 0
+        assert products(lambda: first(n), lambda: reduction_profile(n, 7)) == alone

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from phicong.divpoly import division_polynomials, reduction_profile, rescaled
 from phicong.errors import DomainError, InternalConsistencyError, UnsupportedPrimeError
 from phicong.invariants import (chi_power, cusp_data_character, cusp_data_fixed,
                                 dims_Gp, dims_unipotent, elliptic_counts,
@@ -170,6 +171,27 @@ class TestDims:
 
     def test_gp_odd_weight(self):
         assert dims_Gp(3, 5).dim_M == 7
+
+
+# a float where an int belongs is refused like any other value out of range,
+# not computed with, nor reported as a failed internal check
+@pytest.mark.parametrize("call", [
+    lambda: dims_unipotent(2.5, 3, True),
+    lambda: dims_unipotent(2, 3.0, True),
+    lambda: chi_power(11, 5.0),
+    lambda: chi_power(11.0, 5),
+    lambda: dims_Gp(1.5, 17),
+    lambda: dims_Gp(2, 17.0),
+    lambda: division_polynomials(5.0),
+    lambda: rescaled(5.0),
+    lambda: reduction_profile(5.0, 7),
+    lambda: reduction_profile(5, 7.0),
+], ids=["dims_unipotent-k", "dims_unipotent-index", "chi_power-d", "chi_power-p",
+        "dims_Gp-k", "dims_Gp-p", "division_polynomials", "rescaled",
+        "reduction_profile-N", "reduction_profile-p"])
+def test_non_int_refused(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 class TestNoncongruence:

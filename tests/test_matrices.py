@@ -5,10 +5,10 @@ import pytest
 
 from phicong.errors import DomainError
 from phicong.matrices import Matrix
-from phicong.polynomials import UniPoly
 from phicong.symplectic import SpParams, rho_matrices
 
 from ring_matrix import Matrix as RingMatrix
+from ring_poly import UniPoly
 
 # primes and prime squares of the sizes rho uses, and two moduli whose
 # products of residues exceed 2^64 and 2^120

@@ -13,25 +13,26 @@ import n12_oracle
 from divpoly_oracle import _f
 from hensel_oracle import (euler_product, series_sqrt, sigma_series,
                            xtilde_by_fractions)
-from ring_poly import evaluate, map_coeffs
+from ring_poly import UniPoly, evaluate, map_coeffs
 
 
-def homogenized_at(poly, powers):
-    """q^(2 n2 - 2) poly(X / q^2) at X = xhat, from powers[i] = xhat^i,
-    where n2 = len(powers) - 1."""
+def homogenized_at(coeffs, powers):
+    """q^(2 n2 - 2) poly(X / q^2) at X = xhat, poly the coefficients coeffs,
+    from powers[i] = xhat^i, where n2 = len(powers) - 1."""
     n2 = len(powers) - 1
     out = LaurentSeries.zero()
-    for i, c in enumerate(poly.coeffs):
+    for i, c in enumerate(coeffs):
         if c:
             out = out + (powers[i] * c).shift(2 * (n2 - 1 - i))
     return out
 
 
-def weighted_at(poly, y_power, weight, xhat_powers, yhat):
-    """q^weight poly(x) y^y_power at x = xhat q^-2, y = yhat q^-3, from
-    xhat_powers[i] = xhat^i; weight is at least that of every term."""
+def weighted_at(coeffs, y_power, weight, xhat_powers, yhat):
+    """q^weight poly(x) y^y_power at x = xhat q^-2, y = yhat q^-3, poly the
+    coefficients coeffs, from xhat_powers[i] = xhat^i; weight is at least
+    that of every term."""
     out = LaurentSeries.zero()
-    for i, c in enumerate(poly.coeffs):
+    for i, c in enumerate(coeffs):
         if c:
             out = out + (xhat_powers[i] * c).shift(weight - 2 * i - 3 * y_power)
     return out * yhat if y_power else out
@@ -110,8 +111,8 @@ class TestXtilde:
             b = basis_series(40)
             t = division_polynomials(n)
             eta8 = b.eta4 * b.eta4
-            lhs = evaluate(map_coeffs(t.psiSq, Fraction), s) * b.E4
-            rhs = evaluate(map_coeffs(t.phiPol, Fraction), s) * eta8
+            lhs = evaluate(map_coeffs(UniPoly(t.psiSq), Fraction), s) * b.E4
+            rhs = evaluate(map_coeffs(UniPoly(t.phiPol), Fraction), s) * eta8
             assert (lhs - rhs).is_zero()
         # 60 terms for N = 2..5, 7, 10, multiplied through by q^(2N^2-2)
         # so that xhat = q^2 xtilde keeps its full precision
@@ -176,10 +177,11 @@ class TestYtilde:
             psi_poly, psi_y = (_f(n) * 2, 1) if n % 2 == 0 else (_f(n), 0)
             omega_poly, omega_y = division_polynomials(n).omega
             powers = [LaurentSeries.one()]
-            for _ in range(omega_poly.degree):
+            for _ in range(len(omega_poly) - 1):
                 powers.append(powers[-1] * xhat)
             for sign in (1, -1):
-                psi_hat = weighted_at(psi_poly, psi_y, n * n - 1, powers, sign * yhat)
+                psi_hat = weighted_at(psi_poly.coeffs, psi_y, n * n - 1, powers,
+                                      sign * yhat)
                 omega_hat = weighted_at(omega_poly, omega_y, 3 * n * n, powers,
                                         sign * yhat)
                 diff = psi_hat * psi_hat * psi_hat * b.E6 - omega_hat * eta12
