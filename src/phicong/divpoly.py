@@ -24,7 +24,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 from .errors import DomainError, InternalConsistencyError
 from .polynomials import mul_trunc
-from .rationals import padic_val, require_prime, split_power
+from .rationals import padic_val, require_int, require_prime, split_power
 
 #: Integer coefficients, lowest degree first: tuples, as ``_f`` shares them.
 Poly = Tuple[int, ...]
@@ -119,8 +119,7 @@ def _phi_pol(N: int, psi_sq: Poly) -> Poly:
 
 
 def division_polynomials(N: int) -> DivisionTriple:
-    if not isinstance(N, int) or N < 1:
-        raise DomainError(f"N must be a positive integer, got {N!r}")
+    require_int(N, "N", 1)
     psi_sq = _psi_sq(N)
     phi_pol = _phi_pol(N, psi_sq)
     # (psi_{N+2} psi_{N-1}^2 - psi_{N-2} psi_{N+1}^2) / 4y is y times this
@@ -137,8 +136,7 @@ def division_polynomials(N: int) -> DivisionTriple:
 def rescaled(N: int) -> Tuple[Poly, Poly]:
     """(psiHat, phiHat): psi_N^2(12X)/12^(N^2-1) and phi_N(12X)/12^(N^2),
     which are psi'_N^2 and phi'_N of E'."""
-    if not isinstance(N, int) or N < 2:
-        raise DomainError(f"rescaled needs N >= 2, got {N!r}")
+    require_int(N, "N", 2)
     psi_sq = _psi_sq(N)
     return psi_sq, _phi_pol(N, psi_sq)
 
@@ -160,8 +158,7 @@ class ReductionProfile(NamedTuple):
 def reduction_profile(N: int, p: int) -> ReductionProfile:
     # the recurrences do not give division polynomials mod 2 or 3
     require_prime(p, 3)
-    if not isinstance(N, int) or N < 1:
-        raise DomainError(f"N must be a positive integer, got {N!r}")
+    require_int(N, "N", 1)
     # psi_N is 2y f_N for even N, and 2 f_N has f_N's valuations at p > 3
     sq_vals = [padic_val(c, p) for c in _psi_sq(N)]
     psi_vals = [padic_val(c, p) for c in _f(N)]

@@ -12,7 +12,7 @@ from typing import Callable, Dict, List, NamedTuple, Tuple
 
 from .errors import DomainError, InternalConsistencyError, UnsupportedPrimeError
 from .rationals import (factorize, grassmannian_size, is_prime, legendre,
-                        require_prime, sp4_order)
+                        require_int, require_prime, sp4_order)
 
 
 def _divisors_moebius(factors: Dict[int, int]) -> List[Tuple[int, int]]:
@@ -135,8 +135,8 @@ class DimsUnipotent(NamedTuple):
 
 def dims_unipotent(k: int, index_in_gamma_prime: int,
                    character_trivial: bool) -> DimsUnipotent:
-    if not all(isinstance(v, int) and v >= 1 for v in (k, index_in_gamma_prime)):
-        raise DomainError("k and index must be positive integers")
+    require_int(k, "k", 1)
+    require_int(index_in_gamma_prime, "index", 1)
     dim_m_char = k
     if k > 1:
         dim_s_char = k - 1
@@ -159,8 +159,7 @@ class DimsGp(NamedTuple):
 def dims_Gp(k: int, p: int) -> DimsGp:
     if not isinstance(p, int) or p % 12 != 5 or not is_prime(p):
         raise UnsupportedPrimeError(f"p = {p} is not a prime = 5 (mod 12)")
-    if not isinstance(k, int) or k < 1:
-        raise DomainError("k must be a positive integer")
+    require_int(k, "k", 1)
     twice = k * p + 2 - (3 if k % 2 else 0)
     if twice % 2:
         raise InternalConsistencyError("dimension formula gave a non-integer")

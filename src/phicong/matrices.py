@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import DomainError
-from .rationals import power
+from .rationals import power, require_int
 
 
 class Matrix:
@@ -19,8 +19,7 @@ class Matrix:
     _IDENTITY = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
     def __init__(self, rows: Iterable[Iterable[int]], m: int):
-        if not isinstance(m, int) or m < 2:
-            raise DomainError(f"modulus must be an int >= 2, got {m!r}")
+        require_int(m, "modulus", 2)
         try:
             entries = tuple(map(tuple, rows))
         except TypeError:                   # rows, or a row, is not iterable

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, List, NamedTuple, Tuple
 
 from .errors import DomainError, InternalConsistencyError
 from .polynomials import mul_trunc
-from .rationals import split_power
+from .rationals import require_int, split_power
 
 if TYPE_CHECKING:
     from .series import LaurentSeries
@@ -98,8 +98,7 @@ def _on_lattice(terms: Terms, prec: int) -> LaurentSeries:
 
 @lru_cache(maxsize=8)
 def basis_series(prec: int) -> BasisSeries:
-    if prec < 1:
-        raise DomainError(f"prec must be >= 1, got {prec}")
+    require_int(prec, "prec", 1)
     n = prec // 6 + 2
     x, y, _ = _tower(1, n)                 # lam = 1: x and y are integral
 
@@ -187,15 +186,13 @@ def _tower(N: int, n: int) -> Tuple[List[int], List[int], int]:
     return a, b, lam
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)     # 3.0 never finds the entry of 3
 def xtilde_terms(N: int, prec: int) -> Terms:
     """The nonzero terms of xtilde = N^2 q^-2 + ... below q^prec, as
     (exponent, numerator, denominator) in lowest terms: the one cached form
     of xtilde, which the CLI prints and ``denominator_report`` reads."""
-    if N < 2:
-        raise DomainError(f"xtilde needs N >= 2, got {N}")
-    if prec < 17:
-        raise DomainError("prec too small to contain three nonzero terms")
+    require_int(N, "N", 2)
+    require_int(prec, "prec", 17)          # three nonzero terms
     a, _, lam = _tower(N, (prec + 7) // 6)     # exponents 6k - 2 < prec
     return _reduced(a, lam, -2)
 
@@ -208,10 +205,8 @@ def xtilde(N: int, prec: int) -> LaurentSeries:
 def ytilde(N: int, prec: int) -> LaurentSeries:
     """ytilde = N^3 q^-3 + ..., the square root of xtilde^3 - 1728 with
     D xtilde = -2 ytilde eta^4 / N, known to O(q^prec).  At N = 1 it is y."""
-    if N < 1:
-        raise DomainError(f"ytilde needs N >= 1, got {N}")
-    if prec < 1:
-        raise DomainError(f"prec must be >= 1, got {prec}")
+    require_int(N, "N", 1)
+    require_int(prec, "prec", 1)
     _, b, lam = _tower(N, (prec + 8) // 6)     # exponents 6k - 3 < prec
     return _on_lattice(_reduced(b, lam, -3), prec)
 

@@ -2,16 +2,15 @@
 in any ring, the counts |X(F_p)|, |Sp4(F_p)| and (a/p), and the roots of
 a polynomial and the kernel of a matrix mod p.
 
-padic_val takes an int and refuses anything else, a Fraction among them,
-with DomainError: divpoly reads valuations of integer coefficients, and
-qexp reads those of reduced integer pairs with split_power.
+require_int is the one integer check of the library: a non-int, or an
+int below its bound, is refused with DomainError where it comes in.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache, reduce
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import DomainError, UnsupportedPrimeError
 
@@ -19,13 +18,19 @@ from .errors import DomainError, UnsupportedPrimeError
 INF = math.inf
 
 
+def require_int(value, name: str, least: Optional[int] = None) -> None:
+    """Refuse anything but an int, and an int below least if it is given."""
+    if not isinstance(value, int) or least is not None and value < least:
+        bound = "" if least is None else f" >= {least}"
+        raise DomainError(f"{name} must be an int{bound}, got {value!r}")
+
+
 def padic_val(n: int, p: int):
     """Normalized p-adic valuation of an int, with v_p(p) = 1.
 
     Returns ``INF`` for zero.
     """
-    if not isinstance(n, int):
-        raise DomainError(f"{n!r} is not an int")
+    require_int(n, "n")
     return INF if n == 0 else split_power(n, p)[0]
 
 
@@ -34,6 +39,10 @@ def split_power(m: int, p: int) -> Tuple[int, int]:
     p dividing m.  It divides by p, p^2, p^4, ... while they divide, then
     by the same powers in reverse where they still do: O(log v) divisions,
     not v, for the long valuations of qexp's denominators."""
+    require_int(m, "m")
+    require_int(p, "p", 2)
+    if m == 0:                             # every power of p divides it
+        raise DomainError("m must be a nonzero int, got 0")
     v, powers = 0, []
     while m % p == 0:
         m //= p
@@ -49,6 +58,7 @@ def split_power(m: int, p: int) -> Tuple[int, int]:
 
 def factorize(n: int) -> Dict[int, int]:
     """{prime: exponent} of a positive integer, by trial division."""
+    require_int(n, "n", 1)
     out = {}
     d = 2
     while d * d <= n:
@@ -62,6 +72,7 @@ def factorize(n: int) -> Dict[int, int]:
 
 @lru_cache(maxsize=64)
 def is_prime(n: int) -> bool:
+    require_int(n, "n")
     return n > 1 and factorize(n) == {n: 1}
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError, UnsupportedPrimeError
-from .rationals import is_prime
+from .rationals import is_prime, require_int
 
 
 class Word:
@@ -153,8 +153,7 @@ class SubgroupSpec(_SpecFields):
             if n is not None:
                 raise DomainError(f"{kind} takes no parameter")
         elif kind in ("GammaPrimeN", "PhiCong"):
-            if not isinstance(n, int) or n < 1:
-                raise DomainError(f"{kind} needs a positive integer level")
+            require_int(n, f"the level of {kind}", 1)
         elif kind == "Gp":
             if not isinstance(n, int) or n % 12 != 5 or not is_prime(n):
                 raise UnsupportedPrimeError(f"Gp needs a prime p = 5 (mod 12), got {n}")

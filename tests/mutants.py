@@ -59,6 +59,8 @@ _KERNEL = "tests/test_matrices.py::TestProductKernel"
 _CERTIFICATE = "tests/test_symplectic.py::TestCertificate"
 _FIXED = "tests/test_symplectic.py::TestFixedLagrangians"
 _DIVPOLY_ORACLE = "tests/test_divpoly.py::TestOracle"
+_BOUNDARY = "tests/test_rationals.py::test_float_refused_at_the_boundary"
+_CHAIN = "tests/test_symplectic.py::TestMatrixChain"
 
 MUTANTS = (
     Mutant("ceiling-off-by-one", "src/phicong/symplectic.py",
@@ -81,8 +83,14 @@ MUTANTS = (
            _COMPLAIN, "    print(message, file=sys.stderr)\n",
            ("tests/test_cli.py::TestStderrFailure",)),
     Mutant("padic-val-any-type", "src/phicong/rationals.py",
-           "    if not isinstance(n, int):\n        raise DomainError(f\"{n!r} is not an int\")\n",
-           "", ("tests/test_rationals.py::test_padic_val",)),
+           "    require_int(n, \"n\")\n    return INF", "    return INF",
+           ("tests/test_rationals.py::test_padic_val_refuses_non_int",)),
+    Mutant("require-int-any-type", "src/phicong/rationals.py",
+           "if not isinstance(value, int) or least is not None",
+           "if least is not None", (_BOUNDARY,)),
+    Mutant("xtilde-cache-untyped", "src/phicong/qexp.py",
+           "@lru_cache(maxsize=64, typed=True)", "@lru_cache(maxsize=64)",
+           (_BOUNDARY + "[xtilde_terms_int_then_float]",)),
     Mutant("outside-a-zero-admitted", "src/phicong/symplectic.py",
            "return a != 0 and legendre(", "return legendre(", (_CERTIFICATE,)),
     Mutant("outside-non-squares-admitted", "src/phicong/symplectic.py",
@@ -119,6 +127,20 @@ MUTANTS = (
     Mutant("psi-sq-not-reused", "src/phicong/divpoly.py",
            "@lru_cache(maxsize=1)\ndef _psi_sq", "@lru_cache(maxsize=0)\ndef _psi_sq",
            ("tests/test_divpoly.py::TestProductCount",)),
+    Mutant("chain-last-level-compare-inverted", "src/phicong/schreier.py",
+           "None if g == level.reps[k] else", "None if g != level.reps[k] else",
+           (_CHAIN,)),
+    Mutant("chain-orbit-open-under-old-generators", "src/phicong/schreier.py",
+           "for h in (g,) if k < old else self.gens:", "for h in (g,):", (_CHAIN,)),
+    Mutant("chain-schreier-generators-of-base-only", "src/phicong/schreier.py",
+           "for k, y in enumerate(level.points):",
+           "for k, y in enumerate(level.points[:1]):", (_CHAIN,)),
+    Mutant("chain-strong-generator-own-level-only", "src/phicong/schreier.py",
+           "for level in chain[:lvl + 1]:", "for level in chain[lvl:lvl + 1]:",
+           (_CHAIN,)),
+    Mutant("chain-order-not-halved", "src/phicong/symplectic.py",
+           "order, odd = divmod(group_order([S4, T4]), 2)",
+           "order, odd = group_order([S4, T4]), 0", (_CHAIN,)),
 )
 
 #: Seconds a mutant's tests may run; a mutant that makes them hang is killed.

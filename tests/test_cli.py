@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ import phicong
 import phicong.invariants
 import phicong.qexp
 import phicong.rationals
-from phicong.cli import MAX_TERMS, _json, main
+from phicong.cli import _VERBS, MAX_TERMS, _json, main, parse_args
 from phicong.divpoly import MAX_LEVEL
 from phicong.rationals import is_prime
 from phicong.symplectic import MAX_P
@@ -379,6 +380,28 @@ def no_digit_limit():
     sys.set_int_max_str_digits(0)
     yield
     sys.set_int_max_str_digits(saved)
+
+
+class TestBenchmarkCommandLines:
+    """Every command line of the benchmark's workloads parses to its verb's
+    handler, so renaming a verb or an option fails here, not in a run."""
+
+    def test_every_op_parses(self, monkeypatch):
+        root = Path(__file__).resolve().parent.parent
+        path = root / "perfbench" / "workloads.py"
+        # compiled from its source, so that no bytecode is written beside it;
+        # dataclass looks its module up in sys.modules
+        workloads = types.ModuleType("perfbench_workloads")
+        monkeypatch.setitem(sys.modules, workloads.__name__, workloads)
+        exec(compile(path.read_text(), str(path), "exec"), workloads.__dict__)
+        declared = json.loads((root / "BENCHMARK.json").read_text())["workloads"]
+        assert set(workloads.WORKLOADS) == {w["name"] for w in declared}
+        for name, make_ops in workloads.WORKLOADS.items():
+            ops = make_ops(1)
+            assert ops, name
+            for op in ops:
+                handler, _ = parse_args(list(op.argv))
+                assert handler is _VERBS[op.argv[0]][0], (name, op.argv)
 
 
 class TestWriter:
