@@ -151,8 +151,7 @@ def _cmd_grassmannian(args) -> dict:
     if args.epsilons:
         return {**head, **eps}
     v = surjectivity_verdict(params)
-    return {"p": v.p, "x": v.x, "orderT": v.order_T,
-            "permGroupOrder": str(v.perm_group_order),
+    return {**head, "orderT": v.order_T, "permGroupOrder": str(v.perm_group_order),
             "surjectivePSp4": v.surjective_psp4, **eps}
 
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, NamedTuple, Tuple
 
-from .errors import DomainError, InternalConsistencyError, UnsupportedPrimeError
-from .rationals import (factorize, grassmannian_size, is_prime, legendre,
-                        require_int, require_prime, sp4_order)
+from .errors import DomainError, InternalConsistencyError
+from .rationals import (factorize, grassmannian_size, legendre, require_gp_prime,
+                        require_int, require_prime)
 
 
 def _divisors_moebius(factors: Dict[int, int]) -> List[Tuple[int, int]]:
@@ -157,8 +157,7 @@ class DimsGp(NamedTuple):
 
 
 def dims_Gp(k: int, p: int) -> DimsGp:
-    if not isinstance(p, int) or p % 12 != 5 or not is_prime(p):
-        raise UnsupportedPrimeError(f"p = {p} is not a prime = 5 (mod 12)")
+    require_gp_prime(p)
     require_int(k, "k", 1)
     twice = k * p + 2 - (3 if k % 2 else 0)
     if twice % 2:

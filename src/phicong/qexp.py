@@ -213,7 +213,7 @@ def ytilde(N: int, prec: int) -> LaurentSeries:
 
 class PrimeReport(NamedTuple):
     p: int
-    min_vals: Tuple          # min v_p over first 10/20/30 terms (INF if none)
+    min_vals: Tuple          # min v_p over the first 10/20/30 terms, each an int
     integral: bool           # all computed coefficients p-integral
     expected_integral: bool  # the dichotomy's prediction
     unbounded_trend: bool    # minima strictly decrease along the cutoffs

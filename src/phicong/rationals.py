@@ -82,6 +82,13 @@ def require_prime(p: int, above: int) -> None:
         raise UnsupportedPrimeError(f"p must be a prime > {above}, got {p}")
 
 
+def require_gp_prime(p: int) -> None:
+    """Reject anything but an int p that is a prime = 5 (mod 12), the
+    primes of the family G_p."""
+    if not isinstance(p, int) or p % 12 != 5 or not is_prime(p):
+        raise UnsupportedPrimeError(f"G_p needs a prime p = 5 (mod 12), got {p!r}")
+
+
 def grassmannian_size(p: int) -> int:
     """|X(F_p)| = (p^2+1)(p+1)."""
     return (p * p + 1) * (p + 1)
@@ -130,8 +137,7 @@ def kernel_mod_p(rows, p: int, mu: int = 0, extra=()) -> List[List[int]]:
 def power(base, e: int, one):
     """base^e by repeated squaring, for e >= 0, in any ring whose unit
     is one; a ring with inverses inverts base before calling this."""
-    if e < 0:
-        raise DomainError(f"negative exponent {e}")
+    require_int(e, "exponent", 0)
     acc = one
     while e:
         if e & 1:

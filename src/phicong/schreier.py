@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
 from .matrices import Matrix
-from .rationals import kernel_mod_p, require_prime, roots_mod_p
-from .symplectic import form_J, trace_pair
+from .rationals import kernel_mod_p, roots_mod_p
+from .symplectic import inverse, require_symplectic, trace_pair
 
 
 def _image(g: Matrix, v: int) -> int:
@@ -26,22 +25,13 @@ def _image(g: Matrix, v: int) -> int:
     return out
 
 
-def _inverter(p: int):
-    """g -> J^-1 g^T J, the inverse of a g that preserves J, without a product:
-    J holds c_k at (k, 3 - k) and zeros, so entry (i, j) is g[3-j][3-i] w_ij."""
-    c = (1, -3, 3, -1)
-    w = [[c[3 - j] * pow(c[3 - i], -1, p) % p for j in range(4)] for i in range(4)]
-    return lambda g: Matrix._of(tuple([tuple([g.rows[3 - j][3 - i] * w[i][j] % p
-                                              for j in range(4)]) for i in range(4)]), p)
-
-
 class _Level:
     """A base point, the strong generators that fix every earlier one, and
     its orbit under them: points[k] = reps[k] base, inv_reps[k] = reps[k]^-1,
     and edge[k] = (i, g) when reps[k] = g reps[i]."""
 
-    def __init__(self, base: int, inverse, p: int):
-        self.base, self.inverse, self.index, self.gens = base, inverse, {base: 0}, []
+    def __init__(self, base: int, p: int):
+        self.base, self.index, self.gens = base, {base: 0}, []
         self.points, self.edge = [base], [None]
         self.reps, self.inv_reps = [Matrix.identity(p)], [Matrix.identity(p)]
 
@@ -58,7 +48,7 @@ class _Level:
                     u = h * self.reps[k]
                     self.points.append(y)
                     self.reps.append(u)
-                    self.inv_reps.append(self.inverse(u))
+                    self.inv_reps.append(inverse(u))
                     self.edge.append((k, h))
 
 
@@ -118,19 +108,15 @@ def group_order(generators: list) -> int:
     gens = [g for g in generators if not g.is_identity()]
     if not gens:
         return 1
-    p = gens[0].m
-    require_prime(p, 3)
-    J = form_J(p)
-    if any(g.transpose() * J * g != J for g in gens):
-        raise DomainError("matrix is not symplectic for J")
-    inverse, chain = _inverter(p), []
+    require_symplectic(gens)            # and p = g.m a prime > 3 (inverse)
+    chain = []
     # for <rho(S), rho(T)>: eigenvectors of rho(S), rho(T) and rho(S) rho(T)
     candidates = [v for g in (*gens, gens[0] * gens[-1]) for v in _eigenvectors(g)]
 
     def add_strong(g: Matrix, lvl: int) -> None:
         if lvl == len(chain):
             above = chain[-1].gens if chain else gens
-            chain.append(_Level(_base_point(g, above, candidates), inverse, p))
+            chain.append(_Level(_base_point(g, above, candidates), g.m))
         for level in chain[:lvl + 1]:
             level.add(g)
 

@@ -17,12 +17,13 @@ phicong.schreier, on F_p^4.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
 from .errors import DomainError, InternalConsistencyError
 from .matrices import Matrix
-from .rationals import (factorize, kernel_mod_p, legendre, require_prime, roots_mod_p,
-                        sp4_order, split_power)
+from .rationals import (factorize, kernel_mod_p, legendre, require_int, require_prime,
+                        roots_mod_p, sp4_order, split_power)
 
 if TYPE_CHECKING:                       # only the annotations name a Word
     from .words import Word
@@ -73,10 +74,34 @@ _J_ROWS = ((0, 0, 0, 1), (0, 0, -3, 0), (0, 3, 0, 0), (-1, 0, 0, 0))
 #: Coordinates of antisymmetric forms and of Plucker vectors: the entries
 #: (i, j), i < j, in this order.
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+#: J on a plane, u^T J v = sum of J_ij q_ij: zero exactly on the Lagrangian ones.
+_LAGRANGIAN_ROW = tuple(_J_ROWS[i][j] for i, j in _PAIRS)
 
 
 def form_J(p: int) -> Matrix:
     return Matrix(_J_ROWS, p)
+
+
+@lru_cache(maxsize=64)
+def _inverse_weights(p: int) -> Tuple[Tuple[int, ...], ...]:
+    """w[i][j] = c_j / c_i mod p, c_k = J[k][3 - k]: J is antidiagonal, J^T = -J."""
+    require_prime(p, 3)                 # c_1 = -3 must be a unit
+    c = [row[3 - k] for k, row in enumerate(_J_ROWS)]
+    return tuple(tuple(c[j] * pow(c[i], -1, p) % p for j in range(4)) for i in range(4))
+
+
+def inverse(g: Matrix) -> Matrix:
+    """J^-1 g^T J, the inverse of a g that preserves J, without a product: entry
+    (i, j) is g[3-j][3-i] w_ij.  UnsupportedPrimeError unless p = g.m is a prime > 3."""
+    p, r, w = g.m, g.rows, _inverse_weights(g.m)
+    return Matrix._of(tuple([tuple([r[3 - j][3 - i] * w[i][j] % p for j in range(4)])
+                             for i in range(4)]), p)
+
+
+def require_symplectic(gens, error: type = DomainError) -> None:
+    """Raise error unless each g of gens preserves J: inverse(g) g = I."""
+    if not all((inverse(g) * g).is_identity() for g in gens):
+        raise error("matrix is not symplectic for J")
 
 
 def _t_rows(x: int, y: int, m: int) -> List[List[int]]:
@@ -98,9 +123,7 @@ def rho_matrices(params: SpParams) -> Tuple[Matrix, Matrix]:
                  [0, -y, 0, 0],
                  [x, 0, 0, 0]], p)
     T4 = Matrix(_t_rows(x, y, p), p)
-    J = form_J(p)
-    if S4.transpose() * J * S4 != J or T4.transpose() * J * T4 != J:
-        raise InternalConsistencyError("rho matrices do not preserve J")
+    require_symplectic((S4, T4), InternalConsistencyError)
     if S4 * S4 != Matrix([[-int(i == j) for j in range(4)] for i in range(4)], p):
         raise InternalConsistencyError("rho(S)^2 != -I")
     return S4, T4
@@ -112,10 +135,6 @@ def _wedge(M: Matrix) -> List[List[int]]:
     m, p = M.rows, M.m
     return [[(m[i][k] * m[j][l] - m[i][l] * m[j][k]) % p for k, l in _PAIRS]
             for i, j in _PAIRS]
-
-
-#: q03 - 3 q12, the form J on a plane: zero exactly on the Lagrangian ones.
-_LAGRANGIAN_ROW = (0, 0, 1, -3, 0, 0)
 
 
 def trace_pair(g: Matrix) -> Tuple[int, int]:
@@ -194,9 +213,7 @@ def fixed_lagrangians(g: Matrix) -> int:
     q(1) = 0 too: every mu with a fixed Lagrangian is a root of q."""
     p = g.m
     require_prime(p, 5)
-    J = form_J(p)
-    if g.transpose() * J * g != J:
-        raise DomainError("matrix is not symplectic for J")
+    require_symplectic([g])
     W, (a, b) = _wedge(g), trace_pair(g)
     count = 0
     for mu in roots_mod_p([1, 2 - b, a * a - 2 * b + 2, 2 - b, 1], p):
@@ -265,8 +282,6 @@ def generates_sp4(S4: Matrix, T4: Matrix) -> bool:
 
 
 class SurjectivityVerdict(NamedTuple):
-    p: int
-    x: int
     order_T: int                 # matrix order of rho(T) in Sp4(F_p)
     perm_group_order: int        # order of <rho(S), rho(T)> acting on X(F_p)
     surjective_psp4: bool        # perm_group_order == |Sp4(F_p)| / 2
@@ -276,8 +291,7 @@ def matrix_order(M: Matrix, exponent: int) -> int:
     """Multiplicative order of M, given an exponent >= 1 with
     M^exponent = I: each prime q of the exponent is divided out while
     M^(order/q) = I."""
-    if exponent < 1:
-        raise DomainError(f"exponent must be >= 1, got {exponent}")
+    require_int(exponent, "exponent", 1)
     if not (M ** exponent).is_identity():
         raise InternalConsistencyError(f"matrix power {exponent} is not the identity")
     order = exponent
@@ -304,7 +318,7 @@ def surjectivity_verdict(params: SpParams) -> SurjectivityVerdict:
         order, odd = divmod(group_order([S4, T4]), 2)
         if odd:
             raise InternalConsistencyError("a group that holds -I has odd order")
-    return SurjectivityVerdict(p, params.x % p, order_T, order, order == psp4)
+    return SurjectivityVerdict(order_T, order, order == psp4)
 
 
 def rho_word(w: Word, params: SpParams) -> Matrix:

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import DomainError, UnsupportedPrimeError
-from .rationals import is_prime, require_int
+from .errors import DomainError
+from .rationals import require_gp_prime, require_int
 
 
 class Word:
@@ -80,11 +80,8 @@ def parse_word(text: str) -> Word:
         gen = tok[0]
         if gen not in ("S", "T"):
             raise DomainError(f"malformed word token {tok!r}")
-        rest = tok[1:]
-        if rest.startswith("^"):
-            rest = rest[1:]
         try:
-            exp = int(rest)
+            exp = int(tok[1:].removeprefix("^"))
         except ValueError:
             raise DomainError(f"malformed exponent in token {tok!r}") from None
         syllables.append((gen, exp))
@@ -92,10 +89,7 @@ def parse_word(text: str) -> Word:
 
 
 def format_word(w: Word) -> str:
-    parts = []
-    for gen, exp in w.syllables:
-        parts.append(gen if exp == 1 else f"{gen}^{exp}")
-    return " ".join(parts)
+    return " ".join(gen if exp == 1 else f"{gen}^{exp}" for gen, exp in w.syllables)
 
 
 class PhiImage(NamedTuple):
@@ -155,8 +149,7 @@ class SubgroupSpec(_SpecFields):
         elif kind in ("GammaPrimeN", "PhiCong"):
             require_int(n, f"the level of {kind}", 1)
         elif kind == "Gp":
-            if not isinstance(n, int) or n % 12 != 5 or not is_prime(n):
-                raise UnsupportedPrimeError(f"Gp needs a prime p = 5 (mod 12), got {n}")
+            require_gp_prime(n)
         else:
             raise DomainError(f"unknown subgroup kind {kind!r}")
         return super().__new__(cls, kind, n)

@@ -12,9 +12,8 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from phicong.errors import DomainError
-from phicong.invariants import sp4_order
 from phicong.matrices import Matrix
-from phicong.rationals import factorize, grassmannian_size, require_prime
+from phicong.rationals import factorize, grassmannian_size, require_prime, sp4_order
 from phicong.symplectic import _PAIRS, SpParams, rho_matrices
 
 from permutation_oracle import permutation

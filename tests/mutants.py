@@ -55,6 +55,9 @@ _COMPLAIN = """    if sys.stderr is not None:              # started with no std
         except OSError:
             pass
 """
+_MEMBERSHIP = """    if not all((inverse(g) * g).is_identity() for g in gens):
+        raise error("matrix is not symplectic for J")
+"""
 _KERNEL = "tests/test_matrices.py::TestProductKernel"
 _CERTIFICATE = "tests/test_symplectic.py::TestCertificate"
 _FIXED = "tests/test_symplectic.py::TestFixedLagrangians"
@@ -141,6 +144,13 @@ MUTANTS = (
     Mutant("chain-order-not-halved", "src/phicong/symplectic.py",
            "order, odd = divmod(group_order([S4, T4]), 2)",
            "order, odd = group_order([S4, T4]), 0", (_CHAIN,)),
+    Mutant("inverse-weights-swapped", "src/phicong/symplectic.py",
+           "c[j] * pow(c[i], -1, p)", "c[i] * pow(c[j], -1, p)",
+           (_FIXED, _CHAIN + "::test_inverse_is_J_conjugate_transpose")),
+    Mutant("symplectic-check-dropped", "src/phicong/symplectic.py",
+           _MEMBERSHIP, "", (_FIXED + "::test_rejects", _CHAIN + "::test_rejects")),
+    Mutant("power-exponent-unchecked", "src/phicong/rationals.py",
+           "    require_int(e, \"exponent\", 0)\n", "", (_BOUNDARY,)),
 )
 
 #: Seconds a mutant's tests may run; a mutant that makes them hang is killed.

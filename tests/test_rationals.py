@@ -3,9 +3,15 @@ from fractions import Fraction
 import pytest
 
 from phicong import qexp
+from phicong.cyclotomic import Cyc12
 from phicong.errors import DomainError, UnsupportedPrimeError
-from phicong.rationals import (INF, factorize, is_prime, padic_val,
+from phicong.invariants import dims_Gp
+from phicong.matrices import Matrix
+from phicong.rationals import (INF, factorize, is_prime, padic_val, require_gp_prime,
                                require_int, require_prime, split_power)
+from phicong.series import LaurentSeries
+from phicong.symplectic import SpParams, matrix_order, rho_matrices
+from phicong.words import SubgroupSpec
 
 
 def test_split_power():
@@ -44,6 +50,17 @@ def test_require_prime():
     for bad in (7, 9, 15, 121, 0, -11):
         with pytest.raises(UnsupportedPrimeError):
             require_prime(bad, 7)
+
+
+@pytest.mark.parametrize("check", [require_gp_prime, lambda p: SubgroupSpec("Gp", p),
+                                   lambda p: dims_Gp(2, p)],
+                         ids=["require_gp_prime", "SubgroupSpec", "dims_Gp"])
+def test_gp_prime_one_rule(check):
+    check(17)
+    for bad in (7, 13, 65, 1, -7, 17.0):   # not 5 mod 12, not prime, not an int
+        with pytest.raises(UnsupportedPrimeError,
+                           match=rf"^G_p needs a prime p = 5 \(mod 12\), got {bad!r}$"):
+            check(bad)
 
 
 def test_padic_val():
@@ -93,6 +110,11 @@ def _xtilde_int_then_float():
     pytest.param(lambda: factorize(12.0), id="factorize"),
     pytest.param(lambda: split_power(12.0, 2), id="split_power"),
     pytest.param(_xtilde_int_then_float, id="xtilde_terms_int_then_float"),
+    pytest.param(lambda: Matrix.identity(11) ** 2.0, id="Matrix_pow"),
+    pytest.param(lambda: LaurentSeries({0: 1, 1: 1}, 5) ** 2.0, id="LaurentSeries_pow"),
+    pytest.param(lambda: Cyc12(1, 1) ** 2.0, id="Cyc12_pow"),
+    pytest.param(lambda: matrix_order(rho_matrices(SpParams(11, 2))[1], 110.0),
+                 id="matrix_order"),
 ])
 def test_float_refused_at_the_boundary(call):
     with pytest.raises(DomainError, match="must be an int"):

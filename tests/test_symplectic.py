@@ -13,7 +13,7 @@ from phicong.rationals import grassmannian_size
 import phicong.symplectic
 from phicong import schreier
 from phicong.symplectic import (MAX_P, SpParams, fixed_lagrangians, form_J,
-                                generates_sp4, kernel_test,
+                                generates_sp4, inverse, kernel_test,
                                 lift_witness_mod_p2, matrix_order,
                                 outside_sp2_p2, rho_matrices,
                                 rho_word, sp4_order, surjectivity_verdict)
@@ -660,10 +660,14 @@ class TestMatrixChain:
         J_inv = Matrix([[0, 0, 0, -1], [0, 0, pow(3, -1, p), 0],
                         [0, -pow(3, -1, p), 0, 0], [1, 0, 0, 0]], p)
         assert (J * J_inv).is_identity()
-        inverse = schreier._inverter(p)
         for g in _walk(*rho_matrices(SpParams(p, 3))):
             assert inverse(g) == J_inv * g.transpose() * J
             assert (g * inverse(g)).is_identity() and (inverse(g) * g).is_identity()
+
+    def test_inverse_needs_a_prime_above_3(self):
+        for m in (2, 3, 9, 15):
+            with pytest.raises(UnsupportedPrimeError, match=f"got {m}$"):
+                inverse(Matrix.identity(m))
 
     def test_rejects(self):
         M = Matrix([[int(i == j or (i, j) == (0, 1)) for j in range(4)]

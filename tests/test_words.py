@@ -47,6 +47,12 @@ class TestWord:
     def test_zero_exponent_dropped(self):
         assert parse_word("T^0 S").syllables == (("S", 1),)
 
+    def test_rejects_bad_syllables(self):
+        with pytest.raises(DomainError, match=r"^unknown generator 'X'$"):
+            Word([("X", 1)])
+        with pytest.raises(DomainError, match=r"^exponent 1\.5 is not an integer$"):
+            Word([("S", 1.5)])
+
 
 class TestEval:
     def test_empty_word_identity(self):
@@ -123,6 +129,11 @@ class TestMembership:
         A = S * R * S.inverse() * R.inverse()
         assert subgroup_member(A ** 3, SubgroupSpec("GammaPrimeN", 3))
         assert subgroup_member(A, SubgroupSpec("GammaPrime"))
+
+    @pytest.mark.parametrize("kind", ["GammaPrime", "GammaDoublePrime"])
+    def test_no_parameter_refused(self, kind):
+        with pytest.raises(DomainError, match=rf"^{kind} takes no parameter$"):
+            SubgroupSpec(kind, 3)
 
     def test_gp_prime_constraint(self):
         for bad in (7, 65, 77, 1, -7):          # not 5 mod 12, or not prime
