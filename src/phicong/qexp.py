@@ -229,6 +229,10 @@ class DenominatorReport(NamedTuple):
 
 def denominator_report(N: int, prec: int,
                        cutoffs: Tuple[int, int, int] = (10, 20, 30)) -> DenominatorReport:
+    if not isinstance(cutoffs, tuple) or len(cutoffs) != 3:
+        raise DomainError(f"cutoffs must be a tuple of three ints, got {cutoffs!r}")
+    for prev, c in zip((0,) + cutoffs, cutoffs):    # 1 <= c1 < c2 < c3
+        require_int(c, "cutoff", prev + 1)
     terms = xtilde_terms(N, prec)
     if len(terms) < cutoffs[-1]:
         raise DomainError(

@@ -101,6 +101,8 @@ def sp4_order(p: int) -> int:
 
 def legendre(a: int, p: int) -> int:
     """(a/p) for an odd prime p, by Euler's criterion."""
+    require_int(a, "a")
+    require_int(p, "p", 3)
     return (pow(a, (p - 1) // 2, p) + 1) % p - 1
 
 
@@ -111,25 +113,36 @@ def roots_mod_p(coeffs: List[int], p: int) -> List[int]:
             if not reduce(lambda acc, c: (acc * mu + c) % p, reversed(coeffs), 0)]
 
 
-def kernel_mod_p(rows, p: int, mu: int = 0, extra=()) -> List[List[int]]:
-    """A basis of the v with M v = mu v mod p, M the matrix of rows, and
-    r . v = 0 for the extra rows r, by one Gauss-Jordan elimination mod p."""
-    rows = [[(v - mu * (i == j)) % p for j, v in enumerate(r)]
-            for i, r in enumerate(rows)] + [[v % p for v in r] for r in extra]
-    width, pivots = len(rows[0]), []
-    for c in range(width):
+def row_reduce(rows, p: int) -> Tuple[List[List[int]], List[int], int]:
+    """The one Gauss-Jordan elimination mod p: (the reduced rows, their
+    pivot columns, det), det the product of the pivots as they are found,
+    negated at each row swap and 0 once a column has none; for a square
+    matrix that is its determinant mod p."""
+    rows, pivots, det = [[v % p for v in r] for r in rows], [], 1
+    for c in range(len(rows[0]) if rows else 0):
         r = len(pivots)
         hit = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if hit is None:
+            det = 0
             continue
-        rows[r], rows[hit] = rows[hit], rows[r]
+        if hit != r:
+            rows[r], rows[hit], det = rows[hit], rows[r], -det
+        det = det * rows[r][c] % p
         inv = pow(rows[r][c], -1, p)
         top = rows[r] = [v * inv % p for v in rows[r]]
         rows = [[(u - row[c] * v) % p for u, v in zip(row, top)] if i != r and row[c]
                 else row for i, row in enumerate(rows)]
         pivots.append(c)
-    # a free coordinate f set to 1, the other free ones to 0, and each pivot
-    # coordinate solved for
+    return rows, pivots, det
+
+
+def kernel_mod_p(rows, p: int, mu: int = 0, extra=()) -> List[List[int]]:
+    """A basis of the v with M v = mu v mod p, M the matrix of rows, and
+    r . v = 0 for the extra rows r: a free coordinate f set to 1, the
+    other free ones to 0, and each pivot coordinate of row_reduce solved for."""
+    rows, pivots, _ = row_reduce([[v - mu * (i == j) for j, v in enumerate(r)]
+                                  for i, r in enumerate(rows)] + list(extra), p)
+    width = len(rows[0])
     return [[-rows[pivots.index(c)][f] % p if c in pivots else int(c == f)
              for c in range(width)] for f in range(width) if f not in pivots]
 

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 from .errors import DomainError, InternalConsistencyError
 from .matrices import Matrix
 from .rationals import (factorize, kernel_mod_p, legendre, require_int, require_prime,
-                        roots_mod_p, sp4_order, split_power)
+                        roots_mod_p, row_reduce, sp4_order, split_power)
 
 if TYPE_CHECKING:                       # only the annotations name a Word
     from .words import Word
@@ -156,40 +156,22 @@ def _polar(u: List[int], v: List[int]) -> int:
 
 
 def _quadric_zeros(G: List[List[int]], p: int) -> int:
-    """The number of x in F_p^k with x^T G x = 0, for G symmetric k x k and
-    reduced mod p, p odd.  G is diagonalized by congruence to rank r with
-    discriminant d, the product of its nonzero diagonal entries; then the
-    count is p^(k-r) N_r, where N_0 = 1, N_r = p^(r-1) for odd r and
+    """The number of x in F_p^k with x^T G x = 0, for G symmetric k x k,
+    p odd: p^(k-r) N_r, where N_0 = 1, N_r = p^(r-1) for odd r and
     N_r = p^(r-1) + (p-1) p^(r/2-1) ((-1)^(r/2) d / p) for even r (Lidl and
-    Niederreiter, Finite Fields, Thms 6.26-6.27)."""
-    G = [row[:] for row in G]
-    live = list(range(len(G)))
-    rank, disc = 0, 1
-    while live:
-        i = next((i for i in live if G[i][i]), None)
-        if i is None:
-            pair = next(((i, j) for i in live for j in live if G[i][j]), None)
-            if pair is None:
-                break                   # what is left is the radical
-            i, j = pair                 # b_i + b_j takes the value 2 G_ij != 0
-            for r in live:
-                G[i][r] = (G[i][r] + G[j][r]) % p
-            for r in live:
-                G[r][i] = (G[r][i] + G[r][j]) % p
-        d = G[i][i]
-        live.remove(i)
-        inv = pow(d, -1, p)
-        for r in live:
-            f = G[r][i] * inv % p
-            for c in live:
-                G[r][c] = (G[r][c] - f * G[i][c]) % p
-        rank += 1
-        disc = disc * d % p
+    Niederreiter, Finite Fields, Thms 6.26-6.27).  The rank r is the number
+    of pivot columns P of G, and d = det G[P, P]: for a symmetric G the
+    columns P span the column space, so the rows P span the row space; so
+    G[P, P] is nonsingular, and the span of the e_i, i in P, is a
+    complement of the radical, on which the form has the Gram matrix G[P, P]."""
+    P = row_reduce(G, p)[1]
+    rank = len(P)
     if rank == 0:
         n_r = 1
     elif rank % 2:
         n_r = p ** (rank - 1)
     else:
+        disc = row_reduce([[G[i][j] for j in P] for i in P], p)[2]
         eta = legendre((-1) ** (rank // 2) * disc, p)
         n_r = p ** (rank - 1) + (p - 1) * p ** (rank // 2 - 1) * eta
     return p ** (len(G) - rank) * n_r

@@ -31,8 +31,7 @@ class Word:
         for gen, exp in syllables:
             if gen not in ("S", "T"):
                 raise DomainError(f"unknown generator {gen!r}")
-            if not isinstance(exp, int):
-                raise DomainError(f"exponent {exp!r} is not an integer")
+            require_int(exp, "exponent")
             if exp == 0:
                 continue
             if out and out[-1][0] == gen:
@@ -51,6 +50,7 @@ class Word:
         return Word([(g, -e) for g, e in reversed(self.syllables)])
 
     def __pow__(self, n: int) -> "Word":
+        require_int(n, "exponent")
         w = self.inverse() if n < 0 else self
         return Word(w.syllables * abs(n))
 

@@ -64,6 +64,7 @@ _FIXED = "tests/test_symplectic.py::TestFixedLagrangians"
 _DIVPOLY_ORACLE = "tests/test_divpoly.py::TestOracle"
 _BOUNDARY = "tests/test_rationals.py::test_float_refused_at_the_boundary"
 _CHAIN = "tests/test_symplectic.py::TestMatrixChain"
+_QUADRIC = "tests/test_symplectic.py::TestQuadricZeros"
 
 MUTANTS = (
     Mutant("ceiling-off-by-one", "src/phicong/symplectic.py",
@@ -151,6 +152,12 @@ MUTANTS = (
            _MEMBERSHIP, "", (_FIXED + "::test_rejects", _CHAIN + "::test_rejects")),
     Mutant("power-exponent-unchecked", "src/phicong/rationals.py",
            "    require_int(e, \"exponent\", 0)\n", "", (_BOUNDARY,)),
+    Mutant("row-reduce-swap-sign-dropped", "src/phicong/rationals.py",
+           "rows[r], rows[hit], det = rows[hit], rows[r], -det",
+           "rows[r], rows[hit] = rows[hit], rows[r]", (_QUADRIC, _FIXED)),
+    Mutant("quadric-disc-of-whole-gram", "src/phicong/symplectic.py",
+           "row_reduce([[G[i][j] for j in P] for i in P], p)[2]", "row_reduce(G, p)[2]",
+           (_QUADRIC,)),
 )
 
 #: Seconds a mutant's tests may run; a mutant that makes them hang is killed.

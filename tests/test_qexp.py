@@ -283,3 +283,10 @@ class TestDenominators:
     def test_too_few_terms(self):
         with pytest.raises(DomainError):
             denominator_report(2, 30)
+
+    @pytest.mark.parametrize("cutoffs", [(0, 20, 30), (10.5, 20, 30), (10, 20),
+                                         (30, 20, 10), (10, 10, 30), [10, 20, 30]])
+    def test_cutoffs_checked(self, cutoffs):
+        # three ints 1 <= c1 < c2 < c3, or "strictly decrease" means nothing
+        with pytest.raises(DomainError, match="cutoff"):
+            denominator_report(3, 173, cutoffs)

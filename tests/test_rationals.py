@@ -7,11 +7,11 @@ from phicong.cyclotomic import Cyc12
 from phicong.errors import DomainError, UnsupportedPrimeError
 from phicong.invariants import dims_Gp
 from phicong.matrices import Matrix
-from phicong.rationals import (INF, factorize, is_prime, padic_val, require_gp_prime,
-                               require_int, require_prime, split_power)
+from phicong.rationals import (INF, factorize, is_prime, legendre, padic_val,
+                               require_gp_prime, require_int, require_prime, split_power)
 from phicong.series import LaurentSeries
 from phicong.symplectic import SpParams, matrix_order, rho_matrices
-from phicong.words import SubgroupSpec
+from phicong.words import SubgroupSpec, Word
 
 
 def test_split_power():
@@ -115,6 +115,9 @@ def _xtilde_int_then_float():
     pytest.param(lambda: Cyc12(1, 1) ** 2.0, id="Cyc12_pow"),
     pytest.param(lambda: matrix_order(rho_matrices(SpParams(11, 2))[1], 110.0),
                  id="matrix_order"),
+    pytest.param(lambda: Word([("S", 1)]) ** 2.0, id="Word_pow"),
+    pytest.param(lambda: Word([("S", 1.5)]), id="Word_syllable"),
+    pytest.param(lambda: legendre(3, 2.0), id="legendre"),
 ])
 def test_float_refused_at_the_boundary(call):
     with pytest.raises(DomainError, match="must be an int"):

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -594,6 +595,60 @@ class TestFixedLagrangians:
         for m in (5, 9, 15):
             with pytest.raises(UnsupportedPrimeError):
                 fixed_lagrangians(Matrix.identity(m))
+
+
+def _zeros_by_brute_force(G, p):
+    """The number of x in F_p^k with x^T G x = 0, by a scan of F_p^k."""
+    k = len(G)
+    return sum(sum(G[i][j] * x[i] * x[j] for i in range(k) for j in range(k)) % p == 0
+               for x in itertools.product(range(p), repeat=k))
+
+
+def _invertible(k, p, rng):
+    """A random k x k matrix L U P mod p, L and U unitriangular and P a
+    permutation, so invertible without a determinant."""
+    L = [[rng.randrange(p) if j < i else int(i == j) for j in range(k)] for i in range(k)]
+    U = [[rng.randrange(p) if j > i else int(i == j) for j in range(k)] for i in range(k)]
+    perm = rng.sample(range(k), k)
+    return [[sum(L[i][m] * U[m][perm[j]] for m in range(k)) % p for j in range(k)]
+            for i in range(k)]
+
+
+class TestQuadricZeros:
+    """symplectic._quadric_zeros against a count of the zeros over all of
+    F_p^k, on symmetric forms of every rank."""
+
+    @staticmethod
+    def assert_counts(G, p):
+        assert phicong.symplectic._quadric_zeros(G, p) == _zeros_by_brute_force(G, p), (G, p)
+
+    def test_every_form_over_f3(self):
+        for k in range(1, 4):
+            slots = [(i, j) for i in range(k) for j in range(i, k)]
+            for values in itertools.product(range(3), repeat=len(slots)):
+                G = [[0] * k for _ in range(k)]
+                for (i, j), v in zip(slots, values):
+                    G[i][j] = G[j][i] = v
+                self.assert_counts(G, 3)
+
+    @pytest.mark.parametrize("p", [5, 7, 11])
+    def test_random_forms_of_every_rank(self, p):
+        rng = random.Random(p)
+        for k in range(1, 5):
+            for rank in range(k + 1):
+                for _ in range(3):
+                    A = _invertible(k, p, rng)
+                    D = [rng.randrange(1, p) if i < rank else 0 for i in range(k)]
+                    G = [[sum(A[m][i] * D[m] * A[m][j] for m in range(k)) % p
+                          for j in range(k)] for i in range(k)]
+                    self.assert_counts(G, p)
+
+    @pytest.mark.parametrize("p", [3, 7, 11, 19])
+    def test_hyperbolic_plane(self, p):
+        # 2xy = 0 on 2p - 1 points, though (-1/p) = -1: the discriminant is -1
+        G = [[0, 1], [1, 0]]
+        assert phicong.symplectic._quadric_zeros(G, p) == 2 * p - 1
+        self.assert_counts(G, p)
 
 
 def _uncertified(p):

@@ -50,7 +50,7 @@ class TestWord:
     def test_rejects_bad_syllables(self):
         with pytest.raises(DomainError, match=r"^unknown generator 'X'$"):
             Word([("X", 1)])
-        with pytest.raises(DomainError, match=r"^exponent 1\.5 is not an integer$"):
+        with pytest.raises(DomainError, match=r"^exponent must be an int, got 1\.5$"):
             Word([("S", 1.5)])
 
 
