@@ -9,8 +9,7 @@ it at once, so a failed call leaves stdout empty, and it prints integers
 of any size.  Exit codes: 0 success, 1 the result could not be written,
 2 validation error, 3 internal consistency failure; a closed or full
 stderr loses the message, not the code.  A verb imports only
-the modules it uses, and none loads argparse or json, and only an
-uncertified `grassmannian --surjectivity` loads phicong.schreier.
+the modules it uses, and none loads argparse or json.
 """
 
 from __future__ import annotations

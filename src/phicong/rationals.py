@@ -139,9 +139,12 @@ def row_reduce(rows, p: int) -> Tuple[List[List[int]], List[int], int]:
 def kernel_mod_p(rows, p: int, mu: int = 0, extra=()) -> List[List[int]]:
     """A basis of the v with M v = mu v mod p, M the matrix of rows, and
     r . v = 0 for the extra rows r: a free coordinate f set to 1, the
-    other free ones to 0, and each pivot coordinate of row_reduce solved for."""
+    other free ones to 0, and each pivot coordinate of row_reduce solved for;
+    DomainError when there is no row to read the width from."""
     rows, pivots, _ = row_reduce([[v - mu * (i == j) for j, v in enumerate(r)]
                                   for i, r in enumerate(rows)] + list(extra), p)
+    if not rows:
+        raise DomainError("kernel_mod_p needs at least one row")
     width = len(rows[0])
     return [[-rows[pivots.index(c)][f] % p if c in pivots else int(c == f)
              for c in range(width)] for f in range(width) if f not in pivots]

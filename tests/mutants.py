@@ -64,6 +64,7 @@ _FIXED = "tests/test_symplectic.py::TestFixedLagrangians"
 _DIVPOLY_ORACLE = "tests/test_divpoly.py::TestOracle"
 _BOUNDARY = "tests/test_rationals.py::test_float_refused_at_the_boundary"
 _CHAIN = "tests/test_symplectic.py::TestMatrixChain"
+_ROUTES = "tests/test_symplectic.py::TestStructuralRoutes"
 _QUADRIC = "tests/test_symplectic.py::TestQuadricZeros"
 
 MUTANTS = (
@@ -73,10 +74,6 @@ MUTANTS = (
     Mutant("ceiling-not-in-sp-params", "src/phicong/cli.py",
            "    require_max_p(p)\n    return SpParams(p, x)", "    return SpParams(p, x)",
            ("tests/test_cli.py::TestResourceGuard::test_refused_before_allocating",)),
-    Mutant("ceiling-not-in-verdict", "src/phicong/symplectic.py",
-           "        require_max_p(p)\n        from .schreier", "        from .schreier",
-           ("tests/test_symplectic.py::TestMatrixChain"
-            "::test_uncertified_verdict_refused_above_memory_limit",)),
     Mutant("write-handler-removed", "src/phicong/cli.py",
            _WRITE, "        sys.stdout.write(text)\n",
            ("tests/test_cli.py::TestWriteFailure",)),
@@ -131,20 +128,32 @@ MUTANTS = (
     Mutant("psi-sq-not-reused", "src/phicong/divpoly.py",
            "@lru_cache(maxsize=1)\ndef _psi_sq", "@lru_cache(maxsize=0)\ndef _psi_sq",
            ("tests/test_divpoly.py::TestProductCount",)),
-    Mutant("chain-last-level-compare-inverted", "src/phicong/schreier.py",
+    Mutant("chain-last-level-compare-inverted", "tests/schreier_oracle.py",
            "None if g == level.reps[k] else", "None if g != level.reps[k] else",
            (_CHAIN,)),
-    Mutant("chain-orbit-open-under-old-generators", "src/phicong/schreier.py",
+    Mutant("chain-orbit-open-under-old-generators", "tests/schreier_oracle.py",
            "for h in (g,) if k < old else self.gens:", "for h in (g,):", (_CHAIN,)),
-    Mutant("chain-schreier-generators-of-base-only", "src/phicong/schreier.py",
+    Mutant("chain-schreier-generators-of-base-only", "tests/schreier_oracle.py",
            "for k, y in enumerate(level.points):",
            "for k, y in enumerate(level.points[:1]):", (_CHAIN,)),
-    Mutant("chain-strong-generator-own-level-only", "src/phicong/schreier.py",
+    Mutant("chain-strong-generator-own-level-only", "tests/schreier_oracle.py",
            "for level in chain[:lvl + 1]:", "for level in chain[lvl:lvl + 1]:",
            (_CHAIN,)),
-    Mutant("chain-order-not-halved", "src/phicong/symplectic.py",
-           "order, odd = divmod(group_order([S4, T4]), 2)",
-           "order, odd = group_order([S4, T4]), 0", (_CHAIN,)),
+    Mutant("sym3-equality-loosened", "src/phicong/symplectic.py",
+           "if all(g in (h, h * minus)", "if any(g in (h, h * minus)",
+           (_ROUTES + "::test_sym3_route",)),
+    Mutant("closure-count-not-halved", "src/phicong/symplectic.py",
+           "    return len(group) // 2\n", "    return len(group)\n",
+           (_ROUTES + "::test_closure_route",)),
+    Mutant("witness-check-dropped", "src/phicong/symplectic.py",
+           "if not h.is_identity() and all(_apply(h, b) == b for b in basis):",
+           "if True:", (_ROUTES + "::test_parabolic_route_needs_a_radical_witness",)),
+    Mutant("levi-det-taken-as-trivial", "src/phicong/symplectic.py",
+           "return 3 * p ** 4 * (p * p - 1) // 2", "return p ** 4 * (p * p - 1) // 2",
+           (_ROUTES + "::test_parabolic_route",)),
+    Mutant("borel-check-dropped", "src/phicong/symplectic.py",
+           " or mul(mul(N, S_bar), N) == zero", "",
+           (_ROUTES + "::test_parabolic_route_refuses_a_borel_group",)),
     Mutant("inverse-weights-swapped", "src/phicong/symplectic.py",
            "c[j] * pow(c[i], -1, p)", "c[i] * pow(c[j], -1, p)",
            (_FIXED, _CHAIN + "::test_inverse_is_J_conjugate_transpose")),

@@ -2,9 +2,9 @@
 a permutation group by Schreier-Sims, on numpy arrays.
 
 The exact order that symplectic.surjectivity_verdict measured on X(F_p)
-before phicong.schreier measured the matrix group on F_p^4, kept
-unchanged as the oracle of that chain, of criterion 7 and of the counts
-of fixed Lagrangians: it builds a list of the n = (p^2+1)(p+1) points.
+before the chain now in schreier_oracle.py measured the matrix group on
+F_p^4, kept unchanged as the oracle of that chain, of criterion 7 and of
+the counts of fixed Lagrangians: it builds a list of the n = (p^2+1)(p+1) points.
 A point is its index in the canonical order (A by (a,b,c), then B,
 C, D), and a permutation is the plain list of images: the exterior square
 of M maps each row of points, whose Plucker coordinates are affine in one

@@ -1,6 +1,6 @@
 """The exact order of a group of symplectic 4x4 matrices over F_p, the
-fallback of symplectic.surjectivity_verdict when generates_sp4 finds no
-proof: Schreier-Sims on F_p^4 (Butler, SYMSAC 1976) with an explicit
+oracle for the orders that symplectic.surjectivity_verdict proves when
+generates_sp4 finds no certificate: Schreier-Sims on F_p^4 (Butler, SYMSAC 1976) with an explicit
 transversal, so a sift costs one product per level, and eigenvectors with
 short orbits as base points (Murray and O'Brien, J. Symbolic Comput. 19,
 1995).  A point is a vector v coded as ((v0 p + v1) p + v2) p + v3, and a
@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 
-from .matrices import Matrix
-from .rationals import kernel_mod_p, roots_mod_p
-from .symplectic import inverse, require_symplectic, trace_pair
+from phicong.matrices import Matrix
+from phicong.rationals import kernel_mod_p, roots_mod_p
+from phicong.symplectic import inverse, require_symplectic, trace_pair
 
 
 def _image(g: Matrix, v: int) -> int:

@@ -15,6 +15,7 @@ import phicong
 import phicong.invariants
 import phicong.qexp
 import phicong.rationals
+import phicong.symplectic
 from phicong.cli import _VERBS, MAX_TERMS, _json, main, parse_args
 from phicong.divpoly import MAX_LEVEL
 from phicong.rationals import is_prime
@@ -215,6 +216,16 @@ class TestGrassmannian:
     def test_mode_required(self, capsys):
         code, _ = run(capsys, "grassmannian", "--p", "11", "--x", "2")
         assert code == 2
+
+    def test_no_proof_exits_2(self, capsys, monkeypatch):
+        # x = 2 has order 10 mod 11: with the certificate gone no
+        # structural route applies, and the call is refused
+        monkeypatch.setattr(phicong.symplectic, "generates_sp4", lambda S4, T4: False)
+        code = main(["grassmannian", "--p", "11", "--x", "2", "--surjectivity"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: no certificate that rho(S), rho(T)")
+        assert captured.out == ""
 
 
 class TestGenusCuspsDims:
@@ -620,18 +631,15 @@ class TestImports:
               "divpoly": ("qexp", "series", "words", "invariants"),
               "dims": ("qexp", "series", "divpoly", "words"),
               "genus": ("qexp", "series", "divpoly", "words"),
-              # the certified Grassmannian calls need no exact group order,
-              # and no word
-              "grassmannian": ("qexp", "series", "divpoly", "cyclotomic",
-                               "schreier", "words"),
-              "cusps": ("qexp", "series", "divpoly", "cyclotomic", "schreier",
-                        "words")}
+              # no Grassmannian call needs a word
+              "grassmannian": ("qexp", "series", "divpoly", "cyclotomic", "words"),
+              "cusps": ("qexp", "series", "divpoly", "cyclotomic", "words")}
     # and those that one mode of a verb does not use: only the cusp data
     # of --cycles comes from invariants
     MODE_UNUSED = {"--surjectivity": ("invariants",),
                    "--epsilons": ("invariants",)}
-    # an x of order 3 gets no certificate: the exact group order loads
-    # phicong.schreier, and still no numpy
+    # an x of order 3 gets no certificate: its order comes from the Siegel
+    # parabolic route, which loads no more than the certified call
     UNCERTIFIED = ["grassmannian", "--p", "13", "--x", "3", "--surjectivity"]
 
     @pytest.mark.parametrize("argv", [
@@ -656,8 +664,6 @@ class TestImports:
     ], ids=lambda argv: argv[0])
     def test_verb_does_not_load_numpy(self, argv):
         modules = self.UNUSED[argv[0]] + self.MODE_UNUSED.get(argv[-1], ())
-        if argv == self.UNCERTIFIED:
-            modules = tuple(m for m in modules if m != "schreier")
         # nor the stdlib's argument parser and json writer: the verb table
         # and `_json` serve every verb; nor fractions, with the decimal and
         # numbers it pulls in: qexp prints reduced integer pairs
@@ -680,12 +686,14 @@ class TestImports:
         "cusps --p 113 --oracle cycles --x 3",
     ])
     def test_certified_calls_build_no_permutation(self, argv):
-        # the permutation of X(F_p) lives in phicong.schreier: a call that
-        # does not load it builds no list of the n points
-        script = ("import sys\n"
+        # X(F_p) has 1 456 514 points at p = 113: a list of them alone
+        # would take over 11 MB, and the call allocates far less
+        script = ("import tracemalloc\n"
                   "from phicong.cli import main\n"
+                  "tracemalloc.start()\n"
                   f"assert main({argv.split()!r}) == 0\n"
-                  "assert 'phicong.schreier' not in sys.modules\n")
+                  "peak = tracemalloc.get_traced_memory()[1]\n"
+                  "assert peak < 2 ** 21, peak\n")
         done = subprocess.run([sys.executable, "-c", script], env=_child_env(),
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
@@ -743,8 +751,8 @@ class TestSurjectivityAtScale:
         assert rss_kib < 200 * 1024
 
     def test_p97_under_3_s_and_200_mb(self):
-        # the matrix certificate proves surjectivity, so no stabilizer
-        # chain is built on the 922 180 points
+        # the matrix certificate proves surjectivity, so nothing is built
+        # on the 922 180 points
         doc, elapsed, rss_kib = _surjectivity_in_child(97, 5)
         assert doc["permGroupOrder"] == str(97 ** 4 * (97 ** 4 - 1) * (97 ** 2 - 1) // 2)
         assert doc["surjectivePSp4"] is True

@@ -7,8 +7,9 @@ from phicong.cyclotomic import Cyc12
 from phicong.errors import DomainError, UnsupportedPrimeError
 from phicong.invariants import dims_Gp
 from phicong.matrices import Matrix
-from phicong.rationals import (INF, factorize, is_prime, legendre, padic_val,
-                               require_gp_prime, require_int, require_prime, split_power)
+from phicong.rationals import (INF, factorize, is_prime, kernel_mod_p, legendre,
+                               padic_val, require_gp_prime, require_int, require_prime,
+                               split_power)
 from phicong.series import LaurentSeries
 from phicong.symplectic import SpParams, matrix_order, rho_matrices
 from phicong.words import SubgroupSpec, Word
@@ -27,6 +28,15 @@ def test_split_power():
         with pytest.raises(DomainError):
             split_power(m, p)
 
+
+
+def test_kernel_mod_p_needs_a_row():
+    for p in (5, 7):
+        with pytest.raises(DomainError, match="at least one row"):
+            kernel_mod_p([], p)
+    # extra rows alone give the width: v0 + 2 v1 = 0
+    assert kernel_mod_p([], 5, extra=[[1, 2]]) == [[3, 1]]
+    assert kernel_mod_p([[0, 0]], 5) == [[1, 0], [0, 1]]
 
 def test_factorize():
     assert factorize(1) == {}

@@ -10,10 +10,9 @@ import pytest
 from phicong.errors import (DomainError, InternalConsistencyError,
                             UnsupportedPrimeError)
 from phicong.matrices import Matrix
-from phicong.rationals import grassmannian_size
+from phicong.rationals import grassmannian_size, is_prime
 import phicong.symplectic
-from phicong import schreier
-from phicong.symplectic import (MAX_P, SpParams, fixed_lagrangians, form_J,
+from phicong.symplectic import (SpParams, fixed_lagrangians, form_J,
                                 generates_sp4, inverse, kernel_test,
                                 lift_witness_mod_p2, matrix_order,
                                 outside_sp2_p2, rho_matrices,
@@ -22,6 +21,7 @@ from phicong.words import Word, parse_word
 
 import numpy_oracle
 import permutation_oracle
+import schreier_oracle
 from closed_forms import (Lagrangian, assert_matches_closed_forms, in_span,
                           invariant_forms, lagrangian_from_index, rref_mod_p)
 from cycle_oracle import cycle_type, fixed_points
@@ -657,19 +657,24 @@ def _uncertified(p):
     return [x for x in range(1, p) if not generates_sp4(*rho_matrices(SpParams(p, x)))]
 
 
+def _multiplicative_order(x, p):
+    return next(k for k in range(1, p) if pow(x, k, p) == 1)
+
+
 def _order_on_x(p, x):
     """The order of <rho(S), rho(T)> on X(F_p) when x has multiplicative
     order 1, 2, 3, 4 or 6, in the closed forms that the permutation chain
     gave: p(p^2 - 1)/2 for x = +-1, 3 p^4 (p^2 - 1)/2 for order 3 or 6, and
     6 for order 4, where rho(T) has order 4 too."""
-    order = next(k for k in range(1, p) if pow(x, k, p) == 1)
+    order = _multiplicative_order(x, p)
     return {1: p * (p * p - 1) // 2, 2: p * (p * p - 1) // 2, 4: 6}.get(
         order, 3 * p ** 4 * (p * p - 1) // 2)
 
 
 class TestMatrixChain:
-    """schreier.group_order, on F_p^4, against the permutation chain on
-    X(F_p), which -I fixes pointwise, and against the closed forms."""
+    """schreier_oracle.group_order, on F_p^4, against the permutation chain
+    on X(F_p), which -I fixes pointwise, and against the closed forms; and
+    surjectivity_verdict's structural routes against it."""
 
     @pytest.mark.parametrize("p", [11, 13, 17, 19, 23])
     def test_matches_permutation_chain_when_uncertified(self, p):
@@ -677,12 +682,12 @@ class TestMatrixChain:
         assert len(xs) == {11: 2, 13: 8, 17: 4, 19: 6, 23: 2}[p]
         for x in xs:
             S4, T4 = rho_matrices(SpParams(p, x))
-            assert schreier.group_order([S4, T4]) == 2 * group_order(
+            assert schreier_oracle.group_order([S4, T4]) == 2 * group_order(
                 [permutation(S4), permutation(T4)]), (p, x)
 
     def test_matches_permutation_chain_on_sp4_at_p11(self):
         S4, T4 = rho_matrices(SpParams(11, 2))
-        order = schreier.group_order([S4, T4])
+        order = schreier_oracle.group_order([S4, T4])
         assert order == sp4_order(11)
         assert order == 2 * group_order([permutation(S4), permutation(T4)])
 
@@ -690,7 +695,7 @@ class TestMatrixChain:
     def test_closed_forms_when_uncertified(self, p):
         for x in _uncertified(p):
             S4, T4 = rho_matrices(SpParams(p, x))
-            assert schreier.group_order([S4, T4]) == 2 * _order_on_x(p, x), (p, x)
+            assert schreier_oracle.group_order([S4, T4]) == 2 * _order_on_x(p, x), (p, x)
             assert surjectivity_verdict(SpParams(p, x)).perm_group_order == _order_on_x(p, x)
 
     def test_small_groups(self):
@@ -698,16 +703,16 @@ class TestMatrixChain:
         S4, T4 = rho_matrices(SpParams(p, 2))
         ident = Matrix.identity(p)
         neg = Matrix([[-int(i == j) for j in range(4)] for i in range(4)], p)
-        assert schreier.group_order([]) == schreier.group_order([ident]) == 1
-        assert schreier.group_order([neg]) == 2
-        assert schreier.group_order([S4]) == schreier.group_order([S4, neg]) == 4
-        assert schreier.group_order([T4]) == matrix_order(T4, p * (p - 1))
+        assert schreier_oracle.group_order([]) == schreier_oracle.group_order([ident]) == 1
+        assert schreier_oracle.group_order([neg]) == 2
+        assert schreier_oracle.group_order([S4]) == schreier_oracle.group_order([S4, neg]) == 4
+        assert schreier_oracle.group_order([T4]) == matrix_order(T4, p * (p - 1))
         for u in ((1, 0, 0, 0), (1, 2, 0, 3)):
-            assert schreier.group_order([_transvection(u, 1, p)]) == p
+            assert schreier_oracle.group_order([_transvection(u, 1, p)]) == p
         # Sp2(p) x Sp2(p) on the J-orthogonal planes <e1, e4> and <e2, e3>
         rng = random.Random(p)
         gens = [g for _ in range(3) for g in _sp2_times_sp2_generators(p, rng)]
-        assert schreier.group_order(gens) == (p * (p * p - 1)) ** 2
+        assert schreier_oracle.group_order(gens) == (p * (p * p - 1)) ** 2
 
     @pytest.mark.parametrize("p", [11, 17, 113])
     def test_inverse_is_J_conjugate_transpose(self, p):
@@ -728,20 +733,129 @@ class TestMatrixChain:
         M = Matrix([[int(i == j or (i, j) == (0, 1)) for j in range(4)]
                     for i in range(4)], 11)
         with pytest.raises(DomainError, match="not symplectic"):
-            schreier.group_order([M])
+            schreier_oracle.group_order([M])
         for m in (3, 9, 15):
             with pytest.raises(UnsupportedPrimeError):
-                schreier.group_order([Matrix([[-int(i == j) for j in range(4)]
+                schreier_oracle.group_order([Matrix([[-int(i == j) for j in range(4)]
                                               for i in range(4)], m)])
 
-    def test_odd_order_is_internal_error(self, monkeypatch):
-        monkeypatch.setattr(schreier, "group_order", lambda gens: 1321)
-        with pytest.raises(InternalConsistencyError, match="odd order"):
-            surjectivity_verdict(SpParams(11, 1))
 
-    def test_uncertified_verdict_refused_above_memory_limit(self):
-        with pytest.raises(DomainError, match=f"p <= {MAX_P}, got 127"):
-            surjectivity_verdict(SpParams(127, 1))
+
+def _siegel(A, B, p):
+    """The element [[A, A B], [0, D]] of Sp4(F_p), D = M^-1 A^-T M for the
+    block M = ((0, 1), (-3, 0)) of J, with (D worked out)
+    D = ((a, b/3), (3c, d))/det A: it fixes L = <e1, e2>, acts on it by A,
+    and is the Levi element of A times the radical element [[I, B], [0, I]],
+    which preserves J when B^T M is symmetric, B = ((-3t, r), (s, t))."""
+    (a, b), (c, d) = A
+    di = pow(a * d - b * c, -1, p)
+    D = [[a * di, b * pow(3, -1, p) * di], [3 * c * di, d * di]]
+    AB = [[sum(A[i][k] * B[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
+    g = Matrix([A[0] + AB[0], A[1] + AB[1], [0, 0] + D[0], [0, 0] + D[1]], p)
+    assert g.transpose() * form_J(p) * g == form_J(p)
+    return g
+
+
+class TestStructuralRoutes:
+    """The three routes of surjectivity_verdict past the certificate, each
+    on the groups it must decide and on one it must not."""
+
+    @pytest.mark.parametrize("p", [11, 13, 113])
+    def test_rho_at_1_is_sym3(self, p):
+        # on the basis X^3, 3 X^2 Y, 3 X Y^2, Y^3: _sym3's basis rescaled
+        scale = [1, 3, 3, 1]
+        for M, g in zip(rho_matrices(SpParams(p, 1)), (((0, -1), (1, 0)), ((1, 1), (0, 1)))):
+            sym3 = _sym3(g, p).rows
+            assert M == Matrix([[sym3[i][j] * scale[j] * pow(scale[i], -1, p)
+                                 for j in range(4)] for i in range(4)], p)
+
+    @pytest.mark.parametrize("p", [11, 13, 127])
+    def test_sym3_route(self, p):
+        S1, T1 = rho_matrices(SpParams(p, 1))
+        S2, T2 = rho_matrices(SpParams(p, 2))
+        for x in (1, p - 1):
+            assert phicong.symplectic._sym3_order(
+                *rho_matrices(SpParams(p, x))) == p * (p * p - 1) // 2
+        for pair in ((S2, T2), (S1, T2), (S2, T1)):
+            assert phicong.symplectic._sym3_order(*pair) is None
+
+    def test_sym3_route_above_the_cli_ceiling(self):
+        # the library's verdict reads no ceiling: p = 127 > MAX_P
+        v = surjectivity_verdict(SpParams(127, 1))
+        assert v.perm_group_order == 127 * (127 ** 2 - 1) // 2
+        assert not v.surjective_psp4
+
+    @pytest.mark.parametrize("p, x", [(13, 5), (13, 8), (29, 12), (113, 15)])
+    def test_closure_route(self, p, x):
+        assert _multiplicative_order(x, p) == 4
+        assert phicong.symplectic._closure_order(*rho_matrices(SpParams(p, x))) == 6
+
+    @pytest.mark.parametrize("p, x", [(13, 2), (13, 1), (13, 3)])
+    def test_closure_gives_up_above_24(self, p, x):
+        assert phicong.symplectic._closure_order(*rho_matrices(SpParams(p, x))) is None
+
+    @pytest.mark.parametrize("p, x", [(13, 3), (13, 4), (19, 7), (19, 8), (109, 45)])
+    def test_parabolic_route(self, p, x):
+        assert _multiplicative_order(x, p) in (3, 6)
+        order = phicong.symplectic._parabolic_order(*rho_matrices(SpParams(p, x)),
+                                                    pow(x, 4, p))
+        assert order == 3 * p ** 4 * (p * p - 1) // 2
+
+    def test_parabolic_route_refuses_a_borel_group(self):
+        # Sbar = diag(2, 7) fixes e1, the eigenline of Tbar: Gbar lies in a
+        # Borel subgroup, though L is one line, the determinants are right
+        # and the walk meets a radical witness
+        p, zero = 13, [[0, 0], [0, 0]]
+        S = _siegel([[2, 0], [0, 7]], [[-3, 1], [1, 1]], p)
+        T = _siegel([[4, 4], [0, 4]], zero, p)
+        assert phicong.symplectic._parabolic_order(S, T, 3) is None
+
+    def test_parabolic_route_needs_a_radical_witness(self):
+        # Levi elements only: Gbar is SL2(13).3 and G n U = 1
+        p, zero = 13, [[0, 0], [0, 0]]
+        S = _siegel([[0, -1], [1, 0]], zero, p)
+        T = _siegel([[4, 4], [0, 4]], zero, p)
+        assert phicong.symplectic._parabolic_order(S, T, 3) is None
+
+    def test_parabolic_route_refuses_other_groups(self):
+        for p, x in ((13, 2), (13, 1), (13, 5)):
+            S4, T4 = rho_matrices(SpParams(p, x))
+            assert phicong.symplectic._parabolic_order(S4, T4, pow(x, 4, p)) is None
+
+    def test_every_pair_to_113_takes_its_route(self, monkeypatch):
+        taken = []
+        for name in ("_sym3_order", "_closure_order", "_parabolic_order"):
+            def spy(*args, route=getattr(phicong.symplectic, name), name=name):
+                order = route(*args)
+                taken.append((name, order is not None))
+                return order
+            monkeypatch.setattr(phicong.symplectic, name, spy)
+        route = {1: "_sym3_order", 2: "_sym3_order", 4: "_closure_order",
+                 3: "_parabolic_order", 6: "_parabolic_order"}
+        uncertified = 0
+        for p in (p for p in range(11, 114) if is_prime(p)):
+            for x in range(1, p):
+                taken.clear()
+                v = surjectivity_verdict(SpParams(p, x))
+                order = _multiplicative_order(x, p)
+                if order not in route:
+                    assert taken == [] and v.surjective_psp4, (p, x)
+                    continue
+                uncertified += 1
+                assert taken[-1] == (route[order], True), (p, x)
+                assert v.perm_group_order == _order_on_x(p, x), (p, x)
+        assert uncertified == 126
+
+    def test_no_proof_is_domain_error(self, monkeypatch):
+        monkeypatch.setattr(phicong.symplectic, "generates_sp4", lambda S4, T4: False)
+        with pytest.raises(DomainError, match="^no certificate"):
+            surjectivity_verdict(SpParams(11, 2))
+
+    def test_explicit_y_outside_the_routes_is_refused(self):
+        # y = 5 is not 1/2 mod 11: no certificate, and no route applies
+        assert not generates_sp4(*rho_matrices(SpParams(11, 2, 5)))
+        with pytest.raises(DomainError, match="^no certificate"):
+            surjectivity_verdict(SpParams(11, 2, 5))
 
 
 class TestMemoryGuard:
