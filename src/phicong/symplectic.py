@@ -38,7 +38,9 @@ class _SpFields(NamedTuple):
 
 class SpParams(_SpFields):
     """The prime p > 7 and the units x, y mod p that choose rho; y
-    defaults to the inverse of x."""
+    defaults to the inverse of x.  surjectivity_verdict's structural
+    routes assume that default: an explicit y that the certificate does
+    not cover is refused there (DomainError)."""
 
     __slots__ = ()
 
@@ -385,7 +387,8 @@ def surjectivity_verdict(params: SpParams) -> SurjectivityVerdict:
     trivially on X(F_p), so it acts there with half its order: generates_sp4
     gives |Sp4(F_p)|/2, and otherwise the first of _sym3_order,
     _closure_order and _parabolic_order that proves an order gives it.
-    DomainError when none does."""
+    DomainError when none does.  The routes assume y = 1/x, so an explicit
+    y that the certificate does not cover is refused, (11, 2, 5) for one."""
     p = params.p
     S4, T4 = rho_matrices(params)
     order_T = matrix_order(T4, p * (p - 1))

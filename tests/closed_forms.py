@@ -1,7 +1,8 @@
 """Independent closed-form oracles for the S- and R-actions on the
 Lagrangian Grassmannian, transcribed case by case, with the oracle's own
 names for the points of X(F_p).  Used to check permutation_oracle.permutation,
-which acts on Plucker coordinates instead, at every point.  Also the
+which acts on Plucker coordinates instead, at every point; and README's
+table of those Plucker coordinates, family by family.  Also the
 antisymmetric forms that rho(S) and rho(T) preserve, by elimination over
 F_p: J spans them, so X(F_p) is the Lagrangian Grassmannian for J.  And
 two closed forms no command computes: Newman's genus formula and the
@@ -36,6 +37,21 @@ class Lagrangian:
         if self.kind == "C":
             return p ** 3 + p ** 2 + self.coords[0]
         return p ** 3 + p ** 2 + p
+
+    def plucker(self, p: int) -> List[int]:
+        """Plucker coordinates (01, 02, 03, 12, 13, 23) mod p, as README's
+        table lists them."""
+        if self.kind == "A":
+            a, b, c = self.coords
+            q = [1, c, -3 * a, -a, -b, -3 * a * a - b * c]
+        elif self.kind == "B":
+            a, b = self.coords
+            q = [0, 1, 3 * a, a, 3 * a * a, -b]
+        elif self.kind == "C":
+            q = [0, 0, 0, 0, 1, self.coords[0]]
+        else:
+            q = [0, 0, 0, 0, 0, 1]
+        return [v % p for v in q]
 
 
 def lagrangian_from_index(idx: int, p: int) -> Lagrangian:

@@ -128,6 +128,9 @@ MUTANTS = (
     Mutant("psi-sq-not-reused", "src/phicong/divpoly.py",
            "@lru_cache(maxsize=1)\ndef _psi_sq", "@lru_cache(maxsize=0)\ndef _psi_sq",
            ("tests/test_divpoly.py::TestProductCount",)),
+    Mutant("permutation-chain-unverified", "tests/permutation_oracle.py",
+           "    level = chain[lvl]\n    for x", "    return None\n    for x",
+           ("tests/test_symplectic.py::TestGroupOrder::test_symmetric_group",)),
     Mutant("chain-last-level-compare-inverted", "tests/schreier_oracle.py",
            "None if g == level.reps[k] else", "None if g != level.reps[k] else",
            (_CHAIN,)),

@@ -1,24 +1,26 @@
 """The permutation of X(F_p) that a matrix induces, and the exact order of
-a permutation group by Schreier-Sims, on numpy arrays.
+a permutation group by Schreier-Sims, on plain lists.
 
 The exact order that symplectic.surjectivity_verdict measured on X(F_p)
 before the chain now in schreier_oracle.py measured the matrix group on
-F_p^4, kept unchanged as the oracle of that chain, of criterion 7 and of
-the counts of fixed Lagrangians: it builds a list of the n = (p^2+1)(p+1) points.
+F_p^4, kept as the oracle of that chain and of the counts of fixed
+Lagrangians: it builds a list of the n = (p^2+1)(p+1) points.
 A point is its index in the canonical order (A by (a,b,c), then B,
 C, D), and a permutation is the plain list of images: the exterior square
 of M maps each row of points, whose Plucker coordinates are affine in one
 coordinate, to a row of images, and each image is decoded back to an
 index.  Each level of the stabilizer chain keeps a Schreier vector, O(n)
-memory, in place of n coset representatives.
+memory, in place of n coset representatives, and a product of
+permutations g u is list(map(g.__getitem__, u)).  That is 20 times
+slower than the numpy arrays it ran on before (18 s on Sp4(13)), so the
+tests give it groups it measures in a few seconds at most, and the full
+groups to schreier_oracle.py.
 """
 
 from __future__ import annotations
 
 import math
 from typing import List, Optional, Sequence
-
-import numpy as np
 
 from phicong.errors import DomainError, InternalConsistencyError
 from phicong.matrices import Matrix
@@ -28,10 +30,11 @@ from phicong.symplectic import _wedge, form_J
 #: Estimated memory, in bytes, above which the oracles refuse to build
 #: permutations of X(F_p) (DomainError).
 MEMORY_LIMIT = 1 << 30
-# An upper bound on the peak RSS per point of the exact order here: two
-# permutations (lists of Python ints, about 36 bytes an entry), their
-# numpy copies and the stabilizer chain, 202-361 bytes per point above
-# the interpreter with numpy.  It admits p up to 113.
+# An upper bound on the peak memory per point of the exact order here:
+# two permutations and the stabilizer chain, all lists of Python ints.
+# Under tracemalloc, permutations included, it peaked at 337, 472 and 594
+# bytes per point at (p, x) = (13, 1), (13, 3) and (11, 2).  It admits p
+# up to 113.
 _BYTES_PER_POINT = 700
 
 
@@ -133,94 +136,95 @@ class _Level:
 
     def __init__(self, base: int, n: int):
         self.base = base
-        self.gens: List[np.ndarray] = []
-        self.invs: List[np.ndarray] = []
-        self.labels = np.full(n, _OUTSIDE, dtype=np.int32)
+        self.gens: List[List[int]] = []
+        self.invs: List[List[int]] = []
+        self.labels = [_OUTSIDE] * n
         self.labels[base] = _ROOT
         self.size = 1
 
-    def add(self, g: np.ndarray, g_inv: np.ndarray) -> None:
+    def add(self, g: List[int], g_inv: List[int]) -> None:
         """Take g as a generator and close the orbit under it, breadth
         first from the current orbit."""
         self.gens.append(g)
         self.invs.append(g_inv)
         labels = self.labels
-        frontier = np.flatnonzero(labels != _OUTSIDE)
-        while frontier.size:
+        frontier = [y for y, k in enumerate(labels) if k != _OUTSIDE]
+        while frontier:
             reached = []
             for k, h in enumerate(self.gens):
-                img = h[frontier]
-                new = img[labels[img] == _OUTSIDE]
-                labels[new] = k
-                reached.append(new)
-            frontier = np.unique(np.concatenate(reached))
-            self.size += frontier.size
+                for y in frontier:
+                    z = h[y]
+                    if labels[z] == _OUTSIDE:
+                        labels[z] = k
+                        reached.append(z)
+            frontier = reached
+            self.size += len(frontier)
 
-    def coset_rep(self, x: int, ident: np.ndarray) -> np.ndarray:
+    def coset_rep(self, x: int, ident: List[int]) -> List[int]:
         """The element that the labels map the base point to x with."""
         path = []
-        k = int(self.labels[x])
+        k = self.labels[x]
         while k != _ROOT:
             path.append(k)
-            x = int(self.invs[k][x])
-            k = int(self.labels[x])
+            x = self.invs[k][x]
+            k = self.labels[x]
         u = ident
         for k in reversed(path):
-            u = self.gens[k][u]
+            u = list(map(self.gens[k].__getitem__, u))
         return u
 
 
-def _sift(g: np.ndarray, chain: List[_Level], start: int = 0):
+def _sift(g: List[int], chain: List[_Level], start: int = 0):
     """Strip g through chain[start:], which g's first base points must fix;
     returns (residue, level it left the chain at, or len(chain))."""
     for lvl in range(start, len(chain)):
         level = chain[lvl]
-        y = int(g[level.base])
-        k = int(level.labels[y])
+        y = g[level.base]
+        k = level.labels[y]
         if k == _OUTSIDE:
             return g, lvl
         # g <- u_y^-1 g, one generator of the path to the base at a time
         while k != _ROOT:
             inv = level.invs[k]
-            g = inv[g]
-            y = int(inv[y])
-            k = int(level.labels[y])
+            g = list(map(inv.__getitem__, g))
+            y = inv[y]
+            k = level.labels[y]
     return g, len(chain)
 
 
-def _add_strong(chain: List[_Level], g: np.ndarray, lvl: int,
-                ident: np.ndarray) -> None:
+def _add_strong(chain: List[_Level], g: List[int], lvl: int) -> None:
     """Add a sift residue g that left the chain at lvl: it fixes the base
     points of chain[:lvl], so it generates on those levels and on lvl,
     which is new when g got through the whole chain."""
     if lvl == len(chain):
-        chain.append(_Level(int(np.flatnonzero(g != ident)[0]), len(g)))
-    g_inv = np.empty_like(g)
-    g_inv[g] = ident
+        chain.append(_Level(next(i for i, y in enumerate(g) if y != i), len(g)))
+    g_inv = [0] * len(g)
+    for i, y in enumerate(g):
+        g_inv[y] = i
     for level in chain[:lvl + 1]:
         level.add(g, g_inv)
 
 
-def _first_failure(chain: List[_Level], lvl: int, gens: List[np.ndarray],
-                   ident: np.ndarray) -> Optional[int]:
+def _first_failure(chain: List[_Level], lvl: int, gens: List[List[int]],
+                   ident: List[int]) -> Optional[int]:
     """Sift the Schreier generators of chain[lvl] made from gens, which
     generate the group of the level; the first nontrivial residue joins the
     chain, and the level it left the chain at is returned."""
     level = chain[lvl]
-    for x in np.flatnonzero(level.labels != _OUTSIDE):
-        u = level.coset_rep(int(x), ident)
+    for x in [y for y, k in enumerate(level.labels) if k != _OUTSIDE]:
+        u = level.coset_rep(x, ident)
         for g in gens:
-            k = int(level.labels[g[x]])
+            k = level.labels[g[x]]
             if k >= 0 and level.gens[k] is g:   # a tree edge: u_{g(x)} = g u_x
                 continue
-            res, out = _sift(g[u], chain, lvl)
-            if not np.array_equal(res, ident):
-                _add_strong(chain, res, out, ident)
+            res, out = _sift(list(map(g.__getitem__, u)), chain, lvl)
+            if res != ident:
+                _add_strong(chain, res, out)
                 return out
     return None
 
 
-def _stabilizer_chain(generators: List[np.ndarray]) -> List[_Level]:
+def _stabilizer_chain(generators: List[List[int]]) -> List[_Level]:
     """The stabilizer chain behind group_order: the generators' sift
     residues start it, and it is verified deepest level first, by
     Schreier's lemma: the stabilizer of the base point in the group a
@@ -230,13 +234,13 @@ def _stabilizer_chain(generators: List[np.ndarray]) -> List[_Level]:
     generators.  A new strong generator fixes the base points above the
     level it joined at, so the levels below that one stay verified, and
     verification resumes there."""
-    ident = np.arange(len(generators[0]))
-    gens = [g for g in generators if not np.array_equal(g, ident)]
+    ident = list(range(len(generators[0])))
+    gens = [g for g in generators if g != ident]
     chain: List[_Level] = []
     for g in gens:
         res, lvl = _sift(g, chain)
-        if not np.array_equal(res, ident):
-            _add_strong(chain, res, lvl, ident)
+        if res != ident:
+            _add_strong(chain, res, lvl)
     lvl = len(chain) - 1
     while lvl >= 0:
         failed = _first_failure(chain, lvl, gens if lvl == 0 else chain[lvl].gens,
@@ -253,6 +257,5 @@ def group_order(generators: Sequence[Sequence[int]]) -> int:
     if not generators:
         return 1
     require_memory(len(generators[0]))
-    chain = _stabilizer_chain([np.array(g, dtype=np.int64) for g in generators])
+    chain = _stabilizer_chain([list(g) for g in generators])
     return math.prod(level.size for level in chain)
-
