@@ -82,8 +82,7 @@ def _cmd_divpoly(args) -> dict:
         doc["profile"] = {
             "p": prof.p,
             "r": prof.r,
-            "psiSqValuations": [None if v == float("inf") else v
-                                for v in prof.psi_sq_valuations],
+            "psiSqValuations": prof.psi_sq_valuations,
             "supersingular": prof.supersingular,
             "supersingularConst": prof.supersingular_const,
             "ordinaryTail": prof.ordinary_tail,

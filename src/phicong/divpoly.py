@@ -147,7 +147,7 @@ class ReductionProfile(NamedTuple):
     N: int
     p: int
     r: int                               # v_p(N)
-    psi_sq_valuations: List              # v_p of coefficient of x^i, ascending
+    psi_sq_valuations: List              # v_p of the coefficients, x^0 up; None for 0
     psi_valuations: List                 # same for the x-part of psi_N
     supersingular: bool                  # p = 2 (mod 3), i.e. j = 0 supersingular
     supersingular_const: Optional[bool]  # N == p: psi_p constant mod p
@@ -160,21 +160,20 @@ def reduction_profile(N: int, p: int) -> ReductionProfile:
     require_prime(p, 3)
     require_int(N, "N", 1)
     # psi_N is 2y f_N for even N, and 2 f_N has f_N's valuations at p > 3
-    sq_vals = [padic_val(c, p) for c in _psi_sq(N)]
-    psi_vals = [padic_val(c, p) for c in _f(N)]
+    sq, psi = _psi_sq(N), _f(N)
+    sq_vals = [padic_val(c, p) for c in sq]
     r = split_power(N, p)[0]
     supersingular = p % 3 == 2
     ss_const = ord_tail = None
     if N == p:
         if supersingular:
-            ss_const = all(v >= 1 for v in psi_vals[1:])
+            ss_const = all(c % p == 0 for c in psi[1:])
         else:
-            ord_tail = all(v >= 1 for i, v in enumerate(psi_vals)
-                           if i > (p * p - p) // 2)
+            ord_tail = all(c % p == 0 for c in psi[(p * p - p) // 2 + 1:])
     # the leading coefficient N^2 has valuation exactly 2r; coefficients just
     # below can vanish on this curve (CM sparsity), so they are only bounded
     top_ok = sq_vals[N * N - 1] == 2 * r and all(
-        sq_vals[N * N - 1 - i] >= 2 * r
+        sq[N * N - 1 - i] % p ** (2 * r) == 0
         for i in range(1, (p - 1) // 2) if N * N - 1 - i >= 0)
-    return ReductionProfile(N, p, r, sq_vals, psi_vals, supersingular,
-                            ss_const, ord_tail, top_ok)
+    return ReductionProfile(N, p, r, sq_vals, [padic_val(c, p) for c in psi],
+                            supersingular, ss_const, ord_tail, top_ok)

@@ -1,9 +1,12 @@
 """Elliptic-point counts, cusp data, genus, and dimension formulas.
 
-Covers both families: the symplectic point stabilizers (cusps via the
-permutation character chi of the X(F_p) action, and as a dual route the
-same Moebius inversion of the counted fixed points of rho(T)'s powers)
-and the quasi-unipotent family (dimension formulas for M_2k / S_2k).
+Covers both families.  For the symplectic point stabilizers each number
+is one closed form in p: chi(T^d), the cusp widths when x is a primitive
+root, epsilon_2 and epsilon_3, and the genus by Riemann-Hurwitz from
+them.  The one computation is cusp_data_fixed, the Moebius inversion of
+the counted fixed points of rho(T)'s powers at any x, which the tests
+hold the closed forms against.  For the quasi-unipotent family: the
+dimension formulas for M_2k / S_2k.
 """
 
 from __future__ import annotations
@@ -35,12 +38,6 @@ def chi_power(p: int, d: int) -> int:
     n = p * (p - 1)
     if not isinstance(d, int) or d < 1 or n % d != 0:
         raise DomainError(f"d = {d} does not divide p(p-1) = {n}")
-    return _chi(p, d)
-
-
-def _chi(p: int, d: int) -> int:
-    """The closed form of chi_power, without its checks of p and d."""
-    n = p * (p - 1)
     if d in (n, n // 2):
         return grassmannian_size(p)
     if d in ((p - 1) // 2, p - 1):
@@ -81,13 +78,11 @@ def cusp_data_fixed(p: int, fix: Callable[[int], int]) -> CuspData:
 
 
 def cusp_data_character(p: int) -> CuspData:
-    """cusp_data_fixed with the closed form chi, which holds when x is a
-    primitive root, checked against the widths it gives."""
-    data = cusp_data_fixed(p, lambda d: _chi(p, d))
-    expected = {1: 3, (p - 1) // 2: 4, p: 1, p * (p - 1) // 2: 2 * p + 4}
-    if data.total != 2 * p + 12 or data.widths != expected:
-        raise InternalConsistencyError(f"cusp data mismatch for p={p}: {data.widths}")
-    return data
+    """The cusp data of the point stabilizer when x is a primitive root:
+    3 cusps of width 1, 4 of (p-1)/2, 1 of p and 2p+4 of p(p-1)/2."""
+    require_prime(p, 7)
+    return CuspData(2 * p + 12,
+                    {1: 3, (p - 1) // 2: 4, p: 1, p * (p - 1) // 2: 2 * p + 4})
 
 
 def elliptic_counts(p: int) -> Tuple[int, int]:
@@ -97,30 +92,11 @@ def elliptic_counts(p: int) -> Tuple[int, int]:
 
 
 def genus_pointstab(p: int) -> int:
-    """Genus of the point-stabilizer curve, by two independent routes.
-
-    Route 1: 12g = 12 + index - 3 eps2 - 4 eps3 - 6c with
-    index = |X(F_p)| = (p^2+1)(p+1) and c = 2p+12.  Route 2: the closed
-    forms for 12g by p mod 12.  The routes must agree.
-    """
-    require_prime(p, 7)
+    """Genus of the point-stabilizer curve by Riemann-Hurwitz:
+    12g = 12 + |X(F_p)| - 3 eps2 - 4 eps3 - 6c, c the number of cusps."""
     eps2, eps3 = elliptic_counts(p)
-    index = grassmannian_size(p)
-    c = 2 * p + 12
-    twelve_g = 12 + index - 3 * eps2 - 4 * eps3 - 6 * c
-    cubic = p ** 3 + p ** 2
-    closed = {
-        1: cubic - 22 * p - 76,
-        5: cubic - 14 * p - 68,
-        7: cubic - 22 * p - 70,
-        11: cubic - 14 * p - 62,
-    }[p % 12]
-    if closed % 12 != 0:
-        raise InternalConsistencyError(f"closed-form genus not integral for p={p}")
-    if twelve_g != closed:
-        raise InternalConsistencyError(
-            f"genus routes disagree for p={p}: 12g = {twelve_g} vs {closed}")
-    return closed // 12
+    c = cusp_data_character(p).total
+    return (12 + grassmannian_size(p) - 3 * eps2 - 4 * eps3 - 6 * c) // 12
 
 
 class DimsUnipotent(NamedTuple):
@@ -159,7 +135,4 @@ class DimsGp(NamedTuple):
 def dims_Gp(k: int, p: int) -> DimsGp:
     require_gp_prime(p)
     require_int(k, "k", 1)
-    twice = k * p + 2 - (3 if k % 2 else 0)
-    if twice % 2:
-        raise InternalConsistencyError("dimension formula gave a non-integer")
-    return DimsGp(k, p, twice // 2, 0, (p + 1) // 2, 3)
+    return DimsGp(k, p, (k * p + 2 - (3 if k % 2 else 0)) // 2, 0, (p + 1) // 2, 3)

@@ -53,9 +53,6 @@ class Matrix:
     def __pow__(self, e: int) -> "Matrix":
         return power(self, e, Matrix._of(Matrix._IDENTITY, self.m))
 
-    def transpose(self) -> "Matrix":
-        return Matrix._of(tuple(zip(*self.rows)), self.m)
-
     def is_identity(self) -> bool:
         return self.rows == Matrix._IDENTITY
 

@@ -8,15 +8,10 @@ int below its bound, is refused with DomainError where it comes in.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache, reduce
 from typing import Dict, List, Optional, Tuple
 
 from .errors import DomainError, UnsupportedPrimeError
-
-#: Sentinel returned by :func:`padic_val` for zero (v_p(0) = +infinity).
-INF = math.inf
-
 
 def require_int(value, name: str, least: Optional[int] = None) -> None:
     """Refuse anything but an int, and an int below least if it is given."""
@@ -25,13 +20,11 @@ def require_int(value, name: str, least: Optional[int] = None) -> None:
         raise DomainError(f"{name} must be an int{bound}, got {value!r}")
 
 
-def padic_val(n: int, p: int):
-    """Normalized p-adic valuation of an int, with v_p(p) = 1.
-
-    Returns ``INF`` for zero.
-    """
+def padic_val(n: int, p: int) -> Optional[int]:
+    """Normalized p-adic valuation of an int, with v_p(p) = 1, and None
+    for zero, whose valuation is infinite."""
     require_int(n, "n")
-    return INF if n == 0 else split_power(n, p)[0]
+    return None if n == 0 else split_power(n, p)[0]
 
 
 def split_power(m: int, p: int) -> Tuple[int, int]:

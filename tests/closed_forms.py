@@ -5,8 +5,9 @@ which acts on Plucker coordinates instead, at every point; and README's
 table of those Plucker coordinates, family by family.  Also the
 antisymmetric forms that rho(S) and rho(T) preserve, by elimination over
 F_p: J spans them, so X(F_p) is the Lagrangian Grassmannian for J.  And
-two closed forms no command computes: Newman's genus formula and the
-group orders that witness noncongruence."""
+three closed forms the library does not hold: Newman's genus formula,
+the point-stabilizer genus by p mod 12, and the group orders that
+witness noncongruence."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -213,7 +214,8 @@ def invariant_forms(S4: Matrix, T4: Matrix) -> List[Matrix]:
     # nullspace of the stacked 12x6 system over F_p: unknowns are the six
     # coefficients lambda_k, equations run over (matrix, entry position)
     units = [antisym([int(k == c) for c in range(6)]) for k in range(6)]
-    A = [[(M.transpose() * G * M).rows[i][j] - G.rows[i][j] for G in units]
+    A = [[(Matrix(zip(*M.rows), p) * G * M).rows[i][j] - G.rows[i][j]
+          for G in units]
          for M in (S4, T4) for (i, j) in _PAIRS]
     pivots = rref_mod_p(A, p)
     basis = []
@@ -239,6 +241,15 @@ def genus_newman(index: int, N: int) -> Fraction:
     if index < 1 or N < 1:
         raise DomainError("index and N must be positive")
     return 1 + Fraction(index * (N - 6), 24 * N)
+
+
+def twelve_genus_by_residue(p: int) -> int:
+    """12g of the point-stabilizer curve at a prime p > 7 by p mod 12:
+    12 + |X(F_p)| - 3 eps_2 - 4 eps_3 - 6 (2p + 12) with the Legendre
+    symbols (-1/p) and (-3/p) in eps_2 and eps_3 fixed by the class."""
+    cubic = p ** 3 + p ** 2
+    return {1: cubic - 22 * p - 76, 5: cubic - 14 * p - 68,
+            7: cubic - 22 * p - 70, 11: cubic - 14 * p - 62}[p % 12]
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,7 @@ _BOUNDARY = "tests/test_rationals.py::test_float_refused_at_the_boundary"
 _CHAIN = "tests/test_symplectic.py::TestMatrixChain"
 _ROUTES = "tests/test_symplectic.py::TestStructuralRoutes"
 _QUADRIC = "tests/test_symplectic.py::TestQuadricZeros"
+_INVARIANTS = "tests/test_invariants.py"
 
 MUTANTS = (
     Mutant("ceiling-off-by-one", "src/phicong/symplectic.py",
@@ -84,7 +85,7 @@ MUTANTS = (
            _COMPLAIN, "    print(message, file=sys.stderr)\n",
            ("tests/test_cli.py::TestStderrFailure",)),
     Mutant("padic-val-any-type", "src/phicong/rationals.py",
-           "    require_int(n, \"n\")\n    return INF", "    return INF",
+           "    require_int(n, \"n\")\n    return None", "    return None",
            ("tests/test_rationals.py::test_padic_val_refuses_non_int",)),
     Mutant("require-int-any-type", "src/phicong/rationals.py",
            "if not isinstance(value, int) or least is not None",
@@ -170,6 +171,13 @@ MUTANTS = (
     Mutant("quadric-disc-of-whole-gram", "src/phicong/symplectic.py",
            "row_reduce([[G[i][j] for j in P] for i in P], p)[2]", "row_reduce(G, p)[2]",
            (_QUADRIC,)),
+    Mutant("cusp-long-width-count", "src/phicong/invariants.py",
+           "p * (p - 1) // 2: 2 * p + 4}", "p * (p - 1) // 2: 2 * p + 6}",
+           (_INVARIANTS + "::TestCusps",)),
+    Mutant("genus-cusp-coefficient", "src/phicong/invariants.py",
+           "- 6 * c) // 12", "- 5 * c) // 12", (_INVARIANTS + "::TestGenus::test_table",)),
+    Mutant("eps3-legendre-sign", "src/phicong/invariants.py",
+           "legendre(-3, p)", "legendre(3, p)", (_INVARIANTS + "::TestElliptic",)),
 )
 
 #: Seconds a mutant's tests may run; a mutant that makes them hang is killed.

@@ -93,7 +93,7 @@ def permutation(M: Matrix) -> List[int]:
     require_memory(n)
     require_prime(p, 3)
     J = form_J(p)
-    if M.transpose() * J * M != J:
+    if Matrix(zip(*M.rows), M.m) * J * M != J:
         raise DomainError("matrix is not symplectic for J")
     inv = [0] + [pow(v, -1, p) for v in range(1, p)]
     out: List[int] = []

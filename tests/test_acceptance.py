@@ -7,14 +7,14 @@ from fractions import Fraction
 from math import lcm
 
 from phicong.divpoly import rescaled
-from phicong.invariants import (cusp_data_character, cusp_data_fixed,
+from phicong.invariants import (chi_power, cusp_data_character, cusp_data_fixed,
                                 elliptic_counts, genus_pointstab, legendre)
 from phicong.qexp import denominator_report, xtilde
 from phicong.symplectic import (SpParams, fixed_lagrangians, kernel_test,
                                 lift_witness_mod_p2, rho_matrices, sp4_order)
 from phicong.words import SubgroupSpec, Word, parse_word, phi, subgroup_member
 
-from closed_forms import assert_matches_closed_forms
+from closed_forms import assert_matches_closed_forms, twelve_genus_by_residue
 from cyc12_oracle import phi_by_matrices
 from cycle_oracle import cusp_data_cycles, fixed_points
 from permutation_oracle import permutation
@@ -152,6 +152,7 @@ def test_criterion_5_cusps():
         assert cyc.widths == expected == chr_.widths
         assert cyc.total == 2 * p + 12 == chr_.total
         assert cusp_data_fixed(p, lambda d: fixed_lagrangians(T4 ** d)) == cyc
+        assert cusp_data_fixed(p, lambda d: chi_power(p, d)) == chr_
 
 
 @criterion(6, "genus values 103/167/408/561/1026/2063/2500 with both "
@@ -162,7 +163,7 @@ def test_criterion_6_genus():
         assert genus_pointstab(p) == g
     for p in range(11, 201):
         if all(p % d for d in range(2, int(p ** 0.5) + 1)):
-            genus_pointstab(p)      # raises if the routes disagree
+            assert 12 * genus_pointstab(p) == twelve_genus_by_residue(p), p
 
 
 @criterion(7, "Schreier-Sims order of <rho(S), rho(T)> equals "

@@ -237,8 +237,8 @@ class TestGenusCuspsDims:
         assert doc["cusps"]["total"] == 34
 
     def test_genus_factorizes_p_once(self, capsys, monkeypatch):
-        # every check of p shares one primality test: factorize(p) once,
-        # and factorize(p - 1) once for the cusp widths
+        # every check of p shares one primality test, factorize(p) once; the
+        # cusp widths are a closed form and factorize nothing
         calls = []
         original = phicong.rationals.factorize
 
@@ -250,7 +250,7 @@ class TestGenusCuspsDims:
         phicong.rationals.is_prime.cache_clear()
         code, _ = run(capsys, "genus", "--p", "1000003")
         assert code == 0
-        assert len(calls) <= 2, calls
+        assert calls == [1000003]
 
     def test_cusps_both_oracles(self, capsys):
         _, out1 = run(capsys, "cusps", "--p", "11")

@@ -9,7 +9,7 @@ from phicong.invariants import (chi_power, cusp_data_character, cusp_data_fixed,
                                 genus_pointstab, legendre)
 from phicong.symplectic import SpParams, fixed_lagrangians, rho_matrices
 
-from closed_forms import genus_newman, noncongruence_report
+from closed_forms import genus_newman, noncongruence_report, twelve_genus_by_residue
 from cycle_oracle import cusp_data_cycles, cycle_type
 from permutation_oracle import permutation
 
@@ -19,6 +19,7 @@ def is_prime(n):
 
 
 PRIMES_TO_200 = [p for p in range(11, 201) if is_prime(p)]
+PRIMES_TO_2000 = [p for p in range(11, 2000) if is_prime(p)]
 
 
 class TestChi:
@@ -116,6 +117,12 @@ class TestCusps:
             data = cusp_data_character(p)
             assert data.total == 2 * p + 12
 
+    def test_character_is_the_inverted_chi(self):
+        # the closed-form widths are the Moebius inversion of chi
+        for p in PRIMES_TO_2000:
+            chi = cusp_data_fixed(p, lambda d: chi_power(p, d))
+            assert chi == cusp_data_character(p), p
+
 
 class TestElliptic:
     def test_examples(self):
@@ -137,10 +144,11 @@ class TestGenus:
         for p, g in expected.items():
             assert genus_pointstab(p) == g
 
-    def test_routes_agree_to_200(self):
-        # genus_pointstab raises InternalConsistencyError on disagreement
-        for p in PRIMES_TO_200:
-            assert genus_pointstab(p) >= 0
+    def test_matches_p_mod_12_forms(self):
+        # Riemann-Hurwitz against its expansion in each class mod 12, which
+        # also shows that 12 divides it
+        for p in PRIMES_TO_2000:
+            assert 12 * genus_pointstab(p) == twelve_genus_by_residue(p), p
 
     def test_newman(self):
         assert genus_newman(6 * 36, 6) == 1
@@ -171,6 +179,12 @@ class TestDims:
 
     def test_gp_odd_weight(self):
         assert dims_Gp(3, 5).dim_M == 7
+
+    def test_gp_integral(self):
+        # kp + 2 - 3 [k odd] is even, so halving it loses nothing
+        for p in [5] + [p for p in PRIMES_TO_2000 if p % 12 == 5]:
+            for k in range(1, 20):
+                assert 2 * dims_Gp(k, p).dim_M == k * p + 2 - 3 * (k % 2), (k, p)
 
 
 # a float where an int belongs is refused like any other value out of range,
