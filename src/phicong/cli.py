@@ -24,6 +24,14 @@ from .errors import DomainError, InternalConsistencyError, PhicongError
 #: The time grows about as terms^2 times the bits of the level, so a level
 #: of b > 4 bits admits the terms with terms^2 * b <= MAX_TERMS^2 * 4.
 MAX_TERMS = 750
+#: Largest ``divpoly --level``: on a 2-vCPU host --level 42 takes 1.3-2.0 s
+#: plain or with --profile 5; the output grows about as N^4 (3.4 MB at 42).
+MAX_LEVEL = 42
+#: Largest p of the Grassmannian verbs.  No call allocates per point of
+#: X(F_p); what grows with p is the scan of F_p* in rationals.roots_mod_p
+#: for epsilon_2 and epsilon_3, O(p), and the factorization of p(p - 1) in
+#: matrix_order.  The library's surjectivity_verdict reads no ceiling.
+MAX_P = 113
 
 
 def _poly_json(poly) -> list[str]:
@@ -60,11 +68,13 @@ def _cmd_qexp(args) -> dict | str:
             "p": r.p, "minValuations": list(r.min_vals), "integral": r.integral,
             "expectedIntegral": r.expected_integral,
             "unboundedTrend": r.unbounded_trend, "boundOk": r.bound_ok,
-        } for r in denominator_report(args.level, prec).primes]
+        } for r in denominator_report(args.level, prec)]
     return doc
 
 
 def _cmd_divpoly(args) -> dict:
+    if args.level > MAX_LEVEL:
+        raise DomainError(f"N must be at most {MAX_LEVEL}, got {args.level}")
     from .divpoly import division_polynomials, reduction_profile, rescaled
     doc = {"N": args.level}
     if args.rescaled:
@@ -80,7 +90,7 @@ def _cmd_divpoly(args) -> dict:
     if args.profile is not None:
         prof = reduction_profile(args.level, args.profile)
         doc["profile"] = {
-            "p": prof.p,
+            "p": args.profile,
             "r": prof.r,
             "psiSqValuations": prof.psi_sq_valuations,
             "supersingular": prof.supersingular,
@@ -113,10 +123,11 @@ def _cmd_member(args) -> dict:
 
 def _sp_params(p: int, x: int):
     """SpParams(p, x) for a verb on X(F_p), once p is at most MAX_P: the
-    ceiling comes before the trial-division primality test, so a large
-    prime is refused at once."""
-    from .symplectic import SpParams, require_max_p
-    require_max_p(p)
+    ceiling comes before anything that grows with p runs."""
+    if p > MAX_P:
+        raise DomainError(f"the Lagrangian Grassmannian takes a prime "
+                          f"p <= {MAX_P}, got {p}")
+    from .symplectic import SpParams
     return SpParams(p, x)
 
 
@@ -174,13 +185,13 @@ def _cmd_dims(args) -> dict:
     if args.family == "unipotent":
         d = dims_unipotent(args.k, _option(args, "index", "--family unipotent"),
                            not args.nontrivial_character)
-        return {"family": "unipotent", "k": d.k, "index": d.index,
-                "characterTrivial": d.character_trivial,
+        return {"family": "unipotent", "k": args.k, "index": args.index,
+                "characterTrivial": not args.nontrivial_character,
                 "dimM": d.dim_M, "dimMPerCharacter": d.dim_M_char,
                 "dimSPerCharacter": d.dim_S_char,
                 "dimEisPerCharacter": d.dim_eis_char}
     d = dims_Gp(args.k, _option(args, "p", "--family gp"))
-    return {"family": "gp", "k": d.k, "p": d.p, "dimM": d.dim_M,
+    return {"family": "gp", "k": args.k, "p": args.p, "dimM": d.dim_M,
             "genus": d.genus, "cusps": d.cusps,
             "ellipticOrder2": d.elliptic2}
 

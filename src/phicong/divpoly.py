@@ -22,7 +22,7 @@ from functools import lru_cache, reduce
 from itertools import zip_longest
 from typing import List, NamedTuple, Optional, Tuple
 
-from .errors import DomainError, InternalConsistencyError
+from .errors import InternalConsistencyError
 from .polynomials import mul_trunc
 from .rationals import padic_val, require_int, require_prime, split_power
 
@@ -30,9 +30,6 @@ from .rationals import padic_val, require_int, require_prime, split_power
 Poly = Tuple[int, ...]
 
 B = -1
-#: Largest N: on a 2-vCPU host `divpoly --level 42` takes 1.3-2.0 s plain
-#: or with --profile 5; the output grows about as N^4 (3.4 MB at 42).
-MAX_LEVEL = 42
 
 
 def _mul(*fs: Poly) -> Poly:
@@ -90,7 +87,6 @@ def _g(m: int) -> Poly:
 class DivisionTriple(NamedTuple):
     """psi_N^2, phi_N (pure x), and omega_N = omega * y^y_parity."""
 
-    N: int
     psiSq: Poly
     phiPol: Poly
     omega: Tuple[Poly, int]
@@ -100,8 +96,6 @@ class DivisionTriple(NamedTuple):
 def _psi_sq(N: int) -> Poly:
     """psi_N^2 = f_N^2, times F = (2y)^2 for even N.  The last one is kept:
     ``reduction_profile`` reads the one its verb call just built."""
-    if N > MAX_LEVEL:
-        raise DomainError(f"N must be at most {MAX_LEVEL}, got {N}")
     sq = _mul(_f(N), _f(N), _F) if N % 2 == 0 else _mul(_f(N), _f(N))
     if len(sq) != N * N or sq[-1] != N * N:
         raise InternalConsistencyError("psi_N^2 degree/leading-term check failed")
@@ -129,7 +123,7 @@ def division_polynomials(N: int) -> DivisionTriple:
         if any(c % 2 for c in omega):
             raise InternalConsistencyError("omega_N has an odd coefficient")
         omega = tuple(c // 2 for c in omega)
-    return DivisionTriple(N, _untwist(psi_sq), _untwist(phi_pol),
+    return DivisionTriple(_untwist(psi_sq), _untwist(phi_pol),
                           (_untwist(omega), N % 2))
 
 
@@ -144,11 +138,8 @@ def rescaled(N: int) -> Tuple[Poly, Poly]:
 class ReductionProfile(NamedTuple):
     """p-adic valuation report for psi_N^2 (and psi_N itself)."""
 
-    N: int
-    p: int
     r: int                               # v_p(N)
     psi_sq_valuations: List              # v_p of the coefficients, x^0 up; None for 0
-    psi_valuations: List                 # same for the x-part of psi_N
     supersingular: bool                  # p = 2 (mod 3), i.e. j = 0 supersingular
     supersingular_const: Optional[bool]  # N == p: psi_p constant mod p
     ordinary_tail: Optional[bool]        # N == p: p | a_i for i > (p^2-p)/2
@@ -171,9 +162,9 @@ def reduction_profile(N: int, p: int) -> ReductionProfile:
         else:
             ord_tail = all(c % p == 0 for c in psi[(p * p - p) // 2 + 1:])
     # the leading coefficient N^2 has valuation exactly 2r; coefficients just
-    # below can vanish on this curve (CM sparsity), so they are only bounded
+    # below can vanish on this curve (CM sparsity), so they are only bounded;
+    # i stops at the N^2 coefficients there are, so no step grows with p
     top_ok = sq_vals[N * N - 1] == 2 * r and all(
         sq[N * N - 1 - i] % p ** (2 * r) == 0
-        for i in range(1, (p - 1) // 2) if N * N - 1 - i >= 0)
-    return ReductionProfile(N, p, r, sq_vals, [padic_val(c, p) for c in psi],
-                            supersingular, ss_const, ord_tail, top_ok)
+        for i in range(1, min((p - 1) // 2, N * N)))
+    return ReductionProfile(r, sq_vals, supersingular, ss_const, ord_tail, top_ok)

@@ -100,9 +100,6 @@ def genus_pointstab(p: int) -> int:
 
 
 class DimsUnipotent(NamedTuple):
-    k: int
-    index: int
-    character_trivial: bool
     dim_M: int           # dim M_2k(G) = k * index
     dim_M_char: int      # per-character: k
     dim_S_char: int      # per-character cusp forms
@@ -113,19 +110,11 @@ def dims_unipotent(k: int, index_in_gamma_prime: int,
                    character_trivial: bool) -> DimsUnipotent:
     require_int(k, "k", 1)
     require_int(index_in_gamma_prime, "index", 1)
-    dim_m_char = k
-    if k > 1:
-        dim_s_char = k - 1
-    else:
-        dim_s_char = 1 if character_trivial else 0
-    return DimsUnipotent(k, index_in_gamma_prime, character_trivial,
-                         k * index_in_gamma_prime, dim_m_char, dim_s_char,
-                         dim_m_char - dim_s_char)
+    dim_s_char = k - 1 if k > 1 else 1 if character_trivial else 0
+    return DimsUnipotent(k * index_in_gamma_prime, k, dim_s_char, k - dim_s_char)
 
 
 class DimsGp(NamedTuple):
-    k: int
-    p: int
     dim_M: int             # kp/2 + 1 - (3/2 if k odd)
     genus: int             # 0
     cusps: int             # (p+1)/2
@@ -135,4 +124,4 @@ class DimsGp(NamedTuple):
 def dims_Gp(k: int, p: int) -> DimsGp:
     require_gp_prime(p)
     require_int(k, "k", 1)
-    return DimsGp(k, p, (k * p + 2 - (3 if k % 2 else 0)) // 2, 0, (p + 1) // 2, 3)
+    return DimsGp((k * p + 2 - (3 if k % 2 else 0)) // 2, 0, (p + 1) // 2, 3)

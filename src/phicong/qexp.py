@@ -44,7 +44,6 @@ class BasisSeries(NamedTuple):
     E6: LaurentSeries
     x: LaurentSeries
     y: LaurentSeries
-    prec: int
 
 
 def _euler_q(n: int) -> List[int]:
@@ -107,7 +106,7 @@ def basis_series(prec: int) -> BasisSeries:
 
     return BasisSeries(series(_eta_q(n), 1), series(_sigma_q(3, 240, n), 0),
                        series(_sigma_q(5, -504, n), 0), series(x, -2),
-                       series(y, -3), prec)
+                       series(y, -3))
 
 
 def _inner_square(c: List[int], m: int) -> int:
@@ -211,6 +210,10 @@ def ytilde(N: int, prec: int) -> LaurentSeries:
     return _on_lattice(_reduced(b, lam, -3), prec)
 
 
+#: PrimeReport.min_vals are the minima over this many leading terms.
+CUTOFFS = (10, 20, 30)
+
+
 class PrimeReport(NamedTuple):
     p: int
     min_vals: Tuple          # min v_p over the first 10/20/30 terms, each an int
@@ -220,33 +223,22 @@ class PrimeReport(NamedTuple):
     bound_ok: bool           # v_p(c_n) >= -2 v_p(N) (n+1) for every term
 
 
-class DenominatorReport(NamedTuple):
-    N: int
-    prec: int
-    cutoffs: Tuple[int, int, int]
-    primes: Tuple[PrimeReport, ...]
-
-
-def denominator_report(N: int, prec: int,
-                       cutoffs: Tuple[int, int, int] = (10, 20, 30)) -> DenominatorReport:
-    if not isinstance(cutoffs, tuple) or len(cutoffs) != 3:
-        raise DomainError(f"cutoffs must be a tuple of three ints, got {cutoffs!r}")
-    for prev, c in zip((0,) + cutoffs, cutoffs):    # 1 <= c1 < c2 < c3
-        require_int(c, "cutoff", prev + 1)
+def denominator_report(N: int, prec: int) -> Tuple[PrimeReport, ...]:
+    """The report of xtilde's terms below q^prec at each prime to 37."""
     terms = xtilde_terms(N, prec)
-    if len(terms) < cutoffs[-1]:
+    if len(terms) < CUTOFFS[-1]:
         raise DomainError(
-            f"only {len(terms)} terms available, need {cutoffs[-1]}; raise prec")
+            f"only {len(terms)} terms available, need {CUTOFFS[-1]}; raise prec")
     reports = []
     for p in PRIMES_37:
         r = split_power(N, p)[0]
         vals = [split_power(num, p)[0] - split_power(den, p)[0]
                 for _, num, den in terms]
-        mins = tuple(min(vals[:c]) for c in cutoffs)
+        mins = tuple(min(vals[:c]) for c in CUTOFFS)
         integral = all(v >= 0 for v in vals)
         expected_integral = N % 4 != 0 if p == 2 else r == 0
         trend = mins[0] > mins[1] > mins[2]
         bound_ok = all(v >= -2 * r * (e + 1) for (e, _, _), v in zip(terms, vals))
         reports.append(PrimeReport(p, mins, integral, expected_integral,
                                    trend, bound_ok))
-    return DenominatorReport(N, prec, cutoffs, tuple(reports))
+    return tuple(reports)

@@ -63,10 +63,34 @@ def factorize(n: int) -> Dict[int, int]:
     return out
 
 
-@lru_cache(maxsize=64)
+#: The prime bases 2 to 41, and psi_13, the least n that is a strong
+#: pseudoprime to all of them: below it they decide primality (Sorenson
+#: and Webster, Math. Comp. 86, 2017).
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3317044064679887385961981
+
+
+@lru_cache(maxsize=64, typed=True)
 def is_prime(n: int) -> bool:
+    """Whether n is prime, by Miller-Rabin on _BASES, which is a proof for
+    n < PSI_13; DomainError from PSI_13 on, with no probable-prime answer."""
     require_int(n, "n")
-    return n > 1 and factorize(n) == {n: 1}
+    if n >= PSI_13:
+        raise DomainError(f"primality is decided only below {PSI_13}, got {n}")
+    if n < 2 or n in _BASES:
+        return n in _BASES
+    s, d = split_power(n - 1, 2)            # n - 1 = 2^s d, d odd
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):             # a prime has a^(2^j d) = -1 for a j < s
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
 
 
 def require_prime(p: int, above: int) -> None:

@@ -24,6 +24,12 @@ def _cap(prec: Optional[int]):
     return _INF if prec is None else prec
 
 
+def _low(s: "LaurentSeries"):
+    """The valuation of s in a product's precision cap: +infinity for the
+    exact zero series, which caps nothing."""
+    return min(s.coeffs) if s.coeffs else _cap(s.prec)
+
+
 class LaurentSeries:
     __slots__ = ("coeffs", "prec")
 
@@ -57,15 +63,13 @@ class LaurentSeries:
     # -- basic queries ------------------------------------------------------
 
     @property
-    def valuation(self):
+    def valuation(self) -> Optional[int]:
         """Smallest exponent with nonzero (known) coefficient.
 
         For a series with no known nonzero terms this is the precision
-        bound (or +infinity for the exact zero series).
+        bound, and None for the exact zero series, as padic_val(0, p) is.
         """
-        if self.coeffs:
-            return min(self.coeffs)
-        return _cap(self.prec)
+        return min(self.coeffs) if self.coeffs else self.prec
 
     def coeff(self, e: int) -> Fraction:
         if e >= _cap(self.prec):
@@ -119,10 +123,7 @@ class LaurentSeries:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        if not self.coeffs or not o.coeffs:
-            cap = min(_cap(self.prec) + o.valuation, _cap(o.prec) + self.valuation)
-            return LaurentSeries({}, None if cap == _INF else int(cap))
-        cap = min(_cap(self.prec) + o.valuation, _cap(o.prec) + self.valuation)
+        cap = min(_cap(self.prec) + _low(o), _cap(o.prec) + _low(self))
         out: Dict[int, Fraction] = {}
         a, b = self.coeffs, o.coeffs
         if len(a) > len(b):

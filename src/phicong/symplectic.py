@@ -56,22 +56,6 @@ class SpParams(_SpFields):
         return pow(self.x, -1, m) if self.y is None else self.y % m
 
 
-#: The largest p that the Grassmannian verbs admit (DomainError above it,
-#: exit 2 on the command line).  No call allocates per point of X(F_p);
-#: what grows with p is the trial-division primality test, O(sqrt p), the
-#: scan of F_p* in rationals.roots_mod_p for epsilon_2 and epsilon_3, O(p),
-#: and the factorization of p(p - 1) in matrix_order.  The library's
-#: surjectivity_verdict does not read it.
-MAX_P = 113
-
-
-def require_max_p(p: int) -> None:
-    """Refuse p > MAX_P, before anything that grows with p runs."""
-    if p > MAX_P:
-        raise DomainError(f"the Lagrangian Grassmannian takes a prime "
-                          f"p <= {MAX_P}, got {p}")
-
-
 #: The symplectic form preserved by rho.
 _J_ROWS = ((0, 0, 0, 1), (0, 0, -3, 0), (0, 3, 0, 0), (-1, 0, 0, 0))
 #: Coordinates of antisymmetric forms and of Plucker vectors: the entries

@@ -55,6 +55,10 @@ _COMPLAIN = """    if sys.stderr is not None:              # started with no std
         except OSError:
             pass
 """
+_CEILING = """    if p > MAX_P:
+        raise DomainError(f"the Lagrangian Grassmannian takes a prime "
+                          f"p <= {MAX_P}, got {p}")
+"""
 _MEMBERSHIP = """    if not all((inverse(g) * g).is_identity() for g in gens):
         raise error("matrix is not symplectic for J")
 """
@@ -69,11 +73,10 @@ _QUADRIC = "tests/test_symplectic.py::TestQuadricZeros"
 _INVARIANTS = "tests/test_invariants.py"
 
 MUTANTS = (
-    Mutant("ceiling-off-by-one", "src/phicong/symplectic.py",
+    Mutant("ceiling-off-by-one", "src/phicong/cli.py",
            "if p > MAX_P:", "if p >= MAX_P:",
            ("tests/test_cli.py::TestResourceGuard::test_ceiling_sweep",)),
-    Mutant("ceiling-not-in-sp-params", "src/phicong/cli.py",
-           "    require_max_p(p)\n    return SpParams(p, x)", "    return SpParams(p, x)",
+    Mutant("ceiling-not-in-sp-params", "src/phicong/cli.py", _CEILING, "",
            ("tests/test_cli.py::TestResourceGuard::test_refused_before_allocating",)),
     Mutant("write-handler-removed", "src/phicong/cli.py",
            _WRITE, "        sys.stdout.write(text)\n",
@@ -178,6 +181,15 @@ MUTANTS = (
            "- 6 * c) // 12", "- 5 * c) // 12", (_INVARIANTS + "::TestGenus::test_table",)),
     Mutant("eps3-legendre-sign", "src/phicong/invariants.py",
            "legendre(-3, p)", "legendre(3, p)", (_INVARIANTS + "::TestElliptic",)),
+    Mutant("miller-rabin-base-41-dropped", "src/phicong/rationals.py",
+           "31, 37, 41)", "31, 37)",
+           ("tests/test_rationals.py::test_is_prime_strong_pseudoprimes",)),
+    Mutant("miller-rabin-squaring-dropped", "src/phicong/rationals.py",
+           "            x = x * x % n\n", "",
+           ("tests/test_rationals.py::test_is_prime_agrees_with_trial_division",)),
+    Mutant("profile-range-unbounded", "src/phicong/divpoly.py",
+           "range(1, min((p - 1) // 2, N * N))", "range(1, (p - 1) // 2)",
+           ("tests/test_cli.py::TestLargePrimes::test_exits_0",)),
 )
 
 #: Seconds a mutant's tests may run; a mutant that makes them hang is killed.

@@ -113,16 +113,16 @@ def test_criterion_2_rescaled():
               "(unbounded), 30 exact terms each")
 def test_criterion_3_denominators():
     rep3 = denominator_report(3, 173)
-    for pr in rep3.primes:
+    for pr in rep3:
         if pr.p != 3:
             assert pr.integral and pr.expected_integral, pr.p
     rep5 = denominator_report(5, 173)
-    p5 = {pr.p: pr for pr in rep5.primes}[5]
+    p5 = {pr.p: pr for pr in rep5}[5]
     assert not p5.expected_integral
     assert p5.min_vals[2] < -4
     assert p5.min_vals[0] > p5.min_vals[1] > p5.min_vals[2]
     rep4 = denominator_report(4, 173)
-    p2 = {pr.p: pr for pr in rep4.primes}[2]
+    p2 = {pr.p: pr for pr in rep4}[2]
     assert not p2.expected_integral
     assert not p2.integral
     assert p2.min_vals[0] > p2.min_vals[1] > p2.min_vals[2]

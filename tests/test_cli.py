@@ -16,10 +16,8 @@ import phicong.invariants
 import phicong.qexp
 import phicong.rationals
 import phicong.symplectic
-from phicong.cli import _VERBS, MAX_TERMS, _json, main, parse_args
-from phicong.divpoly import MAX_LEVEL
+from phicong.cli import _VERBS, MAX_LEVEL, MAX_P, MAX_TERMS, _json, main, parse_args
 from phicong.rationals import is_prime
-from phicong.symplectic import MAX_P
 
 import n12_oracle
 
@@ -237,8 +235,8 @@ class TestGenusCuspsDims:
         assert doc["cusps"]["total"] == 34
 
     def test_genus_factorizes_p_once(self, capsys, monkeypatch):
-        # every check of p shares one primality test, factorize(p) once; the
-        # cusp widths are a closed form and factorize nothing
+        # every check of p shares one Miller-Rabin test, which factorizes
+        # nothing, and the cusp widths are a closed form
         calls = []
         original = phicong.rationals.factorize
 
@@ -250,7 +248,8 @@ class TestGenusCuspsDims:
         phicong.rationals.is_prime.cache_clear()
         code, _ = run(capsys, "genus", "--p", "1000003")
         assert code == 0
-        assert calls == [1000003]
+        assert calls == []
+        assert phicong.rationals.is_prime.cache_info().misses == 1
 
     def test_cusps_both_oracles(self, capsys):
         _, out1 = run(capsys, "cusps", "--p", "11")
@@ -773,6 +772,38 @@ class TestGenusAtScale:
         doc = json.loads(done.stdout)
         assert doc["cusps"]["total"] == 2 * p + 12
         assert doc["cusps"]["widths"][str(p)] == 1
+
+
+class TestLargePrimes:
+    """p is tested by Miller-Rabin and no step of --profile grows with p,
+    so each call ends in a fresh interpreter within 10 s."""
+
+    @staticmethod
+    def run_child(argv):
+        return subprocess.run([sys.executable, "-m", "phicong", *argv.split()],
+                              env=_child_env(), capture_output=True, text=True,
+                              timeout=10)
+
+    @pytest.mark.parametrize("argv, p", [
+        ("genus --p {}", 10 ** 24 + 7),
+        ("cusps --p {}", 10 ** 18 + 3),
+        ("grassmannian --p {} --x 2 --lift-check", 10 ** 18 + 3),
+        ("divpoly --level 2 --profile {}", 10 ** 9 + 7),
+        ("divpoly --level 2 --profile {}", 10 ** 18 + 3),
+    ], ids=["genus-10^24+7", "cusps-10^18+3", "lift-check-10^18+3",
+            "profile-10^9+7", "profile-10^18+3"])
+    def test_exits_0(self, argv, p):
+        done = self.run_child(argv.format(p))
+        assert done.returncode == 0, done.stderr
+        doc = json.loads(done.stdout)
+        assert doc.get("profile", doc)["p"] == p
+
+    def test_psi_13_refused(self):
+        p = 3_317_044_064_679_887_385_961_981
+        done = self.run_child(f"genus --p {p}")
+        assert done.returncode == 2
+        assert done.stderr == f"error: primality is decided only below {p}, got {p}\n"
+        assert done.stdout == ""
 
 
 _VALID_TOKENS = ("S", "T", "S^-1", "S-1", "T^5", "T^-12", "S^3", "T^0")

@@ -222,7 +222,7 @@ class TestOracle:
     def test_division_polynomials(self):
         for n in range(1, 31):
             t = divpoly_oracle.division_polynomials(n)
-            assert division_polynomials(n) == (n, coeffs(t.psiSq), coeffs(t.phiPol),
+            assert division_polynomials(n) == (coeffs(t.psiSq), coeffs(t.phiPol),
                                                (coeffs(t.omega[0]), t.omega[1])), n
 
     def test_rescaled(self):

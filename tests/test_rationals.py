@@ -55,6 +55,26 @@ def test_is_prime():
                                                          17, 19, 23, 29]
 
 
+def test_is_prime_agrees_with_trial_division():
+    assert all(is_prime(n) == (factorize(n) == {n: 1}) for n in range(1, 200_000))
+
+
+def test_is_prime_strong_pseudoprimes():
+    # psi_12, a strong pseudoprime to every prime base to 37: base 41 finds it
+    assert not is_prime(318_665_857_834_031_151_167_461)
+    assert not is_prime(3_825_123_056_546_413_051)     # psi_9 = psi_10 = psi_11
+    assert is_prime(10 ** 24 + 7)
+    assert is_prime(10 ** 18 + 3)
+
+
+def test_is_prime_refused_from_psi_13():
+    # no probable-prime answer where the bases prove nothing
+    for n in (3_317_044_064_679_887_385_961_981, 10 ** 30):
+        with pytest.raises(DomainError, match="primality is decided only below "
+                                              "3317044064679887385961981, got "):
+            is_prime(n)
+
+
 def test_require_prime():
     require_prime(11, 7)
     for bad in (7, 9, 15, 121, 0, -11):

@@ -72,6 +72,16 @@ class TestArithmetic:
         with pytest.raises(PrecisionError):
             geometric(5).truncate(6)
 
+    def test_zero_valuation_is_not_a_float(self):
+        # no known term: the precision bound, and None for the exact zero
+        assert LaurentSeries.zero().valuation is None
+        assert LaurentSeries.zero(5).valuation == 5
+        # the exact zero caps no product; a zero known to O(q^5) caps it at
+        # 5 plus the other factor's valuation
+        assert (LaurentSeries.zero() * geometric(4)).prec is None
+        assert (LaurentSeries.zero(5) * LaurentSeries({-2: 1})).prec == 3
+        assert geometric(4) * LaurentSeries.zero(5) == LaurentSeries.zero(5)
+
     def test_shift(self):
         s = geometric(5).shift(-2)
         assert s.valuation == -2 and s.prec == 3
