@@ -28,9 +28,9 @@ MAX_TERMS = 750
 #: plain or with --profile 5; the output grows about as N^4 (3.4 MB at 42).
 MAX_LEVEL = 42
 #: Largest p of the Grassmannian verbs.  No call allocates per point of
-#: X(F_p); what grows with p is the scan of F_p* in rationals.roots_mod_p
-#: for epsilon_2 and epsilon_3, O(p), and the factorization of p(p - 1) in
-#: matrix_order.  The library's surjectivity_verdict reads no ceiling.
+#: X(F_p); what grows with p is the factorization of p(p - 1) and, on the
+#: cycle route only, the O(p) scan of F_p* in rationals.roots_mod_p.  The
+#: library's surjectivity_verdict reads no ceiling.
 MAX_P = 113
 
 
@@ -136,29 +136,20 @@ def _cusp_doc(data) -> dict:
             "widths": {str(w): m for w, m in sorted(data.widths.items())}}
 
 
-def _cycle_cusps(p: int, x: int) -> dict:
-    """The cusp document of the cycle type of rho(T) on X(F_p), from the
-    Lagrangians that each power of rho(T) fixes."""
-    from .invariants import cusp_data_fixed
-    from .symplectic import fixed_lagrangians, rho_matrices
-    T4 = rho_matrices(_sp_params(p, x))[1]
-    return _cusp_doc(cusp_data_fixed(p, lambda d: fixed_lagrangians(T4 ** d)))
-
-
 def _cmd_grassmannian(args) -> dict:
     head = {"p": args.p, "x": args.x}
     if args.lift_check:
         from .symplectic import SpParams, lift_witness_mod_p2
         return {**head, "liftWitness": lift_witness_mod_p2(SpParams(args.p, args.x))}
     if args.cycles:
-        return {**head, **_cycle_cusps(args.p, args.x)}
-    from .symplectic import fixed_lagrangians, rho_matrices, surjectivity_verdict
+        from .invariants import cusp_data_cycles
+        return {**head, **_cusp_doc(cusp_data_cycles(_sp_params(args.p, args.x)))}
+    from .rationals import elliptic_counts
     params = _sp_params(args.p, args.x)
-    S4, T4 = rho_matrices(params)
-    eps = {"epsilon2": fixed_lagrangians(S4),
-           "epsilon3": fixed_lagrangians(S4 * T4)}
+    eps = dict(zip(("epsilon2", "epsilon3"), elliptic_counts(args.p)))
     if args.epsilons:
         return {**head, **eps}
+    from .symplectic import surjectivity_verdict
     v = surjectivity_verdict(params)
     return {**head, "orderT": v.order_T, "permGroupOrder": str(v.perm_group_order),
             "surjectivePSp4": v.surjective_psp4, **eps}
@@ -173,11 +164,14 @@ def _cmd_genus(args) -> dict:
 
 
 def _cmd_cusps(args) -> dict:
-    head = {"p": args.p, "oracle": args.oracle}
+    from .invariants import cusp_data_character, cusp_data_cycles
     if args.oracle == "cycles":
-        return {**head, **_cycle_cusps(args.p, _option(args, "x", "--oracle cycles"))}
-    from .invariants import cusp_data_character
-    return {**head, **_cusp_doc(cusp_data_character(args.p))}
+        data = cusp_data_cycles(_sp_params(args.p, _option(args, "x", "--oracle cycles")))
+    elif args.x is not None:
+        raise DomainError("cusps takes --x only with --oracle cycles")
+    else:
+        data = cusp_data_character(args.p)
+    return {"p": args.p, "oracle": args.oracle, **_cusp_doc(data)}
 
 
 def _cmd_dims(args) -> dict:

@@ -2,11 +2,11 @@
 
 Covers both families.  For the symplectic point stabilizers each number
 is one closed form in p: chi(T^d), the cusp widths when x is a primitive
-root, epsilon_2 and epsilon_3, and the genus by Riemann-Hurwitz from
-them.  The one computation is cusp_data_fixed, the Moebius inversion of
-the counted fixed points of rho(T)'s powers at any x, which the tests
-hold the closed forms against.  For the quasi-unipotent family: the
-dimension formulas for M_2k / S_2k.
+root, epsilon_2 and epsilon_3 (from rationals, at every x), and the genus
+by Riemann-Hurwitz from them.  The one computation is cusp_data_cycles,
+the Moebius inversion (cusp_data_fixed) of the counted fixed points of
+rho(T)'s powers at any x, which the tests hold the closed forms against.
+For the quasi-unipotent family: the dimension formulas for M_2k / S_2k.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from __future__ import annotations
 from typing import Callable, Dict, List, NamedTuple, Tuple
 
 from .errors import DomainError, InternalConsistencyError
-from .rationals import (factorize, grassmannian_size, legendre, require_gp_prime,
-                        require_int, require_prime)
+from .rationals import (elliptic_counts, factorize, grassmannian_size, legendre,
+                        require_gp_prime, require_int, require_prime)
 
 
 def _divisors_moebius(factors: Dict[int, int]) -> List[Tuple[int, int]]:
@@ -77,18 +77,20 @@ def cusp_data_fixed(p: int, fix: Callable[[int], int]) -> CuspData:
     return data
 
 
+def cusp_data_cycles(params) -> CuspData:
+    """The cusp data of the point stabilizer at any SpParams: cusp_data_fixed
+    of the Lagrangians that each power of rho(T) fixes."""
+    from .symplectic import fixed_lagrangians, rho_matrices
+    T4 = rho_matrices(params)[1]
+    return cusp_data_fixed(params.p, lambda d: fixed_lagrangians(T4 ** d))
+
+
 def cusp_data_character(p: int) -> CuspData:
     """The cusp data of the point stabilizer when x is a primitive root:
     3 cusps of width 1, 4 of (p-1)/2, 1 of p and 2p+4 of p(p-1)/2."""
     require_prime(p, 7)
     return CuspData(2 * p + 12,
                     {1: 3, (p - 1) // 2: 4, p: 1, p * (p - 1) // 2: 2 * p + 4})
-
-
-def elliptic_counts(p: int) -> Tuple[int, int]:
-    """(epsilon_2, epsilon_3) = (p+2+(-1/p), p+1+(p+1)(-3/p))."""
-    require_prime(p, 7)
-    return p + 2 + legendre(-1, p), p + 1 + (p + 1) * legendre(-3, p)
 
 
 def genus_pointstab(p: int) -> int:

@@ -1,6 +1,6 @@
 """Exact integer helpers: valuations, factorization, repeated squaring
-in any ring, the counts |X(F_p)|, |Sp4(F_p)| and (a/p), and the roots of
-a polynomial and the kernel of a matrix mod p.
+in any ring, the counts |X(F_p)|, |Sp4(F_p)|, epsilon_2 and epsilon_3,
+(a/p), the roots of a polynomial and the kernel of a matrix mod p.
 
 require_int is the one integer check of the library: a non-int, or an
 int below its bound, is refused with DomainError where it comes in.
@@ -114,6 +114,14 @@ def grassmannian_size(p: int) -> int:
 def sp4_order(p: int) -> int:
     """|Sp_4(F_p)| = p^4 (p^4-1)(p^2-1)."""
     return p ** 4 * (p ** 4 - 1) * (p ** 2 - 1)
+
+
+def elliptic_counts(p: int) -> Tuple[int, int]:
+    """(epsilon_2, epsilon_3) = (p+2+(-1/p), p+1+(p+1)(-3/p)), the Lagrangians
+    that rho(S) and rho(S)rho(T) fix at every x and y: each is in one
+    conjugacy class of Sp4(F_p) for all x and y (README, fixed Lagrangians)."""
+    require_prime(p, 7)
+    return p + 2 + legendre(-1, p), p + 1 + (p + 1) * legendre(-3, p)
 
 
 def legendre(a: int, p: int) -> int:

@@ -51,10 +51,6 @@ class SpParams(_SpFields):
                 raise DomainError(f"{name} must be an int invertible mod p, got {v!r}")
         return super().__new__(cls, p, x, y)
 
-    def resolved_y(self, m: int) -> int:
-        """y mod m, the inverse of x mod m when y is not given."""
-        return pow(self.x, -1, m) if self.y is None else self.y % m
-
 
 #: The symplectic form preserved by rho.
 _J_ROWS = ((0, 0, 0, 1), (0, 0, -3, 0), (0, 3, 0, 0), (-1, 0, 0, 0))
@@ -91,25 +87,25 @@ def require_symplectic(gens, error: type = DomainError) -> None:
         raise error("matrix is not symplectic for J")
 
 
-def _t_rows(x: int, y: int, m: int) -> List[List[int]]:
-    """Rows of rho(T) over Z/m for x and y invertible mod m."""
-    xi, yi = pow(x, -1, m), pow(y, -1, m)
-    return [[x, 3 * y, 3 * yi, xi],
-            [0, y, 2 * yi, xi],
-            [0, 0, yi, xi],
-            [0, 0, 0, xi]]
+#: (Sym^3(S), Sym^3(T)): S and T acting on binary cubics, in the basis
+#: X^3, 3X^2 Y, 3X Y^2, Y^3.
+_SYM3 = (((0, 0, 0, -1), (0, 0, 1, 0), (0, -1, 0, 0), (1, 0, 0, 0)),
+         ((1, 3, 3, 1), (0, 1, 2, 1), (0, 0, 1, 1), (0, 0, 0, 1)))
+
+
+def _rho_rows(params: SpParams, m: int) -> List[List[List[int]]]:
+    """The rows of rho(S) and rho(T) over Z/m, Sym^3(g) D with
+    D = diag(x, y, 1/y, 1/x) and y = 1/x when params.y is None."""
+    x = params.x % m
+    y = pow(x, -1, m) if params.y is None else params.y % m
+    d = (x, y, pow(y, -1, m), pow(x, -1, m))
+    return [[[v * d[j] for j, v in enumerate(row)] for row in g] for g in _SYM3]
 
 
 def rho_matrices(params: SpParams) -> Tuple[Matrix, Matrix]:
     """(rho(S), rho(T)) over F_p; verified symplectic for J with S^2 = -I."""
     p = params.p
-    x, y = params.x % p, params.resolved_y(p)
-    xi, yi = pow(x, -1, p), pow(y, -1, p)
-    S4 = Matrix([[0, 0, 0, -xi],
-                 [0, 0, yi, 0],
-                 [0, -y, 0, 0],
-                 [x, 0, 0, 0]], p)
-    T4 = Matrix(_t_rows(x, y, p), p)
+    S4, T4 = (Matrix(rows, p) for rows in _rho_rows(params, p))
     require_symplectic((S4, T4), InternalConsistencyError)
     if S4 * S4 != Matrix([[-int(i == j) for j in range(4)] for i in range(4)], p):
         raise InternalConsistencyError("rho(S)^2 != -I")
@@ -277,12 +273,11 @@ def matrix_order(M: Matrix, exponent: int) -> int:
 
 def _sym3_order(S4: Matrix, T4: Matrix) -> Optional[int]:
     """p(p^2 - 1)/2 when S4 = +-Sym^3(S) and T4 = +-Sym^3(T), else None.
-    rho at x = 1 is Sym^3 in this basis (the action on binary cubics, in
-    the basis X^3, 3X^2 Y, 3X Y^2, Y^3), and S, T generate SL2(F_p).  G
-    holds S4^2 = -I = Sym^3(-I), so G = Sym^3(SL2(F_p)), on which Sym^3 is
-    faithful: a scalar c with c^3 = 1 and c^2 = 1 is 1."""
-    S1, T1 = rho_matrices(SpParams(S4.m, 1))
-    minus = S1 * S1                     # -I, as rho_matrices checks
+    S and T generate SL2(F_p), and G holds S4^2 = -I = Sym^3(-I), so
+    G = Sym^3(SL2(F_p)), on which Sym^3 is faithful: a scalar c with
+    c^3 = 1 and c^2 = 1 is 1."""
+    S1, T1 = (Matrix(rows, S4.m) for rows in _SYM3)
+    minus = S1 * S1                     # Sym^3(-I) = -I
     if all(g in (h, h * minus) for g, h in ((S4, S1), (T4, T1))):
         return S4.m * (S4.m ** 2 - 1) // 2
     return None
@@ -407,5 +402,5 @@ def kernel_test(w: Word, params: SpParams) -> bool:
 def lift_witness_mod_p2(params: SpParams) -> bool:
     """rho(T)^(p(p-1)) over Z/p^2 is trivial mod p but not mod p^2."""
     p, m2 = params.p, params.p ** 2
-    Mpow = Matrix(_t_rows(params.x, params.resolved_y(m2), m2), m2) ** (p * (p - 1))
+    Mpow = Matrix(_rho_rows(params, m2)[1], m2) ** (p * (p - 1))
     return Matrix(Mpow.rows, p).is_identity() and not Mpow.is_identity()

@@ -179,8 +179,18 @@ MUTANTS = (
            (_INVARIANTS + "::TestCusps",)),
     Mutant("genus-cusp-coefficient", "src/phicong/invariants.py",
            "- 6 * c) // 12", "- 5 * c) // 12", (_INVARIANTS + "::TestGenus::test_table",)),
-    Mutant("eps3-legendre-sign", "src/phicong/invariants.py",
+    Mutant("eps3-legendre-sign", "src/phicong/rationals.py",
            "legendre(-3, p)", "legendre(3, p)", (_INVARIANTS + "::TestElliptic",)),
+    Mutant("sym3-table-entry", "src/phicong/symplectic.py",
+           "((1, 3, 3, 1),", "((1, 1, 3, 1),", (_ROUTES + "::test_rho_at_1_is_sym3",)),
+    Mutant("rho-diagonal-order", "src/phicong/symplectic.py",
+           "d = (x, y, pow(y, -1, m), pow(x, -1, m))",
+           "d = (x, pow(y, -1, m), y, pow(x, -1, m))",
+           ("tests/test_symplectic.py::TestRho::test_entries_at_every_x_and_y",)),
+    Mutant("cusps-character-x-admitted", "src/phicong/cli.py",
+           "    elif args.x is not None:\n"
+           "        raise DomainError(\"cusps takes --x only with --oracle cycles\")\n",
+           "", ("tests/test_cli.py::TestInvalidInput",)),
     Mutant("miller-rabin-base-41-dropped", "src/phicong/rationals.py",
            "31, 37, 41)", "31, 37)",
            ("tests/test_rationals.py::test_is_prime_strong_pseudoprimes",)),

@@ -512,6 +512,8 @@ class TestStderrFailure:
 class TestInvalidInput:
     @pytest.mark.parametrize("argv", [
         "genus --p 15", "genus --p 9", "cusps --p 21",
+        # --x chooses rho only for the cycle oracle; 3 is no primitive root mod 13
+        "cusps --p 13 --x 3",
         "grassmannian --p 15 --x 2 --epsilons",
         "dims --family gp --k 2 --p 65", "member --spec gp --p 65 --word T",
         "qexp --level 5 --terms -1", "qexp --level 5 --terms 0",
@@ -549,8 +551,9 @@ class TestResourceGuard:
         assert captured.out == ""
         assert elapsed < 1.0
 
-    # 10^18 + 3 is prime: trial division would run far past the timeout,
-    # so the ceiling on p must come first
+    # the ceiling's message comes back first, before the primality test's:
+    # for the prime 10^18 + 3, and for 10^400 + 1 >= psi_13, whose
+    # primality the library refuses to decide
     @pytest.mark.parametrize("argv", [
         pytest.param(f"grassmannian --p {10 ** 18 + 3} --x 2 --{mode}",
                      id=f"grassmannian-{mode}")

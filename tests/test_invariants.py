@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from phicong.cli import MAX_P
 from phicong.divpoly import division_polynomials, reduction_profile, rescaled
 from phicong.errors import DomainError, InternalConsistencyError, UnsupportedPrimeError
 from phicong.invariants import (chi_power, cusp_data_character, cusp_data_fixed,
                                 dims_Gp, dims_unipotent, elliptic_counts,
                                 genus_pointstab, legendre)
+from phicong.matrices import Matrix
 from phicong.symplectic import SpParams, fixed_lagrangians, rho_matrices
 
 from closed_forms import genus_newman, noncongruence_report, twelve_genus_by_residue
@@ -135,6 +137,26 @@ class TestElliptic:
     def test_small_prime_rejected(self):
         with pytest.raises(UnsupportedPrimeError):
             elliptic_counts(7)
+
+    def test_every_rho_fixes_the_closed_form(self):
+        # rho(S)^2 = -I with trace 0 and R^3 = -I with trace -1, R = rho(S) rho(T),
+        # put each in one conjugacy class of Sp4(F_p) at every x and y, so
+        # both fix the closed form's count: every (p, x) the CLI admits, and
+        # every (x, y) at five primes
+        cases = [(p, x, None) for p in range(11, MAX_P + 1) if is_prime(p)
+                 for x in range(1, p)]
+        assert len(cases) == 1550
+        cases += [(p, x, y) for p in (11, 13, 17, 19, 23)
+                  for x in range(1, p) for y in range(1, p)]
+        for p, x, y in cases:
+            S4, T4 = rho_matrices(SpParams(p, x, y))
+            R = S4 * T4
+            neg = Matrix([[-int(i == j) for j in range(4)] for i in range(4)], p)
+            assert S4 * S4 == neg and R ** 3 == neg, (p, x, y)
+            traces = [sum(g.rows[i][i] for i in range(4)) % p for g in (S4, R)]
+            assert traces == [0, p - 1], (p, x, y)
+            assert (fixed_lagrangians(S4), fixed_lagrangians(R)) == elliptic_counts(p), \
+                (p, x, y)
 
 
 class TestGenus:

@@ -58,6 +58,18 @@ class TestRho:
         with pytest.raises(DomainError):
             SpParams(*args)
 
+    @pytest.mark.parametrize("p", [11, 13])
+    def test_entries_at_every_x_and_y(self, p):
+        # rho(S) and rho(T) written out entry by entry
+        for x, y in itertools.product(range(1, p), [None, *range(1, p)]):
+            yy = pow(x, -1, p) if y is None else y
+            xi, yi = pow(x, -1, p), pow(yy, -1, p)
+            S4, T4 = rho_matrices(SpParams(p, x, y))
+            assert S4 == Matrix([[0, 0, 0, -xi], [0, 0, yi, 0],
+                                 [0, -yy, 0, 0], [x, 0, 0, 0]], p), (x, y)
+            assert T4 == Matrix([[x, 3 * yy, 3 * yi, xi], [0, yy, 2 * yi, xi],
+                                 [0, 0, yi, xi], [0, 0, 0, xi]], p), (x, y)
+
     def test_st_order_six(self):
         S4, T4 = rho_matrices(SpParams(11, 2))
         R = S4 * T4
@@ -139,7 +151,7 @@ class TestGrassmannian:
 
     def test_act_examples(self):
         params = SpParams(11, 2)
-        x, y = 2, params.resolved_y(11)
+        x, y = 2, pow(2, -1, 11)
         S4, T4 = rho_matrices(params)
         D = Lagrangian("D", ()).index(11)
         assert permutation(S4)[D] == Lagrangian("A", (0, 0, 0)).index(11)
