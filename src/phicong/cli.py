@@ -46,6 +46,14 @@ def _option(args, name: str, rule: str):
     return value
 
 
+def _unread(args, rule: str, *names: str) -> None:
+    """DomainError if an option among names, which rule does not read, is given."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value is not False:
+            raise DomainError(f"{rule} takes no --{name.replace('_', '-')}")
+
+
 def _cmd_qexp(args) -> dict | str:
     if args.denominators and args.format == "csv":
         raise DomainError("--denominators cannot be written as --format csv")
@@ -112,8 +120,9 @@ _SPEC_NAMES = {
 
 
 def _cmd_member(args) -> dict:
-    from .words import SubgroupSpec, parse_word, subgroup_member
     kind, name = _SPEC_NAMES[args.spec]
+    _unread(args, f"--spec {args.spec}", *(n for n in ("n", "p") if n != name))
+    from .words import SubgroupSpec, parse_word, subgroup_member
     spec = SubgroupSpec(kind, _option(args, name, f"--spec {args.spec}")
                         if name else None)
     w = parse_word(args.word)
@@ -127,7 +136,7 @@ def _sp_params(p: int, x: int):
     if p > MAX_P:
         raise DomainError(f"the Lagrangian Grassmannian takes a prime "
                           f"p <= {MAX_P}, got {p}")
-    from .symplectic import SpParams
+    from .rationals import SpParams
     return SpParams(p, x)
 
 
@@ -137,15 +146,16 @@ def _cusp_doc(data) -> dict:
 
 
 def _cmd_grassmannian(args) -> dict:
+    from .rationals import SpParams, elliptic_counts
     head = {"p": args.p, "x": args.x}
     if args.lift_check:
-        from .symplectic import SpParams, lift_witness_mod_p2
-        return {**head, "liftWitness": lift_witness_mod_p2(SpParams(args.p, args.x))}
+        params = SpParams(args.p, args.x)
+        from .symplectic import lift_witness_mod_p2
+        return {**head, "liftWitness": lift_witness_mod_p2(params)}
+    params = _sp_params(args.p, args.x)
     if args.cycles:
         from .invariants import cusp_data_cycles
-        return {**head, **_cusp_doc(cusp_data_cycles(_sp_params(args.p, args.x)))}
-    from .rationals import elliptic_counts
-    params = _sp_params(args.p, args.x)
+        return {**head, **_cusp_doc(cusp_data_cycles(params))}
     eps = dict(zip(("epsilon2", "epsilon3"), elliptic_counts(args.p)))
     if args.epsilons:
         return {**head, **eps}
@@ -164,19 +174,19 @@ def _cmd_genus(args) -> dict:
 
 
 def _cmd_cusps(args) -> dict:
-    from .invariants import cusp_data_character, cusp_data_cycles
-    if args.oracle == "cycles":
-        data = cusp_data_cycles(_sp_params(args.p, _option(args, "x", "--oracle cycles")))
-    elif args.x is not None:
+    params = (_sp_params(args.p, _option(args, "x", "--oracle cycles"))
+              if args.oracle == "cycles" else None)
+    if params is None and args.x is not None:
         raise DomainError("cusps takes --x only with --oracle cycles")
-    else:
-        data = cusp_data_character(args.p)
+    from .invariants import cusp_data_character, cusp_data_cycles
+    data = cusp_data_character(args.p) if params is None else cusp_data_cycles(params)
     return {"p": args.p, "oracle": args.oracle, **_cusp_doc(data)}
 
 
 def _cmd_dims(args) -> dict:
     from .invariants import dims_Gp, dims_unipotent
     if args.family == "unipotent":
+        _unread(args, "--family unipotent", "p")
         d = dims_unipotent(args.k, _option(args, "index", "--family unipotent"),
                            not args.nontrivial_character)
         return {"family": "unipotent", "k": args.k, "index": args.index,
@@ -184,6 +194,7 @@ def _cmd_dims(args) -> dict:
                 "dimM": d.dim_M, "dimMPerCharacter": d.dim_M_char,
                 "dimSPerCharacter": d.dim_S_char,
                 "dimEisPerCharacter": d.dim_eis_char}
+    _unread(args, "--family gp", "index", "nontrivial_character")
     d = dims_Gp(args.k, _option(args, "p", "--family gp"))
     return {"family": "gp", "k": args.k, "p": args.p, "dimM": d.dim_M,
             "genus": d.genus, "cusps": d.cusps,

@@ -1,6 +1,6 @@
 """Exact integer helpers: valuations, factorization, repeated squaring
-in any ring, the counts |X(F_p)|, |Sp4(F_p)|, epsilon_2 and epsilon_3,
-(a/p), the roots of a polynomial and the kernel of a matrix mod p.
+in any ring, rho's SpParams, the counts |X(F_p)|, |Sp4(F_p)|, epsilon_2
+and epsilon_3, (a/p), the roots of a polynomial and the kernel mod p.
 
 require_int is the one integer check of the library: a non-int, or an
 int below its bound, is refused with DomainError where it comes in.
@@ -9,7 +9,7 @@ int below its bound, is refused with DomainError where it comes in.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import DomainError, UnsupportedPrimeError
 
@@ -104,6 +104,28 @@ def require_gp_prime(p: int) -> None:
     primes of the family G_p."""
     if not isinstance(p, int) or p % 12 != 5 or not is_prime(p):
         raise UnsupportedPrimeError(f"G_p needs a prime p = 5 (mod 12), got {p!r}")
+
+
+class _SpFields(NamedTuple):
+    p: int
+    x: int
+    y: Optional[int] = None
+
+
+class SpParams(_SpFields):
+    """The prime p > 7 and the units x, y mod p that choose rho; y
+    defaults to the inverse of x.  symplectic.surjectivity_verdict's
+    structural routes assume that default: an explicit y that the
+    certificate does not cover is refused there (DomainError)."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, x: int, y: Optional[int] = None):
+        require_prime(p, 7)
+        for name, v in (("x", x), ("y", 1 if y is None else y)):
+            if not isinstance(v, int) or v % p == 0:
+                raise DomainError(f"{name} must be an int invertible mod p, got {v!r}")
+        return super().__new__(cls, p, x, y)
 
 
 def grassmannian_size(p: int) -> int:

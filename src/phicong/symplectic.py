@@ -23,33 +23,11 @@ from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
 from .errors import DomainError, InternalConsistencyError
 from .matrices import Matrix
-from .rationals import (factorize, kernel_mod_p, legendre, require_int, require_prime,
-                        roots_mod_p, row_reduce, sp4_order, split_power)
+from .rationals import (SpParams, factorize, kernel_mod_p, legendre, require_int,
+                        require_prime, roots_mod_p, row_reduce, sp4_order, split_power)
 
 if TYPE_CHECKING:                       # only the annotations name a Word
     from .words import Word
-
-
-class _SpFields(NamedTuple):
-    p: int
-    x: int
-    y: Optional[int] = None
-
-
-class SpParams(_SpFields):
-    """The prime p > 7 and the units x, y mod p that choose rho; y
-    defaults to the inverse of x.  surjectivity_verdict's structural
-    routes assume that default: an explicit y that the certificate does
-    not cover is refused there (DomainError)."""
-
-    __slots__ = ()
-
-    def __new__(cls, p: int, x: int, y: Optional[int] = None):
-        require_prime(p, 7)
-        for name, v in (("x", x), ("y", 1 if y is None else y)):
-            if not isinstance(v, int) or v % p == 0:
-                raise DomainError(f"{name} must be an int invertible mod p, got {v!r}")
-        return super().__new__(cls, p, x, y)
 
 
 #: The symplectic form preserved by rho.

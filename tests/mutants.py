@@ -188,9 +188,20 @@ MUTANTS = (
            "d = (x, pow(y, -1, m), y, pow(x, -1, m))",
            ("tests/test_symplectic.py::TestRho::test_entries_at_every_x_and_y",)),
     Mutant("cusps-character-x-admitted", "src/phicong/cli.py",
-           "    elif args.x is not None:\n"
+           "    if params is None and args.x is not None:\n"
            "        raise DomainError(\"cusps takes --x only with --oracle cycles\")\n",
            "", ("tests/test_cli.py::TestInvalidInput",)),
+    Mutant("sp-params-unit-check", "src/phicong/rationals.py",
+           "or v % p == 0:", "or v == 0:",
+           ("tests/test_symplectic.py::TestRho::test_params_validation",)),
+    Mutant("epsilons-loads-symplectic", "src/phicong/cli.py",
+           "    from .rationals import SpParams\n    return SpParams(p, x)",
+           "    from .symplectic import SpParams\n    return SpParams(p, x)",
+           ("tests/test_cli.py::TestImports::test_verb_does_not_load_numpy"
+            "[grassmannian-epsilons]",)),
+    Mutant("dims-gp-index-admitted", "src/phicong/cli.py",
+           '_unread(args, "--family gp", "index", ', '_unread(args, "--family gp", ',
+           ("tests/test_cli.py::TestInvalidInput",)),
     Mutant("miller-rabin-base-41-dropped", "src/phicong/rationals.py",
            "31, 37, 41)", "31, 37)",
            ("tests/test_rationals.py::test_is_prime_strong_pseudoprimes",)),

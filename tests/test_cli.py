@@ -516,6 +516,12 @@ class TestInvalidInput:
         "cusps --p 13 --x 3",
         "grassmannian --p 15 --x 2 --epsilons",
         "dims --family gp --k 2 --p 65", "member --spec gp --p 65 --word T",
+        # an option that the chosen family or spec does not read
+        "dims --family gp --k 2 --p 17 --index 3",
+        "dims --family gp --k 2 --p 17 --nontrivial-character",
+        "dims --family unipotent --k 2 --index 3 --p 17",
+        "member --spec gamma-prime --p 17 --word S",
+        "member --spec gp --p 17 --n 4 --word S",
         "qexp --level 5 --terms -1", "qexp --level 5 --terms 0",
         f"qexp --level 5 --terms {MAX_TERMS + 1}",
         "qexp --level 10 --terms 1000000 --denominators",
@@ -637,9 +643,10 @@ class TestImports:
               "grassmannian": ("qexp", "series", "divpoly", "cyclotomic", "words"),
               "cusps": ("qexp", "series", "divpoly", "cyclotomic", "words")}
     # and those that one mode of a verb does not use: only the cusp data
-    # of --cycles comes from invariants
+    # of --cycles comes from invariants, and epsilon_2, epsilon_3 are
+    # closed forms in p that need no matrix
     MODE_UNUSED = {"--surjectivity": ("invariants",),
-                   "--epsilons": ("invariants",)}
+                   "--epsilons": ("invariants", "symplectic", "matrices")}
     # an x of order 3 gets no certificate: its order comes from the Siegel
     # parabolic route, which loads no more than the certified call
     UNCERTIFIED = ["grassmannian", "--p", "13", "--x", "3", "--surjectivity"]
@@ -677,6 +684,27 @@ class TestImports:
                   f"assert main({argv!r}) == 0\n"
                   f"loaded = [m for m in {unused!r} if m in sys.modules]\n"
                   "assert not loaded, f'{loaded} imported'\n")
+        done = subprocess.run([sys.executable, "-c", script], env=_child_env(),
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("argv", [
+        "grassmannian --p 15 --x 2 --epsilons",
+        "grassmannian --p 11 --x 11 --epsilons",
+        "grassmannian --p 127 --x 3 --surjectivity",
+        "grassmannian --p 15 --x 2 --cycles",
+        "grassmannian --p 15 --x 2 --lift-check",
+        "cusps --p 15 --oracle cycles --x 2",
+    ])
+    def test_refusal_loads_no_matrix_code(self, argv):
+        # a composite p, a non-unit x and p above MAX_P are refused by
+        # SpParams and the ceiling, before symplectic or invariants loads
+        script = ("import sys\n"
+                  "from phicong.cli import main\n"
+                  f"assert main({argv.split()!r}) == 2\n"
+                  "loaded = {m for m in sys.modules if m.startswith('phicong')}\n"
+                  "assert loaded <= {'phicong', 'phicong.cli', 'phicong.errors',\n"
+                  "                  'phicong.rationals'}, sorted(loaded)\n")
         done = subprocess.run([sys.executable, "-c", script], env=_child_env(),
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stderr

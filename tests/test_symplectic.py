@@ -10,6 +10,7 @@ from phicong.errors import (DomainError, InternalConsistencyError,
                             UnsupportedPrimeError)
 from phicong.matrices import Matrix
 from phicong.rationals import grassmannian_size, is_prime
+import phicong.rationals
 import phicong.symplectic
 from phicong.symplectic import (SpParams, fixed_lagrangians, form_J,
                                 generates_sp4, inverse, kernel_test,
@@ -57,6 +58,10 @@ class TestRho:
     def test_params_must_be_ints(self, args):
         with pytest.raises(DomainError):
             SpParams(*args)
+
+    def test_params_defined_once(self):
+        # symplectic re-exports the class that rationals defines
+        assert phicong.symplectic.SpParams is phicong.rationals.SpParams
 
     @pytest.mark.parametrize("p", [11, 13])
     def test_entries_at_every_x_and_y(self, p):
