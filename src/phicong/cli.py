@@ -9,7 +9,10 @@ it at once, so a failed call leaves stdout empty, and it prints integers
 of any size.  Exit codes: 0 success, 1 the result could not be written,
 2 validation error, 3 internal consistency failure; a closed or full
 stderr loses the message, not the code.  A verb imports only
-the modules it uses, and none loads argparse or json.
+the modules it uses, and none loads argparse or json.  `main` is the
+in-process entry and never freezes the heap, so a caller's objects stay
+collectable; the process entry, `phicong.__main__.run`, freezes the
+start-up heap and then calls it.
 """
 
 from __future__ import annotations

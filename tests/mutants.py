@@ -211,6 +211,12 @@ MUTANTS = (
     Mutant("profile-range-unbounded", "src/phicong/divpoly.py",
            "range(1, min((p - 1) // 2, N * N))", "range(1, (p - 1) // 2)",
            ("tests/test_cli.py::TestLargePrimes::test_exits_0",)),
+    Mutant("entry-no-freeze", "src/phicong/__main__.py", "    gc.freeze()\n", "",
+           ("tests/test_cli.py::TestProcessEntry::test_run_freezes_the_heap",)),
+    Mutant("freeze-in-cli-main", "src/phicong/cli.py",
+           "    saved = getattr(sys, ",
+           "    __import__(\"gc\").freeze()\n    saved = getattr(sys, ",
+           ("tests/test_cli.py::TestProcessEntry::test_main_does_not_freeze",)),
 )
 
 #: Seconds a mutant's tests may run; a mutant that makes them hang is killed.

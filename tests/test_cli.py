@@ -1,4 +1,5 @@
 import ast
+import gc
 import json
 import math
 import os
@@ -509,6 +510,40 @@ class TestStderrFailure:
             self.run("genus --p 11", 1, stdout=full, stderr=full)
 
 
+class TestProcessEntry:
+    """`python -m phicong` freezes the start-up heap before it runs
+    `cli.main`; `cli.main` itself, and a plain import of the entry, freeze
+    nothing."""
+
+    @pytest.mark.parametrize("argv,code", [("genus --p 11", 0), ("genus --p 15", 2)])
+    def test_run_freezes_the_heap(self, argv, code):
+        script = ("import gc, runpy, sys\n"
+                  "try:\n"
+                  "    runpy.run_module('phicong', run_name='__main__')\n"
+                  "except SystemExit:\n"
+                  "    print(gc.get_freeze_count(), file=sys.stderr)\n"
+                  "    raise\n")
+        done = subprocess.run([sys.executable, "-c", script, *argv.split()],
+                              env=_child_env(), capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == code, done.stderr
+        assert int(done.stderr.splitlines()[-1]) > 0
+        assert (done.stdout == "") == (code != 0)
+
+    def test_main_does_not_freeze(self, capsys):
+        frozen = gc.get_freeze_count()
+        assert main(["genus", "--p", "11"]) == 0
+        assert main(["genus", "--p", "15"]) == 2
+        assert gc.get_freeze_count() == frozen
+
+    def test_import_runs_nothing(self):
+        script = "import gc, phicong.__main__\nprint(gc.get_freeze_count())\n"
+        done = subprocess.run([sys.executable, "-c", script], env=_child_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "0\n"
+
+
 class TestInvalidInput:
     @pytest.mark.parametrize("argv", [
         "genus --p 15", "genus --p 9", "cusps --p 21",
@@ -614,6 +649,8 @@ class TestResourceGuard:
 # --level 10 --rescaled --profile 7 and --level 9 --profile 11 before the
 # division polynomials became int tuples and --profile reused psi_N^2
 GOLDEN = json.loads((Path(__file__).parent / "golden_stdout.json").read_text())
+# the first entry of each verb
+GOLDEN_PER_VERB = list({e["argv"][0]: e for e in reversed(GOLDEN)}.values())
 
 
 class TestGoldenStdout:
@@ -622,6 +659,17 @@ class TestGoldenStdout:
         code = main(entry["argv"])
         assert code == 0
         assert capsys.readouterr().out == entry["stdout"]
+
+    def test_every_verb_runs_in_child(self):
+        assert {e["argv"][0] for e in GOLDEN_PER_VERB} == set(_VERBS)
+
+    # through the process entry and the exit it takes
+    @pytest.mark.parametrize("entry", GOLDEN_PER_VERB, ids=lambda e: " ".join(e["argv"]))
+    def test_bytes_unchanged_in_child(self, entry):
+        done = subprocess.run([sys.executable, "-m", "phicong", *entry["argv"]],
+                              env=_child_env(), capture_output=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == entry["stdout"].encode()
 
 
 def _child_env():
