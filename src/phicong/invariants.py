@@ -80,7 +80,8 @@ def cusp_data_fixed(p: int, fix: Callable[[int], int]) -> CuspData:
 def cusp_data_cycles(params) -> CuspData:
     """The cusp data of the point stabilizer at any SpParams: cusp_data_fixed
     of the Lagrangians that each power of rho(T) fixes."""
-    from .symplectic import fixed_lagrangians, rho_matrices
+    from .geometry import fixed_lagrangians
+    from .symplectic import rho_matrices
     T4 = rho_matrices(params)[1]
     return cusp_data_fixed(params.p, lambda d: fixed_lagrangians(T4 ** d))
 

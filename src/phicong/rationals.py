@@ -1,6 +1,6 @@
 """Exact integer helpers: valuations, factorization, repeated squaring
 in any ring, rho's SpParams, the counts |X(F_p)|, |Sp4(F_p)|, epsilon_2
-and epsilon_3, (a/p), the roots of a polynomial and the kernel mod p.
+and epsilon_3, and (a/p).  The linear algebra mod p is in geometry.
 
 require_int is the one integer check of the library: a non-int, or an
 int below its bound, is refused with DomainError where it comes in.
@@ -8,8 +8,8 @@ int below its bound, is refused with DomainError where it comes in.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .errors import DomainError, UnsupportedPrimeError
 
@@ -151,50 +151,6 @@ def legendre(a: int, p: int) -> int:
     require_int(a, "a")
     require_int(p, "p", 3)
     return (pow(a, (p - 1) // 2, p) + 1) % p - 1
-
-
-def roots_mod_p(coeffs: List[int], p: int) -> List[int]:
-    """The roots in F_p* of a polynomial mod p, coefficients lowest degree
-    first, by a scan of F_p*, O(p)."""
-    return [mu for mu in range(1, p)
-            if not reduce(lambda acc, c: (acc * mu + c) % p, reversed(coeffs), 0)]
-
-
-def row_reduce(rows, p: int) -> Tuple[List[List[int]], List[int], int]:
-    """The one Gauss-Jordan elimination mod p: (the reduced rows, their
-    pivot columns, det), det the product of the pivots as they are found,
-    negated at each row swap and 0 once a column has none; for a square
-    matrix that is its determinant mod p."""
-    rows, pivots, det = [[v % p for v in r] for r in rows], [], 1
-    for c in range(len(rows[0]) if rows else 0):
-        r = len(pivots)
-        hit = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if hit is None:
-            det = 0
-            continue
-        if hit != r:
-            rows[r], rows[hit], det = rows[hit], rows[r], -det
-        det = det * rows[r][c] % p
-        inv = pow(rows[r][c], -1, p)
-        top = rows[r] = [v * inv % p for v in rows[r]]
-        rows = [[(u - row[c] * v) % p for u, v in zip(row, top)] if i != r and row[c]
-                else row for i, row in enumerate(rows)]
-        pivots.append(c)
-    return rows, pivots, det
-
-
-def kernel_mod_p(rows, p: int, mu: int = 0, extra=()) -> List[List[int]]:
-    """A basis of the v with M v = mu v mod p, M the matrix of rows, and
-    r . v = 0 for the extra rows r: a free coordinate f set to 1, the
-    other free ones to 0, and each pivot coordinate of row_reduce solved for;
-    DomainError when there is no row to read the width from."""
-    rows, pivots, _ = row_reduce([[v - mu * (i == j) for j, v in enumerate(r)]
-                                  for i, r in enumerate(rows)] + list(extra), p)
-    if not rows:
-        raise DomainError("kernel_mod_p needs at least one row")
-    width = len(rows[0])
-    return [[-rows[pivots.index(c)][f] % p if c in pivots else int(c == f)
-             for c in range(width)] for f in range(width) if f not in pivots]
 
 
 def power(base, e: int, one):

@@ -14,9 +14,10 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from phicong.errors import DomainError
+from phicong.geometry import PAIRS
 from phicong.matrices import Matrix
 from phicong.rationals import factorize, grassmannian_size, require_prime, sp4_order
-from phicong.symplectic import _PAIRS, SpParams, rho_matrices
+from phicong.symplectic import SpParams, rho_matrices
 
 from permutation_oracle import permutation
 
@@ -207,7 +208,7 @@ def invariant_forms(S4: Matrix, T4: Matrix) -> List[Matrix]:
 
     def antisym(vec):
         g = [[0] * 4 for _ in range(4)]
-        for (i, j), v in zip(_PAIRS, vec):
+        for (i, j), v in zip(PAIRS, vec):
             g[i][j], g[j][i] = v, -v
         return Matrix(g, p)
 
@@ -216,7 +217,7 @@ def invariant_forms(S4: Matrix, T4: Matrix) -> List[Matrix]:
     units = [antisym([int(k == c) for c in range(6)]) for k in range(6)]
     A = [[(Matrix(zip(*M.rows), p) * G * M).rows[i][j] - G.rows[i][j]
           for G in units]
-         for M in (S4, T4) for (i, j) in _PAIRS]
+         for M in (S4, T4) for (i, j) in PAIRS]
     pivots = rref_mod_p(A, p)
     basis = []
     for fcol in (c for c in range(6) if c not in pivots):
@@ -230,7 +231,7 @@ def invariant_forms(S4: Matrix, T4: Matrix) -> List[Matrix]:
 
 def in_span(G: Matrix, basis: List[Matrix]) -> bool:
     """Whether antisymmetric G is an F_p-combination of the basis forms."""
-    A = [[b.rows[i][j] for b in basis] + [G.rows[i][j]] for (i, j) in _PAIRS]
+    A = [[b.rows[i][j] for b in basis] + [G.rows[i][j]] for (i, j) in PAIRS]
     # G is in the span iff the appended column carries no pivot
     return len(basis) not in rref_mod_p(A, G.m)
 

@@ -2,7 +2,7 @@
 used for epsilon_2, epsilon_3 and the cusp widths before they were
 counted from 4x4 matrices, kept unchanged as their oracle: with
 permutation_oracle.permutation it counts fixed points and cycles point by
-point, independent of symplectic.fixed_lagrangians and of the Moebius
+point, independent of geometry.fixed_lagrangians and of the Moebius
 inversion in invariants."""
 
 import itertools

@@ -71,12 +71,15 @@ _CHAIN = "tests/test_symplectic.py::TestMatrixChain"
 _ROUTES = "tests/test_symplectic.py::TestStructuralRoutes"
 _QUADRIC = "tests/test_symplectic.py::TestQuadricZeros"
 _INVARIANTS = "tests/test_invariants.py"
+_BUDGET = "tests/test_cli.py::TestImports::test_compile_budget"
+_LIFT_END = "    return Matrix(Mpow.rows, p).is_identity() and not Mpow.is_identity()\n"
+_CLI_END = 'if __name__ == "__main__":\n'
 
 MUTANTS = (
-    Mutant("ceiling-off-by-one", "src/phicong/cli.py",
+    Mutant("ceiling-off-by-one", "src/phicong/cli_symplectic.py",
            "if p > MAX_P:", "if p >= MAX_P:",
            ("tests/test_cli.py::TestResourceGuard::test_ceiling_sweep",)),
-    Mutant("ceiling-not-in-sp-params", "src/phicong/cli.py", _CEILING, "",
+    Mutant("ceiling-not-in-sp-params", "src/phicong/cli_symplectic.py", _CEILING, "",
            ("tests/test_cli.py::TestResourceGuard::test_refused_before_allocating",)),
     Mutant("write-handler-removed", "src/phicong/cli.py",
            _WRITE, "        sys.stdout.write(text)\n",
@@ -118,7 +121,7 @@ MUTANTS = (
     Mutant("is-identity-one-row", "src/phicong/matrices.py",
            "return self.rows == Matrix._IDENTITY",
            "return self.rows[0] == Matrix._IDENTITY[0]", (_KERNEL,)),
-    Mutant("quartic-sign-of-b", "src/phicong/symplectic.py",
+    Mutant("quartic-sign-of-b", "src/phicong/geometry.py",
            "[1, 2 - b, a * a - 2 * b + 2, 2 - b, 1]",
            "[1, b - 2, a * a - 2 * b + 2, b - 2, 1]", (_FIXED,)),
     Mutant("trace-pair-not-halved", "src/phicong/symplectic.py",
@@ -146,19 +149,19 @@ MUTANTS = (
     Mutant("chain-strong-generator-own-level-only", "tests/schreier_oracle.py",
            "for level in chain[:lvl + 1]:", "for level in chain[lvl:lvl + 1]:",
            (_CHAIN,)),
-    Mutant("sym3-equality-loosened", "src/phicong/symplectic.py",
+    Mutant("sym3-equality-loosened", "src/phicong/routes.py",
            "if all(g in (h, h * minus)", "if any(g in (h, h * minus)",
            (_ROUTES + "::test_sym3_route",)),
-    Mutant("closure-count-not-halved", "src/phicong/symplectic.py",
+    Mutant("closure-count-not-halved", "src/phicong/routes.py",
            "    return len(group) // 2\n", "    return len(group)\n",
            (_ROUTES + "::test_closure_route",)),
-    Mutant("witness-check-dropped", "src/phicong/symplectic.py",
+    Mutant("witness-check-dropped", "src/phicong/routes.py",
            "if not h.is_identity() and all(_apply(h, b) == b for b in basis):",
            "if True:", (_ROUTES + "::test_parabolic_route_needs_a_radical_witness",)),
-    Mutant("levi-det-taken-as-trivial", "src/phicong/symplectic.py",
+    Mutant("levi-det-taken-as-trivial", "src/phicong/routes.py",
            "return 3 * p ** 4 * (p * p - 1) // 2", "return p ** 4 * (p * p - 1) // 2",
            (_ROUTES + "::test_parabolic_route",)),
-    Mutant("borel-check-dropped", "src/phicong/symplectic.py",
+    Mutant("borel-check-dropped", "src/phicong/routes.py",
            " or mul(mul(N, S_bar), N) == zero", "",
            (_ROUTES + "::test_parabolic_route_refuses_a_borel_group",)),
     Mutant("inverse-weights-swapped", "src/phicong/symplectic.py",
@@ -168,10 +171,10 @@ MUTANTS = (
            _MEMBERSHIP, "", (_FIXED + "::test_rejects", _CHAIN + "::test_rejects")),
     Mutant("power-exponent-unchecked", "src/phicong/rationals.py",
            "    require_int(e, \"exponent\", 0)\n", "", (_BOUNDARY,)),
-    Mutant("row-reduce-swap-sign-dropped", "src/phicong/rationals.py",
+    Mutant("row-reduce-swap-sign-dropped", "src/phicong/geometry.py",
            "rows[r], rows[hit], det = rows[hit], rows[r], -det",
            "rows[r], rows[hit] = rows[hit], rows[r]", (_QUADRIC, _FIXED)),
-    Mutant("quadric-disc-of-whole-gram", "src/phicong/symplectic.py",
+    Mutant("quadric-disc-of-whole-gram", "src/phicong/geometry.py",
            "row_reduce([[G[i][j] for j in P] for i in P], p)[2]", "row_reduce(G, p)[2]",
            (_QUADRIC,)),
     Mutant("cusp-long-width-count", "src/phicong/invariants.py",
@@ -187,20 +190,20 @@ MUTANTS = (
            "d = (x, y, pow(y, -1, m), pow(x, -1, m))",
            "d = (x, pow(y, -1, m), y, pow(x, -1, m))",
            ("tests/test_symplectic.py::TestRho::test_entries_at_every_x_and_y",)),
-    Mutant("cusps-character-x-admitted", "src/phicong/cli.py",
+    Mutant("cusps-character-x-admitted", "src/phicong/cli_symplectic.py",
            "    if params is None and args.x is not None:\n"
            "        raise DomainError(\"cusps takes --x only with --oracle cycles\")\n",
            "", ("tests/test_cli.py::TestInvalidInput",)),
     Mutant("sp-params-unit-check", "src/phicong/rationals.py",
            "or v % p == 0:", "or v == 0:",
            ("tests/test_symplectic.py::TestRho::test_params_validation",)),
-    Mutant("epsilons-loads-symplectic", "src/phicong/cli.py",
+    Mutant("epsilons-loads-symplectic", "src/phicong/cli_symplectic.py",
            "    from .rationals import SpParams\n    return SpParams(p, x)",
            "    from .symplectic import SpParams\n    return SpParams(p, x)",
            ("tests/test_cli.py::TestImports::test_verb_does_not_load_numpy"
             "[grassmannian-epsilons]",)),
-    Mutant("dims-gp-index-admitted", "src/phicong/cli.py",
-           '_unread(args, "--family gp", "index", ', '_unread(args, "--family gp", ',
+    Mutant("dims-gp-index-admitted", "src/phicong/cli_symplectic.py",
+           'unread(args, "--family gp", "index", ', 'unread(args, "--family gp", ',
            ("tests/test_cli.py::TestInvalidInput",)),
     Mutant("miller-rabin-base-41-dropped", "src/phicong/rationals.py",
            "31, 37, 41)", "31, 37)",
@@ -217,6 +220,15 @@ MUTANTS = (
            "    saved = getattr(sys, ",
            "    __import__(\"gc\").freeze()\n    saved = getattr(sys, ",
            ("tests/test_cli.py::TestProcessEntry::test_main_does_not_freeze",)),
+    # a module-level import at the end of symplectic: above the names that
+    # routes reads from symplectic it would be a circular ImportError
+    Mutant("routes-loaded-with-symplectic", "src/phicong/symplectic.py",
+           _LIFT_END, _LIFT_END + "\n\nfrom .routes import sym3_order\n",
+           (_BUDGET + "[grassmannian --p 11 --x 2 --surjectivity]",)),
+    # likewise at the end of cli, after the names its handlers import
+    Mutant("family-loaded-with-cli", "src/phicong/cli.py",
+           _CLI_END, "from . import cli_symplectic\n\n\n" + _CLI_END,
+           ("tests/test_cli.py::TestImports::test_cli_import_loads_no_library_module",)),
 )
 
 #: Seconds a mutant's tests may run; a mutant that makes them hang is killed.

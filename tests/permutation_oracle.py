@@ -23,9 +23,10 @@ import math
 from typing import List, Optional, Sequence
 
 from phicong.errors import DomainError, InternalConsistencyError
+from phicong.geometry import wedge
 from phicong.matrices import Matrix
 from phicong.rationals import grassmannian_size, require_prime
-from phicong.symplectic import _wedge, form_J
+from phicong.symplectic import form_J
 
 #: Estimated memory, in bytes, above which the oracles refuse to build
 #: permutations of X(F_p) (DomainError).
@@ -98,7 +99,7 @@ def permutation(M: Matrix) -> List[int]:
     inv = [0] + [pow(v, -1, p) for v in range(1, p)]
     out: List[int] = []
     append = out.append
-    for alpha, beta, count in _image_rows(_wedge(M), p):
+    for alpha, beta, count in _image_rows(wedge(M), p):
         # <v, w> = p03 - 3 p12 for J
         if (alpha[2] - 3 * alpha[3]) % p or (beta[2] - 3 * beta[3]) % p:
             raise InternalConsistencyError("image of a plane is not Lagrangian")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from phicong.matrices import Matrix
-from phicong.rationals import kernel_mod_p, roots_mod_p
+from phicong.geometry import kernel_mod_p, roots_mod_p
 from phicong.symplectic import inverse, require_symplectic, trace_pair
 
 

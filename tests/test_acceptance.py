@@ -7,11 +7,12 @@ from fractions import Fraction
 from math import lcm
 
 from phicong.divpoly import rescaled
+from phicong.geometry import fixed_lagrangians
 from phicong.invariants import (chi_power, cusp_data_character, cusp_data_fixed,
                                 elliptic_counts, genus_pointstab, legendre)
 from phicong.qexp import denominator_report, xtilde
-from phicong.symplectic import (SpParams, fixed_lagrangians, kernel_test,
-                                lift_witness_mod_p2, rho_matrices, sp4_order)
+from phicong.symplectic import (SpParams, kernel_test, lift_witness_mod_p2,
+                                rho_matrices, sp4_order)
 from phicong.words import SubgroupSpec, Word, parse_word, phi, subgroup_member
 
 from closed_forms import assert_matches_closed_forms, twelve_genus_by_residue

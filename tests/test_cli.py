@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+import tokenize
 import types
 from pathlib import Path
 
@@ -412,7 +413,7 @@ class TestBenchmarkCommandLines:
             assert ops, name
             for op in ops:
                 handler, _ = parse_args(list(op.argv))
-                assert handler is _VERBS[op.argv[0]][0], (name, op.argv)
+                assert handler.__name__ == f"cmd_{op.argv[0]}", (name, op.argv)
 
 
 class TestWriter:
@@ -696,7 +697,8 @@ class TestImports:
     MODE_UNUSED = {"--surjectivity": ("invariants",),
                    "--epsilons": ("invariants", "symplectic", "matrices")}
     # an x of order 3 gets no certificate: its order comes from the Siegel
-    # parabolic route, which loads no more than the certified call
+    # parabolic route, which loads the routes and geometry modules on top of
+    # the certified call's (test_compile_budget pins both sets)
     UNCERTIFIED = ["grassmannian", "--p", "13", "--x", "3", "--surjectivity"]
 
     @pytest.mark.parametrize("argv", [
@@ -746,16 +748,64 @@ class TestImports:
     ])
     def test_refusal_loads_no_matrix_code(self, argv):
         # a composite p, a non-unit x and p above MAX_P are refused by
-        # SpParams and the ceiling, before symplectic or invariants loads
+        # SpParams and the ceiling, before symplectic or invariants loads;
+        # the handlers' module loads no library module of its own
         script = ("import sys\n"
                   "from phicong.cli import main\n"
                   f"assert main({argv.split()!r}) == 2\n"
                   "loaded = {m for m in sys.modules if m.startswith('phicong')}\n"
                   "assert loaded <= {'phicong', 'phicong.cli', 'phicong.errors',\n"
-                  "                  'phicong.rationals'}, sorted(loaded)\n")
+                  "                  'phicong.rationals', 'phicong.cli_symplectic'},"
+                  " sorted(loaded)\n")
         done = subprocess.run([sys.executable, "-c", script], env=_child_env(),
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
+
+    # Each kind of op the benchmark runs, its exit code, the phicong modules
+    # it loads besides the package, and the source tokens of those and the
+    # package: without bytecode every op compiles all of them, which takes
+    # longer than the certified call's own work.
+    BUDGETS = [
+        (["grassmannian", "--p", "11", "--x", "2", "--surjectivity"], 0,
+         "cli cli_symplectic errors matrices rationals symplectic", 4822),
+        (UNCERTIFIED, 0, "cli cli_symplectic errors geometry matrices rationals "
+         "routes symplectic", 6591),
+        (["grassmannian", "--p", "23", "--x", "5", "--epsilons"], 0,
+         "cli cli_symplectic errors rationals", 2919),
+        (["grassmannian", "--p", "29", "--x", "2", "--cycles"], 0,
+         "cli cli_symplectic errors geometry invariants matrices rationals "
+         "symplectic", 6609),
+        (["cusps", "--p", "23", "--oracle", "cycles", "--x", "5"], 0,
+         "cli cli_symplectic errors geometry invariants matrices rationals "
+         "symplectic", 6609),
+        (["genus", "--p", "23"], 0, "cli cli_symplectic errors invariants rationals",
+         3705),
+        (["genus", "--p", "15"], 2, "cli cli_symplectic errors invariants rationals",
+         3705),
+        (["qexp", "--level", "5", "--terms", "60"], 0,
+         "cli cli_unipotent errors polynomials qexp rationals", 4413),
+        (["qexp", "--level", "3", "--terms", "30", "--denominators"], 0,
+         "cli cli_unipotent errors polynomials qexp rationals", 4413),
+        (["member", "--spec", "gp", "--p", "17", "--word", "T^4 S^-1"], 0,
+         "cli cli_unipotent errors rationals words", 3943),
+    ]
+
+    @pytest.mark.parametrize("argv, code, modules, tokens", BUDGETS,
+                             ids=[" ".join(argv) for argv, *_ in BUDGETS])
+    def test_compile_budget(self, argv, code, modules, tokens):
+        # the loaded set exactly, and their tokens within 5 % of the count
+        # above: a module that loads where it need not fails here
+        script = ("import sys\n"
+                  "from phicong.cli import main\n"
+                  f"assert main({argv!r}) == {code}\n"
+                  "print(*sorted(m[8:] for m in sys.modules if m.startswith('phicong.')))\n")
+        done = subprocess.run([sys.executable, "-c", script], env=_child_env(),
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1].split() == modules.split()
+        package = Path(phicong.__file__).parent
+        paths = [package / "__init__.py", *(package / f"{m}.py" for m in modules.split())]
+        assert sum(map(_source_tokens, paths)) <= tokens * 105 // 100
 
     @pytest.mark.parametrize("argv", [
         "grassmannian --p 97 --x 5 --surjectivity",
@@ -803,6 +853,15 @@ class TestImports:
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "['phicong', 'phicong.cli', 'phicong.errors']"
+
+
+def _source_tokens(path):
+    """The tokens that compiling the source at path reads: those of
+    tokenize, less comments, line breaks, indentation and the markers."""
+    layout = {tokenize.ENCODING, tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
+              tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+    with open(path, "rb") as fh:
+        return sum(tok.type not in layout for tok in tokenize.tokenize(fh.readline))
 
 
 def _surjectivity_in_child(p, x):

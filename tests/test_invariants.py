@@ -5,11 +5,12 @@ import pytest
 from phicong.cli import MAX_P
 from phicong.divpoly import division_polynomials, reduction_profile, rescaled
 from phicong.errors import DomainError, InternalConsistencyError, UnsupportedPrimeError
+from phicong.geometry import fixed_lagrangians
 from phicong.invariants import (chi_power, cusp_data_character, cusp_data_fixed,
                                 dims_Gp, dims_unipotent, elliptic_counts,
                                 genus_pointstab, legendre)
 from phicong.matrices import Matrix
-from phicong.symplectic import SpParams, fixed_lagrangians, rho_matrices
+from phicong.symplectic import SpParams, rho_matrices
 
 from closed_forms import genus_newman, noncongruence_report, twelve_genus_by_residue
 from cycle_oracle import cusp_data_cycles, cycle_type

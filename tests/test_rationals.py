@@ -5,10 +5,11 @@ import pytest
 from phicong import qexp
 from phicong.cyclotomic import Cyc12
 from phicong.errors import DomainError, UnsupportedPrimeError
+from phicong.geometry import kernel_mod_p
 from phicong.invariants import dims_Gp
 from phicong.matrices import Matrix
-from phicong.rationals import (factorize, is_prime, kernel_mod_p, legendre,
-                               padic_val, require_gp_prime, require_int, require_prime,
+from phicong.rationals import (factorize, is_prime, legendre, padic_val,
+                               require_gp_prime, require_int, require_prime,
                                split_power)
 from phicong.series import LaurentSeries
 from phicong.symplectic import SpParams, matrix_order, rho_matrices

@@ -10,9 +10,12 @@ from phicong.errors import (DomainError, InternalConsistencyError,
                             UnsupportedPrimeError)
 from phicong.matrices import Matrix
 from phicong.rationals import grassmannian_size, is_prime
+import phicong.geometry
 import phicong.rationals
+import phicong.routes
 import phicong.symplectic
-from phicong.symplectic import (SpParams, fixed_lagrangians, form_J,
+from phicong.geometry import fixed_lagrangians
+from phicong.symplectic import (SpParams, form_J,
                                 generates_sp4, inverse, kernel_test,
                                 lift_witness_mod_p2, matrix_order,
                                 outside_sp2_p2, rho_matrices,
@@ -184,7 +187,7 @@ class TestGrassmannian:
     def test_broken_images_rejected(self, monkeypatch, broken, message):
         # the broken matrices stand in for the exterior square of rho(S)
         S4, _ = rho_matrices(SpParams(11, 2))
-        monkeypatch.setattr(permutation_oracle, "_wedge", broken)
+        monkeypatch.setattr(permutation_oracle, "wedge", broken)
         with pytest.raises(InternalConsistencyError, match=message):
             permutation(S4)
 
@@ -399,8 +402,8 @@ def _sym3(g, p):
 
 def _walk(A, B):
     symplectic = phicong.symplectic
-    return list(symplectic._random_elements([A, B], random.Random(symplectic._SEED),
-                                            symplectic._TRIES))
+    return list(symplectic.random_elements([A, B], random.Random(symplectic.SEED),
+                                           symplectic.TRIES))
 
 
 class TestCertificate:
@@ -519,7 +522,7 @@ class TestCertificate:
                     break
         for M in (A, C):
             assert Matrix(zip(*M.rows), M.m) * gram * M == gram
-        monkeypatch.setattr(phicong.symplectic, "_random_elements",
+        monkeypatch.setattr(phicong.symplectic, "random_elements",
                             lambda gens, rng, count: iter([A, C]))
         assert not generates_sp4(A, C)
 
@@ -640,12 +643,12 @@ def _invertible(k, p, rng):
 
 
 class TestQuadricZeros:
-    """symplectic._quadric_zeros against a count of the zeros over all of
+    """geometry._quadric_zeros against a count of the zeros over all of
     F_p^k, on symmetric forms of every rank."""
 
     @staticmethod
     def assert_counts(G, p):
-        assert phicong.symplectic._quadric_zeros(G, p) == _zeros_by_brute_force(G, p), (G, p)
+        assert phicong.geometry._quadric_zeros(G, p) == _zeros_by_brute_force(G, p), (G, p)
 
     def test_every_form_over_f3(self):
         for k in range(1, 4):
@@ -672,7 +675,7 @@ class TestQuadricZeros:
     def test_hyperbolic_plane(self, p):
         # 2xy = 0 on 2p - 1 points, though (-1/p) = -1: the discriminant is -1
         G = [[0, 1], [1, 0]]
-        assert phicong.symplectic._quadric_zeros(G, p) == 2 * p - 1
+        assert phicong.geometry._quadric_zeros(G, p) == 2 * p - 1
         self.assert_counts(G, p)
 
 
@@ -797,10 +800,10 @@ class TestStructuralRoutes:
         S1, T1 = rho_matrices(SpParams(p, 1))
         S2, T2 = rho_matrices(SpParams(p, 2))
         for x in (1, p - 1):
-            assert phicong.symplectic._sym3_order(
+            assert phicong.routes.sym3_order(
                 *rho_matrices(SpParams(p, x))) == p * (p * p - 1) // 2
         for pair in ((S2, T2), (S1, T2), (S2, T1)):
-            assert phicong.symplectic._sym3_order(*pair) is None
+            assert phicong.routes.sym3_order(*pair) is None
 
     def test_sym3_route_above_the_cli_ceiling(self):
         # the library's verdict reads no ceiling: p = 127 > MAX_P
@@ -811,16 +814,16 @@ class TestStructuralRoutes:
     @pytest.mark.parametrize("p, x", [(13, 5), (13, 8), (29, 12), (113, 15)])
     def test_closure_route(self, p, x):
         assert _multiplicative_order(x, p) == 4
-        assert phicong.symplectic._closure_order(*rho_matrices(SpParams(p, x))) == 6
+        assert phicong.routes.closure_order(*rho_matrices(SpParams(p, x))) == 6
 
     @pytest.mark.parametrize("p, x", [(13, 2), (13, 1), (13, 3)])
     def test_closure_gives_up_above_24(self, p, x):
-        assert phicong.symplectic._closure_order(*rho_matrices(SpParams(p, x))) is None
+        assert phicong.routes.closure_order(*rho_matrices(SpParams(p, x))) is None
 
     @pytest.mark.parametrize("p, x", [(13, 3), (13, 4), (19, 7), (19, 8), (109, 45)])
     def test_parabolic_route(self, p, x):
         assert _multiplicative_order(x, p) in (3, 6)
-        order = phicong.symplectic._parabolic_order(*rho_matrices(SpParams(p, x)),
+        order = phicong.routes.parabolic_order(*rho_matrices(SpParams(p, x)),
                                                     pow(x, 4, p))
         assert order == 3 * p ** 4 * (p * p - 1) // 2
 
@@ -831,30 +834,30 @@ class TestStructuralRoutes:
         p, zero = 13, [[0, 0], [0, 0]]
         S = _siegel([[2, 0], [0, 7]], [[-3, 1], [1, 1]], p)
         T = _siegel([[4, 4], [0, 4]], zero, p)
-        assert phicong.symplectic._parabolic_order(S, T, 3) is None
+        assert phicong.routes.parabolic_order(S, T, 3) is None
 
     def test_parabolic_route_needs_a_radical_witness(self):
         # Levi elements only: Gbar is SL2(13).3 and G n U = 1
         p, zero = 13, [[0, 0], [0, 0]]
         S = _siegel([[0, -1], [1, 0]], zero, p)
         T = _siegel([[4, 4], [0, 4]], zero, p)
-        assert phicong.symplectic._parabolic_order(S, T, 3) is None
+        assert phicong.routes.parabolic_order(S, T, 3) is None
 
     def test_parabolic_route_refuses_other_groups(self):
         for p, x in ((13, 2), (13, 1), (13, 5)):
             S4, T4 = rho_matrices(SpParams(p, x))
-            assert phicong.symplectic._parabolic_order(S4, T4, pow(x, 4, p)) is None
+            assert phicong.routes.parabolic_order(S4, T4, pow(x, 4, p)) is None
 
     def test_every_pair_to_113_takes_its_route(self, monkeypatch):
         taken = []
-        for name in ("_sym3_order", "_closure_order", "_parabolic_order"):
-            def spy(*args, route=getattr(phicong.symplectic, name), name=name):
+        for name in ("sym3_order", "closure_order", "parabolic_order"):
+            def spy(*args, route=getattr(phicong.routes, name), name=name):
                 order = route(*args)
                 taken.append((name, order is not None))
                 return order
-            monkeypatch.setattr(phicong.symplectic, name, spy)
-        route = {1: "_sym3_order", 2: "_sym3_order", 4: "_closure_order",
-                 3: "_parabolic_order", 6: "_parabolic_order"}
+            monkeypatch.setattr(phicong.routes, name, spy)
+        route = {1: "sym3_order", 2: "sym3_order", 4: "closure_order",
+                 3: "parabolic_order", 6: "parabolic_order"}
         uncertified = 0
         for p in (p for p in range(11, 114) if is_prime(p)):
             for x in range(1, p):
@@ -897,7 +900,7 @@ class TestMemoryGuard:
 
         def no_points(M):
             raise AssertionError("points built before the size check")
-        monkeypatch.setattr(permutation_oracle, "_wedge", no_points)
+        monkeypatch.setattr(permutation_oracle, "wedge", no_points)
         with pytest.raises(DomainError, match="GiB limit"):
             permutation(S4)
 
