@@ -4,7 +4,7 @@ X(F_p), and the linear algebra mod p they are counted with.
 fixed_lagrangians counts the planes that a matrix fixes from its 6x6
 exterior square, as the zeros of a quadratic form on each eigenspace, so
 nothing here grows with |X(F_p)|.  Only the cycle route (cusp_data_cycles)
-and the structural routes of surjectivity_verdict load this module.
+loads this module.
 """
 
 from __future__ import annotations

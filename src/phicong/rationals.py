@@ -114,9 +114,9 @@ class _SpFields(NamedTuple):
 
 class SpParams(_SpFields):
     """The prime p > 7 and the units x, y mod p that choose rho; y
-    defaults to the inverse of x.  symplectic.surjectivity_verdict's
-    structural routes assume that default: an explicit y that the
-    certificate does not cover is refused there (DomainError)."""
+    defaults to the inverse of x.  symplectic.surjectivity_verdict decides
+    only that default, and refuses any y with x y != 1 (mod p) (DomainError);
+    rho itself and the fixed-point counts take every y."""
 
     __slots__ = ()
 

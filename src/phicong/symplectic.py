@@ -6,12 +6,11 @@ rho(T) and rho(S) preserve the symplectic form J with (1,4)-entry 1 and
 A(a,b,c), B(a,b), C(a), D with |X(F_p)| = (p^2+1)(p+1); the planes that
 a matrix fixes are counted by geometry.fixed_lagrangians.
 
-surjectivity_verdict decides whether rho(S), rho(T) generate Sp4(F_p)
-from two matrix facts about random elements (generates_sp4); when they
-do not, the routes module proves the group's order from its structure:
-Sym^3(SL2(F_p)) for x = +-1, a closure of at most 24 matrices for x of
-order 4, and a Siegel parabolic for x of order 3 or 6.  Any other group
-is refused.
+surjectivity_verdict reads the order of <rho(S), rho(T)> off a table in
+x^2 mod p, proved once in README: Sym^3(SL2(F_p)) for x^2 = 1, a group of
+order 12 for x^2 = -1, and a Siegel parabolic subgroup for x^4 + x^2 + 1
+= 0.  For every other x it proves surjectivity at run time from two
+matrix facts about random elements (generates_sp4), or refuses.
 """
 
 from __future__ import annotations
@@ -22,8 +21,8 @@ from typing import TYPE_CHECKING, List, NamedTuple, Tuple
 
 from .errors import DomainError, InternalConsistencyError
 from .matrices import Matrix
-from .rationals import (SpParams, factorize, legendre, require_int, require_prime,
-                        sp4_order, split_power)
+from .rationals import (SpParams, factorize, legendre, require_prime, sp4_order,
+                        split_power)
 
 if TYPE_CHECKING:                       # only the annotations name a Word
     from .words import Word
@@ -157,40 +156,42 @@ class SurjectivityVerdict(NamedTuple):
     surjective_psp4: bool        # perm_group_order == |Sp4(F_p)| / 2
 
 
-def matrix_order(M: Matrix, exponent: int) -> int:
-    """Multiplicative order of M, given an exponent >= 1 with
-    M^exponent = I: each prime q of the exponent is divided out while
-    M^(order/q) = I."""
-    require_int(exponent, "exponent", 1)
-    if not (M ** exponent).is_identity():
-        raise InternalConsistencyError(f"matrix power {exponent} is not the identity")
-    order = exponent
-    for q in factorize(exponent):
-        while order % q == 0 and (M ** (order // q)).is_identity():
+def _multiplicative_order(x: int, p: int) -> int:
+    """The order of the unit x mod p, each prime q of p - 1 divided out of
+    p - 1 while x^(order/q) = 1."""
+    order = p - 1
+    for q in factorize(p - 1):
+        while order % q == 0 and pow(x, order // q, p) == 1:
             order //= q
     return order
 
 
 def surjectivity_verdict(params: SpParams) -> SurjectivityVerdict:
-    """The group <rho(S), rho(T)> contains -I = rho(S)^2, which acts
-    trivially on X(F_p), so it acts there with half its order: generates_sp4
-    gives |Sp4(F_p)|/2, and otherwise the first of the routes sym3_order,
-    closure_order and parabolic_order that proves an order gives it.
-    DomainError when none does.  The routes assume y = 1/x, so an explicit
-    y that the certificate does not cover is refused, (11, 2, 5) for one."""
+    """The verdict for y = 1/x, read off x^2 mod p by the table that README
+    proves ("How surjectivity is certified"): on X(F_p), where -I = rho(S)^2
+    acts trivially, the order is p(p^2 - 1)/2 for x^2 = 1, 6 for x^2 = -1,
+    3p^4(p^2 - 1)/2 for x^4 + x^2 + 1 = 0, and |Sp4(F_p)|/2 for any other x
+    once generates_sp4 proves it (DomainError when it does not).  rho(T)
+    has order 4 for x^2 = -1 and p ord(x) otherwise.  An explicit y with
+    x y != 1 (mod p) is refused (DomainError) before any matrix is built."""
     p = params.p
-    S4, T4 = rho_matrices(params)
-    order_T = matrix_order(T4, p * (p - 1))
+    x = params.x % p
+    if params.y is not None and x * params.y % p != 1:
+        raise DomainError(f"surjectivity is decided only for y = 1/x mod p, got {params}")
+    sq = x * x % p
+    sl2 = p * (p * p - 1)               # |SL2(F_p)|
     psp4 = sp4_order(p) // 2
-    if generates_sp4(S4, T4):
+    order_T = 4 if sq == p - 1 else p * _multiplicative_order(x, p)
+    if sq == 1:
+        order = sl2 // 2
+    elif sq == p - 1:
+        order = 6
+    elif (sq * sq + sq + 1) % p == 0:
+        order = 3 * p ** 3 * sl2 // 2
+    elif generates_sp4(*rho_matrices(params)):
         order = psp4
-    else:                               # the routes load only for this branch
-        from .routes import closure_order, parabolic_order, sym3_order
-        order = (sym3_order(S4, T4) or closure_order(S4, T4)
-                 or parabolic_order(S4, T4, pow(params.x, 4, p)))
-    if order is None:
-        raise DomainError(f"no certificate that rho(S), rho(T) generate Sp4(F_{p}), "
-                          f"and no structural proof of their order, for {params}")
+    else:
+        raise DomainError(f"no certificate that rho(S), rho(T) generate Sp4(F_{p}) for {params}")
     return SurjectivityVerdict(order_T, order, order == psp4)
 
 

@@ -69,6 +69,7 @@ _DIVPOLY_ORACLE = "tests/test_divpoly.py::TestOracle"
 _BOUNDARY = "tests/test_rationals.py::test_float_refused_at_the_boundary"
 _CHAIN = "tests/test_symplectic.py::TestMatrixChain"
 _ROUTES = "tests/test_symplectic.py::TestStructuralRoutes"
+_TABLE = _ROUTES + "::test_every_pair_to_113_takes_its_route"
 _QUADRIC = "tests/test_symplectic.py::TestQuadricZeros"
 _INVARIANTS = "tests/test_invariants.py"
 _BUDGET = "tests/test_cli.py::TestImports::test_compile_budget"
@@ -149,21 +150,17 @@ MUTANTS = (
     Mutant("chain-strong-generator-own-level-only", "tests/schreier_oracle.py",
            "for level in chain[:lvl + 1]:", "for level in chain[lvl:lvl + 1]:",
            (_CHAIN,)),
-    Mutant("sym3-equality-loosened", "src/phicong/routes.py",
-           "if all(g in (h, h * minus)", "if any(g in (h, h * minus)",
-           (_ROUTES + "::test_sym3_route",)),
-    Mutant("closure-count-not-halved", "src/phicong/routes.py",
-           "    return len(group) // 2\n", "    return len(group)\n",
-           (_ROUTES + "::test_closure_route",)),
-    Mutant("witness-check-dropped", "src/phicong/routes.py",
-           "if not h.is_identity() and all(_apply(h, b) == b for b in basis):",
-           "if True:", (_ROUTES + "::test_parabolic_route_needs_a_radical_witness",)),
-    Mutant("levi-det-taken-as-trivial", "src/phicong/routes.py",
-           "return 3 * p ** 4 * (p * p - 1) // 2", "return p ** 4 * (p * p - 1) // 2",
-           (_ROUTES + "::test_parabolic_route",)),
-    Mutant("borel-check-dropped", "src/phicong/routes.py",
-           " or mul(mul(N, S_bar), N) == zero", "",
-           (_ROUTES + "::test_parabolic_route_refuses_a_borel_group",)),
+    Mutant("table-row-x2-minus-1-dropped", "src/phicong/symplectic.py",
+           "    elif sq == p - 1:\n        order = 6\n", "", (_TABLE,)),
+    Mutant("order-T-at-x2-minus-1-times-p", "src/phicong/symplectic.py",
+           "order_T = 4 if sq == p - 1", "order_T = 4 * p if sq == p - 1",
+           ("tests/test_symplectic.py::TestRho::test_order_T_matches_iteration",)),
+    Mutant("table-row-x4-x2-1-as-x2-x-1", "src/phicong/symplectic.py",
+           "elif (sq * sq + sq + 1) % p == 0:", "elif (x * x + x + 1) % p == 0:",
+           (_TABLE,)),
+    Mutant("explicit-y-admitted", "src/phicong/symplectic.py",
+           "    if params.y is not None and x * params.y % p != 1:\n", "    if False:\n",
+           (_ROUTES + "::test_explicit_y_other_than_1_over_x_is_refused",)),
     Mutant("inverse-weights-swapped", "src/phicong/symplectic.py",
            "c[j] * pow(c[i], -1, p)", "c[i] * pow(c[j], -1, p)",
            (_FIXED, _CHAIN + "::test_inverse_is_J_conjugate_transpose")),
@@ -221,9 +218,9 @@ MUTANTS = (
            "    __import__(\"gc\").freeze()\n    saved = getattr(sys, ",
            ("tests/test_cli.py::TestProcessEntry::test_main_does_not_freeze",)),
     # a module-level import at the end of symplectic: above the names that
-    # routes reads from symplectic it would be a circular ImportError
-    Mutant("routes-loaded-with-symplectic", "src/phicong/symplectic.py",
-           _LIFT_END, _LIFT_END + "\n\nfrom .routes import sym3_order\n",
+    # geometry reads from symplectic it would be a circular ImportError
+    Mutant("geometry-loaded-with-symplectic", "src/phicong/symplectic.py",
+           _LIFT_END, _LIFT_END + "\n\nfrom .geometry import wedge\n",
            (_BUDGET + "[grassmannian --p 11 --x 2 --surjectivity]",)),
     # likewise at the end of cli, after the names its handlers import
     Mutant("family-loaded-with-cli", "src/phicong/cli.py",

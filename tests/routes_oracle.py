@@ -1,12 +1,14 @@
-"""The orders of the groups <rho(S), rho(T)> that generates_sp4 does not
-certify: Sym^3(SL2(F_p)) for x = +-1, a closure of at most 24 matrices
-for x of order 4, and a Siegel parabolic for x of order 3 or 6.
+"""Test oracle: the orders of the groups <rho(S), rho(T)> that
+generates_sp4 does not certify, proved at run time from the two matrices:
+Sym^3(SL2(F_p)) for x = +-1, a closure of at most 24 matrices for x of
+order 4, and a Siegel parabolic for x of order 3 or 6; and matrix_order,
+the order of one matrix by trial division of an exponent.
 
 Each route proves the order of G = <S4, T4> on X(F_p) from checks on the
 two matrices, or returns None.  The kernel of the action on X(F_p) is
-G n {I, -I}, so for a G that holds -I the order there is |G|/2.  Only
-symplectic.surjectivity_verdict calls them, and only for a pair that the
-certificate leaves open, so a certified call never loads this module.
+G n {I, -I}, so for a G that holds -I the order there is |G|/2.  The
+tests compare symplectic.surjectivity_verdict's table in x^2 mod p with
+them, and the matrix chain (schreier_oracle) checks them.
 """
 
 from __future__ import annotations
@@ -14,9 +16,25 @@ from __future__ import annotations
 import random
 from typing import List, Optional
 
-from .geometry import LAGRANGIAN_ROW, PAIRS, kernel_mod_p, row_reduce, wedge
-from .matrices import Matrix
-from .symplectic import SEED, SYM3, TRIES, random_elements
+from phicong.errors import InternalConsistencyError
+from phicong.geometry import LAGRANGIAN_ROW, PAIRS, kernel_mod_p, row_reduce, wedge
+from phicong.matrices import Matrix
+from phicong.rationals import factorize, require_int
+from phicong.symplectic import SEED, SYM3, TRIES, random_elements
+
+
+def matrix_order(M: Matrix, exponent: int) -> int:
+    """Multiplicative order of M, given an exponent >= 1 with
+    M^exponent = I: each prime q of the exponent is divided out while
+    M^(order/q) = I."""
+    require_int(exponent, "exponent", 1)
+    if not (M ** exponent).is_identity():
+        raise InternalConsistencyError(f"matrix power {exponent} is not the identity")
+    order = exponent
+    for q in factorize(exponent):
+        while order % q == 0 and (M ** (order // q)).is_identity():
+            order //= q
+    return order
 
 
 def sym3_order(S4: Matrix, T4: Matrix) -> Optional[int]:

@@ -696,9 +696,9 @@ class TestImports:
     # closed forms in p that need no matrix
     MODE_UNUSED = {"--surjectivity": ("invariants",),
                    "--epsilons": ("invariants", "symplectic", "matrices")}
-    # an x of order 3 gets no certificate: its order comes from the Siegel
-    # parabolic route, which loads the routes and geometry modules on top of
-    # the certified call's (test_compile_budget pins both sets)
+    # an x of order 3 gets no certificate: its order is a closed form of
+    # the table in x^2 mod p, so the call loads the certified call's modules
+    # and no more (test_compile_budget pins the set)
     UNCERTIFIED = ["grassmannian", "--p", "13", "--x", "3", "--surjectivity"]
 
     @pytest.mark.parametrize("argv", [
@@ -768,8 +768,10 @@ class TestImports:
     BUDGETS = [
         (["grassmannian", "--p", "11", "--x", "2", "--surjectivity"], 0,
          "cli cli_symplectic errors matrices rationals symplectic", 4822),
-        (UNCERTIFIED, 0, "cli cli_symplectic errors geometry matrices rationals "
-         "routes symplectic", 6591),
+        (UNCERTIFIED, 0, "cli cli_symplectic errors matrices rationals symplectic",
+         4840),
+        (["grassmannian", "--p", "13", "--x", "5", "--surjectivity"], 0,
+         "cli cli_symplectic errors matrices rationals symplectic", 4840),
         (["grassmannian", "--p", "23", "--x", "5", "--epsilons"], 0,
          "cli cli_symplectic errors rationals", 2919),
         (["grassmannian", "--p", "29", "--x", "2", "--cycles"], 0,

@@ -12,7 +12,6 @@ from phicong.rationals import (factorize, is_prime, legendre, padic_val,
                                require_gp_prime, require_int, require_prime,
                                split_power)
 from phicong.series import LaurentSeries
-from phicong.symplectic import SpParams, matrix_order, rho_matrices
 from phicong.words import SubgroupSpec, Word
 
 
@@ -144,8 +143,6 @@ def _xtilde_int_then_float():
     pytest.param(lambda: Matrix.identity(11) ** 2.0, id="Matrix_pow"),
     pytest.param(lambda: LaurentSeries({0: 1, 1: 1}, 5) ** 2.0, id="LaurentSeries_pow"),
     pytest.param(lambda: Cyc12(1, 1) ** 2.0, id="Cyc12_pow"),
-    pytest.param(lambda: matrix_order(rho_matrices(SpParams(11, 2))[1], 110.0),
-                 id="matrix_order"),
     pytest.param(lambda: Word([("S", 1)]) ** 2.0, id="Word_pow"),
     pytest.param(lambda: Word([("S", 1.5)]), id="Word_syllable"),
     pytest.param(lambda: legendre(3, 2.0), id="legendre"),

@@ -6,23 +6,23 @@ from math import gcd, lcm
 
 import pytest
 
+from phicong.cyclotomic import Cyc12
 from phicong.errors import (DomainError, InternalConsistencyError,
                             UnsupportedPrimeError)
 from phicong.matrices import Matrix
 from phicong.rationals import grassmannian_size, is_prime
 import phicong.geometry
 import phicong.rationals
-import phicong.routes
 import phicong.symplectic
 from phicong.geometry import fixed_lagrangians
-from phicong.symplectic import (SpParams, form_J,
+from phicong.symplectic import (J_ROWS, SYM3, SpParams, form_J,
                                 generates_sp4, inverse, kernel_test,
-                                lift_witness_mod_p2, matrix_order,
-                                outside_sp2_p2, rho_matrices,
+                                lift_witness_mod_p2, outside_sp2_p2, rho_matrices,
                                 rho_word, sp4_order, surjectivity_verdict)
 from phicong.words import Word, parse_word
 
 import permutation_oracle
+import routes_oracle
 import schreier_oracle
 from closed_forms import (Lagrangian, assert_matches_closed_forms, in_span,
                           invariant_forms, lagrangian_from_index, rref_mod_p)
@@ -32,7 +32,7 @@ from ring_matrix import Matrix as RingMatrix, eval_word
 
 
 def order_by_iteration(M):
-    """The oracle for matrix_order: the least k >= 1 with M^k = I."""
+    """The order of M by brute force: the least k >= 1 with M^k = I."""
     acc, k = M, 1
     while not acc.is_identity():
         acc, k = acc * M, k + 1
@@ -87,25 +87,12 @@ class TestRho:
             acc = acc * R
         assert acc.is_identity()
 
-    def test_matrix_order_T(self):
-        for p, x in ((11, 2), (13, 2)):
+    @pytest.mark.parametrize("p", [11, 13, 17, 19, 29])
+    def test_order_T_matches_iteration(self, p):
+        # x^2 = +-1, ord(x) = 3 and 6 (p = 13, 19), and ord(x) = 4 (13, 17, 29)
+        for x in range(1, p):
             _, T4 = rho_matrices(SpParams(p, x))
-            assert matrix_order(T4, p * (p - 1)) == p * (p - 1)
-            with pytest.raises(InternalConsistencyError):
-                matrix_order(T4, p * p)         # not a multiple of the order
-
-    @pytest.mark.parametrize("exponent", [0, -110])
-    def test_matrix_order_rejects_exponent_below_1(self, exponent):
-        _, T4 = rho_matrices(SpParams(11, 2))
-        with pytest.raises(DomainError, match="exponent"):
-            matrix_order(T4, exponent)
-
-    def test_matrix_order_matches_iteration(self):
-        for p in (11, 13, 17):
-            for x in range(1, p):
-                for y in (None, 3):
-                    _, T4 = rho_matrices(SpParams(p, x, y))
-                    assert matrix_order(T4, p * (p - 1)) == order_by_iteration(T4)
+            assert surjectivity_verdict(SpParams(p, x)).order_T == order_by_iteration(T4), x
 
     def test_invariant_forms_contains_J(self):
         p = 11
@@ -732,7 +719,7 @@ class TestMatrixChain:
         assert schreier_oracle.group_order([]) == schreier_oracle.group_order([ident]) == 1
         assert schreier_oracle.group_order([neg]) == 2
         assert schreier_oracle.group_order([S4]) == schreier_oracle.group_order([S4, neg]) == 4
-        assert schreier_oracle.group_order([T4]) == matrix_order(T4, p * (p - 1))
+        assert schreier_oracle.group_order([T4]) == routes_oracle.matrix_order(T4, p * (p - 1))
         for u in ((1, 0, 0, 0), (1, 2, 0, 3)):
             assert schreier_oracle.group_order([_transvection(u, 1, p)]) == p
         # Sp2(p) x Sp2(p) on the J-orthogonal planes <e1, e4> and <e2, e3>
@@ -800,10 +787,10 @@ class TestStructuralRoutes:
         S1, T1 = rho_matrices(SpParams(p, 1))
         S2, T2 = rho_matrices(SpParams(p, 2))
         for x in (1, p - 1):
-            assert phicong.routes.sym3_order(
+            assert routes_oracle.sym3_order(
                 *rho_matrices(SpParams(p, x))) == p * (p * p - 1) // 2
         for pair in ((S2, T2), (S1, T2), (S2, T1)):
-            assert phicong.routes.sym3_order(*pair) is None
+            assert routes_oracle.sym3_order(*pair) is None
 
     def test_sym3_route_above_the_cli_ceiling(self):
         # the library's verdict reads no ceiling: p = 127 > MAX_P
@@ -814,17 +801,17 @@ class TestStructuralRoutes:
     @pytest.mark.parametrize("p, x", [(13, 5), (13, 8), (29, 12), (113, 15)])
     def test_closure_route(self, p, x):
         assert _multiplicative_order(x, p) == 4
-        assert phicong.routes.closure_order(*rho_matrices(SpParams(p, x))) == 6
+        assert routes_oracle.closure_order(*rho_matrices(SpParams(p, x))) == 6
 
     @pytest.mark.parametrize("p, x", [(13, 2), (13, 1), (13, 3)])
     def test_closure_gives_up_above_24(self, p, x):
-        assert phicong.routes.closure_order(*rho_matrices(SpParams(p, x))) is None
+        assert routes_oracle.closure_order(*rho_matrices(SpParams(p, x))) is None
 
     @pytest.mark.parametrize("p, x", [(13, 3), (13, 4), (19, 7), (19, 8), (109, 45)])
     def test_parabolic_route(self, p, x):
         assert _multiplicative_order(x, p) in (3, 6)
-        order = phicong.routes.parabolic_order(*rho_matrices(SpParams(p, x)),
-                                                    pow(x, 4, p))
+        order = routes_oracle.parabolic_order(*rho_matrices(SpParams(p, x)),
+                                              pow(x, 4, p))
         assert order == 3 * p ** 4 * (p * p - 1) // 2
 
     def test_parabolic_route_refuses_a_borel_group(self):
@@ -834,54 +821,134 @@ class TestStructuralRoutes:
         p, zero = 13, [[0, 0], [0, 0]]
         S = _siegel([[2, 0], [0, 7]], [[-3, 1], [1, 1]], p)
         T = _siegel([[4, 4], [0, 4]], zero, p)
-        assert phicong.routes.parabolic_order(S, T, 3) is None
+        assert routes_oracle.parabolic_order(S, T, 3) is None
 
     def test_parabolic_route_needs_a_radical_witness(self):
         # Levi elements only: Gbar is SL2(13).3 and G n U = 1
         p, zero = 13, [[0, 0], [0, 0]]
         S = _siegel([[0, -1], [1, 0]], zero, p)
         T = _siegel([[4, 4], [0, 4]], zero, p)
-        assert phicong.routes.parabolic_order(S, T, 3) is None
+        assert routes_oracle.parabolic_order(S, T, 3) is None
 
     def test_parabolic_route_refuses_other_groups(self):
         for p, x in ((13, 2), (13, 1), (13, 5)):
             S4, T4 = rho_matrices(SpParams(p, x))
-            assert phicong.routes.parabolic_order(S4, T4, pow(x, 4, p)) is None
+            assert routes_oracle.parabolic_order(S4, T4, pow(x, 4, p)) is None
 
     def test_every_pair_to_113_takes_its_route(self, monkeypatch):
-        taken = []
-        for name in ("sym3_order", "closure_order", "parabolic_order"):
-            def spy(*args, route=getattr(phicong.routes, name), name=name):
-                order = route(*args)
-                taken.append((name, order is not None))
-                return order
-            monkeypatch.setattr(phicong.routes, name, spy)
-        route = {1: "sym3_order", 2: "sym3_order", 4: "closure_order",
-                 3: "parabolic_order", 6: "parabolic_order"}
-        uncertified = 0
+        # every pair with p <= 113: the row of x^2 mod p against its route
+        # here, orderT against matrix_order, and generates_sp4 run by the
+        # verdict on the fourth row alone
+        certify, walks = phicong.symplectic.generates_sp4, []
+        monkeypatch.setattr(phicong.symplectic, "generates_sp4",
+                            lambda S4, T4: walks.append(certify(S4, T4)) or walks[-1])
+        rows = {}
         for p in (p for p in range(11, 114) if is_prime(p)):
+            psp4 = sp4_order(p) // 2
             for x in range(1, p):
-                taken.clear()
+                S4, T4 = rho_matrices(SpParams(p, x))
+                walks.clear()
                 v = surjectivity_verdict(SpParams(p, x))
-                order = _multiplicative_order(x, p)
-                if order not in route:
-                    assert taken == [] and v.surjective_psp4, (p, x)
-                    continue
-                uncertified += 1
-                assert taken[-1] == (route[order], True), (p, x)
-                assert v.perm_group_order == _order_on_x(p, x), (p, x)
-        assert uncertified == 126
+                ord_x = _multiplicative_order(x, p)
+                if ord_x in (1, 2):
+                    row, order = "sym3", routes_oracle.sym3_order(S4, T4)
+                elif ord_x == 4:
+                    row, order = "closure", routes_oracle.closure_order(S4, T4)
+                elif ord_x in (3, 6):
+                    row, order = "parabolic", routes_oracle.parabolic_order(
+                        S4, T4, pow(x, 4, p))
+                else:
+                    row, order = "certificate", psp4 if walks == [True] else None
+                assert len(walks) == (row == "certificate"), (p, x)
+                assert v == (routes_oracle.matrix_order(T4, p * (p - 1)), order,
+                             order == psp4), (p, x)
+                rows[row] = rows.get(row, 0) + 1
+        assert rows == {"certificate": 1424, "sym3": 52, "closure": 26, "parabolic": 48}
 
     def test_no_proof_is_domain_error(self, monkeypatch):
         monkeypatch.setattr(phicong.symplectic, "generates_sp4", lambda S4, T4: False)
         with pytest.raises(DomainError, match="^no certificate"):
             surjectivity_verdict(SpParams(11, 2))
 
-    def test_explicit_y_outside_the_routes_is_refused(self):
-        # y = 5 is not 1/2 mod 11: no certificate, and no route applies
-        assert not generates_sp4(*rho_matrices(SpParams(11, 2, 5)))
-        with pytest.raises(DomainError, match="^no certificate"):
-            surjectivity_verdict(SpParams(11, 2, 5))
+    def test_explicit_y_other_than_1_over_x_is_refused(self):
+        # generates_sp4 certifies (11, 2, 3) and not (11, 2, 5): both are
+        # refused before any matrix is built; y = 6 = 1/2 mod 11 is the default
+        assert generates_sp4(*rho_matrices(SpParams(11, 2, 3)))
+        for y in (3, 5):
+            with pytest.raises(DomainError) as refused:
+                surjectivity_verdict(SpParams(11, 2, y))
+            assert str(refused.value) == ("surjectivity is decided only for y = 1/x "
+                                          f"mod p, got SpParams(p=11, x=2, y={y})")
+        assert surjectivity_verdict(SpParams(11, 2, 6)) == surjectivity_verdict(
+            SpParams(11, 2))
+
+
+def _integral_away_from_3(a) -> bool:
+    """Whether a in Q(zeta_12) lies in Z[zeta_12, 1/3]: every coordinate
+    has a power of 3 for its denominator."""
+    return all(3 ** c.denominator.bit_length() % c.denominator == 0 for c in a.c)
+
+
+def _unit_away_from_3(a) -> bool:
+    """Whether a is a unit of Z[zeta_12, 1/3], which no map to a field of
+    characteristic p > 3 sends to 0."""
+    return a != 0 and _integral_away_from_3(a) and _integral_away_from_3(a.inverse())
+
+
+class TestTableProofs:
+    """The steps of README's proof of the row x^4 + x^2 + 1 = 0, checked
+    once over Q(w), w = zeta_12^4 of order 3, with no prime p: the entries
+    live in Z[w, 1/3], which maps onto F_p with w -> x for every prime
+    p = 1 (mod 3), and each entry that must not vanish is a unit there.
+    (x of order 6 has the group of -x.)"""
+
+    def test_siegel_parabolic_row_over_q_w(self):
+        w = Cyc12.zeta_pow(4)
+        one, zero = Cyc12(1), Cyc12(0)
+        d = (w, w * w, w, w * w)                    # diag(x, 1/x, x, 1/x)
+        S4, T4 = (RingMatrix([[v * d[j] for j, v in enumerate(row)] for row in g])
+                  for g in SYM3)
+
+        def apply(g, v):
+            return tuple(sum((a * b for a, b in zip(row, v)), zero) for row in g.rows)
+
+        # L = <u1, u2> is Lagrangian, and g u = a u1 + b u2 with (a, b) the
+        # coordinates 1 and 3 of g u, for g = rho(S), rho(T)
+        u1, u2 = (1 - w, one, zero, zero), (zero, zero, (1 - w) / 3, one)
+        assert sum((u1[i] * J_ROWS[i][j] * u2[j] for i in range(4) for j in range(4)),
+                   zero) == 0
+
+        def on_L(g):
+            images = [apply(g, u) for u in (u1, u2)]
+            for im in images:
+                assert im == tuple(im[1] * a + im[3] * b for a, b in zip(u1, u2))
+            return [[im[1] for im in images], [im[3] for im in images]]
+
+        # det Sbar = 1; Tbar = w^2 (I + N) with N = ((0, n), (0, 0)), n a
+        # unit, so det Tbar = w; Sbar moves ker N = <u1>
+        (s00, s01), (s10, s11) = on_L(S4)
+        (t00, t01), (t10, t11) = on_L(T4)
+        assert s00 * s11 - s01 * s10 == 1
+        assert (t00, t10, t11) == (w * w, 0, w * w)
+        assert _unit_away_from_3(t01) and _unit_away_from_3(s10)
+        # s: w on <e0, v>, w^2 on L; it commutes with rho(T), s^3 = I, and
+        # rho(T) = s u with (u - I)^2 = 0 over Z[w, 1/3]: rho(T)^p = s mod p
+        v = (zero, (4 + 2 * w) / 3, one, zero)
+        B = RingMatrix(list(zip((one, zero, zero, zero), v, u1, u2)))
+        diag = RingMatrix([[(w if i < 2 else w * w) if i == j else zero
+                            for j in range(4)] for i in range(4)])
+        s = B * diag * B.inverse()
+        assert s * T4 == T4 * s and (s ** 3).is_identity()
+        n4 = [[e - int(i == j) for j, e in enumerate(row)]
+              for i, row in enumerate((s.inverse() * T4).rows)]
+        assert all(e == 0 for row in (RingMatrix(n4) * RingMatrix(n4)).rows for e in row)
+        assert all(_integral_away_from_3(e) for row in n4 for e in row)
+        assert on_L(s) == [[w * w, zero], [zero, w * w]]
+        # the radical element h = s rho(S) s^-1 rho(S)^-1: trivial on L, and
+        # an entry of h - I is a unit, so h != I at every p
+        h = s * S4 * s.inverse() * S4.inverse()
+        assert on_L(h) == [[one, zero], [zero, one]]
+        assert _unit_away_from_3(h.rows[1][0])
 
 
 class TestMemoryGuard:
