@@ -32,9 +32,10 @@ MAX_TERMS = 750
 #: plain or with --profile 5; the output grows about as N^4 (3.4 MB at 42).
 MAX_LEVEL = 42
 #: Largest p of the Grassmannian verbs.  No call allocates per point of
-#: X(F_p); what grows with p is the factorization of p - 1 and, on the
-#: cycle route only, the O(p) scan of F_p* in geometry.roots_mod_p.  The
-#: library's surjectivity_verdict reads no ceiling.
+#: X(F_p); what grows with p is the factorization of p - 1, by trial
+#: division, for the order of x and the divisors of p(p - 1), and on the
+#: fourth surjectivity row the walk's powers of 4x4 matrices.  The
+#: library's surjectivity_verdict and cusp data read no ceiling.
 MAX_P = 113
 
 

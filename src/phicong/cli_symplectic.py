@@ -33,7 +33,7 @@ def cmd_grassmannian(args) -> dict:
     head = {"p": args.p, "x": args.x}
     if args.lift_check:
         params = SpParams(args.p, args.x)
-        from .symplectic import lift_witness_mod_p2
+        from .invariants import lift_witness_mod_p2
         return {**head, "liftWitness": lift_witness_mod_p2(params)}
     params = _sp_params(args.p, args.x)
     if args.cycles:
@@ -49,6 +49,8 @@ def cmd_grassmannian(args) -> dict:
 
 
 def cmd_genus(args) -> dict:
+    from .rationals import require_prime
+    require_prime(args.p, 7)
     from .invariants import cusp_data_character, elliptic_counts, genus_pointstab
     eps2, eps3 = elliptic_counts(args.p)
     return {"p": args.p, "epsilon2": eps2, "epsilon3": eps3,
@@ -59,8 +61,11 @@ def cmd_genus(args) -> dict:
 def cmd_cusps(args) -> dict:
     params = (_sp_params(args.p, option(args, "x", "--oracle cycles"))
               if args.oracle == "cycles" else None)
-    if params is None and args.x is not None:
-        raise DomainError("cusps takes --x only with --oracle cycles")
+    if params is None:
+        if args.x is not None:
+            raise DomainError("cusps takes --x only with --oracle cycles")
+        from .rationals import require_prime
+        require_prime(args.p, 7)
     from .invariants import cusp_data_character, cusp_data_cycles
     data = cusp_data_character(args.p) if params is None else cusp_data_cycles(params)
     return {"p": args.p, "oracle": args.oracle, **_cusp_doc(data)}

@@ -1,11 +1,13 @@
 """Elliptic-point counts, cusp data, genus, and dimension formulas.
 
 Covers both families.  For the symplectic point stabilizers each number
-is one closed form in p: chi(T^d), the cusp widths when x is a primitive
-root, epsilon_2 and epsilon_3 (from rationals, at every x), and the genus
-by Riemann-Hurwitz from them.  The one computation is cusp_data_cycles,
-the Moebius inversion (cusp_data_fixed) of the counted fixed points of
-rho(T)'s powers at any x, which the tests hold the closed forms against.
+is one closed form: chi(rho(T)^d), in x^2 mod p at any x with y = 1/x,
+whose Moebius inversion (cusp_data_fixed) is the cusp data, the cusp
+widths when x is a primitive root, epsilon_2 and epsilon_3 (from
+rationals, at every x), the genus by Riemann-Hurwitz from them, and the
+lifting witness.  README proves each ("How fixed Lagrangians are
+counted"); the tests hold them against the matrix computations they
+replaced (tests/geometry_oracle.py).
 For the quasi-unipotent family: the dimension formulas for M_2k / S_2k.
 """
 
@@ -27,24 +29,26 @@ def _divisors_moebius(factors: Dict[int, int]) -> List[Tuple[int, int]]:
     return pairs
 
 
-def chi_power(p: int, d: int) -> int:
-    """chi(T^d), the number of Lagrangians fixed by rho(T)^d.
+def chi_power(params, d: int) -> int:
+    """chi(rho(T)^d), the number of Lagrangians fixed by rho(T)^d, at the
+    SpParams params with y = 1/x (DomainError for any other y); d must
+    divide p(p-1).
 
-    d must divide p(p-1).  The value depends only on the conjugacy class
-    of T^d: 3 for 1 <= d < (p-1)/2 prime to p; 2p+1 at d = (p-1)/2 and
-    d = p-1; p+3 for p | d below p(p-1)/2; |X(F_p)| at the identity.
+    rho(T)^d is semisimple when p | d or x^2 = -1.  Then it fixes all of
+    X(F_p) when x^(2d) = 1, and p+3 planes otherwise.  Else it fixes 1 at
+    x^2 = 1, 2p+1 for any other x with x^(2d) = 1, and 3 otherwise
+    (README, "How fixed Lagrangians are counted").
     """
-    require_prime(p, 7)
+    params.require_y_inverse("the fixed planes are counted")
+    p = params.p
     n = p * (p - 1)
     if not isinstance(d, int) or d < 1 or n % d != 0:
         raise DomainError(f"d = {d} does not divide p(p-1) = {n}")
-    if d in (n, n // 2):
-        return grassmannian_size(p)
-    if d in ((p - 1) // 2, p - 1):
-        return 2 * p + 1
-    if d % p == 0:
-        return p + 3
-    return 3
+    sq = params.x * params.x % p
+    semisimple = d % p == 0 or sq == p - 1
+    if pow(sq, d, p) == 1:
+        return grassmannian_size(p) if semisimple else 1 if sq == 1 else 2 * p + 1
+    return p + 3 if semisimple else 3
 
 
 class CuspData(NamedTuple):
@@ -78,12 +82,9 @@ def cusp_data_fixed(p: int, fix: Callable[[int], int]) -> CuspData:
 
 
 def cusp_data_cycles(params) -> CuspData:
-    """The cusp data of the point stabilizer at any SpParams: cusp_data_fixed
-    of the Lagrangians that each power of rho(T) fixes."""
-    from .geometry import fixed_lagrangians
-    from .symplectic import rho_matrices
-    T4 = rho_matrices(params)[1]
-    return cusp_data_fixed(params.p, lambda d: fixed_lagrangians(T4 ** d))
+    """The cusp data of the point stabilizer at any SpParams with y = 1/x:
+    cusp_data_fixed of chi_power."""
+    return cusp_data_fixed(params.p, lambda d: chi_power(params, d))
 
 
 def cusp_data_character(p: int) -> CuspData:
@@ -100,6 +101,14 @@ def genus_pointstab(p: int) -> int:
     eps2, eps3 = elliptic_counts(p)
     c = cusp_data_character(p).total
     return (12 + grassmannian_size(p) - 3 * eps2 - 4 * eps3 - 6 * c) // 12
+
+
+def lift_witness_mod_p2(params) -> bool:
+    """Whether rho(T)^(p(p-1)) over Z/p^2 is trivial mod p but not mod p^2,
+    at the SpParams params with y = 1/x mod p (DomainError for any other
+    y): exactly when x^2 != -1 (mod p), README proves."""
+    params.require_y_inverse("the lifting witness is decided")
+    return (params.x * params.x + 1) % params.p != 0
 
 
 class DimsUnipotent(NamedTuple):

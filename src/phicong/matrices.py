@@ -1,9 +1,9 @@
 """4x4 integer matrices mod m, the one form of rho.
 
 rho maps into Sp4 reduced modulo an integer m: m = p for the group
-itself and m = p^2 for the lifting witness.  A Matrix holds four rows
-of Python ints in range(m) together with m, so products cannot overflow
-at any p.
+itself, and m = p^2 in the tests' oracle of the lifting witness.  A
+Matrix holds four rows of Python ints in range(m) together with m, so
+products cannot overflow at any p.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Exact integer helpers: valuations, factorization, repeated squaring
 in any ring, rho's SpParams, the counts |X(F_p)|, |Sp4(F_p)|, epsilon_2
-and epsilon_3, and (a/p).  The linear algebra mod p is in geometry.
+and epsilon_3, and (a/p).
 
 require_int is the one integer check of the library: a non-int, or an
 int below its bound, is refused with DomainError where it comes in.
@@ -114,9 +114,10 @@ class _SpFields(NamedTuple):
 
 class SpParams(_SpFields):
     """The prime p > 7 and the units x, y mod p that choose rho; y
-    defaults to the inverse of x.  symplectic.surjectivity_verdict decides
-    only that default, and refuses any y with x y != 1 (mod p) (DomainError);
-    rho itself and the fixed-point counts take every y."""
+    defaults to the inverse of x.  The surjectivity verdict, the fixed
+    planes of rho(T)'s powers and the lifting witness are proved only for
+    that default, and refuse any y with x y != 1 (mod p) (DomainError);
+    rho itself and epsilon_2, epsilon_3 take every y."""
 
     __slots__ = ()
 
@@ -126,6 +127,12 @@ class SpParams(_SpFields):
             if not isinstance(v, int) or v % p == 0:
                 raise DomainError(f"{name} must be an int invertible mod p, got {v!r}")
         return super().__new__(cls, p, x, y)
+
+    def require_y_inverse(self, what: str) -> None:
+        """Refuse any y with x y != 1 (mod p), the case that README proves
+        nothing of: DomainError("{what} only for y = 1/x mod p, ...")."""
+        if self.y is not None and self.x * self.y % self.p != 1:
+            raise DomainError(f"{what} only for y = 1/x mod p, got {self}")
 
 
 def grassmannian_size(p: int) -> int:

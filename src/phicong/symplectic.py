@@ -3,8 +3,7 @@ Grassmannian X(F_p) it acts on.
 
 rho(T) and rho(S) preserve the symplectic form J with (1,4)-entry 1 and
 (2,3)-entry -3.  X(F_p) splits into four families of Lagrangian planes
-A(a,b,c), B(a,b), C(a), D with |X(F_p)| = (p^2+1)(p+1); the planes that
-a matrix fixes are counted by geometry.fixed_lagrangians.
+A(a,b,c), B(a,b), C(a), D with |X(F_p)| = (p^2+1)(p+1).
 
 surjectivity_verdict reads the order of <rho(S), rho(T)> off a table in
 x^2 mod p, proved once in README: Sym^3(SL2(F_p)) for x^2 = 1, a group of
@@ -64,19 +63,15 @@ SYM3 = (((0, 0, 0, -1), (0, 0, 1, 0), (0, -1, 0, 0), (1, 0, 0, 0)),
          ((1, 3, 3, 1), (0, 1, 2, 1), (0, 0, 1, 1), (0, 0, 0, 1)))
 
 
-def _rho_rows(params: SpParams, m: int) -> List[List[List[int]]]:
-    """The rows of rho(S) and rho(T) over Z/m, Sym^3(g) D with
-    D = diag(x, y, 1/y, 1/x) and y = 1/x when params.y is None."""
-    x = params.x % m
-    y = pow(x, -1, m) if params.y is None else params.y % m
-    d = (x, y, pow(y, -1, m), pow(x, -1, m))
-    return [[[v * d[j] for j, v in enumerate(row)] for row in g] for g in SYM3]
-
-
 def rho_matrices(params: SpParams) -> Tuple[Matrix, Matrix]:
-    """(rho(S), rho(T)) over F_p; verified symplectic for J with S^2 = -I."""
-    p = params.p
-    S4, T4 = (Matrix(rows, p) for rows in _rho_rows(params, p))
+    """(rho(S), rho(T)) over F_p, Sym^3(g) D with D = diag(x, y, 1/y, 1/x)
+    and y = 1/x when params.y is None; verified symplectic for J with
+    S^2 = -I."""
+    p, x = params.p, params.x % params.p
+    y = pow(x, -1, p) if params.y is None else params.y % p
+    d = (x, y, pow(y, -1, p), pow(x, -1, p))
+    S4, T4 = (Matrix([[v * d[j] for j, v in enumerate(row)] for row in g], p)
+              for g in SYM3)
     require_symplectic((S4, T4), InternalConsistencyError)
     if S4 * S4 != Matrix([[-int(i == j) for j in range(4)] for i in range(4)], p):
         raise InternalConsistencyError("rho(S)^2 != -I")
@@ -174,10 +169,9 @@ def surjectivity_verdict(params: SpParams) -> SurjectivityVerdict:
     once generates_sp4 proves it (DomainError when it does not).  rho(T)
     has order 4 for x^2 = -1 and p ord(x) otherwise.  An explicit y with
     x y != 1 (mod p) is refused (DomainError) before any matrix is built."""
+    params.require_y_inverse("surjectivity is decided")
     p = params.p
     x = params.x % p
-    if params.y is not None and x * params.y % p != 1:
-        raise DomainError(f"surjectivity is decided only for y = 1/x mod p, got {params}")
     sq = x * x % p
     sl2 = p * (p * p - 1)               # |SL2(F_p)|
     psp4 = sp4_order(p) // 2
@@ -211,10 +205,3 @@ def rho_word(w: Word, params: SpParams) -> Matrix:
 def kernel_test(w: Word, params: SpParams) -> bool:
     """True iff the word maps to the identity in Sp4(F_p)."""
     return rho_word(w, params).is_identity()
-
-
-def lift_witness_mod_p2(params: SpParams) -> bool:
-    """rho(T)^(p(p-1)) over Z/p^2 is trivial mod p but not mod p^2."""
-    p, m2 = params.p, params.p ** 2
-    Mpow = Matrix(_rho_rows(params, m2)[1], m2) ** (p * (p - 1))
-    return Matrix(Mpow.rows, p).is_identity() and not Mpow.is_identity()

@@ -14,11 +14,11 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from phicong.errors import DomainError
-from phicong.geometry import PAIRS
 from phicong.matrices import Matrix
 from phicong.rationals import factorize, grassmannian_size, require_prime, sp4_order
 from phicong.symplectic import SpParams, rho_matrices
 
+from geometry_oracle import PAIRS
 from permutation_oracle import permutation
 
 

@@ -1,10 +1,14 @@
-"""The fixed points of a symplectic matrix on the Lagrangian Grassmannian
-X(F_p), and the linear algebra mod p they are counted with.
+"""Test oracle: the cusp data and the lifting witness of rho as the
+library computed them before their closed forms in x^2 mod p (README,
+"How fixed Lagrangians are counted"), kept unchanged.
 
-fixed_lagrangians counts the planes that a matrix fixes from its 6x6
-exterior square, as the zeros of a quadratic form on each eigenspace, so
-nothing here grows with |X(F_p)|.  Only the cycle route (cusp_data_cycles)
-loads this module.
+fixed_lagrangians counts the planes of X(F_p) that a matrix fixes from
+its 6x6 exterior square, as the zeros of a quadratic form on each
+eigenspace, so nothing here grows with |X(F_p)|; cusp_data_cycles is the
+Moebius inversion of its counts for the powers of rho(T), and
+lift_witness_mod_p2 raises rho(T) over Z/p^2 to the power p(p-1).  The
+linear algebra mod p they rest on, row_reduce and kernel_mod_p, also
+serves routes_oracle and schreier_oracle.
 """
 
 from __future__ import annotations
@@ -12,10 +16,11 @@ from __future__ import annotations
 from functools import reduce
 from typing import List, Tuple
 
-from .errors import DomainError
-from .matrices import Matrix
-from .rationals import legendre, require_prime
-from .symplectic import J_ROWS, require_symplectic, trace_pair
+from phicong.errors import DomainError
+from phicong.invariants import CuspData, cusp_data_fixed
+from phicong.matrices import Matrix
+from phicong.rationals import SpParams, legendre, require_prime
+from phicong.symplectic import J_ROWS, SYM3, require_symplectic, rho_matrices, trace_pair
 
 #: Coordinates of antisymmetric forms and of Plucker vectors: the entries
 #: (i, j), i < j, in this order.
@@ -133,3 +138,26 @@ def fixed_lagrangians(g: Matrix) -> int:
         gram = [[_polar(u, v) % p for v in basis] for u in basis]
         count += (_quadric_zeros(gram, p) - 1) // (p - 1)
     return count
+
+
+def cusp_data_cycles(params) -> CuspData:
+    """The cusp data of the point stabilizer at any SpParams: cusp_data_fixed
+    of the Lagrangians that each power of rho(T) fixes."""
+    T4 = rho_matrices(params)[1]
+    return cusp_data_fixed(params.p, lambda d: fixed_lagrangians(T4 ** d))
+
+
+def rho_rows(params: SpParams, m: int) -> List[List[List[int]]]:
+    """The rows of rho(S) and rho(T) over Z/m, Sym^3(g) D with
+    D = diag(x, y, 1/y, 1/x) and y = 1/x when params.y is None."""
+    x = params.x % m
+    y = pow(x, -1, m) if params.y is None else params.y % m
+    d = (x, y, pow(y, -1, m), pow(x, -1, m))
+    return [[[v * d[j] for j, v in enumerate(row)] for row in g] for g in SYM3]
+
+
+def lift_witness_mod_p2(params: SpParams) -> bool:
+    """rho(T)^(p(p-1)) over Z/p^2 is trivial mod p but not mod p^2."""
+    p, m2 = params.p, params.p ** 2
+    Mpow = Matrix(rho_rows(params, m2)[1], m2) ** (p * (p - 1))
+    return Matrix(Mpow.rows, p).is_identity() and not Mpow.is_identity()

@@ -73,7 +73,8 @@ _TABLE = _ROUTES + "::test_every_pair_to_113_takes_its_route"
 _QUADRIC = "tests/test_symplectic.py::TestQuadricZeros"
 _INVARIANTS = "tests/test_invariants.py"
 _BUDGET = "tests/test_cli.py::TestImports::test_compile_budget"
-_LIFT_END = "    return Matrix(Mpow.rows, p).is_identity() and not Mpow.is_identity()\n"
+_ORACLE = _INVARIANTS + "::TestGeometryOracle"
+_CUSPS = _ORACLE + "::test_cusp_data_on_every_pair"
 _CLI_END = 'if __name__ == "__main__":\n'
 
 MUTANTS = (
@@ -122,7 +123,7 @@ MUTANTS = (
     Mutant("is-identity-one-row", "src/phicong/matrices.py",
            "return self.rows == Matrix._IDENTITY",
            "return self.rows[0] == Matrix._IDENTITY[0]", (_KERNEL,)),
-    Mutant("quartic-sign-of-b", "src/phicong/geometry.py",
+    Mutant("quartic-sign-of-b", "tests/geometry_oracle.py",
            "[1, 2 - b, a * a - 2 * b + 2, 2 - b, 1]",
            "[1, b - 2, a * a - 2 * b + 2, b - 2, 1]", (_FIXED,)),
     Mutant("trace-pair-not-halved", "src/phicong/symplectic.py",
@@ -158,9 +159,11 @@ MUTANTS = (
     Mutant("table-row-x4-x2-1-as-x2-x-1", "src/phicong/symplectic.py",
            "elif (sq * sq + sq + 1) % p == 0:", "elif (x * x + x + 1) % p == 0:",
            (_TABLE,)),
-    Mutant("explicit-y-admitted", "src/phicong/symplectic.py",
-           "    if params.y is not None and x * params.y % p != 1:\n", "    if False:\n",
-           (_ROUTES + "::test_explicit_y_other_than_1_over_x_is_refused",)),
+    Mutant("explicit-y-admitted", "src/phicong/rationals.py",
+           "        if self.y is not None and self.x * self.y % self.p != 1:\n",
+           "        if False:\n",
+           (_ROUTES + "::test_explicit_y_other_than_1_over_x_is_refused",
+            _INVARIANTS + "::TestChi::test_explicit_y_other_than_1_over_x_is_refused")),
     Mutant("inverse-weights-swapped", "src/phicong/symplectic.py",
            "c[j] * pow(c[i], -1, p)", "c[i] * pow(c[j], -1, p)",
            (_FIXED, _CHAIN + "::test_inverse_is_J_conjugate_transpose")),
@@ -168,10 +171,10 @@ MUTANTS = (
            _MEMBERSHIP, "", (_FIXED + "::test_rejects", _CHAIN + "::test_rejects")),
     Mutant("power-exponent-unchecked", "src/phicong/rationals.py",
            "    require_int(e, \"exponent\", 0)\n", "", (_BOUNDARY,)),
-    Mutant("row-reduce-swap-sign-dropped", "src/phicong/geometry.py",
+    Mutant("row-reduce-swap-sign-dropped", "tests/geometry_oracle.py",
            "rows[r], rows[hit], det = rows[hit], rows[r], -det",
            "rows[r], rows[hit] = rows[hit], rows[r]", (_QUADRIC, _FIXED)),
-    Mutant("quadric-disc-of-whole-gram", "src/phicong/geometry.py",
+    Mutant("quadric-disc-of-whole-gram", "tests/geometry_oracle.py",
            "row_reduce([[G[i][j] for j in P] for i in P], p)[2]", "row_reduce(G, p)[2]",
            (_QUADRIC,)),
     Mutant("cusp-long-width-count", "src/phicong/invariants.py",
@@ -184,13 +187,39 @@ MUTANTS = (
     Mutant("sym3-table-entry", "src/phicong/symplectic.py",
            "((1, 3, 3, 1),", "((1, 1, 3, 1),", (_ROUTES + "::test_rho_at_1_is_sym3",)),
     Mutant("rho-diagonal-order", "src/phicong/symplectic.py",
-           "d = (x, y, pow(y, -1, m), pow(x, -1, m))",
-           "d = (x, pow(y, -1, m), y, pow(x, -1, m))",
+           "d = (x, y, pow(y, -1, p), pow(x, -1, p))",
+           "d = (x, pow(y, -1, p), y, pow(x, -1, p))",
            ("tests/test_symplectic.py::TestRho::test_entries_at_every_x_and_y",)),
     Mutant("cusps-character-x-admitted", "src/phicong/cli_symplectic.py",
-           "    if params is None and args.x is not None:\n"
-           "        raise DomainError(\"cusps takes --x only with --oracle cycles\")\n",
+           "        if args.x is not None:\n"
+           "            raise DomainError(\"cusps takes --x only with --oracle cycles\")\n",
            "", ("tests/test_cli.py::TestInvalidInput",)),
+    Mutant("genus-refusal-loads-invariants", "src/phicong/cli_symplectic.py",
+           "    from .rationals import require_prime\n    require_prime(args.p, 7)\n", "",
+           (_BUDGET + "[genus --p 15]",)),
+    Mutant("cusps-refusal-loads-invariants", "src/phicong/cli_symplectic.py",
+           "        from .rationals import require_prime\n        require_prime(args.p, 7)\n",
+           "", ("tests/test_cli.py::TestImports::test_refusal_loads_no_matrix_code"
+                "[cusps --p 15]",)),
+    # each case of chi_power, the semisimple test, the test x^(2d) = 1
+    # and the lifting witness
+    Mutant("chi-identity-case", "src/phicong/invariants.py",
+           "grassmannian_size(p) if semisimple", "2 * p + 1 if semisimple", (_CUSPS,)),
+    Mutant("chi-regular-unipotent-case", "src/phicong/invariants.py",
+           "else 1 if sq == 1 else", "else 3 if sq == 1 else", (_CUSPS,)),
+    Mutant("chi-short-root-case", "src/phicong/invariants.py",
+           "else 2 * p + 1\n", "else 2 * p - 1\n", (_CUSPS,)),
+    Mutant("chi-semisimple-torus-case", "src/phicong/invariants.py",
+           "return p + 3 if semisimple", "return p + 1 if semisimple", (_CUSPS,)),
+    Mutant("chi-torus-times-unipotent-case", "src/phicong/invariants.py",
+           "if semisimple else 3\n", "if semisimple else 1\n", (_CUSPS,)),
+    Mutant("chi-semisimple-test-flipped", "src/phicong/invariants.py",
+           "sq == p - 1", "sq != p - 1", (_CUSPS,)),
+    Mutant("chi-x-to-the-d-not-2d", "src/phicong/invariants.py",
+           "if pow(sq, d, p) == 1:", "if pow(params.x, d, p) == 1:", (_CUSPS,)),
+    Mutant("lift-witness-negated", "src/phicong/invariants.py",
+           "% params.p != 0", "% params.p == 0",
+           (_ORACLE + "::test_lift_witness_on_every_pair",)),
     Mutant("sp-params-unit-check", "src/phicong/rationals.py",
            "or v % p == 0:", "or v == 0:",
            ("tests/test_symplectic.py::TestRho::test_params_validation",)),
@@ -217,11 +246,6 @@ MUTANTS = (
            "    saved = getattr(sys, ",
            "    __import__(\"gc\").freeze()\n    saved = getattr(sys, ",
            ("tests/test_cli.py::TestProcessEntry::test_main_does_not_freeze",)),
-    # a module-level import at the end of symplectic: above the names that
-    # geometry reads from symplectic it would be a circular ImportError
-    Mutant("geometry-loaded-with-symplectic", "src/phicong/symplectic.py",
-           _LIFT_END, _LIFT_END + "\n\nfrom .geometry import wedge\n",
-           (_BUDGET + "[grassmannian --p 11 --x 2 --surjectivity]",)),
     # likewise at the end of cli, after the names its handlers import
     Mutant("family-loaded-with-cli", "src/phicong/cli.py",
            _CLI_END, "from . import cli_symplectic\n\n\n" + _CLI_END,

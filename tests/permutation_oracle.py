@@ -23,10 +23,11 @@ import math
 from typing import List, Optional, Sequence
 
 from phicong.errors import DomainError, InternalConsistencyError
-from phicong.geometry import wedge
 from phicong.matrices import Matrix
 from phicong.rationals import grassmannian_size, require_prime
 from phicong.symplectic import form_J
+
+from geometry_oracle import wedge
 
 #: Estimated memory, in bytes, above which the oracles refuse to build
 #: permutations of X(F_p) (DomainError).

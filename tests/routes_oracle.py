@@ -17,10 +17,11 @@ import random
 from typing import List, Optional
 
 from phicong.errors import InternalConsistencyError
-from phicong.geometry import LAGRANGIAN_ROW, PAIRS, kernel_mod_p, row_reduce, wedge
 from phicong.matrices import Matrix
 from phicong.rationals import factorize, require_int
 from phicong.symplectic import SEED, SYM3, TRIES, random_elements
+
+from geometry_oracle import LAGRANGIAN_ROW, PAIRS, kernel_mod_p, row_reduce, wedge
 
 
 def matrix_order(M: Matrix, exponent: int) -> int:

@@ -12,8 +12,9 @@ from __future__ import annotations
 import math
 
 from phicong.matrices import Matrix
-from phicong.geometry import kernel_mod_p, roots_mod_p
 from phicong.symplectic import inverse, require_symplectic, trace_pair
+
+from geometry_oracle import kernel_mod_p, roots_mod_p
 
 
 def _image(g: Matrix, v: int) -> int:

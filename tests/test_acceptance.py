@@ -7,17 +7,17 @@ from fractions import Fraction
 from math import lcm
 
 from phicong.divpoly import rescaled
-from phicong.geometry import fixed_lagrangians
 from phicong.invariants import (chi_power, cusp_data_character, cusp_data_fixed,
-                                elliptic_counts, genus_pointstab, legendre)
+                                elliptic_counts, genus_pointstab, legendre,
+                                lift_witness_mod_p2)
 from phicong.qexp import denominator_report, xtilde
-from phicong.symplectic import (SpParams, kernel_test, lift_witness_mod_p2,
-                                rho_matrices, sp4_order)
+from phicong.symplectic import SpParams, kernel_test, rho_matrices, sp4_order
 from phicong.words import SubgroupSpec, Word, parse_word, phi, subgroup_member
 
 from closed_forms import assert_matches_closed_forms, twelve_genus_by_residue
 from cyc12_oracle import phi_by_matrices
 from cycle_oracle import cusp_data_cycles, fixed_points
+from geometry_oracle import fixed_lagrangians
 from permutation_oracle import permutation
 from schreier_oracle import group_order
 
@@ -153,7 +153,7 @@ def test_criterion_5_cusps():
         assert cyc.widths == expected == chr_.widths
         assert cyc.total == 2 * p + 12 == chr_.total
         assert cusp_data_fixed(p, lambda d: fixed_lagrangians(T4 ** d)) == cyc
-        assert cusp_data_fixed(p, lambda d: chi_power(p, d)) == chr_
+        assert cusp_data_fixed(p, lambda d: chi_power(SpParams(p, 2), d)) == chr_
 
 
 @criterion(6, "genus values 103/167/408/561/1026/2063/2500 with both "

@@ -22,6 +22,7 @@ from phicong.cli import _VERBS, MAX_LEVEL, MAX_P, MAX_TERMS, _json, main, parse_
 from phicong.rationals import is_prime
 
 import n12_oracle
+import sweep_digests
 
 
 def run(capsys, *argv):
@@ -673,6 +674,25 @@ class TestGoldenStdout:
         assert done.stdout == entry["stdout"].encode()
 
 
+class TestSweepDigests:
+    # a slice of each sweep of tests/sweep_digests.py, the primes 11, 13
+    # and 113, against the digests recorded for the whole run
+    PRIMES = (11, 13, 113)
+    RECORDED = json.loads(sweep_digests.PATH.read_text())
+
+    @pytest.mark.parametrize("name", list(sweep_digests.SWEEPS))
+    def test_slice(self, name):
+        primes = self.RECORDED[name]["primes"]
+        assert sweep_digests.digest(name, self.PRIMES)["primes"] == {
+            str(p): primes[str(p)] for p in self.PRIMES}
+
+    def test_every_grassmannian_mode_and_oracle_is_swept(self):
+        modes = [n for n, (kind, _) in _VERBS["grassmannian"][2].items() if kind is bool]
+        assert set(self.RECORDED) == set(sweep_digests.SWEEPS) == {
+            *(f"grassmannian --{m}" for m in modes),
+            *(f"cusps --oracle {o}" for o in _VERBS["cusps"][2]["oracle"][0])}
+
+
 def _child_env():
     """The environment for a fresh interpreter that imports this phicong."""
     src = str(Path(phicong.__file__).resolve().parent.parent)
@@ -687,15 +707,19 @@ class TestImports:
                          "matrices", "cyclotomic"),
               "divpoly": ("qexp", "series", "words", "invariants"),
               "dims": ("qexp", "series", "divpoly", "words"),
-              "genus": ("qexp", "series", "divpoly", "words"),
+              # genus and cusps read closed forms and build no matrix
+              "genus": ("qexp", "series", "divpoly", "words", "symplectic", "matrices"),
               # no Grassmannian call needs a word
               "grassmannian": ("qexp", "series", "divpoly", "cyclotomic", "words"),
-              "cusps": ("qexp", "series", "divpoly", "cyclotomic", "words")}
+              "cusps": ("qexp", "series", "divpoly", "cyclotomic", "words",
+                        "symplectic", "matrices")}
     # and those that one mode of a verb does not use: only the cusp data
-    # of --cycles comes from invariants, and epsilon_2, epsilon_3 are
-    # closed forms in p that need no matrix
+    # of --cycles and the lifting witness come from invariants, and
+    # epsilon_2, epsilon_3 are closed forms in p too
     MODE_UNUSED = {"--surjectivity": ("invariants",),
-                   "--epsilons": ("invariants", "symplectic", "matrices")}
+                   "--epsilons": ("invariants", "symplectic", "matrices"),
+                   "--cycles": ("symplectic", "matrices"),
+                   "--lift-check": ("symplectic", "matrices")}
     # an x of order 3 gets no certificate: its order is a closed form of
     # the table in x^2 mod p, so the call loads the certified call's modules
     # and no more (test_compile_budget pins the set)
@@ -718,8 +742,11 @@ class TestImports:
                      id="grassmannian-epsilons"),
         pytest.param(["grassmannian", "--p", "11", "--x", "2", "--cycles"],
                      id="grassmannian-cycles"),
+        pytest.param(["grassmannian", "--p", "11", "--x", "2", "--lift-check"],
+                     id="grassmannian-lift-check"),
         pytest.param(["cusps", "--p", "11", "--oracle", "cycles", "--x", "2"],
                      id="cusps-cycles"),
+        pytest.param(["cusps", "--p", "11"], id="cusps-character"),
     ], ids=lambda argv: argv[0])
     def test_verb_does_not_load_numpy(self, argv):
         modules = self.UNUSED[argv[0]] + self.MODE_UNUSED.get(argv[-1], ())
@@ -745,11 +772,14 @@ class TestImports:
         "grassmannian --p 15 --x 2 --cycles",
         "grassmannian --p 15 --x 2 --lift-check",
         "cusps --p 15 --oracle cycles --x 2",
+        "cusps --p 15",
+        "genus --p 15",
     ])
     def test_refusal_loads_no_matrix_code(self, argv):
         # a composite p, a non-unit x and p above MAX_P are refused by
-        # SpParams and the ceiling, before symplectic or invariants loads;
-        # the handlers' module loads no library module of its own
+        # SpParams, require_prime and the ceiling, before symplectic or
+        # invariants loads; the handlers' module loads no library module
+        # of its own
         script = ("import sys\n"
                   "from phicong.cli import main\n"
                   f"assert main({argv.split()!r}) == 2\n"
@@ -775,15 +805,14 @@ class TestImports:
         (["grassmannian", "--p", "23", "--x", "5", "--epsilons"], 0,
          "cli cli_symplectic errors rationals", 2919),
         (["grassmannian", "--p", "29", "--x", "2", "--cycles"], 0,
-         "cli cli_symplectic errors geometry invariants matrices rationals "
-         "symplectic", 6609),
+         "cli cli_symplectic errors invariants rationals", 3800),
         (["cusps", "--p", "23", "--oracle", "cycles", "--x", "5"], 0,
-         "cli cli_symplectic errors geometry invariants matrices rationals "
-         "symplectic", 6609),
+         "cli cli_symplectic errors invariants rationals", 3800),
+        (["grassmannian", "--p", "11", "--x", "2", "--lift-check"], 0,
+         "cli cli_symplectic errors invariants rationals", 3800),
         (["genus", "--p", "23"], 0, "cli cli_symplectic errors invariants rationals",
          3705),
-        (["genus", "--p", "15"], 2, "cli cli_symplectic errors invariants rationals",
-         3705),
+        (["genus", "--p", "15"], 2, "cli cli_symplectic errors rationals", 2986),
         (["qexp", "--level", "5", "--terms", "60"], 0,
          "cli cli_unipotent errors polynomials qexp rationals", 4413),
         (["qexp", "--level", "3", "--terms", "30", "--denominators"], 0,

@@ -5,15 +5,18 @@ import pytest
 from phicong.cli import MAX_P
 from phicong.divpoly import division_polynomials, reduction_profile, rescaled
 from phicong.errors import DomainError, InternalConsistencyError, UnsupportedPrimeError
-from phicong.geometry import fixed_lagrangians
-from phicong.invariants import (chi_power, cusp_data_character, cusp_data_fixed,
-                                dims_Gp, dims_unipotent, elliptic_counts,
-                                genus_pointstab, legendre)
+from phicong.invariants import (chi_power, cusp_data_character, cusp_data_cycles,
+                                cusp_data_fixed, dims_Gp, dims_unipotent,
+                                elliptic_counts, genus_pointstab, legendre,
+                                lift_witness_mod_p2)
 from phicong.matrices import Matrix
 from phicong.symplectic import SpParams, rho_matrices
 
 from closed_forms import genus_newman, noncongruence_report, twelve_genus_by_residue
-from cycle_oracle import cusp_data_cycles, cycle_type
+import cycle_oracle
+import geometry_oracle
+from cycle_oracle import cycle_type
+from geometry_oracle import fixed_lagrangians
 from permutation_oracle import permutation
 
 
@@ -23,31 +26,56 @@ def is_prime(n):
 
 PRIMES_TO_200 = [p for p in range(11, 201) if is_prime(p)]
 PRIMES_TO_2000 = [p for p in range(11, 2000) if is_prime(p)]
+# every pair (p, x) that the command line admits
+CLI_PAIRS = [(p, x) for p in range(11, MAX_P + 1) if is_prime(p) for x in range(1, p)]
+
+
+def primitive_root(p):
+    """The least primitive root mod p: no x^((p-1)/q) = 1, q a prime of p - 1."""
+    qs = [q for q in range(2, p) if (p - 1) % q == 0 and is_prime(q)]
+    return next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in qs))
+
+
+def divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 class TestChi:
     def test_examples_p11(self):
-        assert chi_power(11, 1) == 3
-        assert chi_power(11, 5) == 23          # (p-1)/2
-        assert chi_power(11, 110) == 1464      # identity
-        assert chi_power(11, 11) == 14         # p | d
-        assert chi_power(11, 55) == 1464       # T^(p(p-1)/2) = -I acts as id
+        params = SpParams(11, 2)                    # a primitive root
+        assert chi_power(params, 1) == 3
+        assert chi_power(params, 5) == 23          # (p-1)/2
+        assert chi_power(params, 110) == 1464      # identity
+        assert chi_power(params, 11) == 14         # p | d
+        assert chi_power(params, 55) == 1464       # T^(p(p-1)/2) = -I acts as id
 
     def test_identity_value(self):
         for p in (11, 13, 17):
-            assert chi_power(p, p * (p - 1)) == (p * p + 1) * (p + 1)
+            for x in range(1, p):
+                assert chi_power(SpParams(p, x), p * (p - 1)) == (p * p + 1) * (p + 1)
 
     def test_non_divisor_rejected(self):
         with pytest.raises(DomainError):
-            chi_power(11, 3)
+            chi_power(SpParams(11, 2), 3)
 
     def test_small_prime_rejected(self):
         with pytest.raises(UnsupportedPrimeError):
-            chi_power(7, 1)
+            chi_power(SpParams(7, 2), 1)
+
+    def test_explicit_y_other_than_1_over_x_is_refused(self):
+        # 6 = 1/2 mod 11, and 17 = 6 + 11 is 1/2 mod 11 but not mod 121
+        for y in (3, 5):
+            for call in (lambda params: chi_power(params, 1), cusp_data_cycles,
+                         lift_witness_mod_p2):
+                with pytest.raises(DomainError, match="only for y = 1/x mod p, got "):
+                    call(SpParams(11, 2, y))
+        for y in (6, 17):
+            assert chi_power(SpParams(11, 2, y), 5) == chi_power(SpParams(11, 2), 5)
+            assert lift_witness_mod_p2(SpParams(11, 2, y))
 
     def test_composites_rejected(self):
         for fn in (elliptic_counts, genus_pointstab, cusp_data_character,
-                   noncongruence_report, lambda p: chi_power(p, 1),
+                   noncongruence_report, lambda p: chi_power(SpParams(p, 2), 1),
                    lambda p: dims_Gp(2, p)):
             for composite in (9, 15, 21, 65, 121):
                 with pytest.raises(UnsupportedPrimeError):
@@ -63,7 +91,7 @@ class TestChi:
             acc = list(range(n))
             for _ in range(d):
                 acc = [perm[i] for i in acc]
-            assert chi_power(p, d) == sum(i == j for i, j in enumerate(acc))
+            assert chi_power(SpParams(p, 2), d) == sum(i == j for i, j in enumerate(acc))
 
 
 class TestCusps:
@@ -82,13 +110,13 @@ class TestCusps:
     def test_cycles_dual_oracle(self):
         for p in (11, 13):
             _, T4 = rho_matrices(SpParams(p, 2))
-            cyc = cusp_data_cycles(permutation(T4))
+            cyc = cycle_oracle.cusp_data_cycles(permutation(T4))
             chr_ = cusp_data_character(p)
             assert cyc.widths == chr_.widths
             assert cyc.total == chr_.total
 
     def test_cycles_identity(self):
-        data = cusp_data_cycles(list(range(10)))
+        data = cycle_oracle.cusp_data_cycles(list(range(10)))
         assert data.widths == {1: 10}
         assert data.total == 10
 
@@ -102,7 +130,20 @@ class TestCusps:
         _, T4 = rho_matrices(SpParams(p, x))
         data = cusp_data_fixed(p, lambda d: fixed_lagrangians(T4 ** d))
         assert data.widths == cycle_type(permutation(T4))
-        assert data == cusp_data_cycles(permutation(T4))
+        assert data == cycle_oracle.cusp_data_cycles(permutation(T4))
+        assert data == cusp_data_cycles(SpParams(p, x))
+
+    def test_widths_by_x_squared(self):
+        # README's table of the cusps at every pair the CLI admits, with
+        # m = ord(x^2) and k = (p - 1)/2m
+        for p, x in CLI_PAIRS:
+            n, sq = (p * p + 1) * (p + 1), x * x % p
+            m = next(m for m in range(1, p) if pow(sq, m, p) == 1)
+            k = (p - 1) // (2 * m)
+            widths = ({1: 1, p: (n - 1) // p} if sq == 1 else
+                      {1: p + 3, 2: (n - p - 3) // 2} if sq == p - 1 else
+                      {1: 3, m: 4 * k, p: 1, p * m: (2 * p + 4) * k})
+            assert cusp_data_cycles(SpParams(p, x)).widths == widths, (p, x)
 
     def test_counted_fixes_checked(self):
         # fixes of no permutation: c_1 = 4 / 1, c_2 = (3 - 4) / 2 < 0
@@ -121,10 +162,45 @@ class TestCusps:
             assert data.total == 2 * p + 12
 
     def test_character_is_the_inverted_chi(self):
-        # the closed-form widths are the Moebius inversion of chi
+        # the closed-form widths are the Moebius inversion of chi at a
+        # primitive root
         for p in PRIMES_TO_2000:
-            chi = cusp_data_fixed(p, lambda d: chi_power(p, d))
-            assert chi == cusp_data_character(p), p
+            assert cusp_data_cycles(SpParams(p, primitive_root(p))) == \
+                cusp_data_character(p), p
+
+
+class TestGeometryOracle:
+    """The closed forms in x^2 mod p against the matrix computations they
+    replaced (geometry_oracle), on every pair (p, x) the CLI admits."""
+
+    def test_cusp_data_on_every_pair(self):
+        assert len(CLI_PAIRS) == 1550
+        for p, x in CLI_PAIRS:
+            params = SpParams(p, x)
+            assert cusp_data_cycles(params) == geometry_oracle.cusp_data_cycles(params), \
+                (p, x)
+
+    @pytest.mark.parametrize("p", [11, 13, 17, 19, 23])
+    def test_each_case_at_every_power(self, p):
+        # the five cases of chi_power take five values, each one met
+        values = set()
+        for x in range(1, p):
+            params = SpParams(p, x)
+            T4 = rho_matrices(params)[1]
+            for d in divisors(p * (p - 1)):
+                f = chi_power(params, d)
+                assert f == fixed_lagrangians(T4 ** d), (p, x, d)
+                values.add(f)
+        assert values == {(p * p + 1) * (p + 1), 1, 2 * p + 1, p + 3, 3}
+
+    def test_lift_witness_on_every_pair(self):
+        # and at a y = 1/x mod p that is not 1/x mod p^2, over Z/p^2
+        pairs = CLI_PAIRS + [(p, x, pow(x, -1, p) + p) for p in (11, 13, 17, 19, 23)
+                             for x in range(1, p)]
+        witnessed = [lift_witness_mod_p2(SpParams(*pair)) for pair in pairs]
+        assert witnessed == [geometry_oracle.lift_witness_mod_p2(SpParams(*pair))
+                             for pair in pairs]
+        assert witnessed[:1550].count(False) == 26      # x^2 = -1 at p = 1 mod 4
 
 
 class TestElliptic:
@@ -215,8 +291,8 @@ class TestDims:
 @pytest.mark.parametrize("call", [
     lambda: dims_unipotent(2.5, 3, True),
     lambda: dims_unipotent(2, 3.0, True),
-    lambda: chi_power(11, 5.0),
-    lambda: chi_power(11.0, 5),
+    lambda: chi_power(SpParams(11, 2), 5.0),
+    lambda: chi_power(SpParams(11.0, 2), 5),
     lambda: dims_Gp(1.5, 17),
     lambda: dims_Gp(2, 17.0),
     lambda: division_polynomials(5.0),

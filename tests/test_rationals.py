@@ -5,7 +5,6 @@ import pytest
 from phicong import qexp
 from phicong.cyclotomic import Cyc12
 from phicong.errors import DomainError, UnsupportedPrimeError
-from phicong.geometry import kernel_mod_p
 from phicong.invariants import dims_Gp
 from phicong.matrices import Matrix
 from phicong.rationals import (factorize, is_prime, legendre, padic_val,
@@ -13,6 +12,8 @@ from phicong.rationals import (factorize, is_prime, legendre, padic_val,
                                split_power)
 from phicong.series import LaurentSeries
 from phicong.words import SubgroupSpec, Word
+
+from geometry_oracle import kernel_mod_p
 
 
 def test_split_power():

@@ -9,24 +9,25 @@ import pytest
 from phicong.cyclotomic import Cyc12
 from phicong.errors import (DomainError, InternalConsistencyError,
                             UnsupportedPrimeError)
+from phicong.invariants import lift_witness_mod_p2
 from phicong.matrices import Matrix
 from phicong.rationals import grassmannian_size, is_prime
-import phicong.geometry
 import phicong.rationals
 import phicong.symplectic
-from phicong.geometry import fixed_lagrangians
 from phicong.symplectic import (J_ROWS, SYM3, SpParams, form_J,
                                 generates_sp4, inverse, kernel_test,
-                                lift_witness_mod_p2, outside_sp2_p2, rho_matrices,
-                                rho_word, sp4_order, surjectivity_verdict)
+                                outside_sp2_p2, rho_matrices, rho_word, sp4_order,
+                                surjectivity_verdict)
 from phicong.words import Word, parse_word
 
+import geometry_oracle
 import permutation_oracle
 import routes_oracle
 import schreier_oracle
 from closed_forms import (Lagrangian, assert_matches_closed_forms, in_span,
                           invariant_forms, lagrangian_from_index, rref_mod_p)
 from cycle_oracle import cycle_type, fixed_points
+from geometry_oracle import fixed_lagrangians
 from permutation_oracle import group_order, permutation, require_memory
 from ring_matrix import Matrix as RingMatrix, eval_word
 
@@ -630,12 +631,12 @@ def _invertible(k, p, rng):
 
 
 class TestQuadricZeros:
-    """geometry._quadric_zeros against a count of the zeros over all of
-    F_p^k, on symmetric forms of every rank."""
+    """geometry_oracle._quadric_zeros against a count of the zeros over
+    all of F_p^k, on symmetric forms of every rank."""
 
     @staticmethod
     def assert_counts(G, p):
-        assert phicong.geometry._quadric_zeros(G, p) == _zeros_by_brute_force(G, p), (G, p)
+        assert geometry_oracle._quadric_zeros(G, p) == _zeros_by_brute_force(G, p), (G, p)
 
     def test_every_form_over_f3(self):
         for k in range(1, 4):
@@ -662,7 +663,7 @@ class TestQuadricZeros:
     def test_hyperbolic_plane(self, p):
         # 2xy = 0 on 2p - 1 points, though (-1/p) = -1: the discriminant is -1
         G = [[0, 1], [1, 0]]
-        assert phicong.geometry._quadric_zeros(G, p) == 2 * p - 1
+        assert geometry_oracle._quadric_zeros(G, p) == 2 * p - 1
         self.assert_counts(G, p)
 
 
@@ -1036,8 +1037,15 @@ class TestRhoOracle:
                             [0, 0, yi, xi], [0, 0, 0, xi]])
             N = T ** (p * (p - 1))              # exact over Z
             mod_p, mod_p2 = (Matrix(N.rows, m).is_identity() for m in (p, m2))
-            assert lift_witness_mod_p2(SpParams(p, x, y)) == (mod_p and not mod_p2)
             assert mod_p
+            params = SpParams(p, x, y)
+            assert geometry_oracle.lift_witness_mod_p2(params) == (not mod_p2)
+            if y is None or x * y % p == 1:
+                assert lift_witness_mod_p2(params) == (not mod_p2)
+            else:
+                # the closed form is proved for y = 1/x mod p alone
+                with pytest.raises(DomainError, match="only for y = 1/x mod p"):
+                    lift_witness_mod_p2(params)
             if y is None and x in roots:
                 assert not mod_p2, x        # a witness at every primitive root
             seen.add(mod_p2)
