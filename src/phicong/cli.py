@@ -33,9 +33,9 @@ MAX_TERMS = 750
 MAX_LEVEL = 42
 #: Largest p of the Grassmannian verbs.  No call allocates per point of
 #: X(F_p); what grows with p is the factorization of p - 1, by trial
-#: division, for the order of x and the divisors of p(p - 1), and on the
-#: fourth surjectivity row the walk's powers of 4x4 matrices.  The
-#: library's surjectivity_verdict and cusp data read no ceiling.
+#: division, for the order of x or of x^2, and on the fourth
+#: surjectivity row the walk's powers of 4x4 matrices.  The library's
+#: surjectivity_verdict and cusp data read no ceiling.
 MAX_P = 113
 
 

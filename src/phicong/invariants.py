@@ -1,32 +1,23 @@
 """Elliptic-point counts, cusp data, genus, and dimension formulas.
 
 Covers both families.  For the symplectic point stabilizers each number
-is one closed form: chi(rho(T)^d), in x^2 mod p at any x with y = 1/x,
-whose Moebius inversion (cusp_data_fixed) is the cusp data, the cusp
-widths when x is a primitive root, epsilon_2 and epsilon_3 (from
-rationals, at every x), the genus by Riemann-Hurwitz from them, and the
-lifting witness.  README proves each ("How fixed Lagrangians are
-counted"); the tests hold them against the matrix computations they
-replaced (tests/geometry_oracle.py).
+is one closed form: chi(rho(T)^d), in x^2 mod p at any x with y = 1/x;
+the cusp widths, the cycle type of rho(T), as a table in m = ord(x^2)
+(_cusp_data), whose proof is the Moebius inversion of chi; epsilon_2 and
+epsilon_3 (from rationals, at every x); the genus by Riemann-Hurwitz
+from them; and the lifting witness.  README proves each ("How fixed
+Lagrangians are counted"); the tests hold them against the inversion and
+the matrix computations they replaced (tests/geometry_oracle.py).
 For the quasi-unipotent family: the dimension formulas for M_2k / S_2k.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Tuple
+from typing import Dict, NamedTuple
 
-from .errors import DomainError, InternalConsistencyError
-from .rationals import (elliptic_counts, factorize, grassmannian_size, legendre,
+from .errors import DomainError
+from .rationals import (elliptic_counts, grassmannian_size, legendre, multiplicative_order,
                         require_gp_prime, require_int, require_prime)
-
-
-def _divisors_moebius(factors: Dict[int, int]) -> List[Tuple[int, int]]:
-    """(d, mu(d)) for every divisor d of the n factorized as {prime: exponent}."""
-    pairs = [(1, 1)]
-    for q, e in factors.items():
-        pairs = [(d * q ** k, mu * (1, -1, 0)[min(k, 2)])
-                 for d, mu in pairs for k in range(e + 1)]
-    return pairs
 
 
 def chi_power(params, d: int) -> int:
@@ -59,40 +50,36 @@ class CuspData(NamedTuple):
         return sum(w * m for w, m in self.widths.items())
 
 
-def cusp_data_fixed(p: int, fix: Callable[[int], int]) -> CuspData:
-    """Cusp widths of the point stabilizer, the cycle type of rho(T) on
-    X(F_p), from fix(d), the number of Lagrangians that rho(T)^d fixes, by
-    Moebius inversion: c_n = (1/n) sum_{d | n} mu(d) fix(n/d), over
-    n | p(p-1), since rho(T)^(p(p-1)) = I."""
-    require_prime(p, 7)
-    pairs = _divisors_moebius({p: 1, **factorize(p - 1)})
-    fixes = {d: fix(d) for d, _ in pairs}
-    squarefree = [(d, mu) for d, mu in pairs if mu]
-    widths: Dict[int, int] = {}
-    for n in sorted(fixes):
-        s = sum(mu * fixes[n // d] for d, mu in squarefree if n % d == 0)
-        if s % n != 0 or s < 0:
-            raise InternalConsistencyError(f"c_{n} is not a non-negative integer")
-        if s:
-            widths[n] = s // n
-    data = CuspData(sum(widths.values()), widths)
-    if data.width_sum() != grassmannian_size(p):
-        raise InternalConsistencyError("cusp widths do not partition X(F_p)")
-    return data
+def _cusp_data(p: int, m: int) -> CuspData:
+    """The cusp widths at m = ord(x^2) mod p, with n = |X(F_p)| and
+    k = (p-1)/2m: 1 of width 1 and (n-1)/p of width p for m = 1; p+3 of
+    width 1 and (n-p-3)/2 of width 2 for m = 2; else 3 of width 1, 4k of
+    width m, 1 of width p and (2p+4)k of width pm."""
+    n = grassmannian_size(p)
+    if m == 1:
+        widths = {1: 1, p: (n - 1) // p}
+    elif m == 2:
+        widths = {1: p + 3, 2: (n - p - 3) // 2}
+    else:
+        k = (p - 1) // (2 * m)
+        widths = {1: 3, m: 4 * k, p: 1, p * m: (2 * p + 4) * k}
+    return CuspData(sum(widths.values()), widths)
 
 
 def cusp_data_cycles(params) -> CuspData:
     """The cusp data of the point stabilizer at any SpParams with y = 1/x:
-    cusp_data_fixed of chi_power."""
-    return cusp_data_fixed(params.p, lambda d: chi_power(params, d))
+    the table at m = ord(x^2) (DomainError for any other y)."""
+    params.require_y_inverse("the fixed planes are counted")
+    p = params.p
+    return _cusp_data(p, multiplicative_order(params.x * params.x % p, p))
 
 
 def cusp_data_character(p: int) -> CuspData:
-    """The cusp data of the point stabilizer when x is a primitive root:
-    3 cusps of width 1, 4 of (p-1)/2, 1 of p and 2p+4 of p(p-1)/2."""
+    """The cusp data of the point stabilizer when x is a primitive root,
+    m = (p-1)/2: 3 cusps of width 1, 4 of (p-1)/2, 1 of p and 2p+4 of
+    p(p-1)/2."""
     require_prime(p, 7)
-    return CuspData(2 * p + 12,
-                    {1: 3, (p - 1) // 2: 4, p: 1, p * (p - 1) // 2: 2 * p + 4})
+    return _cusp_data(p, (p - 1) // 2)
 
 
 def genus_pointstab(p: int) -> int:

@@ -1,6 +1,6 @@
-"""Exact integer helpers: valuations, factorization, repeated squaring
-in any ring, rho's SpParams, the counts |X(F_p)|, |Sp4(F_p)|, epsilon_2
-and epsilon_3, and (a/p).
+"""Exact integer helpers: valuations, factorization and the multiplicative
+order mod p on it, repeated squaring in any ring, rho's SpParams, the
+counts |X(F_p)|, |Sp4(F_p)|, epsilon_2 and epsilon_3, and (a/p).
 
 require_int is the one integer check of the library: a non-int, or an
 int below its bound, is refused with DomainError where it comes in.
@@ -61,6 +61,16 @@ def factorize(n: int) -> Dict[int, int]:
     if n > 1:
         out[n] = 1
     return out
+
+
+def multiplicative_order(x: int, p: int) -> int:
+    """The order of the unit x mod p, each prime q of p - 1 divided out of
+    p - 1 while x^(order/q) = 1."""
+    order = p - 1
+    for q in factorize(p - 1):
+        while order % q == 0 and pow(x, order // q, p) == 1:
+            order //= q
+    return order
 
 
 #: The prime bases 2 to 41, and psi_13, the least n that is a strong

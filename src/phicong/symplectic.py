@@ -20,8 +20,8 @@ from typing import TYPE_CHECKING, List, NamedTuple, Tuple
 
 from .errors import DomainError, InternalConsistencyError
 from .matrices import Matrix
-from .rationals import (SpParams, factorize, legendre, require_prime, sp4_order,
-                        split_power)
+from .rationals import (SpParams, legendre, multiplicative_order, require_prime,
+                        sp4_order, split_power)
 
 if TYPE_CHECKING:                       # only the annotations name a Word
     from .words import Word
@@ -151,16 +151,6 @@ class SurjectivityVerdict(NamedTuple):
     surjective_psp4: bool        # perm_group_order == |Sp4(F_p)| / 2
 
 
-def _multiplicative_order(x: int, p: int) -> int:
-    """The order of the unit x mod p, each prime q of p - 1 divided out of
-    p - 1 while x^(order/q) = 1."""
-    order = p - 1
-    for q in factorize(p - 1):
-        while order % q == 0 and pow(x, order // q, p) == 1:
-            order //= q
-    return order
-
-
 def surjectivity_verdict(params: SpParams) -> SurjectivityVerdict:
     """The verdict for y = 1/x, read off x^2 mod p by the table that README
     proves ("How surjectivity is certified"): on X(F_p), where -I = rho(S)^2
@@ -175,7 +165,7 @@ def surjectivity_verdict(params: SpParams) -> SurjectivityVerdict:
     sq = x * x % p
     sl2 = p * (p * p - 1)               # |SL2(F_p)|
     psp4 = sp4_order(p) // 2
-    order_T = 4 if sq == p - 1 else p * _multiplicative_order(x, p)
+    order_T = 4 if sq == p - 1 else p * multiplicative_order(x, p)
     if sq == 1:
         order = sl2 // 2
     elif sq == p - 1:

@@ -70,8 +70,14 @@ class Word:
         return f"Word({list(self.syllables)})"
 
 
+#: The most digits of an exponent: CPython's default limit on converting
+#: between int and str, which README sets for every argument, lifted or not.
+_EXPONENT_DIGITS = 4300
+
+
 def parse_word(text: str) -> Word:
-    """Parse whitespace-separated tokens S, S^-1 (or S-1), T, T^k, T^-k."""
+    """Parse whitespace-separated tokens S, S^-1 (or S-1), T, T^k, T^-k:
+    an exponent is an optional '-' and 1 to 4300 ASCII digits."""
     syllables = []
     for tok in text.split():
         if tok in ("S", "T"):
@@ -80,11 +86,11 @@ def parse_word(text: str) -> Word:
         gen = tok[0]
         if gen not in ("S", "T"):
             raise DomainError(f"malformed word token {tok!r}")
-        try:
-            exp = int(tok[1:].removeprefix("^"))
-        except ValueError:
-            raise DomainError(f"malformed exponent in token {tok!r}") from None
-        syllables.append((gen, exp))
+        exp = tok[1:].removeprefix("^")
+        digits = exp.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit() and len(digits) <= _EXPONENT_DIGITS):
+            raise DomainError(f"malformed exponent in token {tok!r}")
+        syllables.append((gen, int(exp)))
     return Word(syllables)
 
 

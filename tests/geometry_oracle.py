@@ -4,22 +4,25 @@ library computed them before their closed forms in x^2 mod p (README,
 
 fixed_lagrangians counts the planes of X(F_p) that a matrix fixes from
 its 6x6 exterior square, as the zeros of a quadratic form on each
-eigenspace, so nothing here grows with |X(F_p)|; cusp_data_cycles is the
-Moebius inversion of its counts for the powers of rho(T), and
-lift_witness_mod_p2 raises rho(T) over Z/p^2 to the power p(p-1).  The
-linear algebra mod p they rest on, row_reduce and kernel_mod_p, also
-serves routes_oracle and schreier_oracle.
+eigenspace, so nothing here grows with |X(F_p)|; cusp_data_fixed is the
+Moebius inversion of any such counts for the powers of rho(T), of which
+README's table of cusp widths is the closed form, with its two checks;
+cusp_data_cycles inverts fixed_lagrangians, and lift_witness_mod_p2
+raises rho(T) over Z/p^2 to the power p(p-1).  The linear algebra mod p
+they rest on, row_reduce and kernel_mod_p, also serves routes_oracle and
+schreier_oracle.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from typing import List, Tuple
+from typing import Callable, Dict, List, Tuple
 
-from phicong.errors import DomainError
-from phicong.invariants import CuspData, cusp_data_fixed
+from phicong.errors import DomainError, InternalConsistencyError
+from phicong.invariants import CuspData
 from phicong.matrices import Matrix
-from phicong.rationals import SpParams, legendre, require_prime
+from phicong.rationals import (SpParams, factorize, grassmannian_size, legendre,
+                               require_prime)
 from phicong.symplectic import J_ROWS, SYM3, require_symplectic, rho_matrices, trace_pair
 
 #: Coordinates of antisymmetric forms and of Plucker vectors: the entries
@@ -138,6 +141,37 @@ def fixed_lagrangians(g: Matrix) -> int:
         gram = [[_polar(u, v) % p for v in basis] for u in basis]
         count += (_quadric_zeros(gram, p) - 1) // (p - 1)
     return count
+
+
+def _divisors_moebius(factors: Dict[int, int]) -> List[Tuple[int, int]]:
+    """(d, mu(d)) for every divisor d of the n factorized as {prime: exponent}."""
+    pairs = [(1, 1)]
+    for q, e in factors.items():
+        pairs = [(d * q ** k, mu * (1, -1, 0)[min(k, 2)])
+                 for d, mu in pairs for k in range(e + 1)]
+    return pairs
+
+
+def cusp_data_fixed(p: int, fix: Callable[[int], int]) -> CuspData:
+    """Cusp widths of the point stabilizer, the cycle type of rho(T) on
+    X(F_p), from fix(d), the number of Lagrangians that rho(T)^d fixes, by
+    Moebius inversion: c_n = (1/n) sum_{d | n} mu(d) fix(n/d), over
+    n | p(p-1), since rho(T)^(p(p-1)) = I."""
+    require_prime(p, 7)
+    pairs = _divisors_moebius({p: 1, **factorize(p - 1)})
+    fixes = {d: fix(d) for d, _ in pairs}
+    squarefree = [(d, mu) for d, mu in pairs if mu]
+    widths: Dict[int, int] = {}
+    for n in sorted(fixes):
+        s = sum(mu * fixes[n // d] for d, mu in squarefree if n % d == 0)
+        if s % n != 0 or s < 0:
+            raise InternalConsistencyError(f"c_{n} is not a non-negative integer")
+        if s:
+            widths[n] = s // n
+    data = CuspData(sum(widths.values()), widths)
+    if data.width_sum() != grassmannian_size(p):
+        raise InternalConsistencyError("cusp widths do not partition X(F_p)")
+    return data
 
 
 def cusp_data_cycles(params) -> CuspData:

@@ -75,6 +75,8 @@ _INVARIANTS = "tests/test_invariants.py"
 _BUDGET = "tests/test_cli.py::TestImports::test_compile_budget"
 _ORACLE = _INVARIANTS + "::TestGeometryOracle"
 _CUSPS = _ORACLE + "::test_cusp_data_on_every_pair"
+_CHI = _ORACLE + "::test_each_case_at_every_power"
+_WORDS = "tests/test_words.py::TestWord::test_parse_rejects_malformed"
 _CLI_END = 'if __name__ == "__main__":\n'
 
 MUTANTS = (
@@ -177,9 +179,23 @@ MUTANTS = (
     Mutant("quadric-disc-of-whole-gram", "tests/geometry_oracle.py",
            "row_reduce([[G[i][j] for j in P] for i in P], p)[2]", "row_reduce(G, p)[2]",
            (_QUADRIC,)),
+    # each row of the cusp table, its order argument x^2, and the
+    # primitive-root case m = (p - 1)/2
+    Mutant("cusp-row-x2-1-width-p", "src/phicong/invariants.py",
+           "p: (n - 1) // p}", "p: (n - p) // p}", (_CUSPS,)),
+    Mutant("cusp-row-x2-minus-1-width-1", "src/phicong/invariants.py",
+           "{1: p + 3, 2:", "{1: p + 1, 2:", (_CUSPS,)),
+    Mutant("cusp-row-general-width-m", "src/phicong/invariants.py",
+           "m: 4 * k,", "m: 4,", (_CUSPS,)),
     Mutant("cusp-long-width-count", "src/phicong/invariants.py",
-           "p * (p - 1) // 2: 2 * p + 4}", "p * (p - 1) // 2: 2 * p + 6}",
+           "p * m: (2 * p + 4) * k}", "p * m: (2 * p + 6) * k}",
            (_INVARIANTS + "::TestCusps",)),
+    Mutant("cusp-order-of-x-not-x2", "src/phicong/invariants.py",
+           "multiplicative_order(params.x * params.x % p, p)",
+           "multiplicative_order(params.x % p, p)", (_CUSPS,)),
+    Mutant("cusp-character-order", "src/phicong/invariants.py",
+           "_cusp_data(p, (p - 1) // 2)", "_cusp_data(p, p - 1)",
+           (_INVARIANTS + "::TestCusps::test_character_p11",)),
     Mutant("genus-cusp-coefficient", "src/phicong/invariants.py",
            "- 6 * c) // 12", "- 5 * c) // 12", (_INVARIANTS + "::TestGenus::test_table",)),
     Mutant("eps3-legendre-sign", "src/phicong/rationals.py",
@@ -204,22 +220,26 @@ MUTANTS = (
     # each case of chi_power, the semisimple test, the test x^(2d) = 1
     # and the lifting witness
     Mutant("chi-identity-case", "src/phicong/invariants.py",
-           "grassmannian_size(p) if semisimple", "2 * p + 1 if semisimple", (_CUSPS,)),
+           "grassmannian_size(p) if semisimple", "2 * p + 1 if semisimple", (_CHI,)),
     Mutant("chi-regular-unipotent-case", "src/phicong/invariants.py",
-           "else 1 if sq == 1 else", "else 3 if sq == 1 else", (_CUSPS,)),
+           "else 1 if sq == 1 else", "else 3 if sq == 1 else", (_CHI,)),
     Mutant("chi-short-root-case", "src/phicong/invariants.py",
-           "else 2 * p + 1\n", "else 2 * p - 1\n", (_CUSPS,)),
+           "else 2 * p + 1\n", "else 2 * p - 1\n", (_CHI,)),
     Mutant("chi-semisimple-torus-case", "src/phicong/invariants.py",
-           "return p + 3 if semisimple", "return p + 1 if semisimple", (_CUSPS,)),
+           "return p + 3 if semisimple", "return p + 1 if semisimple", (_CHI,)),
     Mutant("chi-torus-times-unipotent-case", "src/phicong/invariants.py",
-           "if semisimple else 3\n", "if semisimple else 1\n", (_CUSPS,)),
+           "if semisimple else 3\n", "if semisimple else 1\n", (_CHI,)),
     Mutant("chi-semisimple-test-flipped", "src/phicong/invariants.py",
-           "sq == p - 1", "sq != p - 1", (_CUSPS,)),
+           "sq == p - 1", "sq != p - 1", (_CHI,)),
     Mutant("chi-x-to-the-d-not-2d", "src/phicong/invariants.py",
-           "if pow(sq, d, p) == 1:", "if pow(params.x, d, p) == 1:", (_CUSPS,)),
+           "if pow(sq, d, p) == 1:", "if pow(params.x, d, p) == 1:", (_CHI,)),
     Mutant("lift-witness-negated", "src/phicong/invariants.py",
            "% params.p != 0", "% params.p == 0",
            (_ORACLE + "::test_lift_witness_on_every_pair",)),
+    Mutant("exponent-digit-limit-dropped", "src/phicong/words.py",
+           " and len(digits) <= _EXPONENT_DIGITS", "", (_WORDS,)),
+    Mutant("exponent-non-ascii-digits", "src/phicong/words.py",
+           "digits.isascii() and ", "", (_WORDS,)),
     Mutant("sp-params-unit-check", "src/phicong/rationals.py",
            "or v % p == 0:", "or v == 0:",
            ("tests/test_symplectic.py::TestRho::test_params_validation",)),

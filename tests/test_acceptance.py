@@ -7,9 +7,8 @@ from fractions import Fraction
 from math import lcm
 
 from phicong.divpoly import rescaled
-from phicong.invariants import (chi_power, cusp_data_character, cusp_data_fixed,
-                                elliptic_counts, genus_pointstab, legendre,
-                                lift_witness_mod_p2)
+from phicong.invariants import (chi_power, cusp_data_character, elliptic_counts,
+                                genus_pointstab, legendre, lift_witness_mod_p2)
 from phicong.qexp import denominator_report, xtilde
 from phicong.symplectic import SpParams, kernel_test, rho_matrices, sp4_order
 from phicong.words import SubgroupSpec, Word, parse_word, phi, subgroup_member
@@ -17,7 +16,7 @@ from phicong.words import SubgroupSpec, Word, parse_word, phi, subgroup_member
 from closed_forms import assert_matches_closed_forms, twelve_genus_by_residue
 from cyc12_oracle import phi_by_matrices
 from cycle_oracle import cusp_data_cycles, fixed_points
-from geometry_oracle import fixed_lagrangians
+from geometry_oracle import cusp_data_fixed, fixed_lagrangians
 from permutation_oracle import permutation
 from schreier_oracle import group_order
 

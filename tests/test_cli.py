@@ -237,22 +237,37 @@ class TestGenusCuspsDims:
         assert doc["genus"] == 103
         assert doc["cusps"]["total"] == 34
 
-    def test_genus_factorizes_p_once(self, capsys, monkeypatch):
-        # every check of p shares one Miller-Rabin test, which factorizes
-        # nothing, and the cusp widths are a closed form
+    @staticmethod
+    def _factorized(monkeypatch, capsys, *argv):
+        """The numbers that rationals.factorize, the only factorization in
+        src/, is called on while argv runs."""
         calls = []
         original = phicong.rationals.factorize
 
         def counting(n):
             calls.append(n)
             return original(n)
-        for module in (phicong.rationals, phicong.invariants):
-            monkeypatch.setattr(module, "factorize", counting)
-        phicong.rationals.is_prime.cache_clear()
-        code, _ = run(capsys, "genus", "--p", "1000003")
+        monkeypatch.setattr(phicong.rationals, "factorize", counting)
+        code, _ = run(capsys, *argv)
         assert code == 0
-        assert calls == []
-        assert phicong.rationals.is_prime.cache_info().misses == 1
+        return calls
+
+    def test_genus_factorizes_p_once(self, capsys, monkeypatch):
+        # every check of p shares one Miller-Rabin test, which factorizes
+        # nothing, and the cusp widths at a primitive root are a closed form
+        for argv in (["genus", "--p", "1000003"], ["cusps", "--p", "1000003"]):
+            phicong.rationals.is_prime.cache_clear()
+            assert self._factorized(monkeypatch, capsys, *argv) == [], argv
+            assert phicong.rationals.is_prime.cache_info().misses == 1
+
+    @pytest.mark.parametrize("argv", [
+        "grassmannian --p 113 --x 3 --cycles",
+        "cusps --p 113 --oracle cycles --x 3",
+        "grassmannian --p 113 --x 3 --surjectivity",
+    ])
+    def test_p_minus_1_factorized_once(self, capsys, monkeypatch, argv):
+        # for the order of x (3 is a primitive root mod 113), or of x^2
+        assert self._factorized(monkeypatch, capsys, *argv.split()) == [112]
 
     def test_cusps_both_oracles(self, capsys):
         _, out1 = run(capsys, "cusps", "--p", "11")
@@ -565,6 +580,9 @@ class TestInvalidInput:
         "qexp --level 5 --terms 3 --denominators --format csv",
         "qexp --level 1000000 --terms 400",
         "divpoly --level 3 --profile 15",
+        # main lifts the digit limit before the handler parses the word
+        pytest.param(f"member --spec gamma-prime --word T^{'1' * 5000}",
+                     id="member-exponent-over-4300-digits"),
     ])
     def test_exit_2_with_message(self, capsys, argv):
         code = main(argv.split())
@@ -675,22 +693,23 @@ class TestGoldenStdout:
 
 
 class TestSweepDigests:
-    # a slice of each sweep of tests/sweep_digests.py, the primes 11, 13
-    # and 113, against the digests recorded for the whole run
-    PRIMES = (11, 13, 113)
+    # a slice of each sweep of tests/sweep_digests.py, its first two primes
+    # and its last, against the digests recorded for the whole run
     RECORDED = json.loads(sweep_digests.PATH.read_text())
 
     @pytest.mark.parametrize("name", list(sweep_digests.SWEEPS))
     def test_slice(self, name):
-        primes = self.RECORDED[name]["primes"]
-        assert sweep_digests.digest(name, self.PRIMES)["primes"] == {
-            str(p): primes[str(p)] for p in self.PRIMES}
+        primes, recorded = sweep_digests.slice_primes(name), self.RECORDED[name]["primes"]
+        assert sweep_digests.digest(name, primes)["primes"] == {
+            str(p): recorded[str(p)] for p in primes}
 
     def test_every_grassmannian_mode_and_oracle_is_swept(self):
+        # with genus and the family G_p of dims
         modes = [n for n, (kind, _) in _VERBS["grassmannian"][2].items() if kind is bool]
         assert set(self.RECORDED) == set(sweep_digests.SWEEPS) == {
             *(f"grassmannian --{m}" for m in modes),
-            *(f"cusps --oracle {o}" for o in _VERBS["cusps"][2]["oracle"][0])}
+            *(f"cusps --oracle {o}" for o in _VERBS["cusps"][2]["oracle"][0]),
+            "genus", "dims --family gp"}
 
 
 def _child_env():
@@ -805,13 +824,13 @@ class TestImports:
         (["grassmannian", "--p", "23", "--x", "5", "--epsilons"], 0,
          "cli cli_symplectic errors rationals", 2919),
         (["grassmannian", "--p", "29", "--x", "2", "--cycles"], 0,
-         "cli cli_symplectic errors invariants rationals", 3800),
+         "cli cli_symplectic errors invariants rationals", 3683),
         (["cusps", "--p", "23", "--oracle", "cycles", "--x", "5"], 0,
-         "cli cli_symplectic errors invariants rationals", 3800),
+         "cli cli_symplectic errors invariants rationals", 3683),
         (["grassmannian", "--p", "11", "--x", "2", "--lift-check"], 0,
-         "cli cli_symplectic errors invariants rationals", 3800),
+         "cli cli_symplectic errors invariants rationals", 3683),
         (["genus", "--p", "23"], 0, "cli cli_symplectic errors invariants rationals",
-         3705),
+         3683),
         (["genus", "--p", "15"], 2, "cli cli_symplectic errors rationals", 2986),
         (["qexp", "--level", "5", "--terms", "60"], 0,
          "cli cli_unipotent errors polynomials qexp rationals", 4413),

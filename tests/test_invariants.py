@@ -6,9 +6,8 @@ from phicong.cli import MAX_P
 from phicong.divpoly import division_polynomials, reduction_profile, rescaled
 from phicong.errors import DomainError, InternalConsistencyError, UnsupportedPrimeError
 from phicong.invariants import (chi_power, cusp_data_character, cusp_data_cycles,
-                                cusp_data_fixed, dims_Gp, dims_unipotent,
-                                elliptic_counts, genus_pointstab, legendre,
-                                lift_witness_mod_p2)
+                                dims_Gp, dims_unipotent, elliptic_counts,
+                                genus_pointstab, legendre, lift_witness_mod_p2)
 from phicong.matrices import Matrix
 from phicong.symplectic import SpParams, rho_matrices
 
@@ -16,7 +15,7 @@ from closed_forms import genus_newman, noncongruence_report, twelve_genus_by_res
 import cycle_oracle
 import geometry_oracle
 from cycle_oracle import cycle_type
-from geometry_oracle import fixed_lagrangians
+from geometry_oracle import cusp_data_fixed, fixed_lagrangians
 from permutation_oracle import permutation
 
 
@@ -135,15 +134,19 @@ class TestCusps:
 
     def test_widths_by_x_squared(self):
         # README's table of the cusps at every pair the CLI admits, with
-        # m = ord(x^2) and k = (p - 1)/2m
+        # m = ord(x^2) and k = (p - 1)/2m, and the Moebius inversion of
+        # chi that proves it
         for p, x in CLI_PAIRS:
+            params = SpParams(p, x)
+            assert cusp_data_cycles(params) == \
+                cusp_data_fixed(p, lambda d: chi_power(params, d)), (p, x)
             n, sq = (p * p + 1) * (p + 1), x * x % p
             m = next(m for m in range(1, p) if pow(sq, m, p) == 1)
             k = (p - 1) // (2 * m)
             widths = ({1: 1, p: (n - 1) // p} if sq == 1 else
                       {1: p + 3, 2: (n - p - 3) // 2} if sq == p - 1 else
                       {1: 3, m: 4 * k, p: 1, p * m: (2 * p + 4) * k})
-            assert cusp_data_cycles(SpParams(p, x)).widths == widths, (p, x)
+            assert cusp_data_cycles(params).widths == widths, (p, x)
 
     def test_counted_fixes_checked(self):
         # fixes of no permutation: c_1 = 4 / 1, c_2 = (3 - 4) / 2 < 0
@@ -165,8 +168,9 @@ class TestCusps:
         # the closed-form widths are the Moebius inversion of chi at a
         # primitive root
         for p in PRIMES_TO_2000:
-            assert cusp_data_cycles(SpParams(p, primitive_root(p))) == \
-                cusp_data_character(p), p
+            params = SpParams(p, primitive_root(p))
+            assert cusp_data_character(p) == \
+                cusp_data_fixed(p, lambda d: chi_power(params, d)), p
 
 
 class TestGeometryOracle:

@@ -40,7 +40,10 @@ class TestWord:
         assert parse_word("S-1") == Word([("S", -1)])
 
     def test_parse_rejects_malformed(self):
-        for bad in ("Q", "T^", "S^x", "T2x"):
+        # int() alone would take a sign, an underscore or a non-ASCII
+        # digit, and more than 4300 digits once a caller lifts the limit
+        for bad in ("Q", "T^", "S^x", "T2x", "T^+3", "T^1_0", "T^\u0663",
+                    "T^" + "1" * 5000):
             with pytest.raises(DomainError):
                 parse_word(bad)
 
