@@ -31,11 +31,10 @@ MAX_TERMS = 750
 #: Largest ``divpoly --level``: on a 2-vCPU host --level 42 takes 1.3-2.0 s
 #: plain or with --profile 5; the output grows about as N^4 (3.4 MB at 42).
 MAX_LEVEL = 42
-#: Largest p of the Grassmannian verbs.  No call allocates per point of
-#: X(F_p); what grows with p is the factorization of p - 1, by trial
-#: division, for the order of x or of x^2, and on the fourth
-#: surjectivity row the walk's powers of 4x4 matrices.  The library's
-#: surjectivity_verdict and cusp data read no ceiling.
+#: Largest p of the Grassmannian verbs.  No call builds a matrix or
+#: allocates per point of X(F_p); what grows with p is the factorization
+#: of p - 1, by trial division, for the order of x or of x^2.  The
+#: library's surjectivity_verdict and cusp data read no ceiling.
 MAX_P = 113
 
 
@@ -126,7 +125,10 @@ def parse_args(argv: list[str]):
         if value is None:
             raise DomainError(f"{name} needs a value")
         if kind is int:
+            # an optional '-' and ASCII digits, as a word's exponent
             try:
+                if not (value.isascii() and value.removeprefix("-").isdigit()):
+                    raise ValueError
                 value = int(value)
             except ValueError:
                 raise DomainError(f"{name} takes an integer, got {value!r}") from None

@@ -42,7 +42,7 @@ def cmd_grassmannian(args) -> dict:
     eps = dict(zip(("epsilon2", "epsilon3"), elliptic_counts(args.p)))
     if args.epsilons:
         return {**head, **eps}
-    from .symplectic import surjectivity_verdict
+    from .invariants import surjectivity_verdict
     v = surjectivity_verdict(params)
     return {**head, "orderT": v.order_T, "permGroupOrder": str(v.perm_group_order),
             "surjectivePSp4": v.surjective_psp4, **eps}

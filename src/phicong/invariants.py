@@ -1,4 +1,5 @@
-"""Elliptic-point counts, cusp data, genus, and dimension formulas.
+"""Elliptic-point counts, cusp data, genus, surjectivity, and dimension
+formulas.
 
 Covers both families.  For the symplectic point stabilizers each number
 is one closed form: chi(rho(T)^d), in x^2 mod p at any x with y = 1/x;
@@ -7,7 +8,10 @@ the cusp widths, the cycle type of rho(T), as a table in m = ord(x^2)
 epsilon_3 (from rationals, at every x); the genus by Riemann-Hurwitz
 from them; and the lifting witness.  README proves each ("How fixed
 Lagrangians are counted"); the tests hold them against the inversion and
-the matrix computations they replaced (tests/geometry_oracle.py).
+the matrix computations they replaced (tests/geometry_oracle.py).  The
+order of <rho(S), rho(T)> is a table in x^2 mod p (surjectivity_verdict,
+README "How surjectivity is certified"), held against the routes and the
+certificate it replaced (tests/routes_oracle.py, certificate_oracle.py).
 For the quasi-unipotent family: the dimension formulas for M_2k / S_2k.
 """
 
@@ -17,7 +21,7 @@ from typing import Dict, NamedTuple
 
 from .errors import DomainError
 from .rationals import (elliptic_counts, grassmannian_size, legendre, multiplicative_order,
-                        require_gp_prime, require_int, require_prime)
+                        require_gp_prime, require_int, require_prime, sp4_order)
 
 
 def chi_power(params, d: int) -> int:
@@ -96,6 +100,38 @@ def lift_witness_mod_p2(params) -> bool:
     y): exactly when x^2 != -1 (mod p), README proves."""
     params.require_y_inverse("the lifting witness is decided")
     return (params.x * params.x + 1) % params.p != 0
+
+
+class SurjectivityVerdict(NamedTuple):
+    order_T: int                 # matrix order of rho(T) in Sp4(F_p)
+    perm_group_order: int        # order of <rho(S), rho(T)> acting on X(F_p)
+    surjective_psp4: bool        # perm_group_order == |Sp4(F_p)| / 2
+
+
+def surjectivity_verdict(params) -> SurjectivityVerdict:
+    """The verdict at the SpParams params with y = 1/x, read off x^2 mod p
+    by the table that README proves ("How surjectivity is certified"): on
+    X(F_p), where -I = rho(S)^2 acts trivially, the order is p(p^2 - 1)/2
+    for x^2 = 1, 6 for x^2 = -1, 3p^4(p^2 - 1)/2 for x^4 + x^2 + 1 = 0, and
+    |Sp4(F_p)|/2 for any other x.  rho(T) has order 4 for x^2 = -1 and
+    p ord(x) otherwise.  An explicit y with x y != 1 (mod p) is refused
+    (DomainError)."""
+    params.require_y_inverse("surjectivity is decided")
+    p = params.p
+    x = params.x % p
+    sq = x * x % p
+    sl2 = p * (p * p - 1)               # |SL2(F_p)|
+    psp4 = sp4_order(p) // 2
+    order_T = 4 if sq == p - 1 else p * multiplicative_order(x, p)
+    if sq == 1:
+        order = sl2 // 2
+    elif sq == p - 1:
+        order = 6
+    elif (sq * sq + sq + 1) % p == 0:
+        order = 3 * p ** 3 * sl2 // 2
+    else:
+        order = psp4
+    return SurjectivityVerdict(order_T, order, order == psp4)
 
 
 class DimsUnipotent(NamedTuple):

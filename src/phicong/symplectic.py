@@ -5,23 +5,21 @@ rho(T) and rho(S) preserve the symplectic form J with (1,4)-entry 1 and
 (2,3)-entry -3.  X(F_p) splits into four families of Lagrangian planes
 A(a,b,c), B(a,b), C(a), D with |X(F_p)| = (p^2+1)(p+1).
 
-surjectivity_verdict reads the order of <rho(S), rho(T)> off a table in
-x^2 mod p, proved once in README: Sym^3(SL2(F_p)) for x^2 = 1, a group of
-order 12 for x^2 = -1, and a Siegel parabolic subgroup for x^4 + x^2 + 1
-= 0.  For every other x it proves surjectivity at run time from two
-matrix facts about random elements (generates_sp4), or refuses.
+The order of <rho(S), rho(T)> is a closed form in x^2 mod p, proved once
+in README; surjectivity_verdict, which reads it, lives in invariants with
+the other closed forms and is re-exported here.
 """
 
 from __future__ import annotations
 
-import random
 from functools import lru_cache
-from typing import TYPE_CHECKING, List, NamedTuple, Tuple
+from typing import TYPE_CHECKING, Tuple
 
 from .errors import DomainError, InternalConsistencyError
+# the verdict, legendre and sp4_order are re-exported, as SpParams is
+from .invariants import SurjectivityVerdict, surjectivity_verdict
 from .matrices import Matrix
-from .rationals import (SpParams, legendre, multiplicative_order, require_prime,
-                        sp4_order, split_power)
+from .rationals import SpParams, legendre, require_prime, sp4_order
 
 if TYPE_CHECKING:                       # only the annotations name a Word
     from .words import Word
@@ -76,107 +74,6 @@ def rho_matrices(params: SpParams) -> Tuple[Matrix, Matrix]:
     if S4 * S4 != Matrix([[-int(i == j) for j in range(4)] for i in range(4)], p):
         raise InternalConsistencyError("rho(S)^2 != -I")
     return S4, T4
-
-
-def trace_pair(g: Matrix) -> Tuple[int, int]:
-    """(a, b) = (tr g, (a^2 - tr g^2)/2) mod p = g.m, p odd: a symplectic g
-    has characteristic polynomial t^4 - a t^3 + b t^2 - a t + 1."""
-    p, m = g.m, g.rows
-    a = (m[0][0] + m[1][1] + m[2][2] + m[3][3]) % p
-    tr_sq = sum(m[i][j] * m[j][i] for i in range(4) for j in range(4))
-    return a, (a * a - tr_sq) * pow(2, -1, p) % p
-
-
-# -- Recognizing Sp4(F_p) from two matrices ----------------------------------
-
-#: Seed of the product-replacement walk, and how many of its elements
-#: generates_sp4 looks at before it gives up.
-SEED = 2026
-TRIES = 64
-
-
-def random_elements(generators: List[Matrix], rng: random.Random, count: int):
-    """count elements by product replacement with an accumulator: ten
-    slots filled with the generators, each step multiplies one slot by
-    another, and the accumulator by the new slot; the accumulators after
-    50 warm-up steps are the elements."""
-    slots = [generators[i % len(generators)] for i in range(10)]
-    acc = slots[0]
-    for step in range(50 + count):
-        i, j = rng.sample(range(10), 2)
-        slots[i] = slots[i] * slots[j] if rng.random() < 0.5 else slots[j] * slots[i]
-        acc = acc * slots[i]
-        if step >= 50:
-            yield acc
-
-
-def outside_sp2_p2(g: Matrix) -> bool:
-    """Whether g in Sp4(F_p) provably lies in no conjugate of Sp2(p^2):2.
-    Its characteristic polynomial is (t^2 - s1 t + 1)(t^2 - s2 t + 1), s1
-    and s2 the roots of z^2 - a z + b - 2, (a, b) = trace_pair(g).  On
-    Sp2(p^2) they are equal or conjugate over F_p, so distinct roots in F_p
-    put g outside it, and a != 0 puts g^2 (roots s_i^2 - 2) outside too."""
-    a, b = trace_pair(g)
-    return a != 0 and legendre(a * a - 4 * b + 8, g.m) == 1
-
-
-def generates_sp4(S4: Matrix, T4: Matrix) -> bool:
-    """True when random elements of <S4, T4> in Sp4(F_p), p >= 11, prove
-    that they generate Sp4(F_p); False proves nothing.
-
-    Every element order divides p(p^4 - 1).  Let r be p^2 + 1 without
-    its factors 2 and 5.  An element g with g^(p(p^4-1)/r) != I has an
-    order divisible by a prime >= 7 that divides p^2 + 1 (none does when
-    r = 1).  Of the maximal subgroups of Sp4(p), p >= 11 (Bray, Holt and
-    Roney-Dougal, LMS LN 407, the tables for Sp4(q), q odd), only
-    Sp2(p^2):2 has an order divisible by such a prime: the others have
-    orders built from p, p - 1, p + 1 and 2, or are 2^(1+4).Omega4-(2)
-    (or .O4-(2)), 2.A6 and 2.S6, whose primes are 2, 3 and 5 (2.A7
-    occurs only at p = 7).  So such an element and one that
-    outside_sp2_p2 accepts generate a subgroup in no maximal one."""
-    p = S4.m
-    e = p * (p ** 4 - 1) // split_power(split_power(p * p + 1, 2)[1], 5)[1]
-    ppd = outside = False
-    for g in random_elements([S4, T4], random.Random(SEED), TRIES):
-        ppd = ppd or not (g ** e).is_identity()
-        outside = outside or outside_sp2_p2(g)
-        if ppd and outside:
-            return True
-    return False
-
-
-class SurjectivityVerdict(NamedTuple):
-    order_T: int                 # matrix order of rho(T) in Sp4(F_p)
-    perm_group_order: int        # order of <rho(S), rho(T)> acting on X(F_p)
-    surjective_psp4: bool        # perm_group_order == |Sp4(F_p)| / 2
-
-
-def surjectivity_verdict(params: SpParams) -> SurjectivityVerdict:
-    """The verdict for y = 1/x, read off x^2 mod p by the table that README
-    proves ("How surjectivity is certified"): on X(F_p), where -I = rho(S)^2
-    acts trivially, the order is p(p^2 - 1)/2 for x^2 = 1, 6 for x^2 = -1,
-    3p^4(p^2 - 1)/2 for x^4 + x^2 + 1 = 0, and |Sp4(F_p)|/2 for any other x
-    once generates_sp4 proves it (DomainError when it does not).  rho(T)
-    has order 4 for x^2 = -1 and p ord(x) otherwise.  An explicit y with
-    x y != 1 (mod p) is refused (DomainError) before any matrix is built."""
-    params.require_y_inverse("surjectivity is decided")
-    p = params.p
-    x = params.x % p
-    sq = x * x % p
-    sl2 = p * (p * p - 1)               # |SL2(F_p)|
-    psp4 = sp4_order(p) // 2
-    order_T = 4 if sq == p - 1 else p * multiplicative_order(x, p)
-    if sq == 1:
-        order = sl2 // 2
-    elif sq == p - 1:
-        order = 6
-    elif (sq * sq + sq + 1) % p == 0:
-        order = 3 * p ** 3 * sl2 // 2
-    elif generates_sp4(*rho_matrices(params)):
-        order = psp4
-    else:
-        raise DomainError(f"no certificate that rho(S), rho(T) generate Sp4(F_{p}) for {params}")
-    return SurjectivityVerdict(order_T, order, order == psp4)
 
 
 def rho_word(w: Word, params: SpParams) -> Matrix:

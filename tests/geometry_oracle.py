@@ -23,7 +23,9 @@ from phicong.invariants import CuspData
 from phicong.matrices import Matrix
 from phicong.rationals import (SpParams, factorize, grassmannian_size, legendre,
                                require_prime)
-from phicong.symplectic import J_ROWS, SYM3, require_symplectic, rho_matrices, trace_pair
+from phicong.symplectic import J_ROWS, SYM3, require_symplectic, rho_matrices
+
+from certificate_oracle import trace_pair
 
 #: Coordinates of antisymmetric forms and of Plucker vectors: the entries
 #: (i, j), i < j, in this order.

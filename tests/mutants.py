@@ -64,6 +64,7 @@ _MEMBERSHIP = """    if not all((inverse(g) * g).is_identity() for g in gens):
 """
 _KERNEL = "tests/test_matrices.py::TestProductKernel"
 _CERTIFICATE = "tests/test_symplectic.py::TestCertificate"
+_ORACLE_CERT = "tests/certificate_oracle.py"
 _FIXED = "tests/test_symplectic.py::TestFixedLagrangians"
 _DIVPOLY_ORACLE = "tests/test_divpoly.py::TestOracle"
 _BOUNDARY = "tests/test_rationals.py::test_float_refused_at_the_boundary"
@@ -77,6 +78,7 @@ _ORACLE = _INVARIANTS + "::TestGeometryOracle"
 _CUSPS = _ORACLE + "::test_cusp_data_on_every_pair"
 _CHI = _ORACLE + "::test_each_case_at_every_power"
 _WORDS = "tests/test_words.py::TestWord::test_parse_rejects_malformed"
+_INVALID = "tests/test_cli.py::TestInvalidInput::test_exit_2_with_message"
 _CLI_END = 'if __name__ == "__main__":\n'
 
 MUTANTS = (
@@ -103,18 +105,18 @@ MUTANTS = (
     Mutant("xtilde-cache-untyped", "src/phicong/qexp.py",
            "@lru_cache(maxsize=64, typed=True)", "@lru_cache(maxsize=64)",
            (_BOUNDARY + "[xtilde_terms_int_then_float]",)),
-    Mutant("outside-a-zero-admitted", "src/phicong/symplectic.py",
+    Mutant("outside-a-zero-admitted", _ORACLE_CERT,
            "return a != 0 and legendre(", "return legendre(", (_CERTIFICATE,)),
-    Mutant("outside-non-squares-admitted", "src/phicong/symplectic.py",
+    Mutant("outside-non-squares-admitted", _ORACLE_CERT,
            "legendre(a * a - 4 * b + 8, g.m) == 1", "legendre(a * a - 4 * b + 8, g.m) != 0",
            (_CERTIFICATE,)),
-    Mutant("ppd-factor-p-dropped", "src/phicong/symplectic.py",
+    Mutant("ppd-factor-p-dropped", _ORACLE_CERT,
            "e = p * (p ** 4 - 1) //", "e = (p ** 4 - 1) //", (_CERTIFICATE,)),
-    Mutant("ppd-factor-5-kept", "src/phicong/symplectic.py",
+    Mutant("ppd-factor-5-kept", _ORACLE_CERT,
            "split_power(split_power(p * p + 1, 2)[1], 5)[1]",
            "split_power(p * p + 1, 2)[1]", (_CERTIFICATE,)),
     Mutant("numpy-in-src", "src/phicong/symplectic.py",
-           "import random\n", "import random\nimport numpy\n",
+           "from functools import lru_cache\n", "from functools import lru_cache\nimport numpy\n",
            ("tests/test_cli.py::TestImports::test_no_module_imports_numpy",)),
     Mutant("kernel-no-reduction", "src/phicong/matrices.py",
            "(r0 * c0 + r1 * c1 + r2 * c2 + r3 * c3) % m",
@@ -128,7 +130,7 @@ MUTANTS = (
     Mutant("quartic-sign-of-b", "tests/geometry_oracle.py",
            "[1, 2 - b, a * a - 2 * b + 2, 2 - b, 1]",
            "[1, b - 2, a * a - 2 * b + 2, b - 2, 1]", (_FIXED,)),
-    Mutant("trace-pair-not-halved", "src/phicong/symplectic.py",
+    Mutant("trace-pair-not-halved", _ORACLE_CERT,
            "(a * a - tr_sq) * pow(2, -1, p) % p", "(a * a - tr_sq) % p", (_FIXED,)),
     Mutant("tower-prefix-not-rescaled", "src/phicong/qexp.py",
            "c[k] *= f ** k", "c[k] *= 1", ("tests/test_qexp.py::TestLambda",)),
@@ -153,14 +155,23 @@ MUTANTS = (
     Mutant("chain-strong-generator-own-level-only", "tests/schreier_oracle.py",
            "for level in chain[:lvl + 1]:", "for level in chain[lvl:lvl + 1]:",
            (_CHAIN,)),
-    Mutant("table-row-x2-minus-1-dropped", "src/phicong/symplectic.py",
+    # the rows of the surjectivity table, orderT and the fourth row's order
+    Mutant("table-row-x2-1-as-x-1", "src/phicong/invariants.py",
+           "    if sq == 1:\n        order = sl2", "    if x == 1:\n        order = sl2",
+           (_TABLE,)),
+    Mutant("table-row-x2-minus-1-dropped", "src/phicong/invariants.py",
            "    elif sq == p - 1:\n        order = 6\n", "", (_TABLE,)),
-    Mutant("order-T-at-x2-minus-1-times-p", "src/phicong/symplectic.py",
+    Mutant("order-T-at-x2-minus-1-times-p", "src/phicong/invariants.py",
            "order_T = 4 if sq == p - 1", "order_T = 4 * p if sq == p - 1",
            ("tests/test_symplectic.py::TestRho::test_order_T_matches_iteration",)),
-    Mutant("table-row-x4-x2-1-as-x2-x-1", "src/phicong/symplectic.py",
+    Mutant("table-row-x4-x2-1-as-x2-x-1", "src/phicong/invariants.py",
            "elif (sq * sq + sq + 1) % p == 0:", "elif (x * x + x + 1) % p == 0:",
            (_TABLE,)),
+    Mutant("order-T-of-x2-not-x", "src/phicong/invariants.py",
+           "p * multiplicative_order(x, p)", "p * multiplicative_order(sq, p)",
+           ("tests/test_symplectic.py::TestRho::test_order_T_matches_iteration",)),
+    Mutant("fourth-row-order-of-sp4", "src/phicong/invariants.py",
+           "        order = psp4\n", "        order = sp4_order(p)\n", (_TABLE,)),
     Mutant("explicit-y-admitted", "src/phicong/rationals.py",
            "        if self.y is not None and self.x * self.y % self.p != 1:\n",
            "        if False:\n",
@@ -230,7 +241,7 @@ MUTANTS = (
     Mutant("chi-torus-times-unipotent-case", "src/phicong/invariants.py",
            "if semisimple else 3\n", "if semisimple else 1\n", (_CHI,)),
     Mutant("chi-semisimple-test-flipped", "src/phicong/invariants.py",
-           "sq == p - 1", "sq != p - 1", (_CHI,)),
+           "d % p == 0 or sq == p - 1", "d % p == 0 or sq != p - 1", (_CHI,)),
     Mutant("chi-x-to-the-d-not-2d", "src/phicong/invariants.py",
            "if pow(sq, d, p) == 1:", "if pow(params.x, d, p) == 1:", (_CHI,)),
     Mutant("lift-witness-negated", "src/phicong/invariants.py",
@@ -240,6 +251,13 @@ MUTANTS = (
            " and len(digits) <= _EXPONENT_DIGITS", "", (_WORDS,)),
     Mutant("exponent-non-ascii-digits", "src/phicong/words.py",
            "digits.isascii() and ", "", (_WORDS,)),
+    # the same grammar for integer options
+    Mutant("integer-option-plus-sign", "src/phicong/cli.py",
+           'value.removeprefix("-").isdigit()', 'value.lstrip("+-").isdigit()',
+           (_INVALID + "[genus --p +11]",)),
+    Mutant("integer-option-non-ascii-digits", "src/phicong/cli.py",
+           "if not (value.isascii() and ", "if not (",
+           (_INVALID + "[genus-arabic-indic-digits]",)),
     Mutant("sp-params-unit-check", "src/phicong/rationals.py",
            "or v % p == 0:", "or v == 0:",
            ("tests/test_symplectic.py::TestRho::test_params_validation",)),

@@ -1,7 +1,7 @@
 """The permutation of X(F_p) that a matrix induces, and the exact order of
 a permutation group by Schreier-Sims, on plain lists.
 
-The exact order that symplectic.surjectivity_verdict measured on X(F_p)
+The exact order that surjectivity_verdict measured on X(F_p)
 before the chain now in schreier_oracle.py measured the matrix group on
 F_p^4, kept as the oracle of that chain and of the counts of fixed
 Lagrangians: it builds a list of the n = (p^2+1)(p+1) points.

@@ -4,8 +4,9 @@
 lowest degree first, the trailing one nonzero; ``phicong.divpoly`` works
 on int tuples instead.  Next to it: Horner evaluation at an element of
 any ring, a map of the coefficients (the tests lift integer polynomials
-to Fraction ones), and the substitution X -> sX that ``divpoly_oracle``
-rescales by."""
+to Fraction ones), the substitution X -> sX that ``divpoly_oracle``
+rescales by, and division with remainder and the extended gcd over a
+field, such as Fraction coefficients."""
 
 from __future__ import annotations
 
@@ -90,3 +91,25 @@ def scale_arg(poly: UniPoly, s) -> UniPoly:
         out.append(c * f)
         f = f * s
     return UniPoly(out)
+
+
+def divmod_poly(a: UniPoly, b: UniPoly):
+    """(q, r) with a = q b + r and deg r < deg b, b nonzero, over a field:
+    each leading coefficient of b must divide exactly (Fractions, say)."""
+    q, r = [0] * max(0, a.degree - b.degree + 1), a
+    while r.degree >= b.degree:
+        k, c = r.degree - b.degree, r.coeffs[-1] / b.coeffs[-1]
+        q[k] = c
+        r = r - UniPoly([0] * k + [c * e for e in b.coeffs])
+    return UniPoly(q), r
+
+
+def ext_gcd(a: UniPoly, b: UniPoly):
+    """(g, s, t) with s a + t b = g, g the monic gcd of a and b, not both
+    zero, over a field, by Euclid's algorithm."""
+    r0, r1, s0, s1, t0, t1 = a, b, UniPoly([1]), UniPoly(), UniPoly(), UniPoly([1])
+    while r1:
+        q, r = divmod_poly(r0, r1)
+        r0, r1, s0, s1, t0, t1 = r1, r, s1, s0 - q * s1, t1, t0 - q * t1
+    lead = r0.coeffs[-1]
+    return r0 * (1 / lead), s0 * (1 / lead), t0 * (1 / lead)

@@ -1,13 +1,14 @@
 """Test oracle: the orders of the groups <rho(S), rho(T)> that
-generates_sp4 does not certify, proved at run time from the two matrices:
-Sym^3(SL2(F_p)) for x = +-1, a closure of at most 24 matrices for x of
-order 4, and a Siegel parabolic for x of order 3 or 6; and matrix_order,
-the order of one matrix by trial division of an exponent.
+certificate_oracle.generates_sp4 does not certify, proved at run time
+from the two matrices: Sym^3(SL2(F_p)) for x = +-1, a closure of at most
+24 matrices for x of order 4, and a Siegel parabolic for x of order 3 or
+6; and matrix_order, the order of one matrix by trial division of an
+exponent.
 
 Each route proves the order of G = <S4, T4> on X(F_p) from checks on the
 two matrices, or returns None.  The kernel of the action on X(F_p) is
 G n {I, -I}, so for a G that holds -I the order there is |G|/2.  The
-tests compare symplectic.surjectivity_verdict's table in x^2 mod p with
+tests compare invariants.surjectivity_verdict's table in x^2 mod p with
 them, and the matrix chain (schreier_oracle) checks them.
 """
 
@@ -19,8 +20,9 @@ from typing import List, Optional
 from phicong.errors import InternalConsistencyError
 from phicong.matrices import Matrix
 from phicong.rationals import factorize, require_int
-from phicong.symplectic import SEED, SYM3, TRIES, random_elements
+from phicong.symplectic import SYM3
 
+from certificate_oracle import SEED, TRIES, random_elements
 from geometry_oracle import LAGRANGIAN_ROW, PAIRS, kernel_mod_p, row_reduce, wedge
 
 

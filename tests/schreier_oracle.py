@@ -1,10 +1,11 @@
 """The exact order of a group of symplectic 4x4 matrices over F_p, the
-oracle for the orders that symplectic.surjectivity_verdict proves when
-generates_sp4 finds no certificate: Schreier-Sims on F_p^4 (Butler, SYMSAC 1976) with an explicit
-transversal, so a sift costs one product per level, and eigenvectors with
-short orbits as base points (Murray and O'Brien, J. Symbolic Comput. 19,
-1995).  A point is a vector v coded as ((v0 p + v1) p + v2) p + v3, and a
-Matrix acts on columns.
+oracle for the orders in invariants.surjectivity_verdict's table where
+certificate_oracle.generates_sp4 finds no certificate: Schreier-Sims on
+F_p^4 (Butler, SYMSAC 1976) with an explicit transversal, so a sift
+costs one product per level, and eigenvectors with short orbits as base
+points (Murray and O'Brien, J. Symbolic Comput. 19, 1995).  A point is
+a vector v coded as ((v0 p + v1) p + v2) p + v3, and a Matrix acts on
+columns.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from __future__ import annotations
 import math
 
 from phicong.matrices import Matrix
-from phicong.symplectic import inverse, require_symplectic, trace_pair
+from phicong.symplectic import inverse, require_symplectic
 
+from certificate_oracle import trace_pair
 from geometry_oracle import kernel_mod_p, roots_mod_p
 
 

@@ -17,7 +17,6 @@ import phicong
 import phicong.invariants
 import phicong.qexp
 import phicong.rationals
-import phicong.symplectic
 from phicong.cli import _VERBS, MAX_LEVEL, MAX_P, MAX_TERMS, _json, main, parse_args
 from phicong.rationals import is_prime
 
@@ -217,16 +216,6 @@ class TestGrassmannian:
     def test_mode_required(self, capsys):
         code, _ = run(capsys, "grassmannian", "--p", "11", "--x", "2")
         assert code == 2
-
-    def test_no_proof_exits_2(self, capsys, monkeypatch):
-        # x = 2 has order 10 mod 11: with the certificate gone no
-        # structural route applies, and the call is refused
-        monkeypatch.setattr(phicong.symplectic, "generates_sp4", lambda S4, T4: False)
-        code = main(["grassmannian", "--p", "11", "--x", "2", "--surjectivity"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.err.startswith("error: no certificate that rho(S), rho(T)")
-        assert captured.out == ""
 
 
 class TestGenusCuspsDims:
@@ -583,9 +572,14 @@ class TestInvalidInput:
         # main lifts the digit limit before the handler parses the word
         pytest.param(f"member --spec gamma-prime --word T^{'1' * 5000}",
                      id="member-exponent-over-4300-digits"),
+        # an integer option is an optional '-' and ASCII digits, which int()
+        # alone does not require
+        "genus --p +11", "genus --p 1_1",
+        pytest.param("genus --p \u0661\u0661", id="genus-arabic-indic-digits"),
+        pytest.param(["qexp", "--level", "5", "--terms", " 6 "], id="qexp-terms-padded"),
     ])
     def test_exit_2_with_message(self, capsys, argv):
-        code = main(argv.split())
+        code = main(argv if isinstance(argv, list) else argv.split())
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("error: ")
@@ -694,7 +688,8 @@ class TestGoldenStdout:
 
 class TestSweepDigests:
     # a slice of each sweep of tests/sweep_digests.py, its first two primes
-    # and its last, against the digests recorded for the whole run
+    # (or levels, or seeds) and its last, against the digests recorded for
+    # the whole run
     RECORDED = json.loads(sweep_digests.PATH.read_text())
 
     @pytest.mark.parametrize("name", list(sweep_digests.SWEEPS))
@@ -704,12 +699,16 @@ class TestSweepDigests:
             str(p): recorded[str(p)] for p in primes}
 
     def test_every_grassmannian_mode_and_oracle_is_swept(self):
-        # with genus and the family G_p of dims
+        # with genus, the family G_p of dims, the three modes of divpoly,
+        # qexp with and without --denominators, and member at every spec
         modes = [n for n, (kind, _) in _VERBS["grassmannian"][2].items() if kind is bool]
         assert set(self.RECORDED) == set(sweep_digests.SWEEPS) == {
             *(f"grassmannian --{m}" for m in modes),
             *(f"cusps --oracle {o}" for o in _VERBS["cusps"][2]["oracle"][0]),
-            "genus", "dims --family gp"}
+            "genus", "dims --family gp",
+            "divpoly", "divpoly --rescaled", "divpoly --profile 5",
+            "qexp", "qexp --denominators",
+            *(f"member --spec {s}" for s in _VERBS["member"][2]["spec"][0])}
 
 
 def _child_env():
@@ -732,16 +731,18 @@ class TestImports:
               "grassmannian": ("qexp", "series", "divpoly", "cyclotomic", "words"),
               "cusps": ("qexp", "series", "divpoly", "cyclotomic", "words",
                         "symplectic", "matrices")}
-    # and those that one mode of a verb does not use: only the cusp data
-    # of --cycles and the lifting witness come from invariants, and
-    # epsilon_2, epsilon_3 are closed forms in p too
-    MODE_UNUSED = {"--surjectivity": ("invariants",),
+    # and those that one mode of a verb does not use: the verdict, the
+    # cusp data of --cycles and the lifting witness are closed forms in
+    # invariants, so no Grassmannian call loads matrix code, and epsilon_2,
+    # epsilon_3 are closed forms in p in rationals
+    MODE_UNUSED = {"--surjectivity": ("symplectic", "matrices"),
                    "--epsilons": ("invariants", "symplectic", "matrices"),
                    "--cycles": ("symplectic", "matrices"),
                    "--lift-check": ("symplectic", "matrices")}
-    # an x of order 3 gets no certificate: its order is a closed form of
-    # the table in x^2 mod p, so the call loads the certified call's modules
-    # and no more (test_compile_budget pins the set)
+    # an x of order 3 takes the parabolic row of the table in x^2 mod p,
+    # and x = 2 at p = 11 the row "any other x": both rows are closed
+    # forms, so the two calls load the same modules (test_compile_budget
+    # pins the set)
     UNCERTIFIED = ["grassmannian", "--p", "13", "--x", "3", "--surjectivity"]
 
     @pytest.mark.parametrize("argv", [
@@ -813,31 +814,26 @@ class TestImports:
     # Each kind of op the benchmark runs, its exit code, the phicong modules
     # it loads besides the package, and the source tokens of those and the
     # package: without bytecode every op compiles all of them, which takes
-    # longer than the certified call's own work.
+    # longer than a Grassmannian call's own work.  The calls that read a
+    # closed form of invariants load the same set.
+    CLOSED_FORMS = "cli cli_symplectic errors invariants rationals"
     BUDGETS = [
-        (["grassmannian", "--p", "11", "--x", "2", "--surjectivity"], 0,
-         "cli cli_symplectic errors matrices rationals symplectic", 4822),
-        (UNCERTIFIED, 0, "cli cli_symplectic errors matrices rationals symplectic",
-         4840),
-        (["grassmannian", "--p", "13", "--x", "5", "--surjectivity"], 0,
-         "cli cli_symplectic errors matrices rationals symplectic", 4840),
+        (["grassmannian", "--p", "11", "--x", "2", "--surjectivity"], 0, CLOSED_FORMS, 3856),
+        (UNCERTIFIED, 0, CLOSED_FORMS, 3856),
+        (["grassmannian", "--p", "13", "--x", "5", "--surjectivity"], 0, CLOSED_FORMS, 3856),
         (["grassmannian", "--p", "23", "--x", "5", "--epsilons"], 0,
-         "cli cli_symplectic errors rationals", 2919),
-        (["grassmannian", "--p", "29", "--x", "2", "--cycles"], 0,
-         "cli cli_symplectic errors invariants rationals", 3683),
-        (["cusps", "--p", "23", "--oracle", "cycles", "--x", "5"], 0,
-         "cli cli_symplectic errors invariants rationals", 3683),
-        (["grassmannian", "--p", "11", "--x", "2", "--lift-check"], 0,
-         "cli cli_symplectic errors invariants rationals", 3683),
-        (["genus", "--p", "23"], 0, "cli cli_symplectic errors invariants rationals",
-         3683),
-        (["genus", "--p", "15"], 2, "cli cli_symplectic errors rationals", 2986),
+         "cli cli_symplectic errors rationals", 3064),
+        (["grassmannian", "--p", "29", "--x", "2", "--cycles"], 0, CLOSED_FORMS, 3856),
+        (["cusps", "--p", "23", "--oracle", "cycles", "--x", "5"], 0, CLOSED_FORMS, 3856),
+        (["grassmannian", "--p", "11", "--x", "2", "--lift-check"], 0, CLOSED_FORMS, 3856),
+        (["genus", "--p", "23"], 0, CLOSED_FORMS, 3856),
+        (["genus", "--p", "15"], 2, "cli cli_symplectic errors rationals", 3064),
         (["qexp", "--level", "5", "--terms", "60"], 0,
-         "cli cli_unipotent errors polynomials qexp rationals", 4413),
+         "cli cli_unipotent errors polynomials qexp rationals", 4531),
         (["qexp", "--level", "3", "--terms", "30", "--denominators"], 0,
-         "cli cli_unipotent errors polynomials qexp rationals", 4413),
+         "cli cli_unipotent errors polynomials qexp rationals", 4531),
         (["member", "--spec", "gp", "--p", "17", "--word", "T^4 S^-1"], 0,
-         "cli cli_unipotent errors rationals words", 3943),
+         "cli cli_unipotent errors rationals words", 4088),
     ]
 
     @pytest.mark.parametrize("argv, code, modules, tokens", BUDGETS,
@@ -939,8 +935,8 @@ class TestSurjectivityAtScale:
         assert rss_kib < 200 * 1024
 
     def test_p97_under_3_s_and_200_mb(self):
-        # the matrix certificate proves surjectivity, so nothing is built
-        # on the 922 180 points
+        # the row "any other x" is a closed form, so no matrix is built,
+        # and nothing on the 922 180 points
         doc, elapsed, rss_kib = _surjectivity_in_child(97, 5)
         assert doc["permGroupOrder"] == str(97 ** 4 * (97 ** 4 - 1) * (97 ** 2 - 1) // 2)
         assert doc["surjectivePSp4"] is True

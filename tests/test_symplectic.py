@@ -14,22 +14,23 @@ from phicong.matrices import Matrix
 from phicong.rationals import grassmannian_size, is_prime
 import phicong.rationals
 import phicong.symplectic
-from phicong.symplectic import (J_ROWS, SYM3, SpParams, form_J,
-                                generates_sp4, inverse, kernel_test,
-                                outside_sp2_p2, rho_matrices, rho_word, sp4_order,
-                                surjectivity_verdict)
+from phicong.symplectic import (J_ROWS, SYM3, SpParams, form_J, inverse, kernel_test,
+                                rho_matrices, rho_word, sp4_order, surjectivity_verdict)
 from phicong.words import Word, parse_word
 
+import certificate_oracle
 import geometry_oracle
 import permutation_oracle
 import routes_oracle
 import schreier_oracle
 from closed_forms import (Lagrangian, assert_matches_closed_forms, in_span,
                           invariant_forms, lagrangian_from_index, rref_mod_p)
+from certificate_oracle import generates_sp4, outside_sp2_p2
 from cycle_oracle import cycle_type, fixed_points
 from geometry_oracle import fixed_lagrangians
 from permutation_oracle import group_order, permutation, require_memory
 from ring_matrix import Matrix as RingMatrix, eval_word
+from ring_poly import UniPoly, divmod_poly, ext_gcd, map_coeffs
 
 
 def order_by_iteration(M):
@@ -389,9 +390,8 @@ def _sym3(g, p):
 
 
 def _walk(A, B):
-    symplectic = phicong.symplectic
-    return list(symplectic.random_elements([A, B], random.Random(symplectic.SEED),
-                                           symplectic.TRIES))
+    return list(certificate_oracle.random_elements(
+        [A, B], random.Random(certificate_oracle.SEED), certificate_oracle.TRIES))
 
 
 class TestCertificate:
@@ -510,7 +510,7 @@ class TestCertificate:
                     break
         for M in (A, C):
             assert Matrix(zip(*M.rows), M.m) * gram * M == gram
-        monkeypatch.setattr(phicong.symplectic, "random_elements",
+        monkeypatch.setattr(certificate_oracle, "random_elements",
                             lambda gens, rng, count: iter([A, C]))
         assert not generates_sp4(A, C)
 
@@ -836,19 +836,15 @@ class TestStructuralRoutes:
             S4, T4 = rho_matrices(SpParams(p, x))
             assert routes_oracle.parabolic_order(S4, T4, pow(x, 4, p)) is None
 
-    def test_every_pair_to_113_takes_its_route(self, monkeypatch):
+    def test_every_pair_to_113_takes_its_route(self):
         # every pair with p <= 113: the row of x^2 mod p against its route
-        # here, orderT against matrix_order, and generates_sp4 run by the
-        # verdict on the fourth row alone
-        certify, walks = phicong.symplectic.generates_sp4, []
-        monkeypatch.setattr(phicong.symplectic, "generates_sp4",
-                            lambda S4, T4: walks.append(certify(S4, T4)) or walks[-1])
+        # here, the fourth row against the certificate, and orderT against
+        # matrix_order
         rows = {}
         for p in (p for p in range(11, 114) if is_prime(p)):
             psp4 = sp4_order(p) // 2
             for x in range(1, p):
                 S4, T4 = rho_matrices(SpParams(p, x))
-                walks.clear()
                 v = surjectivity_verdict(SpParams(p, x))
                 ord_x = _multiplicative_order(x, p)
                 if ord_x in (1, 2):
@@ -859,17 +855,11 @@ class TestStructuralRoutes:
                     row, order = "parabolic", routes_oracle.parabolic_order(
                         S4, T4, pow(x, 4, p))
                 else:
-                    row, order = "certificate", psp4 if walks == [True] else None
-                assert len(walks) == (row == "certificate"), (p, x)
+                    row, order = "certificate", psp4 if generates_sp4(S4, T4) else None
                 assert v == (routes_oracle.matrix_order(T4, p * (p - 1)), order,
                              order == psp4), (p, x)
                 rows[row] = rows.get(row, 0) + 1
         assert rows == {"certificate": 1424, "sym3": 52, "closure": 26, "parabolic": 48}
-
-    def test_no_proof_is_domain_error(self, monkeypatch):
-        monkeypatch.setattr(phicong.symplectic, "generates_sp4", lambda S4, T4: False)
-        with pytest.raises(DomainError, match="^no certificate"):
-            surjectivity_verdict(SpParams(11, 2))
 
     def test_explicit_y_other_than_1_over_x_is_refused(self):
         # generates_sp4 certifies (11, 2, 3) and not (11, 2, 5): both are
@@ -896,12 +886,75 @@ def _unit_away_from_3(a) -> bool:
     return a != 0 and _integral_away_from_3(a) and _integral_away_from_3(a.inverse())
 
 
+def _small_primes_only(n: int) -> bool:
+    """Whether n >= 1 has no prime factor above 7."""
+    for q in (2, 3, 5, 7):
+        while n % q == 0:
+            n //= q
+    return n == 1
+
+
+def _unit_pair(entries, g):
+    """Whether two of the entries, e1 = g a and e2 = g b, have
+    a q1 + b q2 = N in Z[x] for an N with no prime factor above 7; g is
+    monic in Z[x] and divides both."""
+    for e1, e2 in itertools.combinations(entries, 2):
+        a, b = (divmod_poly(map_coeffs(e, Fraction), g)[0] for e in (e1, e2))
+        h, s, t = ext_gcd(a, b)
+        if h != UniPoly([1]):
+            continue
+        n = lcm(*(c.denominator for c in s.coeffs + t.coeffs))
+        a, b = (map_coeffs(u, int) for u in (a, b))
+        q1, q2 = (map_coeffs(u, lambda c: int(c * n)) for u in (s, t))
+        assert a * q1 + b * q2 == UniPoly([n])          # an identity in Z[x]
+        if _small_primes_only(n):
+            return True
+    return False
+
+
 class TestTableProofs:
-    """The steps of README's proof of the row x^4 + x^2 + 1 = 0, checked
-    once over Q(w), w = zeta_12^4 of order 3, with no prime p: the entries
-    live in Z[w, 1/3], which maps onto F_p with w -> x for every prime
-    p = 1 (mod 3), and each entry that must not vanish is a unit there.
-    (x of order 6 has the group of -x.)"""
+    """The steps of README's proofs of the rows x^4 + x^2 + 1 = 0 and "any
+    other x", checked once with no prime p.  The first lives over Q(w),
+    w = zeta_12^4 of order 3: the entries lie in Z[w, 1/3], which maps onto
+    F_p with w -> x for every prime p = 1 (mod 3), and each entry that must
+    not vanish is a unit there.  (x of order 6 has the group of -x.)  The
+    second lives over Z[x]: each matrix that must not vanish has two
+    entries that cannot vanish together mod p >= 11 at an x of the row."""
+
+    def test_any_other_row_over_z_x(self):
+        # A = x rho(S) and B = x rho(T) lie in M4(Z[x]): rho(g) = Sym^3(g) D
+        # with x D = diag(x^2, 1, x^2, 1).  B has eigenvalues x^2 and 1, and
+        # X = B - x^2, Y = B - 1.  The witnesses of README's steps 1, 3 and 4:
+        one, xx = UniPoly([1]), UniPoly([0, 0, 1])
+        A, B = (RingMatrix([[v * (one if j % 2 else xx) for j, v in enumerate(row)]
+                            for row in g]) for g in SYM3)
+
+        def minus(M, c):
+            return RingMatrix([[e - c if i == j else e for j, e in enumerate(row)]
+                               for i, row in enumerate(M.rows)])
+        X, Y = minus(B, xx), minus(B, one)
+        witnesses = {
+            "X Y^2": X * Y * Y, "X^2 Y": X * X * Y,                 # u != I on each E
+            "X A X Y^2": X * A * X * Y * Y, "Y A X^2 Y": Y * A * X * X * Y,
+            "X^2 A Y^2": X * X * A * Y * Y, "Y^2 A X^2": Y * Y * A * X * X,
+            "XY A XY": X * Y * A * X * Y,                           # no fixed subspace
+            "Y^2 A Y^2": Y * Y * A * Y * Y}                         # E_x not swapped
+        # x^k (x^2 + 1)^a (x^4 + x^2 + 1)^b, none of whose factors vanishes
+        # mod p at an x of the row
+        row = (UniPoly([0, 1]) * UniPoly([1, 0, 1]) * UniPoly([1, 0, 1, 0, 1])) ** 8
+        for name, W in witnesses.items():
+            entries = [e for r in W.rows for e in r if e]
+            assert len(entries) >= 2, name
+            # the gcd in Z[x]: its content divides 3, and its primitive part
+            # is the monic gcd g over Q, which divides the row's product, so
+            # lies in Z[x]
+            assert 3 % gcd(*(c for e in entries for c in e.coeffs)) == 0, name
+            g = UniPoly()
+            for e in entries:
+                g = ext_gcd(g, map_coeffs(e, Fraction))[0]
+            assert not divmod_poly(map_coeffs(row, Fraction), g)[1], name
+            assert all(c.denominator == 1 for c in g.coeffs), name
+            assert _unit_pair(entries, g), name
 
     def test_siegel_parabolic_row_over_q_w(self):
         w = Cyc12.zeta_pow(4)
@@ -994,6 +1047,13 @@ class TestSurjectivity:
         assert v.perm_group_order == sp4_order(p) // 2
         assert v.surjective_psp4
         assert v.order_T == p * (p - 1)
+
+    def test_fourth_row_near_10_to_9(self):
+        # a closed form: ord(5) = p - 1 comes from factoring p - 1, and no
+        # matrix is built
+        p = 10 ** 9 + 7
+        v = surjectivity_verdict(SpParams(p, 5))
+        assert v == (p * (p - 1), sp4_order(p) // 2, True)
 
     def test_kernel_word(self):
         w = parse_word("S T^20 S^-1 T^33 S^-1 T^20 S^-1 T^33")
